@@ -16,7 +16,7 @@ two-qubit evaluation is kept alongside as an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -214,24 +214,22 @@ def _spectral_projections(mat: np.ndarray):
     return out
 
 
-def find_correlated_pair(
+def correlated_pairs(
     phi: DensityState, n1: MatrixAlgebra, n2: MatrixAlgebra
-) -> Optional[tuple[Projection, Projection]]:
-    """A positively correlated projection pair across the algebras, if any.
+) -> Iterator[tuple[float, Projection, Projection]]:
+    """Positively correlated projection pairs across the algebras, as (|corr|, A, B).
 
     Sweeps spectral projections of the algebra bases; these span each
     algebra, and the correlation form is bilinear, so an empty sweep is
     conclusive: the state is a product state across the pair. A negatively
-    correlated hit is flipped to positive by complementing one side.
+    correlated hit is flipped to positive by complementing B. A hit whose
+    ranks and rounded |corr| repeat an earlier one is skipped.
     """
     _check_commuting_algebras(n1, n2)
     rho = phi.mat
-    projs1 = []
-    for e in n1.basis_iter():
-        projs1.extend(_spectral_projections(e))
-    projs2 = []
-    for e in n2.basis_iter():
-        projs2.extend(_spectral_projections(e))
+    projs1 = [p for e in n1.basis_iter() for p in _spectral_projections(e)]
+    projs2 = [p for e in n2.basis_iter() for p in _spectral_projections(e)]
+    seen = set()
     for a in projs1:
         pa = state_eval(phi, a)
         ra = rho @ a.mat
@@ -240,10 +238,21 @@ def find_correlated_pair(
             corr = float(np.real(np.trace(ra @ b.mat))) - pa * pb
             if abs(corr) <= TOL.product:
                 continue
-            if corr > 0:
-                return a, b
-            return a, b.complement()
-    return None
+            if corr < 0:
+                b = b.complement()
+            key = (a.rank, b.rank, round(abs(corr), 12))
+            if key in seen:
+                continue
+            seen.add(key)
+            yield abs(corr), a, b
+
+
+def find_correlated_pair(
+    phi: DensityState, n1: MatrixAlgebra, n2: MatrixAlgebra
+) -> Optional[tuple[Projection, Projection]]:
+    """The first pair of ``correlated_pairs``, or None for a product state."""
+    first = next(correlated_pairs(phi, n1, n2), None)
+    return None if first is None else first[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -673,7 +673,7 @@ def _cmd_toynet_demo(sc: Scenario, seed: int):
         state = _toynet.demo_state(net, seed=state_seed, epsilon=ob["epsilon"])
     budget = _as_int(sc.payload.get("budget", 10), "payload.budget")
     try:
-        demo = _toynet.weak_rccp_demo(net, state, ob["d1"], ob["d2"], seed=seed, budget=budget)
+        demo = _toynet.weak_rccp_demo(net, state, ob["d1"], ob["d2"], budget=budget)
     except InfeasibleError as exc:
         results = {"message": str(exc), "net": repr(net)}
         return results, [f"infeasible: {exc}"], "infeasible"

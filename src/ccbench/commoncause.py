@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.optimize
@@ -177,6 +177,21 @@ class CommonCauseCertificate:
         }
 
 
+def _four_conditions(p_ab_c, p_a_c, p_b_c, p_ab_cp, p_a_cp, p_b_cp):
+    """Screening residuals and relevance margins from six conditional weights.
+
+    Takes p(AB|C), p(A|C), p(B|C), p(AB|C⊥), p(A|C⊥), p(B|C⊥) and returns
+    the signed screening residuals on C and on C⊥ and the margins of A and
+    B, in that order; a certificate stores the residuals' absolute values.
+    """
+    return (
+        p_ab_c - p_a_c * p_b_c,
+        p_ab_cp - p_a_cp * p_b_cp,
+        p_a_c - p_a_cp,
+        p_b_c - p_b_cp,
+    )
+
+
 # ---------------------------------------------------------------------------
 # classical verification and search
 # ---------------------------------------------------------------------------
@@ -194,15 +209,14 @@ def classical_verify_cc(space: ClassicalSpace, a, b, c) -> CommonCauseCertificat
     def cond(xm, ym, py):
         return space.prob(xm & ym) / py
 
-    s_c = abs(cond(am & bm, cm, pc) - cond(am, cm, pc) * cond(bm, cm, pc))
-    s_cp = abs(cond(am & bm, cperp, pcp) - cond(am, cperp, pcp) * cond(bm, cperp, pcp))
-    m_a = cond(am, cm, pc) - cond(am, cperp, pcp)
-    m_b = cond(bm, cm, pc) - cond(bm, cperp, pcp)
     meet = am & bm
+    s_c, s_cp, m_a, m_b = _four_conditions(
+        *(cond(x, y, py) for y, py in ((cm, pc), (cperp, pcp)) for x in (meet, am, bm))
+    )
     return CommonCauseCertificate(
         cause=space.as_set(cm),
-        residual_screen_C=s_c,
-        residual_screen_Cperp=s_cp,
+        residual_screen_C=abs(s_c),
+        residual_screen_Cperp=abs(s_cp),
         margin_A=m_a,
         margin_B=m_b,
         is_strong=cm & ~meet == 0,
@@ -348,14 +362,13 @@ def quantum_verify_cc(
     def cond(x, y, py):
         return state_eval(phi, lattice_meet(x, y)) / py
 
-    s_c = abs(cond(ab, c, pc) - cond(a, c, pc) * cond(b, c, pc))
-    s_cp = abs(cond(ab, cperp, pcp) - cond(a, cperp, pcp) * cond(b, cperp, pcp))
-    m_a = cond(a, c, pc) - cond(a, cperp, pcp)
-    m_b = cond(b, c, pc) - cond(b, cperp, pcp)
+    s_c, s_cp, m_a, m_b = _four_conditions(
+        *(cond(x, y, py) for y, py in ((c, pc), (cperp, pcp)) for x in (ab, a, b))
+    )
     return CommonCauseCertificate(
         cause=c,
-        residual_screen_C=s_c,
-        residual_screen_Cperp=s_cp,
+        residual_screen_C=abs(s_c),
+        residual_screen_Cperp=abs(s_cp),
         margin_A=m_a,
         margin_B=m_b,
         is_strong=is_subprojection(c, ab),
@@ -528,47 +541,6 @@ def synthesize_subprojection(
 
 
 # ---------------------------------------------------------------------------
-# localization of operators into factor-like algebras
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Localizer:
-    reduce_state: Callable
-    to_local: Callable
-    from_local: Callable
-
-
-def _localizer(algebra: MatrixAlgebra) -> _Localizer:
-    """Compression/embedding maps for factor and conjugated-factor algebras."""
-    if algebra.kind == "factor":
-        s = algebra.structure
-
-        def reduce_state(rho):
-            return la.partial_trace(rho, s.dims, s.acting)
-
-        def to_local(mmat):
-            return la.partial_trace(mmat, s.dims, s.acting) / s.rest_dim
-
-        def from_local(x):
-            return la.embed_factor(x, s.dims, s.acting)
-
-        return _Localizer(reduce_state, to_local, from_local)
-    if algebra.kind == "conjugated":
-        inner, u = algebra._conj
-        sub = _localizer(inner)
-        ud = la.dagger(u)
-        return _Localizer(
-            reduce_state=lambda rho: sub.reduce_state(ud @ rho @ u),
-            to_local=lambda mmat: sub.to_local(ud @ mmat @ u),
-            from_local=lambda x: u @ sub.from_local(x) @ ud,
-        )
-    raise StructureError(
-        "localized synthesis needs a factor or conjugated-factor algebra"
-    )
-
-
-# ---------------------------------------------------------------------------
 # strong common causes
 # ---------------------------------------------------------------------------
 
@@ -582,10 +554,10 @@ def find_strong_cc(
 ) -> CommonCauseCertificate:
     """Construct and verify a strong common cause C < A^B with φ(C) = r.
 
-    With ``algebra`` given, the synthesis runs inside it: the state is
-    reduced to the algebra, the meet is compressed to its local block, and
-    the resulting local projection is embedded back, so the cause is an
-    element of the algebra (used for spacetime-localized causes).
+    With a factor ``algebra`` given, the synthesis runs inside it: the state
+    and the meet are compressed to the acting factors, and the resulting
+    local projection is embedded back, so the cause is an element of the
+    algebra (used for spacetime-localized causes).
     """
     if not phi.faithful:
         raise NotFaithfulError(
@@ -602,14 +574,15 @@ def find_strong_cc(
     if algebra is None:
         c = synthesize_subprojection(phi, meet, rv.r, strict=True)
     else:
-        loc = _localizer(algebra)
+        if algebra.structure is None:
+            raise StructureError("localized synthesis needs a factor algebra")
         for name, x in (("A", a), ("B", b)):
             if not algebra.contains(x.mat):
                 raise StructureError(f"projection {name} is not in the given algebra")
-        local_meet = Projection(loc.to_local(meet.mat))
-        local_state = DensityState(loc.reduce_state(phi.mat))
+        local_meet = Projection(algebra.compress(meet.mat) / algebra.structure.rest_dim)
+        local_state = DensityState(algebra.compress(phi.mat))
         c_local = synthesize_subprojection(local_state, local_meet, rv.r, strict=True)
-        c = Projection(loc.from_local(c_local.mat))
+        c = Projection(algebra.embed(c_local.mat))
     cert = quantum_verify_cc(phi, a, b, c)
     if localization is not None:
         cert = replace(cert, localization=localization)
@@ -638,10 +611,7 @@ def find_multiple_strong_cc(
     if count < 0:
         raise TargetRangeError("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    try:
-        rv = reichenbach_r(phi, a, b)
-    except UncorrelatedError:
-        raise
+    rv = reichenbach_r(phi, a, b)
     meet = lattice_meet(a, b)
     if meet.rank <= 1:
         warnings.warn("meet has rank <= 1; no strict subprojections exist")
@@ -678,31 +648,6 @@ def find_multiple_strong_cc(
 # ---------------------------------------------------------------------------
 
 
-def _screening_stats(rho, amat, bmat, cmat):
-    """Fast residuals/margins for exactly commuting projections."""
-    pc = float(np.real(np.sum(rho.T * cmat)))
-    if not 1e-9 < pc < 1.0 - 1e-9:
-        return None
-    pcp = 1.0 - pc
-    ab = amat @ bmat
-
-    def w(x):
-        return float(np.real(np.sum(rho.T * x)))
-
-    p_ab_c = w(ab @ cmat) / pc
-    p_a_c = w(amat @ cmat) / pc
-    p_b_c = w(bmat @ cmat) / pc
-    p_ab_cp = (w(ab) - w(ab @ cmat)) / pcp
-    p_a_cp = (w(amat) - w(amat @ cmat)) / pcp
-    p_b_cp = (w(bmat) - w(bmat @ cmat)) / pcp
-    return (
-        p_ab_c - p_a_c * p_b_c,
-        p_ab_cp - p_a_cp * p_b_cp,
-        p_a_c - p_a_cp,
-        p_b_c - p_b_cp,
-    )
-
-
 def search_genuine_cc(
     phi: DensityState,
     a: Projection,
@@ -727,13 +672,19 @@ def search_genuine_cc(
     if budget <= 0:
         return None
     comm = MatrixAlgebra.from_generators([a.mat, b.mat]).commutant()
-    herm = comm._hermitian_basis
+    herm = comm.hermitian_basis
     n_par = herm.shape[0]
     rho = phi.mat
     amat, bmat = a.mat, b.mat
+    ab = amat @ bmat
     dim = a.dim
     rng = np.random.default_rng(seed)
     margin_floor = 1e-6
+
+    def weight(x):
+        return float(np.real(np.sum(rho.T * x)))
+
+    w_ab, w_a, w_b = weight(ab), weight(amat), weight(bmat)
 
     def build(coeffs, k):
         h = np.tensordot(coeffs, herm, axes=1)
@@ -743,10 +694,15 @@ def search_genuine_cc(
     def residuals(coeffs, k):
         cols = build(coeffs, k)
         cmat = cols @ la.dagger(cols)
-        stats = _screening_stats(rho, amat, bmat, cmat)
-        if stats is None:
+        pc = weight(cmat)
+        if not 1e-9 < pc < 1.0 - 1e-9:
             return np.array([1.0, 1.0, 1.0, 1.0])
-        s1, s2, m_a, m_b = stats
+        pcp = 1.0 - pc
+        w_abc, w_ac, w_bc = weight(ab @ cmat), weight(amat @ cmat), weight(bmat @ cmat)
+        s1, s2, m_a, m_b = _four_conditions(
+            w_abc / pc, w_ac / pc, w_bc / pc,
+            (w_ab - w_abc) / pcp, (w_a - w_ac) / pcp, (w_b - w_bc) / pcp,
+        )
         return np.array(
             [s1, s2, max(0.0, margin_floor - m_a), max(0.0, margin_floor - m_b)]
         )

@@ -5,8 +5,10 @@ matrix *-algebras with trace-orthonormal bases, the projection lattice
 (meet, join, complement), commutants, trace-compatible conditional
 expectations, and state evaluation / correlation of commuting projections.
 
-Classical probability spaces embed as diagonal algebras, which is how the
-classical and quantum layers of the commoncause module are kept coherent.
+The commoncause module checks the four common-cause conditions for
+classical events and for commuting projections with one kernel over the
+six conditional weights; on diagonal states and mask projections the two
+verifications agree to rounding, which the test suite checks.
 """
 
 from __future__ import annotations
@@ -281,23 +283,24 @@ _EXPLICIT_CLOSURE_MAX_DIM = 32
 class MatrixAlgebra:
     """A unital *-subalgebra of the d x d complex matrices.
 
-    Three representations, chosen by constructor:
+    Two representations, chosen by constructor:
 
-    * ``explicit``: a trace-orthonormal basis is stored (word closure of the
+    * explicit: a trace-orthonormal basis is stored (word closure of the
       generators).
-    * ``factor``: the full matrix algebra on a subset of tensor factors;
-      basis and conditional expectation come from partial traces, so nothing
-      of size (acting_dim * rest_dim)^2 x basis_count is ever materialized.
-    * ``conjugated``: U N U* for an inner algebra N and unitary U.
+    * factor: U (full matrix algebra on a subset of tensor factors) U* for a
+      unitary U, which a plain factor does not carry (``unitary`` is None).
+      Two maps connect it to the acting factors: ``compress`` is the partial
+      trace of U* m U and ``embed`` is U embed(x) U*. Basis, conditional
+      expectation and random projections go through them, so nothing of size
+      (acting_dim * rest_dim)^2 x basis_count is ever materialized.
     """
 
-    def __init__(self, dim, kind, generators, basis=None, structure=None, conj=None):
+    def __init__(self, dim, generators, basis=None, structure=None, unitary=None):
         self.dim = int(dim)
-        self.kind = kind
         self.generators = [np.asarray(g, dtype=complex) for g in generators]
         self._basis = basis  # ndarray (k, d, d) for explicit algebras
         self.structure: FactorStructure | None = structure
-        self._conj = conj  # (inner MatrixAlgebra, U) for conjugated algebras
+        self.unitary: np.ndarray | None = unitary
 
     # -- constructors -------------------------------------------------------
 
@@ -317,13 +320,13 @@ class MatrixAlgebra:
                 "use tensor_factor structure for large spaces"
             )
         basis = _word_closure(gens, d)
-        return cls(d, "explicit", gens, basis=basis)
+        return cls(d, gens, basis=basis)
 
     @classmethod
     def from_basis(cls, basis: np.ndarray, generators=None) -> "MatrixAlgebra":
         d = basis.shape[1]
         gens = list(basis) if generators is None else generators
-        return cls(d, "explicit", gens, basis=basis)
+        return cls(d, gens, basis=basis)
 
     @classmethod
     def full(cls, dim: int) -> "MatrixAlgebra":
@@ -336,7 +339,7 @@ class MatrixAlgebra:
         for i in range(dim):
             units[i, i, i] = 1.0
         gens = [np.diag(np.arange(dim, dtype=complex))]
-        return cls(dim, "explicit", gens, basis=units)
+        return cls(dim, gens, basis=units)
 
     @classmethod
     def tensor_factor(cls, dims: Sequence[int], acting: Sequence[int]) -> "MatrixAlgebra":
@@ -348,55 +351,66 @@ class MatrixAlgebra:
         structure = FactorStructure(dims, acting)
         d = int(np.prod(dims))
         gens = _factor_generators(structure)
-        return cls(d, "factor", gens, structure=structure)
+        return cls(d, gens, structure=structure)
 
     def conjugated_by(self, u: np.ndarray) -> "MatrixAlgebra":
-        """The algebra U N U* (U validated unitary)."""
+        """The algebra U N U* (U validated unitary).
+
+        A factor carrying U0 becomes a factor carrying U U0; an explicit
+        basis is conjugated element by element.
+        """
         u = la.as_square(u)
         la.check_same_dim(u, np.empty((self.dim, self.dim)))
         if la.frob(u @ la.dagger(u) - np.eye(self.dim)) > 1e-9:
             raise ValidationError("conjugation matrix is not unitary", invariant="unitary")
-        if self.kind == "conjugated":
-            inner, u0 = self._conj
-            return MatrixAlgebra(
-                self.dim, "conjugated", [u @ g @ la.dagger(u) for g in self.generators],
-                conj=(inner, u @ u0),
-            )
-        gens = [u @ g @ la.dagger(u) for g in self.generators]
-        return MatrixAlgebra(self.dim, "conjugated", gens, conj=(self, u))
+        ud = la.dagger(u)
+        gens = [u @ g @ ud for g in self.generators]
+        if self.structure is None:
+            return MatrixAlgebra(self.dim, gens, basis=np.array([u @ b @ ud for b in self._basis]))
+        total = u if self.unitary is None else u @ self.unitary
+        return MatrixAlgebra(self.dim, gens, structure=self.structure, unitary=total)
+
+    # -- factor maps ---------------------------------------------------------
+
+    def compress(self, m: np.ndarray) -> np.ndarray:
+        """Factor algebras: the partial trace of U* m U onto the acting factors."""
+        s = self.structure
+        if s is None:
+            raise StructureError("compression requires factor structure")
+        if self.unitary is not None:
+            m = la.dagger(self.unitary) @ m @ self.unitary
+        return la.partial_trace(m, s.dims, s.acting)
+
+    def embed(self, x: np.ndarray) -> np.ndarray:
+        """Factor algebras: U embed(x) U* for an operator x on the acting factors."""
+        s = self.structure
+        if s is None:
+            raise StructureError("embedding requires factor structure")
+        out = la.embed_factor(x, s.dims, s.acting)
+        if self.unitary is not None:
+            out = self.unitary @ out @ la.dagger(self.unitary)
+        return out
 
     # -- basis access --------------------------------------------------------
 
     @property
     def n_basis(self) -> int:
-        if self.kind == "explicit":
+        if self.structure is None:
             return self._basis.shape[0]
-        if self.kind == "factor":
-            return self.structure.acting_dim ** 2
-        return self._conj[0].n_basis
+        return self.structure.acting_dim ** 2
 
     def basis_iter(self) -> Iterator[np.ndarray]:
         """Yield a trace-orthonormal basis of the algebra."""
-        if self.kind == "explicit":
+        if self.structure is None:
             yield from self._basis
-        elif self.kind == "factor":
-            s = self.structure
-            norm = 1.0 / np.sqrt(s.rest_dim)
-            d_act = s.acting_dim
-            for i in range(d_act):
-                for j in range(d_act):
-                    unit = np.zeros((d_act, d_act), dtype=complex)
-                    unit[i, j] = norm
-                    yield la.embed_factor(unit, s.dims, s.acting)
-        else:
-            inner, u = self._conj
-            ud = la.dagger(u)
-            for b in inner.basis_iter():
-                yield u @ b @ ud
+            return
+        norm = 1.0 / np.sqrt(self.structure.rest_dim)
+        for unit in self.local_basis_iter():
+            yield self.embed(unit * norm)
 
     def local_basis_iter(self) -> Iterator[np.ndarray]:
         """For factor algebras: the local (unembedded) orthonormal basis."""
-        if self.kind != "factor":
+        if self.structure is None:
             raise StructureError("local basis requires factor structure")
         d_act = self.structure.acting_dim
         for i in range(d_act):
@@ -406,8 +420,8 @@ class MatrixAlgebra:
                 yield unit
 
     @cached_property
-    def _hermitian_basis(self) -> np.ndarray:
-        """Real-orthonormal basis of the self-adjoint part (explicit kinds)."""
+    def hermitian_basis(self) -> np.ndarray:
+        """Real-orthonormal basis of the self-adjoint part."""
         mats = list(self.basis_iter())
         d = self.dim
         cands = []
@@ -427,14 +441,8 @@ class MatrixAlgebra:
         """Trace-orthogonal projection (conditional expectation) onto the algebra."""
         m = _mat_of(m)
         la.check_same_dim(m, np.empty((self.dim, self.dim)))
-        if self.kind == "factor":
-            s = self.structure
-            reduced = la.partial_trace(m, s.dims, s.acting) / s.rest_dim
-            return la.embed_factor(reduced, s.dims, s.acting)
-        if self.kind == "conjugated":
-            inner, u = self._conj
-            ud = la.dagger(u)
-            return u @ inner.project(ud @ m @ u) @ ud
+        if self.structure is not None:
+            return self.embed(self.compress(m) / self.structure.rest_dim)
         basis = self._basis
         coeffs = np.einsum("kij,ij->k", basis.conj(), m)
         return np.einsum("k,kij->ij", coeffs, basis)
@@ -463,39 +471,30 @@ class MatrixAlgebra:
 
     def commutant(self) -> "MatrixAlgebra":
         """The relative commutant inside the full matrix algebra."""
-        if self.kind == "factor":
-            s = self.structure
-            rest = s.rest
-            if not rest:
-                return MatrixAlgebra.from_basis(
-                    np.eye(self.dim, dtype=complex).reshape(1, self.dim, self.dim)
-                    / np.sqrt(self.dim)
-                )
-            return MatrixAlgebra.tensor_factor(s.dims, rest)
-        if self.kind == "conjugated":
-            inner, u = self._conj
-            return inner.commutant().conjugated_by(u)
-        return _commutant_solve(self.generators, self.dim)
+        s = self.structure
+        if s is None:
+            return _commutant_solve(self.generators, self.dim)
+        if not s.rest:
+            return MatrixAlgebra.from_basis(
+                np.eye(self.dim, dtype=complex).reshape(1, self.dim, self.dim)
+                / np.sqrt(self.dim)
+            )
+        comm = MatrixAlgebra.tensor_factor(s.dims, s.rest)
+        return comm if self.unitary is None else comm.conjugated_by(self.unitary)
 
     def random_projection(self, rng: np.random.Generator) -> Projection:
         """A random nonzero projection inside the algebra.
 
-        For full factor algebras this is a Haar-random column span of a
-        uniformly random rank on the acting space; otherwise it is a sum of
-        spectral projections (over a random proper subset of eigenvalue
-        groups) of a random self-adjoint element of the algebra.
+        For factor algebras this is the embedding of a Haar-random column
+        span of a uniformly random rank on the acting space; otherwise it is
+        a sum of spectral projections (over a random proper subset of
+        eigenvalue groups) of a random self-adjoint element of the algebra.
         """
-        if self.kind == "factor":
-            s = self.structure
-            d_act = s.acting_dim
+        if self.structure is not None:
+            d_act = self.structure.acting_dim
             rank = 1 if d_act == 1 else int(rng.integers(1, d_act))
-            p_loc = la.haar_projection(d_act, rank, rng)
-            return Projection(la.embed_factor(p_loc, s.dims, s.acting))
-        if self.kind == "conjugated":
-            inner, u = self._conj
-            p = inner.random_projection(rng)
-            return Projection(u @ p.mat @ la.dagger(u))
-        herm = self._hermitian_basis
+            return Projection(self.embed(la.haar_projection(d_act, rank, rng)))
+        herm = self.hermitian_basis
         for _ in range(8):
             coeffs = rng.standard_normal(herm.shape[0])
             h = np.einsum("k,kij->ij", coeffs, herm)
@@ -510,9 +509,12 @@ class MatrixAlgebra:
         return Projection(np.eye(self.dim))  # scalar algebra: identity only
 
     def __repr__(self):
-        tag = self.kind
-        if self.structure is not None:
-            tag += f" acting={self.structure.acting}"
+        if self.structure is None:
+            tag = "explicit"
+        else:
+            tag = f"factor acting={self.structure.acting}"
+            if self.unitary is not None:
+                tag += " under U"
         return f"MatrixAlgebra(dim={self.dim}, {tag}, n_basis={self.n_basis})"
 
 
@@ -603,10 +605,21 @@ def conditional_expectation(m, n: MatrixAlgebra) -> HermitianOperator:
 # ---------------------------------------------------------------------------
 
 
+def _same_split(n1: MatrixAlgebra, n2: MatrixAlgebra) -> bool:
+    """Both algebras are plain factors (no unitary) of one tensor split."""
+    return (
+        n1.structure is not None
+        and n2.structure is not None
+        and n1.unitary is None
+        and n2.unitary is None
+        and n1.structure.dims == n2.structure.dims
+    )
+
+
 def _check_commuting_algebras(n1: MatrixAlgebra, n2: MatrixAlgebra) -> None:
     if n1.dim != n2.dim:
         raise DimensionMismatchError("algebras live on different spaces")
-    if n1.kind == "factor" and n2.kind == "factor" and n1.structure.dims == n2.structure.dims:
+    if _same_split(n1, n2):
         if set(n1.structure.acting) & set(n2.structure.acting):
             raise CommutationError("factor algebras overlap, they do not commute")
         return
@@ -631,7 +644,7 @@ def is_product_state(
     _check_commuting_algebras(n1, n2)
     tol = TOL.product if tol is None else tol
     rho = phi.mat
-    if n1.kind == "factor" and n2.kind == "factor" and n1.structure.dims == n2.structure.dims:
+    if _same_split(n1, n2):
         return _product_check_factors(rho, n1, n2, tol) is None
     mats1 = list(n1.basis_iter())
     mats2 = list(n2.basis_iter())
@@ -681,12 +694,7 @@ def logical_independence_check(
     factors; otherwise seeded random sampling looks for a counterexample.
     """
     _check_commuting_algebras(n1, n2)
-    split = (
-        n1.kind == "factor"
-        and n2.kind == "factor"
-        and n1.structure.dims == n2.structure.dims
-        and not set(n1.structure.acting) & set(n2.structure.acting)
-    )
+    split = _same_split(n1, n2) and not set(n1.structure.acting) & set(n2.structure.acting)
     if mode == "exact" and not split:
         raise StructureError(
             "exact independence requires full algebras on disjoint tensor factors"

@@ -416,17 +416,27 @@ def test_find_strong_cc_rejects_nested_pair():
         find_strong_cc(phi, a, b)
 
 
-def test_find_strong_cc_localized_in_algebra():
+@pytest.mark.parametrize("conjugate", [False, True], ids=["plain", "conjugated"])
+def test_find_strong_cc_localized_in_algebra(conjugate):
     # state = v x I/2 on a 5x2 split; A and B act on the left leg only,
     # with r = (0.5 - 0.68^2) / 0.14 = 0.2686 inside the local rank-1
     # interval [0.2, 0.3], so the localized synthesis must succeed and
-    # the cause must land inside the left-leg algebra
+    # the cause must land inside the left-leg algebra. The conjugated copy
+    # rotates the state, A, B and the algebra by one Haar unitary, which
+    # leaves every asserted quantity unchanged.
     v = np.array([0.3, 0.2, 0.18, 0.18, 0.14])
-    phi = DensityState(np.diag(np.kron(v, [0.5, 0.5])).astype(complex))
+    rho = np.diag(np.kron(v, [0.5, 0.5])).astype(complex)
     alg = MatrixAlgebra.tensor_factor((5, 2), (0,))
-    a = Projection(la.embed_factor(np.diag([1.0, 1, 1, 0, 0]), (5, 2), (0,)))
-    b = Projection(la.embed_factor(np.diag([1.0, 1, 0, 1, 0]), (5, 2), (0,)))
-    cert = find_strong_cc(phi, a, b, algebra=alg, localization="left factor")
+    a = la.embed_factor(np.diag([1.0, 1, 1, 0, 0]), (5, 2), (0,))
+    b = la.embed_factor(np.diag([1.0, 1, 0, 1, 0]), (5, 2), (0,))
+    if conjugate:
+        u = la.haar_unitary(10, np.random.default_rng(17))
+        rho, a, b = (u @ m @ la.dagger(u) for m in (rho, a, b))
+        alg = alg.conjugated_by(u)
+    phi = DensityState(rho)
+    cert = find_strong_cc(
+        phi, Projection(a), Projection(b), algebra=alg, localization="left factor"
+    )
     assert cert.verified and cert.is_strong
     assert alg.contains(cert.cause.mat)
     assert state_eval(phi, cert.cause) == pytest.approx(0.0376 / 0.14, abs=1e-10)

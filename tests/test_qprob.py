@@ -27,6 +27,7 @@ from ccbench import (
 )
 from ccbench import _linalg as la
 from ccbench.errors import CommutationError, DimensionMismatchError
+from ccbench.qprob import PAULI_X
 
 from conftest import rand_faithful_state
 
@@ -339,6 +340,19 @@ def test_logical_independence_exact_for_disjoint_factors():
     assert verdict.method == "exact"
 
 
+def test_conjugated_factors_are_not_a_tensor_split():
+    # rotated by U, the two legs still commute but are no longer the legs
+    # of the computational split: factorization is judged in the rotated
+    # frame, and independence can only be sampled
+    rng = np.random.default_rng(5)
+    u = la.haar_unitary(4, rng)
+    n1, n2 = (n.conjugated_by(u) for n in _split_algebras(2, 2))
+    rho = np.kron(la.random_density(2, rng), la.random_density(2, rng))
+    assert is_product_state(DensityState(u @ rho @ la.dagger(u)), n1, n2)
+    assert not is_product_state(DensityState(rho), n1, n2)
+    assert logical_independence_check(n1, n2).method == "sampled"
+
+
 def test_logical_independence_sampled_finds_counterexample():
     # two copies of the diagonal algebra on the same leg share
     # complementary projections whose meet is zero
@@ -370,3 +384,8 @@ def test_conjugated_algebra_membership():
     x = u @ np.kron(np.diag([1.0, -1.0]), np.eye(2)) @ la.dagger(u)
     assert n.contains(x)
     assert not n.contains(u @ np.kron(np.eye(2), np.diag([1.0, -1.0])) @ la.dagger(u))
+    # an explicit basis is conjugated element by element
+    d = MatrixAlgebra.diagonal(4).conjugated_by(u)
+    assert d.n_basis == 4
+    assert d.contains(x)
+    assert not d.contains(u @ np.kron(PAULI_X, np.eye(2)) @ la.dagger(u))
