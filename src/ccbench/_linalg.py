@@ -115,8 +115,9 @@ def kron_all(mats) -> np.ndarray:
 def embed_factor(x_loc: np.ndarray, dims: tuple[int, ...], acting: tuple[int, ...]) -> np.ndarray:
     """Embed an operator on selected tensor factors as x_loc (x) identity.
 
-    ``dims`` are the factor dimensions in order, ``acting`` the sorted factor
-    indices x_loc lives on (x_loc's dimension must be their product).
+    ``dims`` are the factor dimensions in order, ``acting`` the factor
+    indices x_loc lives on, in x_loc's own factor order (x_loc's dimension
+    must be their product); they need not be sorted.
     """
     n = len(dims)
     acting = tuple(acting)
@@ -135,6 +136,28 @@ def embed_factor(x_loc: np.ndarray, dims: tuple[int, ...], acting: tuple[int, ..
     shaped = shaped.transpose(list(perm) + [p + n for p in perm])
     d = int(np.prod(dims))
     return np.ascontiguousarray(shaped.reshape(d, d))
+
+
+def apply_factor(
+    x_loc: np.ndarray, m: np.ndarray, dims: tuple[int, ...], acting: tuple[int, ...]
+) -> np.ndarray:
+    """embed_factor(x_loc, dims, acting) @ m, without building the embedding.
+
+    ``acting`` follows embed_factor (x_loc's factor order, possibly
+    unsorted). The product m @ embed_factor(x, ...) is
+    apply_factor(x.T, m.T, dims, acting).T.
+    """
+    acting = tuple(acting)
+    loc_dims = [dims[i] for i in acting]
+    d_act = int(np.prod(loc_dims))
+    if x_loc.shape != (d_act, d_act):
+        raise DimensionMismatchError(
+            f"local operator shape {x_loc.shape} does not match factors {acting} of {dims}"
+        )
+    k = len(acting)
+    shaped = m.reshape(list(dims) + [m.shape[1]])
+    out = np.tensordot(x_loc.reshape(loc_dims * 2), shaped, axes=(range(k, 2 * k), acting))
+    return np.moveaxis(out, range(k), acting).reshape(m.shape)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:

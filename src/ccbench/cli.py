@@ -7,7 +7,8 @@ pairs; bare numbers are read as reals.
 
 Exit codes: 0 success, 1 honest negative (a search that correctly found
 nothing), 2 parse or schema error, 3 violated invariant or precondition
-(the failing invariant is named), 4 internal inconsistency (a bug).
+(the failing invariant is named), 4 internal inconsistency or any other
+uncaught exception (a bug).
 Given the same scenario, command, and seed, the machine-readable record is
 byte-identical across reruns.
 """
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import json
 import sys
+import traceback
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -782,6 +784,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = _exit_code(exc)
         sys.stderr.write(f"error: {exc}\n")
         return code
+    except Exception as exc:  # a crash is a bug, never the exit 1 of an honest negative
+        sys.stderr.write(f"error: internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc(file=sys.stderr)
+        return 4
     text = render_record(report) if args.format == "record" else "\n".join(summary) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -261,6 +261,18 @@ class FactorStructure:
         rest = self.rest
         return int(np.prod([self.dims[i] for i in rest])) if rest else 1
 
+    def local_generators(self) -> list[tuple[int, np.ndarray]]:
+        """Shift and clock on each acting factor, as (factor, local matrix)
+        pairs; embedded, they generate the factor algebra."""
+        out = []
+        for i in self.acting:
+            d = self.dims[i]
+            if d == 1:
+                continue
+            out.append((i, np.roll(np.eye(d, dtype=complex), 1, axis=0)))
+            out.append((i, np.diag(np.exp(2j * np.pi * np.arange(d) / d))))
+        return out
+
 
 @dataclass(frozen=True)
 class IndependenceVerdict:
@@ -350,8 +362,8 @@ class MatrixAlgebra:
             raise DimensionMismatchError(f"acting factors {acting} out of range for {dims}")
         structure = FactorStructure(dims, acting)
         d = int(np.prod(dims))
-        gens = _factor_generators(structure)
-        return cls(d, gens, structure=structure)
+        gens = [la.embed_factor(x, dims, (i,)) for i, x in structure.local_generators()]
+        return cls(d, gens or [np.eye(d, dtype=complex)], structure=structure)
 
     def conjugated_by(self, u: np.ndarray) -> "MatrixAlgebra":
         """The algebra U N U* (U validated unitary).
@@ -516,22 +528,6 @@ class MatrixAlgebra:
             if self.unitary is not None:
                 tag += " under U"
         return f"MatrixAlgebra(dim={self.dim}, {tag}, n_basis={self.n_basis})"
-
-
-def _factor_generators(s: FactorStructure) -> list[np.ndarray]:
-    """Clock and shift on each acting factor: a small generating set."""
-    gens = []
-    for i in s.acting:
-        d = s.dims[i]
-        if d == 1:
-            continue
-        shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-        clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-        gens.append(la.embed_factor(shift, s.dims, (i,)))
-        gens.append(la.embed_factor(clock, s.dims, (i,)))
-    if not gens:
-        gens.append(np.eye(int(np.prod(s.dims)), dtype=complex))
-    return gens
 
 
 def _word_closure(gens: list[np.ndarray], dim: int) -> np.ndarray:

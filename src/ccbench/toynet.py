@@ -37,7 +37,7 @@ from .errors import (
     StructureError,
     ValidationError,
 )
-from .qprob import DensityState, MatrixAlgebra, Projection
+from .qprob import DensityState, FactorStructure, MatrixAlgebra, Projection
 
 SWAP = np.array(
     [
@@ -124,12 +124,15 @@ class NetModel:
         self.n_steps = len(self.layers)
         self._evolution = [np.eye(self.dim, dtype=complex)]
 
+    def _apply_layer(self, k: int, m: np.ndarray) -> np.ndarray:
+        """L_k m, each gate applied on its two sites only."""
+        for (i, j), gate in self.layers[k - 1]:
+            m = la.apply_factor(gate, m, (2,) * self.n_sites, (i, j))
+        return m
+
     def layer_unitary(self, k: int) -> np.ndarray:
         """Full-chain unitary of layer k (1-based)."""
-        out = np.eye(self.dim, dtype=complex)
-        for (i, j), gate in self.layers[k - 1]:
-            out = la.embed_factor(gate, (2,) * self.n_sites, (i, j)) @ out
-        return out
+        return self._apply_layer(k, np.eye(self.dim, dtype=complex))
 
     def evolution(self, k: int) -> np.ndarray:
         """U(k) = L_k ... L_1; U(0) = identity."""
@@ -137,7 +140,7 @@ class NetModel:
             raise RegionError(f"step {k} outside the built horizon {self.n_steps}")
         while len(self._evolution) <= k:
             kk = len(self._evolution)
-            self._evolution.append(self.layer_unitary(kk) @ self._evolution[-1])
+            self._evolution.append(self._apply_layer(kk, self._evolution[-1]))
         return self._evolution[k]
 
     def __repr__(self):
@@ -254,14 +257,46 @@ def _random_cone(net: NetModel, rng, max_step: int) -> SliceCone:
 def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> AxiomReport:
     """Sampled isotony, Einstein causality, and primitive causality checks.
 
+    Two cones at steps k1 and k2 are compared in one picture. Their algebras
+    are U(k)* F U(k) for the plain site factors F, and conjugating both by
+    U(k1) leaves norms and membership unchanged, so the pair reduces to the
+    plain factor of the first cone against the relative evolution
+    W = U(k1) U(k2)* applied to the second (W = I at equal steps).
+
     Isotony: for nested cones (same step, and across one step with the
-    one-site widening), every generator of the smaller algebra lies in the
-    larger. Einstein causality: for cell-hull-spacelike cone pairs, all
-    generator commutators vanish. Primitive causality: a cone and its
-    causal completion map to identical generator sets.
+    one-site widening), W g W* lies in the plain factor of the outer cone
+    for every site generator g of the inner one, W running from the inner
+    cone's step to the outer cone's. Einstein causality: for
+    cell-hull-spacelike cone pairs, every commutator [g, W h W*] of site
+    generators vanishes, with the same Frobenius norm as the commutator of
+    the two Heisenberg generators. Primitive causality: the slice cone
+    recovered from a cone's causal completion is the cone itself. The
+    algebra is a function of the cone, so this is a cone-level identity
+    that no choice of gates can break; giving it teeth is still open
+    (ROADMAP.md, item 5).
     """
     rng = np.random.default_rng(seed)
+    dims = (2,) * net.n_sites
     max_step = min(net.n_steps, 3)
+    relative = {}
+
+    def site_generators(c: SliceCone):
+        return FactorStructure(dims, tuple(range(c.lo, c.hi + 1))).local_generators()
+
+    def relative_image(k_to: int, k_from: int, site: int, x: np.ndarray) -> np.ndarray:
+        """W (x at site) W* for W = U(k_to) U(k_from)*."""
+        if k_to == k_from:
+            return la.embed_factor(x, dims, (site,))
+        if (k_to, k_from) not in relative:
+            relative[k_to, k_from] = net.evolution(k_to) @ la.dagger(net.evolution(k_from))
+        w = relative[k_to, k_from]
+        return w @ la.apply_factor(x, la.dagger(w), dims, (site,))
+
+    def commutator_norm(site: int, x: np.ndarray, m: np.ndarray) -> float:
+        left = la.apply_factor(x, m, dims, (site,))
+        right = la.apply_factor(x.T, m.T, dims, (site,)).T
+        return la.frob(left - right)
+
     iso_bad, caus_bad, prim_bad = [], [], []
     n_iso = n_caus = n_prim = 0
     max_comm = 0.0
@@ -271,13 +306,8 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
         c1 = _random_cone(net, rng, max_step)
         if n_prim < sample_pairs:
             n_prim += 1
-            la1 = region_algebra(net, c1)
-            la2 = region_algebra(net, geo.causal_completion(c1.diamond()))
-            same = len(la1.algebra.generators) == len(la2.algebra.generators) and all(
-                np.array_equal(g1, g2)
-                for g1, g2 in zip(la1.algebra.generators, la2.algebra.generators)
-            )
-            if not same:
+            completion = geo.causal_completion(c1.diamond())
+            if _cone_from_region(completion, net.n_sites, net.n_steps) != c1:
                 prim_bad.append(c1)
         if n_iso < sample_pairs:
             n_iso += 1
@@ -291,20 +321,19 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
                 outer = SliceCone(
                     c1.step - 1, max(0, c1.lo - 1), min(net.n_sites - 1, c1.hi + 1)
                 )
-            small = region_algebra(net, c1).algebra
-            big = region_algebra(net, outer).algebra
-            if not all(big.contains(g) for g in small.generators):
+            big = MatrixAlgebra.tensor_factor(dims, tuple(range(outer.lo, outer.hi + 1)))
+            if not all(
+                big.contains(relative_image(outer.step, c1.step, site, x))
+                for site, x in site_generators(c1)
+            ):
                 iso_bad.append((c1, outer))
         if n_caus < sample_pairs:
             c2 = _random_cone(net, rng, max_step)
             if geo.spacelike_separated(c1.cell_hull(), c2.cell_hull()):
                 n_caus += 1
-                a1 = region_algebra(net, c1).algebra
-                a2 = region_algebra(net, c2).algebra
+                images = [relative_image(c1.step, c2.step, s, x) for s, x in site_generators(c2)]
                 worst = max(
-                    la.comm_residual(g1, g2)
-                    for g1 in a1.generators
-                    for g2 in a2.generators
+                    commutator_norm(s, x, m) for m in images for s, x in site_generators(c1)
                 )
                 max_comm = max(max_comm, worst)
                 if worst > 1e-10:

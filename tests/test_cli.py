@@ -7,7 +7,7 @@ pyproject.toml, run the way pip's generated launcher runs it) work from the
 source tree; test_installed_console_script_help needs `pip install` to have
 put the ccbench script on PATH and is skipped otherwise. Exit-code
 contract: 0 success, 1 honest negative, 2 parse or schema error, 3 violated
-invariant, 4 internal bug.
+invariant, 4 internal bug (an uncaught exception included).
 """
 
 import json
@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import ccbench
+from ccbench import cli
 from ccbench.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -268,6 +269,24 @@ def test_overlapping_regions_are_an_invariant_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "spacelike" in err
+
+
+# ---------------------------------------------------------------------------
+# internal errors (exit 4)
+# ---------------------------------------------------------------------------
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def crash(sc, seed):
+        raise RuntimeError("planted fault")
+
+    _, kinds, help_text = cli._COMMANDS["bell"]
+    monkeypatch.setitem(cli._COMMANDS, "bell", (crash, kinds, help_text))
+    code = run_cli("bell", "--scenario", scenario("bell_singlet.json"))
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: RuntimeError: planted fault\n")
 
 
 # ---------------------------------------------------------------------------

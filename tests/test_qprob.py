@@ -295,6 +295,40 @@ def test_conditional_expectation_properties(seed):
 
 
 # ---------------------------------------------------------------------------
+# operators on selected tensor factors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("acting", [(0, 1), (2, 0), (1,)])
+def test_apply_factor_matches_embedding(acting):
+    dims = (2, 3, 2)
+    rng = np.random.default_rng(50 + len(acting))
+    d_act = int(np.prod([dims[i] for i in acting]))
+    x = rng.standard_normal((d_act, d_act)) + 1j * rng.standard_normal((d_act, d_act))
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    big = la.embed_factor(x, dims, acting)
+    assert la.frob(la.apply_factor(x, m, dims, acting) - big @ m) < 1e-12
+    # right multiplication through transposes
+    assert la.frob(la.apply_factor(x.T, m.T, dims, acting).T - m @ big) < 1e-12
+
+
+def test_reversed_pair_puts_the_first_factor_on_the_first_site():
+    rng = np.random.default_rng(53)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    # a on factor 2, b on factor 0
+    expected = np.kron(np.kron(b, np.eye(3)), a)
+    assert la.frob(la.embed_factor(np.kron(a, b), (2, 3, 2), (2, 0)) - expected) < 1e-12
+    assert la.frob(la.apply_factor(np.kron(a, b), m, (2, 3, 2), (2, 0)) - expected @ m) < 1e-12
+
+
+def test_apply_factor_rejects_a_mismatched_operator():
+    with pytest.raises(DimensionMismatchError):
+        la.apply_factor(np.eye(2), np.eye(12), (2, 3, 2), (1,))
+
+
+# ---------------------------------------------------------------------------
 # product states and independence
 # ---------------------------------------------------------------------------
 

@@ -110,6 +110,34 @@ def test_random_net_is_seed_deterministic():
             assert np.array_equal(ga, gb)
 
 
+def gate_on_sites(gate, n, i, j):
+    """2^n matrix of a two-qubit gate whose first factor is qubit i, built as
+    P* (gate x I) P with P the permutation that brings qubits i, j first."""
+    order = [i, j] + [q for q in range(n) if q not in (i, j)]
+    dim = 2**n
+    perm = np.zeros((dim, dim))
+    for idx in range(dim):
+        bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
+        moved = int("".join(str(bits[q]) for q in order), 2)
+        perm[moved, idx] = 1.0
+    return perm.T @ np.kron(gate, np.eye(2 ** (n - 2))) @ perm
+
+
+def test_evolution_matches_an_independent_product():
+    rng = np.random.default_rng(9)
+    layers = [
+        [((0, 1), la.haar_unitary(4, rng)), ((3, 1), la.haar_unitary(4, rng))],
+        [((4, 0), la.haar_unitary(4, rng)), ((2, 3), la.haar_unitary(4, rng))],
+        [((1, 4), la.haar_unitary(4, rng))],
+    ]
+    net = NetModel(5, layers)
+    expected = np.eye(32, dtype=complex)
+    for k, layer in enumerate(layers, start=1):
+        for (i, j), gate in layer:
+            expected = gate_on_sites(gate, 5, i, j) @ expected
+        assert np.max(np.abs(net.evolution(k) - expected)) < 1e-12
+
+
 def test_evolution_composes_and_caches():
     net = build_net(4, "random", seed=1, n_steps=3)
     u2 = net.evolution(2)
@@ -197,6 +225,77 @@ def test_long_range_gate_breaks_isotony():
     report = check_axioms(bad, sample_pairs=300, seed=1)
     assert not report.ok
     assert report.isotony_violations
+
+
+def dense_axioms(net, sample_pairs, seed):
+    """The sampled axiom checks through region_algebra generators: the same
+    cone draws as check_axioms, each algebra conjugated by the full U(k)."""
+    rng = np.random.default_rng(seed)
+    n, max_step = net.n_sites, min(net.n_steps, 3)
+
+    def draw():
+        k = int(rng.integers(0, max_step + 1))
+        a = int(rng.integers(0, n))
+        b = int(rng.integers(a, min(n, a + 3)))
+        return SliceCone(k, a, min(b, n - 1))
+
+    def gens(cone):
+        return region_algebra(net, cone).algebra.generators
+
+    counts = [0, 0, 0]  # isotony, causality, primitive
+    iso_bad, caus_bad, prim_bad, max_comm = [], [], [], 0.0
+    guard = 0
+    while min(counts) < sample_pairs and guard < 60 * sample_pairs:
+        guard += 1
+        c1 = draw()
+        if counts[2] < sample_pairs:
+            counts[2] += 1
+            completed = region_algebra(net, geo.causal_completion(c1.diamond())).algebra
+            if not all(np.array_equal(g, h) for g, h in zip(gens(c1), completed.generators)):
+                prim_bad.append(c1)
+        if counts[0] < sample_pairs:
+            counts[0] += 1
+            if rng.integers(2) == 0 or c1.step == 0:
+                outer = SliceCone(c1.step, int(rng.integers(0, c1.lo + 1)), int(rng.integers(c1.hi, n)))
+            else:
+                outer = SliceCone(c1.step - 1, max(0, c1.lo - 1), min(n - 1, c1.hi + 1))
+            big = region_algebra(net, outer).algebra
+            if not all(big.contains(g) for g in gens(c1)):
+                iso_bad.append((c1, outer))
+        if counts[1] < sample_pairs:
+            c2 = draw()
+            if geo.spacelike_separated(c1.cell_hull(), c2.cell_hull()):
+                counts[1] += 1
+                worst = max(la.comm_residual(g, h) for g in gens(c1) for h in gens(c2))
+                max_comm = max(max_comm, worst)
+                if worst > 1e-10:
+                    caus_bad.append((c1, c2, worst))
+    return counts, iso_bad, caus_bad, prim_bad, max_comm
+
+
+def planted_net(n, pair, seed):
+    rng = np.random.default_rng(seed)
+    layers = [list(layer) for layer in build_net(n, "random", seed=seed, n_steps=3).layers]
+    layers[0].append((pair, la.haar_unitary(4, rng)))
+    return NetModel(n, layers, label="corrupt")
+
+
+@pytest.mark.parametrize(
+    "net",
+    [build_net(6, "random", seed=6, n_steps=3), planted_net(6, (5, 0), 6)],
+    ids=["clean", "planted"],
+)
+def test_relative_evolution_checks_match_the_dense_path(net):
+    report = check_axioms(net, sample_pairs=40, seed=3)
+    counts, iso_bad, caus_bad, prim_bad, max_comm = dense_axioms(net, 40, seed=3)
+    assert [report.n_isotony, report.n_causality, report.n_primitive] == counts
+    assert report.isotony_violations == iso_bad
+    assert report.primitive_violations == prim_bad == []
+    assert [(a, b) for a, b, _ in report.causality_violations] == [(a, b) for a, b, _ in caus_bad]
+    for (_, _, w_new), (_, _, w_old) in zip(report.causality_violations, caus_bad):
+        assert abs(w_new - w_old) < 1e-12
+    assert abs(report.max_spacelike_commutator - max_comm) < 1e-12
+    assert report.ok == (net.label != "corrupt")
 
 
 def test_three_cell_gate_breaks_causality():
