@@ -32,15 +32,6 @@ def comm_residual(a: np.ndarray, b: np.ndarray) -> float:
     return frob(a @ b - b @ a)
 
 
-def trace_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Trace inner product <a, b> = tr(a^dagger b)."""
-    return complex(np.sum(a.conj() * b))
-
-
-def real_trace(m: np.ndarray) -> float:
-    return float(np.trace(m).real)
-
-
 def as_square(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -103,13 +94,6 @@ def random_faithful_density(
     rho = random_density(dim, rng)
     rho = (1.0 - floor * dim) * rho + floor * np.eye(dim)
     return rho / np.trace(rho).real
-
-
-def kron_all(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
 
 
 def embed_factor(x_loc: np.ndarray, dims: tuple[int, ...], acting: tuple[int, ...]) -> np.ndarray:

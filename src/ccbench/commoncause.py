@@ -4,7 +4,11 @@ A common cause for a positively correlated pair (A, B) is an event or
 projection C that screens the correlation off on both C and its complement
 and is positively relevant to each of A and B. The quantum version asks the
 same four conditions of a projection commuting with A and B, with meets in
-place of intersections.
+place of intersections. Every pair met or joined here has passed the
+comm_tol commutation check first, so its lattice operations are algebra:
+A ^ B is the product AB and A v B is A + B - AB, computed with no
+eigendecomposition (qprob.lattice_meet stays the general, noncommuting
+meet).
 
 The constructive half: for a faithful state and a commuting correlated pair
 there is a closed-form target weight r such that any strict subprojection of
@@ -45,8 +49,6 @@ from .qprob import (
     Projection,
     correlation,
     is_subprojection,
-    lattice_join,
-    lattice_meet,
     state_eval,
 )
 
@@ -343,28 +345,39 @@ def _require_commuting(*pairs):
             raise CommutationError(f"{name} do not commute (residual {res:.3g})")
 
 
+def _product_meet(a: Projection, b: Projection) -> Projection:
+    """A ^ B of a pair already checked to commute: the projection AB."""
+    return Projection(la.hermitize(a.mat @ b.mat))
+
+
+def _joint_weight(phi: DensityState, x: Projection, y: Projection) -> float:
+    """φ(X ^ Y) = φ(XY) for a pair already checked to commute."""
+    return state_eval(phi, la.hermitize(x.mat @ y.mat))
+
+
 def quantum_verify_cc(
     phi: DensityState, a: Projection, b: Projection, c: Projection
 ) -> CommonCauseCertificate:
     """Check the four common-cause conditions with meets as conjunctions.
 
-    Requires A and B to commute and C to commute with both; conditional
-    weights are ratios of meet weights, never noncommutative conditionings.
+    Requires A and B to commute and C to commute with both (within
+    comm_tol); past that check every meet is a product, A ^ B = AB and
+    X ^ C = XC, and the weight on C⊥ is φ(X ^ C⊥) = φ(X) − φ(XC).
+    Conditional weights are ratios of these, never noncommutative
+    conditionings.
     """
     _require_commuting(("A and B", a, b), ("C and A", c, a), ("C and B", c, b))
     pc = state_eval(phi, c)
     pcp = 1.0 - pc
     if pc <= TOL.cc or pcp <= TOL.cc:
         raise ZeroConditioningError(f"conditioning weight φ(C) = {pc:.3g} is degenerate")
-    cperp = c.complement()
-    ab = lattice_meet(a, b)
-
-    def cond(x, y, py):
-        return state_eval(phi, lattice_meet(x, y)) / py
-
+    ab = _product_meet(a, b)
+    totals = [state_eval(phi, x) for x in (ab, a, b)]
+    on_c = [_joint_weight(phi, x, c) for x in (ab, a, b)]
     s_c, s_cp, m_a, m_b = _four_conditions(
-        *(cond(x, y, py) for y, py in ((c, pc), (cperp, pcp)) for x in (ab, a, b))
+        *(w / pc for w in on_c), *((t - w) / pcp for t, w in zip(totals, on_c))
     )
+    p_ab, p_a, p_b = totals
     return CommonCauseCertificate(
         cause=c,
         residual_screen_C=abs(s_c),
@@ -373,7 +386,7 @@ def quantum_verify_cc(
         margin_B=m_b,
         is_strong=is_subprojection(c, ab),
         is_genuine=not is_subprojection(c, a) and not is_subprojection(c, b),
-        correlation=correlation(phi, a, b),
+        correlation=p_ab - p_a * p_b,
     )
 
 
@@ -407,11 +420,16 @@ def reichenbach_r(phi: DensityState, a: Projection, b: Projection) -> RValue:
 
     Any strict subprojection of A^B carrying weight exactly r screens the
     correlation off on both sides and is positively relevant to A and B.
+    Once A and B pass the comm_tol check, φ(A^B) = φ(AB) and
+    φ(AvB) = φ(A) + φ(B) − φ(AB).
     """
     _require_commuting(("A and B", a, b))
-    pa, pb = state_eval(phi, a), state_eval(phi, b)
-    pab = state_eval(phi, lattice_meet(a, b))
-    pavb = state_eval(phi, lattice_join(a, b))
+    return _r_value(state_eval(phi, a), state_eval(phi, b), _joint_weight(phi, a, b))
+
+
+def _r_value(pa: float, pb: float, pab: float) -> RValue:
+    """The r-value from φ(A), φ(B) and φ(A^B) of a commuting pair."""
+    pavb = pa + pb - pab
     num = pab - pa * pb
     if num <= TOL.cc:
         raise UncorrelatedError(f"pair is not positively correlated (corr = {num:.3g})")
@@ -554,23 +572,26 @@ def find_strong_cc(
 ) -> CommonCauseCertificate:
     """Construct and verify a strong common cause C < A^B with φ(C) = r.
 
-    With a factor ``algebra`` given, the synthesis runs inside it: the state
-    and the meet are compressed to the acting factors, and the resulting
-    local projection is embedded back, so the cause is an element of the
-    algebra (used for spacetime-localized causes).
+    A and B must commute within comm_tol, which is checked first; the meet
+    A^B is then the product AB, with no eigendecomposition. With a factor
+    ``algebra`` given, the synthesis runs inside it: the state and the meet
+    are compressed to the acting factors, and the resulting local
+    projection is embedded back, so the cause is an element of the algebra
+    (used for spacetime-localized causes).
     """
     if not phi.faithful:
         raise NotFaithfulError(
             f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})"
         )
-    meet = lattice_meet(a, b)
+    _require_commuting(("A and B", a, b))
+    meet = _product_meet(a, b)
     pa, pb, pab = state_eval(phi, a), state_eval(phi, b), state_eval(phi, meet)
     if not pab < min(pa, pb) - TOL.cc:
         raise PreconditionError(
             "pair is not logically independent: φ(A^B) must be strictly below "
             f"φ(A) and φ(B) (got {pab:.6g} vs {pa:.6g}, {pb:.6g})"
         )
-    rv = reichenbach_r(phi, a, b)
+    rv = _r_value(pa, pb, pab)
     if algebra is None:
         c = synthesize_subprojection(phi, meet, rv.r, strict=True)
     else:
@@ -612,7 +633,7 @@ def find_multiple_strong_cc(
         raise TargetRangeError("count must be nonnegative")
     rng = np.random.default_rng(seed)
     rv = reichenbach_r(phi, a, b)
-    meet = lattice_meet(a, b)
+    meet = _product_meet(a, b)
     if meet.rank <= 1:
         warnings.warn("meet has rank <= 1; no strict subprojections exist")
         return []

@@ -88,9 +88,6 @@ class Interval:
         """Open-in-open containment; endpoint equality allowed."""
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def overlaps_open(self, other: "Interval") -> bool:
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
-
 
 FULL = Interval()
 

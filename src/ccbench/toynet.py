@@ -423,14 +423,16 @@ def weak_rccp_demo(
 ) -> WeakRCCPDemo:
     """Full pipeline: correlated pair, common-cause region, localized cause.
 
-    The correlated-pair sweep runs once, on the state reduced to the two
-    base intervals (expectations of the embedded operators agree exactly
-    with the reduced ones, so this is the same search, just cheaper); its
-    first hit decides the product-state negative and its hits in order are
-    the candidates tried within ``budget``. The weak common-cause region is
-    built at slab depth aligned with the step-0 lattice row, snapped to the
-    sites whose cells it contains, and the strong cause is synthesized
-    inside that row's algebra.
+    The geometry comes first, before any 2^n work: the weak common-cause
+    region is built at slab depth aligned with the step-0 lattice row and
+    snapped to the sites whose cells it contains, so a geometrically
+    infeasible pair fails at once. The correlated-pair sweep then runs
+    once, on the state reduced to the two base intervals (expectations of
+    the embedded operators agree exactly with the reduced ones, so this is
+    the same search, just cheaper); its first hit decides the product-state
+    negative and its hits in order are the candidates tried within
+    ``budget``. The strong cause is synthesized inside the step-0 row's
+    algebra.
     """
     cone1 = d1 if isinstance(d1, SliceCone) else _cone_from_region(d1, net.n_sites, net.n_steps)
     cone2 = d2 if isinstance(d2, SliceCone) else _cone_from_region(d2, net.n_sites, net.n_steps)
@@ -440,6 +442,27 @@ def weak_rccp_demo(
         raise RegionError("base regions are not spacelike separated")
     if cone1.step != cone2.step:
         raise RegionError("demo expects both regions on the same slice")
+    # slab aligned with the step-0 row; margin 1 makes it exactly one cell tall
+    construction = geo.weak_cc_region(
+        cone1.diamond(), cone2.diamond(), margin=1.0, depth=-0.5
+    )
+    slab = construction.region
+    if not (
+        geo.causal_shadow_check(cone1.diamond(), slab)
+        and geo.causal_shadow_check(cone2.diamond(), slab)
+    ):
+        raise InternalInconsistencyError(
+            "base regions escaped the causal completion of the slab"
+        )
+    cell = slab.cells[0]
+    snapped = [
+        i
+        for i in range(net.n_sites)
+        if cell.x.lo <= i - 0.5 and i + 0.5 <= cell.x.hi
+    ]
+    if not snapped:
+        raise InfeasibleError("common-cause slab contains no lattice cells")
+    site_lo, site_hi = snapped[0], snapped[-1]
     k = cone1.step
     dims = (2,) * net.n_sites
     sites1 = tuple(range(cone1.lo, cone1.hi + 1))
@@ -466,27 +489,6 @@ def weak_rccp_demo(
         emb = la.embed_factor(loc, dims, local_sites)
         return Projection(la.dagger(u_k) @ emb @ u_k)
 
-    # slab aligned with the step-0 row; margin 1 makes it exactly one cell tall
-    construction = geo.weak_cc_region(
-        cone1.diamond(), cone2.diamond(), margin=1.0, depth=-0.5
-    )
-    slab = construction.region
-    if not (
-        geo.causal_shadow_check(cone1.diamond(), slab)
-        and geo.causal_shadow_check(cone2.diamond(), slab)
-    ):
-        raise InternalInconsistencyError(
-            "base regions escaped the causal completion of the slab"
-        )
-    cell = slab.cells[0]
-    snapped = [
-        i
-        for i in range(net.n_sites)
-        if cell.x.lo <= i - 0.5 and i + 0.5 <= cell.x.hi
-    ]
-    if not snapped:
-        raise InfeasibleError("common-cause slab contains no lattice cells")
-    site_lo, site_hi = snapped[0], snapped[-1]
     local = region_algebra(net, SliceCone(0, site_lo, site_hi))
 
     attempts = 0

@@ -8,9 +8,12 @@ must agree to rounding.
 """
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccbench import (
     ClassicalSpace,
@@ -20,8 +23,11 @@ from ccbench import (
     classical_find_cc,
     classical_verify_cc,
     config,
+    correlation,
     find_multiple_strong_cc,
     find_strong_cc,
+    is_subprojection,
+    lattice_join,
     lattice_meet,
     quantum_verify_cc,
     random_cc_instance,
@@ -31,7 +37,10 @@ from ccbench import (
     synthesize_subprojection,
 )
 from ccbench import _linalg as la
+from ccbench import qprob
+from ccbench.commoncause import _product_meet
 from ccbench.errors import (
+    CommutationError,
     InfeasibleError,
     NotFaithfulError,
     PreconditionError,
@@ -512,6 +521,162 @@ def test_quantum_verify_degenerate_conditioning():
     phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B)
     with pytest.raises(ZeroConditioningError):
         quantum_verify_cc(phi, a, b, Projection(np.eye(9)))
+
+
+# ---------------------------------------------------------------------------
+# commuting meets as products
+# ---------------------------------------------------------------------------
+
+
+def commuting_instance(rng, strong_cause=False):
+    """A faithful state, not diagonal in the pair's basis, and commuting A, B, C.
+
+    A and B are 0/1 masks in one Haar basis with all four Boolean cells
+    nonempty and A ^ B of rank at least 2, B flipped to its complement when
+    that makes the correlation positive; C is a mask in the same basis, a
+    strict part of A ^ B when ``strong_cause``.
+    """
+    dim = int(rng.integers(6, 10))
+    u = la.haar_unitary(dim, rng)
+    # cell 0 is A ^ B, 1 is A only, 2 is B only, 3 is neither; cells 0 and 1
+    # swap roles when B is flipped, so both get two elements
+    cells = rng.permutation(np.concatenate([[0, 0, 1, 1, 2, 3], rng.integers(0, 4, dim - 6)]))
+    da = (cells < 2).astype(float)
+    db = (cells % 2 == 0).astype(float)
+    phi = DensityState(la.random_faithful_density(dim, rng))
+
+    def proj(mask):
+        return Projection((u * mask) @ la.dagger(u))
+
+    a, b = proj(da), proj(db)
+    if correlation(phi, a, b) < 0:
+        db = 1.0 - db
+        b = proj(db)
+    if strong_cause:
+        meet_idx = np.flatnonzero(da * db)
+        pick = rng.permutation(meet_idx)[: int(rng.integers(1, len(meet_idx)))]
+        dc = np.isin(np.arange(dim), pick).astype(float)
+    else:
+        dc = (rng.random(dim) < 0.5).astype(float)
+        dc[0], dc[1] = 1.0, 0.0  # a proper, nonzero cause
+    return phi, a, b, proj(dc)
+
+
+def reference_certificate(phi, a, b, c):
+    """The certificate fields with every meet an eigh-based lattice_meet."""
+    pc = state_eval(phi, c)
+    cperp = c.complement()
+    ab = lattice_meet(a, b)
+
+    def cond(x, y, py):
+        return state_eval(phi, lattice_meet(x, y)) / py
+
+    on_c = [cond(x, c, pc) for x in (ab, a, b)]
+    on_cp = [cond(x, cperp, 1.0 - pc) for x in (ab, a, b)]
+    return {
+        "residual_screen_C": abs(on_c[0] - on_c[1] * on_c[2]),
+        "residual_screen_Cperp": abs(on_cp[0] - on_cp[1] * on_cp[2]),
+        "margin_A": on_c[1] - on_cp[1],
+        "margin_B": on_c[2] - on_cp[2],
+        "correlation": state_eval(phi, ab) - state_eval(phi, a) * state_eval(phi, b),
+        "is_strong": is_subprojection(c, ab),
+        "is_genuine": not is_subprojection(c, a) and not is_subprojection(c, b),
+    }
+
+
+@pytest.mark.parametrize("strong", [False, True], ids=["any-cause", "strong-cause"])
+@pytest.mark.parametrize("seed", range(6))
+def test_product_meet_and_join_match_the_lattice(seed, strong):
+    rng = np.random.default_rng(4000 + seed)
+    phi, a, b, c = commuting_instance(rng, strong_cause=strong)
+    for x, y in ((a, b), (a, c), (b, c), (a, c.complement())):
+        meet, ref = _product_meet(x, y), lattice_meet(x, y)
+        assert meet.rank == ref.rank
+        assert la.frob(meet.mat - ref.mat) < 1e-12
+        join = Projection(x.mat + y.mat - meet.mat)
+        ref_join = lattice_join(x, y)
+        assert join.rank == ref_join.rank
+        assert la.frob(join.mat - ref_join.mat) < 1e-12
+    rv = reichenbach_r(phi, a, b)
+    assert rv.phiAB == pytest.approx(state_eval(phi, lattice_meet(a, b)), abs=1e-12)
+    assert rv.phiAvB == pytest.approx(state_eval(phi, lattice_join(a, b)), abs=1e-12)
+
+
+@pytest.mark.parametrize("strong", [False, True], ids=["any-cause", "strong-cause"])
+@pytest.mark.parametrize("seed", range(6))
+def test_certificate_matches_the_lattice_meet_reference(seed, strong):
+    rng = np.random.default_rng(5000 + seed)
+    phi, a, b, c = commuting_instance(rng, strong_cause=strong)
+    cert = quantum_verify_cc(phi, a, b, c)
+    ref = reference_certificate(phi, a, b, c)
+    for name, want in ref.items():
+        got = getattr(cert, name)
+        if isinstance(want, bool):
+            assert got == want, name
+        else:
+            assert got == pytest.approx(want, abs=1e-12), name
+    assert cert.is_strong == strong
+
+
+@pytest.fixture
+def no_lattice_meet(monkeypatch):
+    """Make every ccbench binding of qprob.lattice_meet raise."""
+    original = qprob.lattice_meet
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice_meet called on a commuting pair")
+
+    for name, module in list(sys.modules.items()):
+        if name == "ccbench" or name.startswith("ccbench."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+def test_commuting_pipeline_makes_no_lattice_meet(no_lattice_meet):
+    phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
+    assert reichenbach_r(phi, a, b).r == pytest.approx(DIM9_R, abs=1e-12)
+    cert = find_strong_cc(phi, a, b)
+    assert cert.verified and cert.is_strong
+    assert quantum_verify_cc(phi, a, b, cert.cause) == cert
+    assert len(find_multiple_strong_cc(phi, a, b, 2, seed=0)) == 2
+    # localized: the same 5 x 2 instance as the localized synthesis test
+    v = np.array([0.3, 0.2, 0.18, 0.18, 0.14])
+    phi = DensityState(np.diag(np.kron(v, [0.5, 0.5])).astype(complex))
+    alg = MatrixAlgebra.tensor_factor((5, 2), (0,))
+    a = Projection(la.embed_factor(np.diag([1.0, 1, 1, 0, 0]), (5, 2), (0,)))
+    b = Projection(la.embed_factor(np.diag([1.0, 1, 0, 1, 0]), (5, 2), (0,)))
+    cert = find_strong_cc(phi, a, b, algebra=alg)
+    assert cert.verified and cert.is_strong and alg.contains(cert.cause.mat)
+
+
+def test_find_strong_cc_checks_commutation_before_the_meet(no_lattice_meet):
+    phi = DensityState(la.random_faithful_density(4, np.random.default_rng(0)))
+    a = Projection(np.diag([1.0, 1.0, 0.0, 0.0]))
+    b = Projection(la.haar_projection(4, 2, np.random.default_rng(1)))
+    with pytest.raises(CommutationError):
+        find_strong_cc(phi, a, b)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_strong_cause_is_verified_or_provably_infeasible(seed):
+    # the finite-dimensional strong-cause claim: either a verified strong
+    # cause of weight r below A ^ B, or no strict rank of A ^ B can carry r
+    rng = np.random.default_rng(seed)
+    phi, a, b, _ = commuting_instance(rng)
+    rv = reichenbach_r(phi, a, b)
+    meet = lattice_meet(a, b)
+    try:
+        cert = find_strong_cc(phi, a, b)
+    except InfeasibleError:
+        for k in range(1, meet.rank):
+            lo, hi = rank_weight_bounds(phi, meet, k)
+            assert not lo - config.TOL.synth <= rv.r <= hi + config.TOL.synth
+        return
+    assert cert.verified and cert.is_strong
+    assert is_subprojection(cert.cause, meet) and cert.cause.rank < meet.rank
+    assert state_eval(phi, cert.cause) == pytest.approx(rv.r, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -377,13 +377,42 @@ def test_demo_rejects_bad_setups():
         weak_rccp_demo(net, pure, SliceCone(2, 0, 1), SliceCone(2, 4, 5))
 
 
-def test_demo_product_state_is_an_honest_negative():
-    net = build_net(6, "random", seed=0, n_steps=3)
-    rng = np.random.default_rng(8)
+def product_state(n_sites, seed):
+    rng = np.random.default_rng(seed)
     rho = la.random_density(2, rng)
-    for _ in range(5):
+    for _ in range(n_sites - 1):
         rho = np.kron(rho, la.random_density(2, rng))
+    return DensityState(rho)
+
+
+def test_demo_product_state_is_an_honest_negative():
+    # step-2 regions whose common-cause slab exists, so the product-state
+    # sweep, not the geometry, decides the outcome; swap gates only permute
+    # the sites, so the evolved state is still a product state
+    net = build_net(6, "swap", n_steps=3)
     with pytest.raises(InfeasibleError, match="product"):
         weak_rccp_demo(
-            net, DensityState(rho), SliceCone(0, 0, 1), SliceCone(0, 4, 5)
+            net, product_state(6, 8), SliceCone(2, 0, 1), SliceCone(2, 4, 5)
         )
+
+
+@pytest.mark.parametrize(
+    "n_sites, d1, d2, product",
+    [
+        (10, SliceCone(2, 1, 2), SliceCone(2, 8, 9), False),
+        # step-0 regions have no slab below them: a product state there is a
+        # geometric RegionError, decided before the product-state sweep
+        (6, SliceCone(0, 0, 1), SliceCone(0, 4, 5), True),
+    ],
+    ids=["far-apart", "step0-product"],
+)
+def test_demo_checks_geometry_before_evolution(monkeypatch, n_sites, d1, d2, product):
+    net = build_net(n_sites, "random", seed=0, n_steps=3)
+    phi = product_state(n_sites, 8) if product else demo_state(net, seed=0)
+
+    def no_evolution(self, k):
+        raise AssertionError("2^n evolution built before the geometry check")
+
+    monkeypatch.setattr(NetModel, "evolution", no_evolution)
+    with pytest.raises(RegionError, match="slab top"):
+        weak_rccp_demo(net, phi, d1, d2)
