@@ -97,12 +97,25 @@ def _cone_from_region(region: geo.Region, n_sites: int, n_steps: int) -> SliceCo
 # ---------------------------------------------------------------------------
 
 
+# Dense 2^n matrices (the evolution, region algebras, the demo state) are
+# built for at most this many sites; the axiom checks work on local supports
+# and take nets up to 16 sites, but refuse a support wider than this too.
+DENSE_MAX_SITES = 10
+
+
+def _require_dense(where: str, n_sites: int) -> None:
+    if n_sites > DENSE_MAX_SITES:
+        raise ValidationError(
+            f"{where}: {n_sites} sites exceed the dense limit of {DENSE_MAX_SITES}"
+        )
+
+
 class NetModel:
     """Brickwork circuit net; layers are tuples of ((i, j), 4x4 unitary)."""
 
     def __init__(self, n_sites: int, layers, seed: int = 0, label: str = "given"):
-        if not 4 <= n_sites <= 10:
-            raise ValidationError(f"n_sites = {n_sites} outside the supported 4..10")
+        if not 4 <= n_sites <= 16:
+            raise ValidationError(f"n_sites = {n_sites} outside the supported 4..16")
         self.n_sites = n_sites
         self.dim = 2**n_sites
         self.seed = seed
@@ -122,25 +135,20 @@ class NetModel:
             checked.append(tuple(row))
         self.layers = tuple(checked)
         self.n_steps = len(self.layers)
-        self._evolution = [np.eye(self.dim, dtype=complex)]
-
-    def _apply_layer(self, k: int, m: np.ndarray) -> np.ndarray:
-        """L_k m, each gate applied on its two sites only."""
-        for (i, j), gate in self.layers[k - 1]:
-            m = la.apply_factor(gate, m, (2,) * self.n_sites, (i, j))
-        return m
-
-    def layer_unitary(self, k: int) -> np.ndarray:
-        """Full-chain unitary of layer k (1-based)."""
-        return self._apply_layer(k, np.eye(self.dim, dtype=complex))
+        self._evolution = []
 
     def evolution(self, k: int) -> np.ndarray:
-        """U(k) = L_k ... L_1; U(0) = identity."""
+        """U(k) = L_k ... L_1; U(0) = identity. Dense: at most 10 sites."""
+        _require_dense("NetModel.evolution", self.n_sites)
         if not 0 <= k <= self.n_steps:
             raise RegionError(f"step {k} outside the built horizon {self.n_steps}")
+        if not self._evolution:
+            self._evolution.append(np.eye(self.dim, dtype=complex))
         while len(self._evolution) <= k:
-            kk = len(self._evolution)
-            self._evolution.append(self._apply_layer(kk, self._evolution[-1]))
+            m = self._evolution[-1]
+            for (i, j), gate in self.layers[len(self._evolution) - 1]:
+                m = la.apply_factor(gate, m, (2,) * self.n_sites, (i, j))
+            self._evolution.append(m)
         return self._evolution[k]
 
     def __repr__(self):
@@ -198,6 +206,7 @@ def region_algebra(net: NetModel, d) -> LocalAlgebra:
     slice-based double cone (others are off-lattice errors). The assignment
     depends only on the completion, so primitive causality holds exactly.
     """
+    _require_dense("region_algebra", net.n_sites)
     cone = d if isinstance(d, SliceCone) else _cone_from_region(d, net.n_sites, net.n_steps)
     base = MatrixAlgebra.tensor_factor(
         (2,) * net.n_sites, tuple(range(cone.lo, cone.hi + 1))
@@ -257,45 +266,84 @@ def _random_cone(net: NetModel, rng, max_step: int) -> SliceCone:
 def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> AxiomReport:
     """Sampled isotony, Einstein causality, and primitive causality checks.
 
-    Two cones at steps k1 and k2 are compared in one picture. Their algebras
-    are U(k)* F U(k) for the plain site factors F, and conjugating both by
-    U(k1) leaves norms and membership unchanged, so the pair reduces to the
-    plain factor of the first cone against the relative evolution
-    W = U(k1) U(k2)* applied to the second (W = I at equal steps).
+    Two cones at steps k1 and k2 are compared in one picture: conjugating
+    both algebras U(k)* F U(k) by U(k1) leaves norms and membership
+    unchanged, so the pair reduces to the plain factor of the first cone
+    against W = U(k1) U(k2)* applied to the second.
 
-    Isotony: for nested cones (same step, and across one step with the
-    one-site widening), W g W* lies in the plain factor of the outer cone
-    for every site generator g of the inner one, W running from the inner
-    cone's step to the outer cone's. Einstein causality: for
-    cell-hull-spacelike cone pairs, every commutator [g, W h W*] of site
-    generators vanishes, with the same Frobenius norm as the commutator of
-    the two Heisenberg generators. Primitive causality: the slice cone
-    recovered from a cone's causal completion is the cone itself. The
-    algebra is a function of the cone, so this is a cone-level identity
-    that no choice of gates can break; giving it teeth is still open
-    (ROADMAP.md, item 5).
+    No 2^n matrix is formed. A site generator is carried as (support, local
+    matrix) and evolved through the net's own gates: forward through layers
+    k2+1..k1 in list order, backward through layers k2..k1+1 in reverse
+    order with each gate as G*. A gate touching the support first widens it
+    by its sites; one missing it is skipped. This is exact, since a
+    Heisenberg-evolved local operator stays local (Arrighi, Nesme & Werner,
+    J. Comput. Syst. Sci. 77, 2011); a support wider than DENSE_MAX_SITES
+    is refused.
+
+    Isotony: for nested cones (same step, or one step back with the one-site
+    widening), each inner generator evolved to the outer cone's step lies in
+    the outer cone's plain factor: at once if its support lies inside the
+    outer sites, else by the membership test on the support, whose relative
+    residual equals the full-chain one. Einstein causality: for
+    cell-hull-spacelike cone pairs, every [g, W h W*] of site generators
+    vanishes. It is a structural zero when g's site lies off the support of
+    W h W*; otherwise it is taken on the support, its Frobenius norm scaled
+    by sqrt(2^(n - |support|)) to the full-chain norm. Primitive causality:
+    the slice cone recovered from a cone's causal completion is the cone
+    itself. The algebra is a function of the cone, so this is a cone-level
+    identity that no choice of gates can break; giving it teeth is still
+    open (ROADMAP.md, item 1).
     """
     rng = np.random.default_rng(seed)
-    dims = (2,) * net.n_sites
+    n = net.n_sites
     max_step = min(net.n_steps, 3)
-    relative = {}
 
     def site_generators(c: SliceCone):
-        return FactorStructure(dims, tuple(range(c.lo, c.hi + 1))).local_generators()
+        return FactorStructure((2,) * n, tuple(range(c.lo, c.hi + 1))).local_generators()
 
-    def relative_image(k_to: int, k_from: int, site: int, x: np.ndarray) -> np.ndarray:
-        """W (x at site) W* for W = U(k_to) U(k_from)*."""
-        if k_to == k_from:
-            return la.embed_factor(x, dims, (site,))
-        if (k_to, k_from) not in relative:
-            relative[k_to, k_from] = net.evolution(k_to) @ la.dagger(net.evolution(k_from))
-        w = relative[k_to, k_from]
-        return w @ la.apply_factor(x, la.dagger(w), dims, (site,))
+    def relative_image(k_to: int, k_from: int, site: int, x: np.ndarray):
+        """(support, local matrix) of W (x at site) W* for W = U(k_to) U(k_from)*."""
+        if k_to >= k_from:
+            gates = [g for k in range(k_from + 1, k_to + 1) for g in net.layers[k - 1]]
+        else:
+            gates = [
+                (pair, la.dagger(gate))
+                for k in range(k_from, k_to, -1)
+                for pair, gate in reversed(net.layers[k - 1])
+            ]
+        support, m = (site,), x
+        for (i, j), gate in gates:
+            if i not in support and j not in support:
+                continue
+            wider = tuple(sorted({*support, i, j}))
+            if len(wider) > DENSE_MAX_SITES:
+                raise ValidationError(
+                    f"check_axioms: an evolved support of {len(wider)} sites exceeds "
+                    f"the dense limit of {DENSE_MAX_SITES}"
+                )
+            if wider != support:
+                m = la.embed_factor(m, (2,) * len(wider), tuple(wider.index(s) for s in support))
+                support = wider
+            dims, acting = (2,) * len(support), (support.index(i), support.index(j))
+            m = la.apply_factor(gate, m, dims, acting)
+            m = la.apply_factor(gate.conj(), m.T, dims, acting).T  # m @ gate*
+        return support, m
 
-    def commutator_norm(site: int, x: np.ndarray, m: np.ndarray) -> float:
-        left = la.apply_factor(x, m, dims, (site,))
-        right = la.apply_factor(x.T, m.T, dims, (site,)).T
-        return la.frob(left - right)
+    def commutator_norm(site: int, x: np.ndarray, image) -> float:
+        support, m = image
+        if site not in support:
+            return 0.0
+        dims, acting = (2,) * len(support), (support.index(site),)
+        left = la.apply_factor(x, m, dims, acting)
+        right = la.apply_factor(x.T, m.T, dims, acting).T
+        return la.frob(left - right) * np.sqrt(2.0 ** (n - len(support)))
+
+    def in_factor(image, lo: int, hi: int) -> bool:
+        support, m = image
+        kept = tuple(p for p, s in enumerate(support) if lo <= s <= hi)
+        if len(kept) == len(support):
+            return True
+        return MatrixAlgebra.tensor_factor((2,) * len(support), kept).contains(m)
 
     iso_bad, caus_bad, prim_bad = [], [], []
     n_iso = n_caus = n_prim = 0
@@ -321,9 +369,8 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
                 outer = SliceCone(
                     c1.step - 1, max(0, c1.lo - 1), min(net.n_sites - 1, c1.hi + 1)
                 )
-            big = MatrixAlgebra.tensor_factor(dims, tuple(range(outer.lo, outer.hi + 1)))
             if not all(
-                big.contains(relative_image(outer.step, c1.step, site, x))
+                in_factor(relative_image(outer.step, c1.step, site, x), outer.lo, outer.hi)
                 for site, x in site_generators(c1)
             ):
                 iso_bad.append((c1, outer))
@@ -356,6 +403,7 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
 
 def demo_state(net: NetModel, seed: int = 0, epsilon: float = 0.05) -> DensityState:
     """Seeded full-rank state: (1 - eps) |psi><psi| + eps I/dim."""
+    _require_dense("demo_state", net.n_sites)
     rng = np.random.default_rng(seed)
     psi = la.random_pure_state(net.dim, rng)
     rho = (1.0 - epsilon) * np.outer(psi, psi.conj()) + epsilon * np.eye(net.dim) / net.dim

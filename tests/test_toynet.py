@@ -6,11 +6,17 @@ Deliberately corrupted nets act as negative controls for the axiom
 checker.
 """
 
+import json
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccbench import DensityState, MatrixAlgebra, geometry as geo, toynet
 from ccbench import _linalg as la
+from ccbench.cli import main as cli_main
 from ccbench.errors import (
     InfeasibleError,
     NotFaithfulError,
@@ -76,13 +82,38 @@ def test_off_lattice_regions_rejected():
 # ---------------------------------------------------------------------------
 
 
-def test_net_size_limits():
+def test_net_size_limits(tmp_path, capsys):
+    # nets take 4..16 sites; the dense entry points, and the CLI before it
+    # builds any state, stop at 10
     with pytest.raises(ValidationError):
         build_net(3, "swap")
     with pytest.raises(ValidationError):
-        build_net(11, "swap")
+        build_net(17, "swap")
     with pytest.raises(ValidationError):
         build_net(6, "ising")
+    net = build_net(11, "swap", n_steps=2)
+    with pytest.raises(ValidationError, match="NetModel.evolution"):
+        net.evolution(1)
+    with pytest.raises(ValidationError, match="region_algebra"):
+        region_algebra(net, SliceCone(0, 0, 1))
+    with pytest.raises(ValidationError, match="demo_state"):
+        demo_state(net)
+    doc = tmp_path / "eleven.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "kind": "toynet",
+                "payload": {
+                    "n_sites": 11,
+                    "state": "product",
+                    "d1": {"step": 2, "sites": [0, 1]},
+                    "d2": {"step": 2, "sites": [8, 9]},
+                },
+            }
+        )
+    )
+    assert cli_main(["toynet-demo", "--scenario", str(doc)]) == 2
+    assert "payload.n_sites = 11" in capsys.readouterr().err
 
 
 def test_gate_validation():
@@ -138,10 +169,19 @@ def test_evolution_matches_an_independent_product():
         assert np.max(np.abs(net.evolution(k) - expected)) < 1e-12
 
 
+def layer_matrix(net, k):
+    """2^n matrix of layer k (1-based): its gates multiplied in list order."""
+    m = np.eye(net.dim, dtype=complex)
+    for (i, j), gate in net.layers[k - 1]:
+        m = gate_on_sites(gate, net.n_sites, i, j) @ m
+    return m
+
+
 def test_evolution_composes_and_caches():
     net = build_net(4, "random", seed=1, n_steps=3)
     u2 = net.evolution(2)
-    assert np.allclose(u2, net.layer_unitary(2) @ net.layer_unitary(1))
+    assert np.allclose(u2, layer_matrix(net, 2) @ layer_matrix(net, 1))
+    assert net.evolution(2) is u2
     assert np.array_equal(net.evolution(0), np.eye(16))
     with pytest.raises(RegionError):
         net.evolution(5)
@@ -280,14 +320,25 @@ def planted_net(n, pair, seed):
     return NetModel(n, layers, label="corrupt")
 
 
-@pytest.mark.parametrize(
-    "net",
-    [build_net(6, "random", seed=6, n_steps=3), planted_net(6, (5, 0), 6)],
-    ids=["clean", "planted"],
-)
-def test_relative_evolution_checks_match_the_dense_path(net):
-    report = check_axioms(net, sample_pairs=40, seed=3)
-    counts, iso_bad, caus_bad, prim_bad, max_comm = dense_axioms(net, 40, seed=3)
+def haar_net(n, pairs, rng, label):
+    """A net with a Haar-random gate on each listed site pair, layer by layer."""
+    return NetModel(n, [[(p, la.haar_unitary(4, rng)) for p in layer] for layer in pairs], label=label)
+
+
+def explicit_net():
+    """6 sites, off the brickwork on purpose: reversed (3, 1) and (5, 0)
+    gates, non-neighbour gates, and in every layer two gates that overlap on
+    a site and do not commute, so the order of a layer's gates matters."""
+    pairs = [
+        [(1, 2), (2, 3), (5, 4)],
+        [(3, 1), (4, 5), (5, 0)],
+        [(0, 1), (1, 4), (2, 5)],
+    ]
+    return haar_net(6, pairs, np.random.default_rng(11), label="corrupt")
+
+
+def assert_matches_dense(report, dense):
+    counts, iso_bad, caus_bad, prim_bad, max_comm = dense
     assert [report.n_isotony, report.n_causality, report.n_primitive] == counts
     assert report.isotony_violations == iso_bad
     assert report.primitive_violations == prim_bad == []
@@ -295,7 +346,56 @@ def test_relative_evolution_checks_match_the_dense_path(net):
     for (_, _, w_new), (_, _, w_old) in zip(report.causality_violations, caus_bad):
         assert abs(w_new - w_old) < 1e-12
     assert abs(report.max_spacelike_commutator - max_comm) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "net",
+    [build_net(6, "random", seed=6, n_steps=3), planted_net(6, (5, 0), 6), explicit_net()],
+    ids=["clean", "planted", "explicit"],
+)
+def test_relative_evolution_checks_match_the_dense_path(net):
+    report = check_axioms(net, sample_pairs=40, seed=3)
+    assert_matches_dense(report, dense_axioms(net, 40, seed=3))
     assert report.ok == (net.label != "corrupt")
+    if net.label == "corrupt":
+        # violations found by evolving forward (k2 < k1) and backward (k2 > k1)
+        assert {c1.step < c2.step for c1, c2, _ in report.causality_violations} == {True, False}
+
+
+@st.composite
+def explicit_nets(draw):
+    n = draw(st.integers(5, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(st.lists(pair, min_size=1, max_size=3), min_size=1, max_size=3))
+    return haar_net(n, pairs, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), label="drawn")
+
+
+@settings(max_examples=25, deadline=None)
+@given(net=explicit_nets(), seed=st.integers(0, 2**16))
+def test_local_checks_match_the_dense_path_on_drawn_nets(net, seed):
+    assert_matches_dense(check_axioms(net, sample_pairs=8, seed=seed), dense_axioms(net, 8, seed))
+
+
+def test_check_axioms_forms_no_full_chain_operator(monkeypatch):
+    def no_evolution(self, k):
+        raise AssertionError("check_axioms built a 2^n evolution")
+
+    monkeypatch.setattr(NetModel, "evolution", no_evolution)
+    for net in (build_net(8, "random", seed=0, n_steps=3), planted_net(8, (0, 7), 0)):
+        report = check_axioms(net, sample_pairs=30, seed=0)
+        assert [report.n_isotony, report.n_causality, report.n_primitive] == [30, 30, 30]
+        assert report.ok == (net.label != "corrupt")
+
+
+def test_axioms_on_fourteen_sites():
+    start = time.perf_counter()
+    report = check_axioms(build_net(14, "random", seed=0, n_steps=3), sample_pairs=100, seed=0)
+    assert time.perf_counter() - start < 2.0
+    assert report.ok
+    assert report.max_spacelike_commutator == 0.0
+    planted = check_axioms(planted_net(14, (0, 13), 0), sample_pairs=100, seed=0)
+    assert planted.causality_violations
+    assert planted.max_spacelike_commutator > 1e-6
 
 
 def test_three_cell_gate_breaks_causality():
