@@ -98,6 +98,10 @@ def test_net_size_limits(tmp_path, capsys):
         region_algebra(net, SliceCone(0, 0, 1))
     with pytest.raises(ValidationError, match="demo_state"):
         demo_state(net)
+    # a layer chaining its gates carries one site's operator along the chain
+    chain = [[((i, i + 1), toynet.SWAP) for i in range(11)]] * 2
+    with pytest.raises(ValidationError, match="check_axioms: an evolved support of 11 sites"):
+        check_axioms(NetModel(12, chain), sample_pairs=20, seed=0)
     doc = tmp_path / "eleven.json"
     doc.write_text(
         json.dumps(
