@@ -255,10 +255,10 @@ def _validate_geometry(payload: dict) -> dict:
 
 def _validate_toynet(payload: dict) -> dict:
     n_sites = _as_int(_need(payload, "n_sites", "payload"), "payload.n_sites")
-    if n_sites > _toynet.DENSE_MAX_SITES:
+    if not 4 <= n_sites <= _toynet.DENSE_MAX_SITES:
         raise ScenarioParseError(
-            f"payload.n_sites = {n_sites}: the demo builds dense 2^n matrices, "
-            f"at most {_toynet.DENSE_MAX_SITES} sites"
+            f"payload.n_sites = {n_sites}: the demo builds dense 2^n matrices "
+            f"and takes 4..{_toynet.DENSE_MAX_SITES} sites"
         )
     gate = payload.get("gate", "random")
     if gate not in ("swap", "random"):

@@ -366,12 +366,20 @@ def quantum_verify_cc(
     Conditional weights are ratios of these, never noncommutative
     conditionings.
     """
-    _require_commuting(("A and B", a, b), ("C and A", c, a), ("C and B", c, b))
+    _require_commuting(("A and B", a, b))
+    return _verify_with_meet(phi, a, b, _product_meet(a, b), c)
+
+
+def _verify_with_meet(
+    phi: DensityState, a: Projection, b: Projection, ab: Projection, c: Projection
+) -> CommonCauseCertificate:
+    """The certificate of ``quantum_verify_cc`` for a pair already checked to
+    commute, given its meet ab = AB; C is checked against A and B here."""
+    _require_commuting(("C and A", c, a), ("C and B", c, b))
     pc = state_eval(phi, c)
     pcp = 1.0 - pc
     if pc <= TOL.cc or pcp <= TOL.cc:
         raise ZeroConditioningError(f"conditioning weight φ(C) = {pc:.3g} is degenerate")
-    ab = _product_meet(a, b)
     totals = [state_eval(phi, x) for x in (ab, a, b)]
     on_c = [_joint_weight(phi, x, c) for x in (ab, a, b)]
     s_c, s_cp, m_a, m_b = _four_conditions(
@@ -604,7 +612,7 @@ def find_strong_cc(
         local_state = DensityState(algebra.compress(phi.mat))
         c_local = synthesize_subprojection(local_state, local_meet, rv.r, strict=True)
         c = Projection(algebra.embed(c_local.mat))
-    cert = quantum_verify_cc(phi, a, b, c)
+    cert = _verify_with_meet(phi, a, b, meet, c)
     if localization is not None:
         cert = replace(cert, localization=localization)
     if not cert.verified or not cert.is_strong:
@@ -654,7 +662,7 @@ def find_multiple_strong_cc(
         except InfeasibleError:
             continue
         if all(np.linalg.norm(c.mat - prev.mat, 2) > 1e-6 for prev in causes):
-            cert = quantum_verify_cc(phi, a, b, c)
+            cert = _verify_with_meet(phi, a, b, meet, c)
             if cert.verified and cert.is_strong:
                 causes.append(c)
     if len(causes) < count:

@@ -65,17 +65,31 @@ class HermitianOperator:
 
 
 class Projection(HermitianOperator):
-    """An orthogonal projection: self-adjoint, idempotent, spectrum in {0, 1}."""
+    """An orthogonal projection: self-adjoint, idempotent, spectrum in {0, 1}.
+
+    Validation checks the largest entry of the defect D = P² − P against
+    tol_proj, then decides the spectrum from δ = ‖D‖_F where it can. Every
+    eigenvalue λ of P has |λ² − λ| ≤ δ, so λ lies within δ/(1 − 2δ) of
+    {0, 1} and |tr P − rank| ≤ 2√d δ. Hence δ ≤ tol_proj/2 with
+    δ < 1/(4√d) accepts P, with rank round(tr P), and no eigendecomposition.
+    Only when that bound cannot decide does ``eigvalsh`` test the spectrum;
+    either way the same inputs are accepted, with the same rank.
+    """
 
     def __init__(self, mat):
         super().__init__(mat)
         m = self._mat
-        idem = float(np.max(np.abs(m @ m - m)))
+        defect = m @ m - m
+        idem = float(np.max(np.abs(defect)))
         if idem > TOL.proj:
             raise NotProjectionError(
                 f"matrix is not idempotent (residual {idem:.3e} > {TOL.proj:g})",
                 invariant="tol_proj",
             )
+        delta = la.frob(defect)
+        if delta <= TOL.proj / 2 and 4.0 * np.sqrt(self.dim) * delta < 1.0:
+            self._rank = int(round(float(np.trace(m).real)))
+            return
         eigs = np.linalg.eigvalsh(m)
         near01 = np.minimum(np.abs(eigs), np.abs(eigs - 1.0))
         if float(np.max(near01, initial=0.0)) > TOL.proj:
@@ -147,9 +161,6 @@ class DensityState:
     @property
     def faithful(self) -> bool:
         return self.min_eigenvalue > TOL.faithful_eps
-
-    def expect(self, x) -> float:
-        return state_eval(self, x)
 
     def __repr__(self):
         return f"DensityState(dim={self.dim}, faithful={self.faithful})"
@@ -307,12 +318,29 @@ class MatrixAlgebra:
       (acting_dim * rest_dim)^2 x basis_count is ever materialized.
     """
 
-    def __init__(self, dim, generators, basis=None, structure=None, unitary=None):
+    def __init__(self, dim, generators=None, basis=None, structure=None, unitary=None):
         self.dim = int(dim)
-        self.generators = [np.asarray(g, dtype=complex) for g in generators]
+        # None only for factor algebras, which embed theirs on first read
+        self._generators = (
+            None if generators is None else [np.asarray(g, dtype=complex) for g in generators]
+        )
         self._basis = basis  # ndarray (k, d, d) for explicit algebras
         self.structure: FactorStructure | None = structure
         self.unitary: np.ndarray | None = unitary
+
+    @property
+    def generators(self) -> list[np.ndarray]:
+        """Dense generators. A factor algebra builds them on first read: its
+        embedded local generators, conjugated by ``unitary`` if it has one."""
+        if self._generators is None:
+            s = self.structure
+            gens = [la.embed_factor(x, s.dims, (i,)) for i, x in s.local_generators()]
+            gens = gens or [np.eye(self.dim, dtype=complex)]
+            if self.unitary is not None:
+                ud = la.dagger(self.unitary)
+                gens = [self.unitary @ g @ ud for g in gens]
+            self._generators = gens
+        return self._generators
 
     # -- constructors -------------------------------------------------------
 
@@ -360,27 +388,28 @@ class MatrixAlgebra:
         acting = tuple(sorted(int(x) for x in acting))
         if not acting or any(i < 0 or i >= len(dims) for i in acting):
             raise DimensionMismatchError(f"acting factors {acting} out of range for {dims}")
-        structure = FactorStructure(dims, acting)
-        d = int(np.prod(dims))
-        gens = [la.embed_factor(x, dims, (i,)) for i, x in structure.local_generators()]
-        return cls(d, gens or [np.eye(d, dtype=complex)], structure=structure)
+        return cls(int(np.prod(dims)), structure=FactorStructure(dims, acting))
 
     def conjugated_by(self, u: np.ndarray) -> "MatrixAlgebra":
         """The algebra U N U* (U validated unitary).
 
-        A factor carrying U0 becomes a factor carrying U U0; an explicit
-        basis is conjugated element by element.
+        A factor carrying U0 becomes a factor carrying U U0 (its generators
+        are built from that on first read); an explicit algebra's generators
+        and basis are conjugated element by element.
         """
         u = la.as_square(u)
         la.check_same_dim(u, np.empty((self.dim, self.dim)))
         if la.frob(u @ la.dagger(u) - np.eye(self.dim)) > 1e-9:
             raise ValidationError("conjugation matrix is not unitary", invariant="unitary")
+        if self.structure is not None:
+            total = u if self.unitary is None else u @ self.unitary
+            return MatrixAlgebra(self.dim, structure=self.structure, unitary=total)
         ud = la.dagger(u)
-        gens = [u @ g @ ud for g in self.generators]
-        if self.structure is None:
-            return MatrixAlgebra(self.dim, gens, basis=np.array([u @ b @ ud for b in self._basis]))
-        total = u if self.unitary is None else u @ self.unitary
-        return MatrixAlgebra(self.dim, gens, structure=self.structure, unitary=total)
+        return MatrixAlgebra(
+            self.dim,
+            [u @ g @ ud for g in self.generators],
+            basis=np.array([u @ b @ ud for b in self._basis]),
+        )
 
     # -- factor maps ---------------------------------------------------------
 
@@ -463,21 +492,6 @@ class MatrixAlgebra:
         m = _mat_of(m)
         tol = TOL.alg if tol is None else tol
         return la.frob(m - self.project(m)) <= tol * max(1.0, la.frob(m))
-
-    def closure_residual(self, max_pairs: int = 400, seed: int = 0) -> float:
-        """Largest projection residual of pairwise basis products (sampled)."""
-        mats = list(self.basis_iter())
-        k = len(mats)
-        rng = np.random.default_rng(seed)
-        pairs = [(i, j) for i in range(k) for j in range(k)]
-        if len(pairs) > max_pairs:
-            idx = rng.choice(len(pairs), size=max_pairs, replace=False)
-            pairs = [pairs[i] for i in idx]
-        worst = 0.0
-        for i, j in pairs:
-            prod = mats[i] @ mats[j]
-            worst = max(worst, la.frob(prod - self.project(prod)))
-        return worst
 
     # -- derived algebras ----------------------------------------------------
 

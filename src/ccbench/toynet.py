@@ -6,11 +6,16 @@ one site per step. The algebra of a base interval [a, b] observed at integer
 step k is the Heisenberg image U(k)* (factors a..b) U(k); site i at step k
 occupies the open spacetime cell t in (k-1/2, k+1/2), x in (i-1/2, i+1/2).
 
-With these assignments the net satisfies isotony, Einstein causality for
-cell-hull-spacelike regions, and primitive causality exactly, and supports
-an end-to-end demonstration: find a correlated pair in two spacelike
-regions, build a common-cause region in their backward light cones, and
-synthesize a verified common cause inside that region's algebra.
+``check_axioms`` samples isotony and Einstein causality for
+cell-hull-spacelike regions, both of which a wrong gate placement breaks.
+Its primitive-causality check is a cone-level identity: a cone and its
+causal completion get the same algebra by construction. Whether the net
+satisfies the paper's local primitive causality, A(D) inside A(R) for a
+slab R whose causal completion holds D, is not checked; ROADMAP.md item 1
+tracks that. The module also runs an end-to-end demonstration: find a
+correlated pair in two spacelike regions, build a common-cause region in
+their backward light cones, and synthesize a verified common cause inside
+that region's algebra.
 """
 
 from __future__ import annotations
@@ -204,7 +209,8 @@ def region_algebra(net: NetModel, d) -> LocalAlgebra:
 
     Accepts a SliceCone or any region whose causal completion is a
     slice-based double cone (others are off-lattice errors). The assignment
-    depends only on the completion, so primitive causality holds exactly.
+    depends only on the completion, so a cone and its completion get the
+    same algebra.
     """
     _require_dense("region_algebra", net.n_sites)
     cone = d if isinstance(d, SliceCone) else _cone_from_region(d, net.n_sites, net.n_steps)

@@ -6,7 +6,7 @@ own Generator from an explicit seed so failures replay exactly.
 
 import numpy as np
 
-from ccbench import DensityState, Projection
+from ccbench import DensityState, Projection, state_eval
 from ccbench import _linalg as la
 
 
@@ -45,7 +45,7 @@ def masked_instance(dim: int, rng: np.random.Generator, min_meet_rank: int = 2):
             a = Projection((u * da) @ la.dagger(u))
             b = Projection((u * mb) @ la.dagger(u))
             corr = float(np.real(np.trace(phi.mat @ a.mat @ b.mat)))
-            corr -= phi.expect(a) * phi.expect(b)
+            corr -= state_eval(phi, a) * state_eval(phi, b)
             if corr > 1e-6:
                 return phi, a, b
     return None

@@ -9,6 +9,8 @@ on the singlet.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccbench import (
     DensityState,
@@ -266,3 +268,14 @@ def test_sample_validation():
         sample_bell_fraction((1, 2), "pure", 5)
     with pytest.raises(ValidationError):
         sample_bell_fraction((2, 2), "pure", 0)
+
+
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+@settings(max_examples=6, deadline=None)
+def test_seesaw_never_exceeds_the_two_qubit_optimum(seed, rank):
+    # the see-saw value is attained by explicit observables, so it can
+    # never beat the Horodecki closed form on any two-qubit state
+    phi = DensityState(la.random_density(4, np.random.default_rng(seed), rank=rank))
+    n1, n2 = split_algebras()
+    beta = bell_correlation(phi, n1, n2, restarts=2, seed=seed).beta
+    assert beta <= two_qubit_chsh_oracle(phi) + 1e-9

@@ -199,6 +199,19 @@ def test_field_precise_matrix_error(tmp_path, capsys):
     assert "payload.state[1]" in err
 
 
+@pytest.mark.parametrize("n_sites", [3, 11])
+def test_toynet_site_count_outside_demo_range_is_a_parse_error(tmp_path, capsys, n_sites):
+    doc = json.loads((SCENARIOS / "eight_qubit_chain.json").read_text())
+    doc["payload"]["n_sites"] = n_sites
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli("toynet-demo", "--scenario", str(path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"payload.n_sites = {n_sites}" in err
+    assert "4..10" in err and "16" not in err
+
+
 def test_tol_override_must_be_known_and_positive(capsys):
     code = run_cli(
         "bell", "--scenario", scenario("bell_singlet.json"), "--tol-override", "bogus=1"

@@ -7,6 +7,7 @@ the classical one on simultaneously diagonal instances, where the two
 must agree to rounding.
 """
 
+import dataclasses
 import itertools
 import sys
 
@@ -37,7 +38,7 @@ from ccbench import (
     synthesize_subprojection,
 )
 from ccbench import _linalg as la
-from ccbench import qprob
+from ccbench import commoncause, qprob
 from ccbench.commoncause import _product_meet
 from ccbench.errors import (
     CommutationError,
@@ -451,6 +452,55 @@ def test_find_strong_cc_localized_in_algebra(conjugate):
     assert state_eval(phi, cert.cause) == pytest.approx(0.0376 / 0.14, abs=1e-10)
     assert cert.cause.rank == 2  # rank-1 local cause, doubled by the embedding
     assert cert.to_record()["localization"] == "left factor"
+
+
+@pytest.mark.parametrize("localized", [False, True], ids=["global", "localized"])
+def test_find_strong_cc_verifies_with_the_meet_it_built(monkeypatch, localized):
+    # one meet and one A/B commutation check per call, plus C against A and
+    # B; the certificate is the one quantum_verify_cc gives, to the bit
+    if localized:
+        v = np.array([0.3, 0.2, 0.18, 0.18, 0.14])
+        phi = DensityState(np.diag(np.kron(v, [0.5, 0.5])).astype(complex))
+        a = Projection(la.embed_factor(np.diag([1.0, 1, 1, 0, 0]), (5, 2), (0,)))
+        b = Projection(la.embed_factor(np.diag([1.0, 1, 0, 1, 0]), (5, 2), (0,)))
+        alg = MatrixAlgebra.tensor_factor((5, 2), (0,))
+    else:
+        phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
+        alg = None
+    real_meet, real_comm = commoncause._product_meet, la.comm_residual
+    meets, residuals = [], []
+
+    def meet(x, y):
+        meets.append((x, y))
+        return real_meet(x, y)
+
+    def comm(x, y):
+        residuals.append((x, y))
+        return real_comm(x, y)
+
+    monkeypatch.setattr(commoncause, "_product_meet", meet)
+    monkeypatch.setattr(la, "comm_residual", comm)
+    cert = find_strong_cc(phi, a, b, algebra=alg)
+    assert (len(meets), len(residuals)) == (1, 3)
+    monkeypatch.undo()
+    ref = quantum_verify_cc(phi, a, b, cert.cause)
+    for field in dataclasses.fields(cert):
+        assert getattr(cert, field.name) == getattr(ref, field.name), field.name
+
+
+def test_verification_checks_the_cause_against_both_events():
+    # C commutes with B but not with A: the kernel behind find_strong_cc
+    # and quantum_verify_cc must refuse it
+    phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B)
+    meet = _product_meet(a, b)
+    v = np.zeros(9, dtype=complex)
+    v[[4, 6]] = 1.0 / np.sqrt(2.0)  # both in range(B), only site 4 in range(A)
+    c = Projection(np.outer(v, v))
+    assert la.comm_residual(c.mat, b.mat) < 1e-12 < la.comm_residual(c.mat, a.mat)
+    with pytest.raises(CommutationError, match="C and A"):
+        commoncause._verify_with_meet(phi, a, b, meet, c)
+    with pytest.raises(CommutationError, match="C and A"):
+        quantum_verify_cc(phi, a, b, c)
 
 
 def test_find_strong_cc_localization_requires_membership():

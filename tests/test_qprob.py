@@ -17,6 +17,7 @@ from ccbench import (
     Projection,
     ValidationError,
     commutant,
+    config,
     conditional_expectation,
     correlation,
     is_product_state,
@@ -26,8 +27,8 @@ from ccbench import (
     state_eval,
 )
 from ccbench import _linalg as la
-from ccbench.errors import CommutationError, DimensionMismatchError
-from ccbench.qprob import PAULI_X
+from ccbench.errors import CommutationError, DimensionMismatchError, NotProjectionError
+from ccbench.qprob import PAULI_X, FactorStructure
 
 from conftest import rand_faithful_state
 
@@ -104,6 +105,85 @@ def test_projection_from_span():
     cols = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]]).astype(complex)
     with pytest.raises(ValidationError):
         Projection(cols @ cols.conj().T)
+
+
+def spectral_reference(mat):
+    """Projection validation by full spectrum: the rank, or the message of
+    the NotProjectionError the constructor must raise."""
+    m = la.hermitize(np.asarray(mat, dtype=complex))
+    idem = float(np.max(np.abs(m @ m - m)))
+    if idem > config.TOL.proj:
+        return f"matrix is not idempotent (residual {idem:.3e} > {config.TOL.proj:g})"
+    eigs = np.linalg.eigvalsh(m)
+    if float(np.max(np.minimum(np.abs(eigs), np.abs(eigs - 1.0)))) > config.TOL.proj:
+        return "projection spectrum is not within tol_proj of {0, 1}"
+    return int(np.sum(eigs > 0.5))
+
+
+def validated(mat):
+    try:
+        return Projection(mat).rank
+    except NotProjectionError as exc:
+        return str(exc)
+
+
+@st.composite
+def near_projections(draw):
+    """A Haar-basis projection of random rank plus Hermitian noise of
+    Frobenius norm 1e-14..1e-1, or with one eigenvalue moved by up to three
+    times that scale; paired with a tol_proj override or None."""
+    dim = draw(st.integers(2, 64))
+    rank = draw(st.integers(0, dim))
+    scale = 10.0 ** draw(st.floats(-14.0, -1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = la.haar_unitary(dim, rng)
+    mat = u[:, :rank] @ la.dagger(u[:, :rank])
+    if draw(st.booleans()):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        noise = la.hermitize(g)
+        mat = mat + noise * (scale / la.frob(noise))
+    else:
+        v = u[:, int(rng.integers(dim))]
+        mat = mat + draw(st.floats(-3.0, 3.0)) * scale * np.outer(v, v.conj())
+    proj = draw(st.sampled_from([None, 1e-6, 1e-3, 0.05, 0.2]))
+    return mat, proj
+
+
+@given(near_projections())
+@settings(max_examples=80, deadline=None)
+def test_projection_validation_matches_spectral_reference(case):
+    mat, proj = case
+    overrides = {} if proj is None else {"proj": proj}
+    with config.temporary(**overrides):
+        assert validated(mat) == spectral_reference(mat)
+
+
+def test_projection_rank_where_the_trace_misleads():
+    # δ = 8 * 0.0101 passes δ <= tol_proj / 2, but tr = 64.64 rounds to 65:
+    # only δ < 1/(4√d) sends this to the spectrum, which gives rank 64
+    with config.temporary(proj=0.2):
+        assert Projection(1.01 * np.eye(64)).rank == 64
+
+
+@pytest.mark.parametrize("mat", [np.diag([0.78, 0.0]), np.array([[0.75]])])
+def test_projection_defect_within_tol_but_spectrum_outside(mat):
+    # |λ² − λ| <= tol_proj while λ is 0.22 or 0.25 from {0, 1}: the defect
+    # bound decides only below tol_proj / 2, so the spectrum rejects these
+    with config.temporary(proj=0.2):
+        with pytest.raises(NotProjectionError, match="spectrum"):
+            Projection(mat)
+
+
+def test_clean_projection_is_validated_without_eigendecomposition(monkeypatch):
+    rng = np.random.default_rng(5)
+    mat = la.embed_factor(la.haar_projection(8, 3, rng), (2,) * 9, (2, 3, 4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a clean projection")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    p = Projection(mat)
+    assert (p.dim, p.rank) == (512, 3 * 64)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +334,56 @@ def test_commutant_of_projection_pair_contains_both():
         assert max(la.comm_residual(g, e) for e in c.basis_iter()) < 1e-9
 
 
+def closure_residual(alg: MatrixAlgebra, max_pairs: int = 400, seed: int = 0) -> float:
+    """Largest projection residual of pairwise basis products (sampled)."""
+    mats = list(alg.basis_iter())
+    k = len(mats)
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+    if len(pairs) > max_pairs:
+        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
+        pairs = [pairs[i] for i in idx]
+    worst = 0.0
+    for i, j in pairs:
+        prod = mats[i] @ mats[j]
+        worst = max(worst, la.frob(prod - alg.project(prod)))
+    return worst
+
+
 def test_algebra_closure_residual_small():
     n = MatrixAlgebra.from_generators(
         [np.diag([1.0, 1, 0, 0]), np.diag([1.0, 0, 1, 0])]
     )
-    assert n.closure_residual() < 1e-10
+    assert closure_residual(n) < 1e-10
+
+
+def test_factor_generators_are_built_on_first_read(monkeypatch):
+    real = la.embed_factor
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(la, "embed_factor", counting)
+    dims, acting = (2,) * 6, (1, 2, 4)
+    rng = np.random.default_rng(8)
+    u = la.haar_unitary(64, rng)
+    m = la.hermitize(rng.standard_normal((64, 64)))
+    n = MatrixAlgebra.tensor_factor(dims, acting)
+    nu = n.conjugated_by(u)
+    n.compress(m)
+    nu.compress(m)
+    assert calls == []
+    # project and contains embed their one compressed result, no generator
+    n.project(m)
+    nu.contains(m)
+    assert calls == [acting, acting]
+    eager = [real(x, dims, (i,)) for i, x in FactorStructure(dims, acting).local_generators()]
+    assert len(n.generators) == len(nu.generators) == 2 * len(acting)
+    assert all(np.array_equal(g, e) for g, e in zip(n.generators, eager))
+    assert all(np.array_equal(g, u @ e @ la.dagger(u)) for g, e in zip(nu.generators, eager))
+    assert len(calls) == 2 + 2 * 2 * len(acting)  # built once per algebra
 
 
 # ---------------------------------------------------------------------------

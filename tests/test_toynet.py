@@ -217,6 +217,26 @@ def test_step_zero_algebra_is_plain_factor():
     assert all(alg.contains(g) for g in expected.generators)
 
 
+def test_region_algebra_embeds_its_generators_only_when_read(monkeypatch):
+    net = build_net(6, "random", seed=3, n_steps=2)
+    u = la.dagger(net.evolution(2))
+    real = la.embed_factor
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(la, "embed_factor", counting)
+    alg = region_algebra(net, SliceCone(2, 1, 3)).algebra
+    assert calls == []
+    base = MatrixAlgebra.tensor_factor((2,) * 6, (1, 2, 3))
+    eager = [u @ g @ la.dagger(u) for g in base.generators]
+    assert len(calls) == 6
+    assert all(np.array_equal(g, e) for g, e in zip(alg.generators, eager))
+    assert len(alg.generators) == 6 and len(calls) == 12
+
+
 def test_same_step_cones_commute_for_any_gates():
     # both algebras are conjugated by the same evolution, so spacelike
     # separation at equal step reduces to disjoint base intervals
