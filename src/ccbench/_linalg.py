@@ -54,6 +54,17 @@ def eigh_desc(m: np.ndarray):
     return w[order], v[:, order]
 
 
+def eig_groups(w_ascending: np.ndarray, gap: float = 1e-8) -> list[list[int]]:
+    """Indices of numerically degenerate eigenvalue groups."""
+    groups: list[list[int]] = []
+    for i, w in enumerate(w_ascending):
+        if groups and abs(w - w_ascending[groups[-1][-1]]) <= gap:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
 def span_project(p_cols: np.ndarray) -> np.ndarray:
     """Hermitian projection onto the column span of an orthonormal block."""
     return hermitize(p_cols @ dagger(p_cols))

@@ -32,15 +32,16 @@ from .qprob import (
     PAULI_Y,
     PAULI_Z,
     DensityState,
-    HermitianOperator,
     MatrixAlgebra,
     Projection,
-    _check_commuting_algebras,
-    _eig_groups,
+    check_commuting_algebras,
     state_eval,
 )
 
 SQRT2 = float(np.sqrt(2.0))
+# see-saw stopping rule: at most this many rounds, or a gain below GAIN_TOL
+MAX_ITERATIONS = 500
+GAIN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,6 @@ class BellReport:
     """Result of the see-saw ascent; beta is a lower bound on the supremum."""
 
     beta: float
-    optimizers: tuple
     iterations: int
     converged: bool
     history: tuple = ()
@@ -98,24 +98,24 @@ def _objective(rho, x1, x2, y1, y2) -> float:
     return 0.5 * float(np.real(np.sum(rho.T * m)))
 
 
-def _seesaw(rho, n1, n2, y1, y2, max_iterations, gain_tol):
+def _seesaw(rho, n1, n2, y1, y2):
     history = []
     x1 = x2 = np.eye(rho.shape[0])
     prev = -np.inf
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         x1 = _sign_op(n1.project(la.hermitize((y1 + y2) @ rho)))
         x2 = _sign_op(n1.project(la.hermitize((y1 - y2) @ rho)))
         y1 = _sign_op(n2.project(la.hermitize((x1 + x2) @ rho)))
         y2 = _sign_op(n2.project(la.hermitize((x1 - x2) @ rho)))
         obj = _objective(rho, x1, x2, y1, y2)
         history.append(obj)
-        if obj - prev < gain_tol:
+        if obj - prev < GAIN_TOL:
             converged = True
             break
         prev = obj
-    return history[-1], (x1, x2, y1, y2), iterations, converged, tuple(history)
+    return history[-1], iterations, converged, tuple(history)
 
 
 def bell_correlation(
@@ -124,8 +124,6 @@ def bell_correlation(
     n2: MatrixAlgebra,
     restarts: int = 20,
     seed: int = 0,
-    max_iterations: int = 500,
-    gain_tol: float = 1e-12,
 ) -> BellReport:
     """Best see-saw value over restarts.
 
@@ -134,7 +132,7 @@ def bell_correlation(
     makes product states return 1 on the nose. Later restarts start from
     random +/-1-spectrum elements of the Y-side algebra.
     """
-    _check_commuting_algebras(n1, n2)
+    check_commuting_algebras(n1, n2)
     la.check_same_dim(phi.mat, np.eye(n1.dim))
     rho = phi.mat
     eye = np.eye(n1.dim)
@@ -146,19 +144,16 @@ def bell_correlation(
         else:
             y1 = 2.0 * n2.random_projection(rng).mat - eye
             y2 = 2.0 * n2.random_projection(rng).mat - eye
-        beta, ops, iters, conv, hist = _seesaw(
-            rho, n1, n2, y1, y2, max_iterations, gain_tol
-        )
-        if best is None or beta > best[0]:
-            best = (beta, ops, iters, conv, hist)
-    beta, ops, iters, conv, hist = best
+        run = _seesaw(rho, n1, n2, y1, y2)
+        if best is None or run[0] > best[0]:
+            best = run
+    beta, iters, conv, hist = best
     if beta > SQRT2 + TOL.bell:
         raise InternalInconsistencyError(
             f"see-saw value {beta:.12g} exceeds the sqrt(2) ceiling"
         )
     return BellReport(
         beta=beta,
-        optimizers=tuple(HermitianOperator(o) for o in ops),
         iterations=iters,
         converged=conv,
         history=hist,
@@ -207,7 +202,7 @@ def _spectral_projections(mat: np.ndarray):
         if la.frob(part) < 1e-14:
             continue
         w, vecs = np.linalg.eigh(part)
-        for group in _eig_groups(w):
+        for group in la.eig_groups(w):
             cols = vecs[:, group]
             if 0 < len(group) < mat.shape[0]:
                 out.append(Projection.from_span(cols))
@@ -225,7 +220,7 @@ def correlated_pairs(
     correlated hit is flipped to positive by complementing B. A hit whose
     ranks and rounded |corr| repeat an earlier one is skipped.
     """
-    _check_commuting_algebras(n1, n2)
+    check_commuting_algebras(n1, n2)
     rho = phi.mat
     projs1 = [p for e in n1.basis_iter() for p in _spectral_projections(e)]
     projs2 = [p for e in n2.basis_iter() for p in _spectral_projections(e)]

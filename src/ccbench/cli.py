@@ -447,7 +447,9 @@ def _cmd_find_cc(sc: Scenario, seed: int):
         space = sc.objects["space"]
         a, b = _classical_events(sc, "A", "B")
         exclude = sc.payload.get("exclude_trivial", True)
-        certs = _cc.classical_find_cc(space, a, b, exclude_trivial=bool(exclude))
+        if not isinstance(exclude, bool):
+            raise ScenarioParseError("payload.exclude_trivial: expected true or false")
+        certs = _cc.classical_find_cc(space, a, b, exclude_trivial=exclude)
         results = {"n_found": len(certs), "causes": [c.to_record() for c in certs]}
         if not certs:
             summary = ["exhaustive search found no common cause in this space"]

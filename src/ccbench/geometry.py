@@ -152,13 +152,16 @@ class Cell:
         )
 
 
-def make_cell(t=FULL, x=FULL, u=FULL, v=FULL, max_passes: int = 60) -> Optional[Cell]:
+MAX_TIGHTEN_PASSES = 60
+
+
+def make_cell(t=FULL, x=FULL, u=FULL, v=FULL) -> Optional[Cell]:
     """Tighten bounds to a fixpoint; None when the cell is empty.
 
     Propagates u = t - x and v = t + x both ways. Bounds only ever shrink,
     so intermediate states remain supersets of the true cell.
     """
-    for _ in range(max_passes):
+    for _ in range(MAX_TIGHTEN_PASSES):
         nu = u.intersect(Interval(_lo_sub(t.lo, x.hi), _hi_sub(t.hi, x.lo)))
         nv = v.intersect(Interval(_lo_add(t.lo, x.lo), _hi_add(t.hi, x.hi)))
         nt = t.intersect(
@@ -232,6 +235,21 @@ def union(*regions: Region) -> Region:
     return Region("union", tuple(cells))
 
 
+def _meet_cells(families: Iterable[Iterable[Cell]]) -> list[Cell]:
+    """Nonempty intersections taking one cell from each family, in order.
+
+    Each accumulated cell meets every cell of the next family; the search
+    stops as soon as nothing is left.
+    """
+    families = iter(families)
+    pieces = list(next(families))
+    for cells in families:
+        if not pieces:
+            break
+        pieces = [inter for p in pieces for c in cells if (inter := p.intersect(c)) is not None]
+    return pieces
+
+
 def _region_from_cells(cells: Iterable[Optional[Cell]], kind: str) -> Region:
     kept = tuple(c for c in cells if c is not None)
     return Region(kind, kept)
@@ -301,22 +319,8 @@ def causal_complement(region: Region) -> Region:
     """
     if region.empty:
         raise RegionError("causal complement of empty region")
-    pieces: list[Cell] | None = None
-    for c in region.cells:
-        comp = _cell_complement(c)
-        if pieces is None:
-            pieces = comp
-            continue
-        pieces = [
-            inter
-            for p in pieces
-            for w in comp
-            if (inter := p.intersect(w)) is not None
-        ]
-        if not pieces:
-            break
-    kind = "union" if pieces and len(pieces) > 1 else "wedge"
-    return Region(kind, tuple(pieces or ()))
+    pieces = _meet_cells(_cell_complement(c) for c in region.cells)
+    return Region("union" if len(pieces) > 1 else "wedge", tuple(pieces))
 
 
 def components(region: Region) -> list[Region]:
@@ -522,31 +526,13 @@ def _interior_not(region: Region) -> list[list[Cell]]:
 
 
 def _intersect_regions(*regions: Region) -> Region:
-    cells = list(regions[0].cells)
-    for r in regions[1:]:
-        cells = [
-            inter
-            for a in cells
-            for b in r.cells
-            if (inter := a.intersect(b)) is not None
-        ]
-        if not cells:
-            break
+    cells = _meet_cells(r.cells for r in regions)
     return Region("union" if len(cells) != 1 else "cell", tuple(cells))
 
 
 def _subtract(region: Region, minus: Region) -> Region:
     """Interior set difference region \\ minus (boundary sets dropped)."""
-    pieces = list(region.cells)
-    for flips in _interior_not(minus):
-        pieces = [
-            inter
-            for p in pieces
-            for f in flips
-            if (inter := p.intersect(f)) is not None
-        ]
-        if not pieces:
-            break
+    pieces = _meet_cells([region.cells, *_interior_not(minus)])
     return Region("union" if len(pieces) != 1 else "cell", tuple(pieces))
 
 

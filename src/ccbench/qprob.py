@@ -525,7 +525,7 @@ class MatrixAlgebra:
             coeffs = rng.standard_normal(herm.shape[0])
             h = np.einsum("k,kij->ij", coeffs, herm)
             w, v = np.linalg.eigh(h)
-            groups = _eig_groups(w)
+            groups = la.eig_groups(w)
             if len(groups) < 2:
                 continue
             n_take = int(rng.integers(1, len(groups)))
@@ -563,17 +563,6 @@ def _word_closure(gens: list[np.ndarray], dim: int) -> np.ndarray:
         fresh = grown[rows.shape[0]:]
         rows = grown
     return rows.reshape(-1, dim, dim)
-
-
-def _eig_groups(w_ascending: np.ndarray, gap: float = 1e-8) -> list[list[int]]:
-    """Indices of numerically degenerate eigenvalue groups."""
-    groups: list[list[int]] = []
-    for i, w in enumerate(w_ascending):
-        if groups and abs(w - w_ascending[groups[-1][-1]]) <= gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
 
 
 def _commutant_solve(gens: list[np.ndarray], dim: int) -> MatrixAlgebra:
@@ -626,7 +615,8 @@ def _same_split(n1: MatrixAlgebra, n2: MatrixAlgebra) -> bool:
     )
 
 
-def _check_commuting_algebras(n1: MatrixAlgebra, n2: MatrixAlgebra) -> None:
+def check_commuting_algebras(n1: MatrixAlgebra, n2: MatrixAlgebra) -> None:
+    """Raise unless both algebras act on one space and commute elementwise."""
     if n1.dim != n2.dim:
         raise DimensionMismatchError("algebras live on different spaces")
     if _same_split(n1, n2):
@@ -651,7 +641,7 @@ def is_product_state(
     elements, which by bilinearity of the correlation form decides
     factorization over the full algebras.
     """
-    _check_commuting_algebras(n1, n2)
+    check_commuting_algebras(n1, n2)
     tol = TOL.product if tol is None else tol
     rho = phi.mat
     if _same_split(n1, n2):
@@ -703,7 +693,7 @@ def logical_independence_check(
     Exact verdicts exist only for full matrix algebras on disjoint tensor
     factors; otherwise seeded random sampling looks for a counterexample.
     """
-    _check_commuting_algebras(n1, n2)
+    check_commuting_algebras(n1, n2)
     split = _same_split(n1, n2) and not set(n1.structure.acting) & set(n2.structure.acting)
     if mode == "exact" and not split:
         raise StructureError(

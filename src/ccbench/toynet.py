@@ -15,7 +15,10 @@ slab R whose causal completion holds D, is not checked; ROADMAP.md item 1
 tracks that. The module also runs an end-to-end demonstration: find a
 correlated pair in two spacelike regions, build a common-cause region in
 their backward light cones, and synthesize a verified common cause inside
-that region's algebra.
+that region's algebra. The checks and the demonstration evolve operators
+by one light-cone kernel, which carries an operator's support through the
+gates touching it; the demonstration's dense 2^n objects are its state and
+its candidate projections.
 """
 
 from __future__ import annotations
@@ -102,9 +105,10 @@ def _cone_from_region(region: geo.Region, n_sites: int, n_steps: int) -> SliceCo
 # ---------------------------------------------------------------------------
 
 
-# Dense 2^n matrices (the evolution, region algebras, the demo state) are
-# built for at most this many sites; the axiom checks work on local supports
-# and take nets up to 16 sites, but refuse a support wider than this too.
+# Dense 2^n matrices (the evolution, region algebras, the demo's state and
+# candidate projections) are built for at most this many sites; the axiom
+# checks work on local supports and take nets up to 16 sites, but refuse a
+# support wider than this too.
 DENSE_MAX_SITES = 10
 
 
@@ -269,22 +273,54 @@ def _random_cone(net: NetModel, rng, max_step: int) -> SliceCone:
     return SliceCone(k, a, min(b, net.n_sites - 1))
 
 
+def _relative_image(net: NetModel, k_to: int, k_from: int, support: tuple, x: np.ndarray):
+    """(support, local matrix) of W x W* for W = U(k_to) U(k_from)*, x on ``support``.
+
+    No 2^n matrix is formed. The operator is carried as (support, local
+    matrix) and evolved through the net's own gates: forward through layers
+    k_from+1..k_to in list order, backward through layers k_from..k_to+1 in
+    reverse order with each gate as G*. A gate touching the support first
+    widens it by its sites; one missing it is skipped. This is exact, since
+    a Heisenberg-evolved local operator stays local (Arrighi, Nesme & Werner,
+    J. Comput. Syst. Sci. 77, 2011); a support wider than DENSE_MAX_SITES
+    is refused.
+    """
+    if k_to >= k_from:
+        gates = [g for k in range(k_from + 1, k_to + 1) for g in net.layers[k - 1]]
+    else:
+        gates = [
+            (pair, la.dagger(gate))
+            for k in range(k_from, k_to, -1)
+            for pair, gate in reversed(net.layers[k - 1])
+        ]
+    m = x
+    for (i, j), gate in gates:
+        if i not in support and j not in support:
+            continue
+        wider = tuple(sorted({*support, i, j}))
+        if len(wider) > DENSE_MAX_SITES:
+            raise ValidationError(
+                f"check_axioms: an evolved support of {len(wider)} sites exceeds "
+                f"the dense limit of {DENSE_MAX_SITES}"
+            )
+        if wider != support:
+            m = la.embed_factor(m, (2,) * len(wider), tuple(wider.index(s) for s in support))
+            support = wider
+        dims, acting = (2,) * len(support), (support.index(i), support.index(j))
+        m = la.apply_factor(gate, m, dims, acting)
+        m = la.apply_factor(gate.conj(), m.T, dims, acting).T  # m @ gate*
+    return support, m
+
+
 def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> AxiomReport:
     """Sampled isotony, Einstein causality, and primitive causality checks.
 
     Two cones at steps k1 and k2 are compared in one picture: conjugating
     both algebras U(k)* F U(k) by U(k1) leaves norms and membership
     unchanged, so the pair reduces to the plain factor of the first cone
-    against W = U(k1) U(k2)* applied to the second.
-
-    No 2^n matrix is formed. A site generator is carried as (support, local
-    matrix) and evolved through the net's own gates: forward through layers
-    k2+1..k1 in list order, backward through layers k2..k1+1 in reverse
-    order with each gate as G*. A gate touching the support first widens it
-    by its sites; one missing it is skipped. This is exact, since a
-    Heisenberg-evolved local operator stays local (Arrighi, Nesme & Werner,
-    J. Comput. Syst. Sci. 77, 2011); a support wider than DENSE_MAX_SITES
-    is refused.
+    against W = U(k1) U(k2)* applied to the second. Each site generator is
+    evolved on its light-cone support by ``_relative_image``; no 2^n matrix
+    is formed.
 
     Isotony: for nested cones (same step, or one step back with the one-site
     widening), each inner generator evolved to the outer cone's step lies in
@@ -306,34 +342,6 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
 
     def site_generators(c: SliceCone):
         return FactorStructure((2,) * n, tuple(range(c.lo, c.hi + 1))).local_generators()
-
-    def relative_image(k_to: int, k_from: int, site: int, x: np.ndarray):
-        """(support, local matrix) of W (x at site) W* for W = U(k_to) U(k_from)*."""
-        if k_to >= k_from:
-            gates = [g for k in range(k_from + 1, k_to + 1) for g in net.layers[k - 1]]
-        else:
-            gates = [
-                (pair, la.dagger(gate))
-                for k in range(k_from, k_to, -1)
-                for pair, gate in reversed(net.layers[k - 1])
-            ]
-        support, m = (site,), x
-        for (i, j), gate in gates:
-            if i not in support and j not in support:
-                continue
-            wider = tuple(sorted({*support, i, j}))
-            if len(wider) > DENSE_MAX_SITES:
-                raise ValidationError(
-                    f"check_axioms: an evolved support of {len(wider)} sites exceeds "
-                    f"the dense limit of {DENSE_MAX_SITES}"
-                )
-            if wider != support:
-                m = la.embed_factor(m, (2,) * len(wider), tuple(wider.index(s) for s in support))
-                support = wider
-            dims, acting = (2,) * len(support), (support.index(i), support.index(j))
-            m = la.apply_factor(gate, m, dims, acting)
-            m = la.apply_factor(gate.conj(), m.T, dims, acting).T  # m @ gate*
-        return support, m
 
     def commutator_norm(site: int, x: np.ndarray, image) -> float:
         support, m = image
@@ -376,7 +384,7 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
                     c1.step - 1, max(0, c1.lo - 1), min(net.n_sites - 1, c1.hi + 1)
                 )
             if not all(
-                in_factor(relative_image(outer.step, c1.step, site, x), outer.lo, outer.hi)
+                in_factor(_relative_image(net, outer.step, c1.step, (site,), x), outer.lo, outer.hi)
                 for site, x in site_generators(c1)
             ):
                 iso_bad.append((c1, outer))
@@ -384,7 +392,9 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
             c2 = _random_cone(net, rng, max_step)
             if geo.spacelike_separated(c1.cell_hull(), c2.cell_hull()):
                 n_caus += 1
-                images = [relative_image(c1.step, c2.step, s, x) for s, x in site_generators(c2)]
+                images = [
+                    _relative_image(net, c1.step, c2.step, (s,), x) for s, x in site_generators(c2)
+                ]
                 worst = max(
                     commutator_norm(s, x, m) for m in images for s, x in site_generators(c1)
                 )
@@ -487,6 +497,11 @@ def weak_rccp_demo(
     negative and its hits in order are the candidates tried within
     ``budget``. The strong cause is synthesized inside the step-0 row's
     algebra.
+
+    The state is evolved to step k, and each candidate projection back to
+    step 0, by ``_relative_image`` on its light-cone support; no U(k) is
+    built. The dense objects are the state and the candidate projections,
+    so nets above DENSE_MAX_SITES are refused.
     """
     cone1 = d1 if isinstance(d1, SliceCone) else _cone_from_region(d1, net.n_sites, net.n_steps)
     cone2 = d2 if isinstance(d2, SliceCone) else _cone_from_region(d2, net.n_sites, net.n_steps)
@@ -521,8 +536,8 @@ def weak_rccp_demo(
     dims = (2,) * net.n_sites
     sites1 = tuple(range(cone1.lo, cone1.hi + 1))
     sites2 = tuple(range(cone2.lo, cone2.hi + 1))
-    u_k = net.evolution(k)
-    rho_h = u_k @ state.mat @ la.dagger(u_k)
+    _require_dense("weak_rccp_demo", net.n_sites)
+    _, rho_h = _relative_image(net, k, 0, tuple(range(net.n_sites)), state.mat)
     keep = sites1 + sites2
     phi_red = DensityState(la.partial_trace(rho_h, dims, keep))
     red_dims = (2,) * len(keep)
@@ -540,8 +555,8 @@ def weak_rccp_demo(
         loc = la.partial_trace(p_red.mat, red_dims, positions) / (
             2 ** (len(keep) - len(local_sites))
         )
-        emb = la.embed_factor(loc, dims, local_sites)
-        return Projection(la.dagger(u_k) @ emb @ u_k)
+        support, m = _relative_image(net, 0, k, local_sites, loc)
+        return Projection(la.embed_factor(m, dims, support))
 
     local = region_algebra(net, SliceCone(0, site_lo, site_hi))
 

@@ -212,6 +212,23 @@ def test_toynet_site_count_outside_demo_range_is_a_parse_error(tmp_path, capsys,
     assert "4..10" in err and "16" not in err
 
 
+@pytest.mark.parametrize(
+    "value, code, n_found",
+    [(False, 0, 6), (True, 0, 4), ("false", 2, None), ("no", 2, None), (0, 2, None)],
+)
+def test_find_cc_exclude_trivial_takes_json_booleans_only(tmp_path, capsys, value, code, n_found):
+    doc = json.loads((SCENARIOS / "four_block_classical_pair.json").read_text())
+    doc["payload"]["exclude_trivial"] = value
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("find-cc", "--scenario", str(path)) == code
+    out, err = capsys.readouterr()
+    if n_found is None:
+        assert "payload.exclude_trivial" in err
+    else:
+        assert f"{n_found} common cause(s) found" in out
+
+
 def test_tol_override_must_be_known_and_positive(capsys):
     code = run_cli(
         "bell", "--scenario", scenario("bell_singlet.json"), "--tol-override", "bogus=1"

@@ -2,7 +2,10 @@
 
 An attribute access ``obj._name`` (dunders aside) is allowed only in a
 module that owns the name: one that assigns ``something._name`` or defines
-``_name`` in a class body. Everything else goes through public names.
+``_name`` in a class body. No module imports a private name from another
+ccbench module (``from .qprob import _helper``); the one exception is the
+shared helper module itself, ``from . import _linalg``. Everything else goes
+through public names.
 """
 
 import ast
@@ -45,9 +48,39 @@ def private_reach_through(path: Path) -> list:
     ]
 
 
+def private_imports(path: Path) -> list:
+    """``file:line name`` for each private name imported from a sibling module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "ccbench")
+        for alias in node.names
+        if _is_private(alias.name) and not (node.module is None and alias.name == "_linalg")
+    ]
+
+
 def test_no_private_reach_through():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in private_reach_through(path)]
     assert found == []
+
+
+def test_no_private_names_imported_across_modules():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in private_imports(path)]
+    assert found == []
+
+
+def test_private_import_is_detected(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from . import _linalg as la\n"
+        "from . import bell as _bell\n"
+        "from .qprob import Projection, _helper\n"
+        "from numpy import _private\n"
+        "from ccbench.bell import _sign_op\n"
+    )
+    assert private_imports(mod) == ["mod.py:3 _helper", "mod.py:5 _sign_op"]
 
 
 def test_reach_through_is_detected(tmp_path):

@@ -411,6 +411,19 @@ def test_check_axioms_forms_no_full_chain_operator(monkeypatch):
         assert report.ok == (net.label != "corrupt")
 
 
+@pytest.mark.parametrize("support", [(1, 2), (3, 4, 5), (0, 5)])
+def test_relative_image_from_a_support_matches_the_dense_conjugation(support):
+    net = explicit_net()
+    dims = (2,) * net.n_sites
+    x = la.random_density(2 ** len(support), np.random.default_rng(len(support)))
+    for k_to, k_from in ((3, 0), (2, 1), (0, 3), (1, 2)):
+        w = net.evolution(k_to) @ la.dagger(net.evolution(k_from))
+        dense = w @ la.embed_factor(x, dims, support) @ la.dagger(w)
+        out_support, m = toynet._relative_image(net, k_to, k_from, support, x)
+        assert set(support) <= set(out_support)
+        assert np.max(np.abs(la.embed_factor(m, dims, out_support) - dense)) < 1e-12
+
+
 def test_axioms_on_fourteen_sites():
     start = time.perf_counter()
     report = check_axioms(build_net(14, "random", seed=0, n_steps=3), sample_pairs=100, seed=0)
@@ -487,6 +500,36 @@ def test_demo_pipeline_on_six_sites():
     assert rec["certificate"]["verified"] is True
     assert rec["d1"] == {"step": 2, "sites": [0, 1]}
     assert "verified=True" in demo.narrative()
+
+
+def test_demo_evolves_on_light_cone_supports_without_a_dense_evolution(monkeypatch):
+    net = build_net(8, "random", seed=0, n_steps=3)
+    u2 = net.evolution(2).copy()
+    d1, d2 = SliceCone(2, 1, 2), SliceCone(2, 6, 7)
+
+    def no_evolution(self, k):
+        raise AssertionError("weak_rccp_demo built a 2^n evolution")
+
+    monkeypatch.setattr(NetModel, "evolution", no_evolution)
+    demo = weak_rccp_demo(net, demo_state(net, seed=0), d1, d2)
+    assert demo.certificate.verified
+    dims = (2,) * net.n_sites
+    for p, cone in ((demo.a, d1), (demo.b, d2)):
+        sites = tuple(range(cone.lo, cone.hi + 1))
+        heis = u2 @ p.mat @ la.dagger(u2)
+        p_loc = la.partial_trace(heis, dims, sites) / 2 ** (net.n_sites - len(sites))
+        expected = la.dagger(u2) @ la.embed_factor(p_loc, dims, sites) @ u2
+        assert np.max(np.abs(p.mat - expected)) < 1e-12
+
+
+def test_demo_refuses_nets_above_the_dense_limit():
+    # the refusal comes before the state is read, so a stand-in state will do
+    class Faithful:
+        faithful = True
+
+    net = build_net(11, "random", seed=0, n_steps=3)
+    with pytest.raises(ValidationError, match="weak_rccp_demo: 11 sites exceed"):
+        weak_rccp_demo(net, Faithful(), SliceCone(2, 1, 2), SliceCone(2, 6, 7))
 
 
 def test_demo_rejects_bad_setups():
