@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import traceback
 import warnings
@@ -77,10 +78,22 @@ def _need(node: dict, key: str, where: str):
     return node[key]
 
 
+def _finite(entry, where: str) -> float:
+    """float(entry), refusing NaN and ±inf: json reads NaN and Infinity, and
+    an integer too large for a float would overflow."""
+    try:
+        val = float(entry)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise ScenarioParseError(f"{where}: expected a finite number")
+    return val
+
+
 def _as_number(entry, where: str) -> float:
     if isinstance(entry, bool) or not isinstance(entry, (int, float)):
         raise ScenarioParseError(f"{where}: expected a number")
-    return float(entry)
+    return _finite(entry, where)
 
 
 def _as_int(entry, where: str) -> int:
@@ -91,13 +104,13 @@ def _as_int(entry, where: str) -> int:
 
 def _as_complex(entry, where: str) -> complex:
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(entry)
+        return complex(_finite(entry, where))
     if (
         isinstance(entry, list)
         and len(entry) == 2
         and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in entry)
     ):
-        return complex(entry[0], entry[1])
+        return complex(_finite(entry[0], where), _finite(entry[1], where))
     raise ScenarioParseError(f"{where}: entries must be numbers or [re, im] pairs")
 
 
@@ -752,6 +765,8 @@ def _parse_overrides(items: Sequence[str]) -> dict:
             fval = float(val)
         except ValueError:
             raise ScenarioParseError(f"--tol-override {item!r}: value is not a number")
+        if not math.isfinite(fval):
+            raise ScenarioParseError(f"--tol-override {item!r}: value is not a finite number")
         if fval <= 0:
             raise ScenarioParseError(f"--tol-override {item!r}: tolerance must be positive")
         out[key] = fval

@@ -8,7 +8,10 @@ place of intersections. Every pair met or joined here has passed the
 comm_tol commutation check first, so its lattice operations are algebra:
 A ^ B is the product AB and A v B is A + B - AB, computed with no
 eigendecomposition (qprob.lattice_meet stays the general, noncommuting
-meet).
+meet). Each such pair is multiplied once, as a qprob.PairProduct: the one
+product M = XY gives the commutation check (comm_tol still bounds the
+full-space Frobenius norm of [X, Y], here ‖M − M*‖_F), the meet, the joint
+weight and the order test Y <= X.
 
 The constructive half: for a faithful state and a commuting correlated pair
 there is a closed-form target weight r such that any strict subprojection of
@@ -43,14 +46,7 @@ from .errors import (
     ValidationError,
     ZeroConditioningError,
 )
-from .qprob import (
-    DensityState,
-    MatrixAlgebra,
-    Projection,
-    correlation,
-    is_subprojection,
-    state_eval,
-)
+from .qprob import DensityState, MatrixAlgebra, PairProduct, Projection, state_eval
 
 AUDIT_CAP = 12
 
@@ -71,6 +67,8 @@ class ClassicalSpace:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValidationError("weights must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("atom weights must be finite", invariant="weights finite")
         if np.any(w < 0):
             raise ValidationError("negative atom weight", invariant="weights >= 0")
         if abs(float(w.sum()) - 1.0) > 1e-12:
@@ -338,36 +336,22 @@ def random_cc_instance(rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
-def _require_commuting(*pairs):
-    for name, x, y in pairs:
-        res = la.comm_residual(x.mat, y.mat)
-        if res > TOL.comm:
-            raise CommutationError(f"{name} do not commute (residual {res:.3g})")
-
-
-def _product_meet(a: Projection, b: Projection) -> Projection:
-    """A ^ B of a pair already checked to commute: the projection AB."""
-    return Projection(la.hermitize(a.mat @ b.mat))
-
-
-def _joint_weight(phi: DensityState, x: Projection, y: Projection) -> float:
-    """φ(X ^ Y) = φ(XY) for a pair already checked to commute."""
-    return state_eval(phi, la.hermitize(x.mat @ y.mat))
-
-
 def quantum_verify_cc(
     phi: DensityState, a: Projection, b: Projection, c: Projection
 ) -> CommonCauseCertificate:
     """Check the four common-cause conditions with meets as conjunctions.
 
     Requires A and B to commute and C to commute with both (within
-    comm_tol); past that check every meet is a product, A ^ B = AB and
-    X ^ C = XC, and the weight on C⊥ is φ(X ^ C⊥) = φ(X) − φ(XC).
-    Conditional weights are ratios of these, never noncommutative
-    conditionings.
+    comm_tol, on the full-space Frobenius norm of each commutator); past
+    that check every meet is a product, A ^ B = AB and X ^ C = XC, and the
+    weight on C⊥ is φ(X ^ C⊥) = φ(X) − φ(XC). Conditional weights are
+    ratios of these, never noncommutative conditionings. Each pair is
+    multiplied once: AB, then XC for X in {AB, A, B}, and the checks, the
+    weights and the strong/genuine order tests are all read off those four
+    products.
     """
-    _require_commuting(("A and B", a, b))
-    return _verify_with_meet(phi, a, b, _product_meet(a, b), c)
+    meet = PairProduct(a, b).require_commuting("A and B").meet()
+    return _verify_with_meet(phi, a, b, meet, c)
 
 
 def _verify_with_meet(
@@ -375,25 +359,31 @@ def _verify_with_meet(
 ) -> CommonCauseCertificate:
     """The certificate of ``quantum_verify_cc`` for a pair already checked to
     commute, given its meet ab = AB; C is checked against A and B here."""
-    _require_commuting(("C and A", c, a), ("C and B", c, b))
+    on_a = PairProduct(a, c).require_commuting("C and A")
+    on_b = PairProduct(b, c).require_commuting("C and B")
     pc = state_eval(phi, c)
     pcp = 1.0 - pc
     if pc <= TOL.cc or pcp <= TOL.cc:
         raise ZeroConditioningError(f"conditioning weight φ(C) = {pc:.3g} is degenerate")
+    on_ab = PairProduct(ab, c)
     totals = [state_eval(phi, x) for x in (ab, a, b)]
-    on_c = [_joint_weight(phi, x, c) for x in (ab, a, b)]
+    on_c = [xc.weight(phi) for xc in (on_ab, on_a, on_b)]
     s_c, s_cp, m_a, m_b = _four_conditions(
         *(w / pc for w in on_c), *((t - w) / pcp for t, w in zip(totals, on_c))
     )
     p_ab, p_a, p_b = totals
+
+    def below(xc: PairProduct) -> bool:
+        return xc.order_residual <= TOL.proj
+
     return CommonCauseCertificate(
         cause=c,
         residual_screen_C=abs(s_c),
         residual_screen_Cperp=abs(s_cp),
         margin_A=m_a,
         margin_B=m_b,
-        is_strong=is_subprojection(c, ab),
-        is_genuine=not is_subprojection(c, a) and not is_subprojection(c, b),
+        is_strong=below(on_ab),
+        is_genuine=not below(on_a) and not below(on_b),
         correlation=p_ab - p_a * p_b,
     )
 
@@ -428,11 +418,12 @@ def reichenbach_r(phi: DensityState, a: Projection, b: Projection) -> RValue:
 
     Any strict subprojection of A^B carrying weight exactly r screens the
     correlation off on both sides and is positively relevant to A and B.
-    Once A and B pass the comm_tol check, φ(A^B) = φ(AB) and
+    Once A and B pass the comm_tol check (the full-space Frobenius norm of
+    [A, B], read off the one product AB), φ(A^B) = φ(AB) and
     φ(AvB) = φ(A) + φ(B) − φ(AB).
     """
-    _require_commuting(("A and B", a, b))
-    return _r_value(state_eval(phi, a), state_eval(phi, b), _joint_weight(phi, a, b))
+    ab = PairProduct(a, b).require_commuting("A and B")
+    return _r_value(state_eval(phi, a), state_eval(phi, b), ab.weight(phi))
 
 
 def _r_value(pa: float, pb: float, pab: float) -> RValue:
@@ -580,19 +571,21 @@ def find_strong_cc(
 ) -> CommonCauseCertificate:
     """Construct and verify a strong common cause C < A^B with φ(C) = r.
 
-    A and B must commute within comm_tol, which is checked first; the meet
-    A^B is then the product AB, with no eigendecomposition. With a factor
+    A and B must commute within comm_tol (the full-space Frobenius norm of
+    [A, B]), which is checked first; the meet A^B is then the product AB,
+    with no eigendecomposition; AB is formed once, for both. With a factor
     ``algebra`` given, the synthesis runs inside it: the state and the meet
     are compressed to the acting factors, and the resulting local
     projection is embedded back, so the cause is an element of the algebra
-    (used for spacetime-localized causes).
+    (used for spacetime-localized causes). A plain factor on every tensor
+    factor compresses by the identity map, so it takes the state and the
+    validated meet as they are.
     """
     if not phi.faithful:
         raise NotFaithfulError(
             f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})"
         )
-    _require_commuting(("A and B", a, b))
-    meet = _product_meet(a, b)
+    meet = PairProduct(a, b).require_commuting("A and B").meet()
     pa, pb, pab = state_eval(phi, a), state_eval(phi, b), state_eval(phi, meet)
     if not pab < min(pa, pb) - TOL.cc:
         raise PreconditionError(
@@ -608,8 +601,11 @@ def find_strong_cc(
         for name, x in (("A", a), ("B", b)):
             if not algebra.contains(x.mat):
                 raise StructureError(f"projection {name} is not in the given algebra")
-        local_meet = Projection(algebra.compress(meet.mat) / algebra.structure.rest_dim)
-        local_state = DensityState(algebra.compress(phi.mat))
+        if algebra.unitary is None and not algebra.structure.rest:
+            local_meet, local_state = meet, phi
+        else:
+            local_meet = Projection(algebra.compress(meet.mat) / algebra.structure.rest_dim)
+            local_state = DensityState(algebra.compress(phi.mat))
         c_local = synthesize_subprojection(local_state, local_meet, rv.r, strict=True)
         c = Projection(algebra.embed(c_local.mat))
     cert = _verify_with_meet(phi, a, b, meet, c)
@@ -640,8 +636,9 @@ def find_multiple_strong_cc(
     if count < 0:
         raise TargetRangeError("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    rv = reichenbach_r(phi, a, b)
-    meet = _product_meet(a, b)
+    ab = PairProduct(a, b).require_commuting("A and B")
+    rv = _r_value(state_eval(phi, a), state_eval(phi, b), ab.weight(phi))
+    meet = ab.meet()
     if meet.rank <= 1:
         warnings.warn("meet has rank <= 1; no strict subprojections exist")
         return []
@@ -693,10 +690,10 @@ def search_genuine_cc(
     certificate with is_genuine, or None (which is not a nonexistence
     claim).
     """
-    _require_commuting(("A and B", a, b))
+    pair = PairProduct(a, b).require_commuting("A and B")
     if not phi.faithful:
         raise NotFaithfulError("state is not faithful")
-    if correlation(phi, a, b) <= TOL.cc:
+    if pair.weight(phi) - state_eval(phi, a) * state_eval(phi, b) <= TOL.cc:
         raise UncorrelatedError("pair is not positively correlated")
     if budget <= 0:
         return None
@@ -705,7 +702,7 @@ def search_genuine_cc(
     n_par = herm.shape[0]
     rho = phi.mat
     amat, bmat = a.mat, b.mat
-    ab = amat @ bmat
+    ab = pair.mat
     dim = a.dim
     rng = np.random.default_rng(seed)
     margin_floor = 1e-6

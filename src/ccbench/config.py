@@ -8,7 +8,10 @@ this registry so the whole stack can be tightened or loosened in one place
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, fields
+
+from .errors import ValidationError
 
 
 @dataclass
@@ -60,7 +63,11 @@ def canonical_name(key: str) -> str:
 
 
 def override(key: str, value: float) -> None:
-    setattr(TOL, canonical_name(key), float(value))
+    name = canonical_name(key)
+    val = float(value)
+    if not math.isfinite(val):
+        raise ValidationError(f"tolerance {key} = {val!r} is not finite", invariant=key)
+    setattr(TOL, name, val)
 
 
 @contextlib.contextmanager

@@ -74,6 +74,10 @@ class Projection(HermitianOperator):
     δ < 1/(4√d) accepts P, with rank round(tr P), and no eigendecomposition.
     Only when that bound cannot decide does ``eigvalsh`` test the spectrum;
     either way the same inputs are accepted, with the same rank.
+
+    The trusted constructors ``from_span``, ``complement`` and ``embedded``
+    (P ⊗ I of a P validated on its factors) skip validation and keep the
+    matrix exactly Hermitian, as ``PairProduct`` needs.
     """
 
     def __init__(self, mat):
@@ -118,6 +122,22 @@ class Projection(HermitianOperator):
         q._mat = np.eye(self.dim, dtype=complex) - self._mat
         q._mat.flags.writeable = False
         q._rank = self.dim - self._rank
+        return q
+
+    def embedded(self, dims: Sequence[int], acting: Sequence[int]) -> "Projection":
+        """P ⊗ I: this projection on the factors ``acting`` of ``dims``.
+
+        ``acting`` follows la.embed_factor (this matrix's factor order,
+        possibly unsorted). Trusted: the embedding's defect entries and
+        spectrum are this projection's, so validating it again would give
+        this verdict and this rank times the identity's dimension; and as
+        hermitize commutes with the embedding, the matrix is the one
+        ``Projection(embed_factor(P, dims, acting))`` would store.
+        """
+        q = object.__new__(Projection)
+        q._mat = la.embed_factor(self._mat, tuple(dims), tuple(acting))
+        q._mat.flags.writeable = False
+        q._rank = self._rank * (q.dim // self.dim)
         return q
 
     def __repr__(self):
@@ -200,17 +220,59 @@ def _expect_c(rho: np.ndarray, x: np.ndarray) -> complex:
     return complex(np.sum(rho.T * x))
 
 
+class PairProduct:
+    """The product M = XY of two self-adjoint operators, formed once.
+
+    Every HermitianOperator's matrix is exactly Hermitian (construction
+    hermitizes it; the trusted Projection constructors keep it so), hence
+    (XY)* = YX and [X, Y] = M − M*. ``commutator_norm`` is therefore the
+    full-space Frobenius norm of [X, Y] that la.comm_residual forms from two
+    products, up to rounding. For a pair within comm_tol, the rest is read
+    off the same M: the meet X ^ Y = hermitize(M), its weight, and the
+    order test Y <= X.
+    """
+
+    def __init__(self, x: HermitianOperator, y: HermitianOperator):
+        la.check_same_dim(x.mat, y.mat)
+        self.y = y
+        self.mat = x.mat @ y.mat
+
+    @property
+    def commutator_norm(self) -> float:
+        """‖[X, Y]‖_F = ‖M − M*‖_F."""
+        return la.frob(self.mat - la.dagger(self.mat))
+
+    def require_commuting(self, name: str) -> "PairProduct":
+        """This product, once ‖[X, Y]‖_F is within comm_tol; ``name`` the pair."""
+        res = self.commutator_norm
+        if res > TOL.comm:
+            raise CommutationError(f"{name} do not commute (residual {res:.3g})")
+        return self
+
+    def meet(self) -> Projection:
+        """X ^ Y = XY, validated, for a pair checked to commute."""
+        return Projection(la.hermitize(self.mat))
+
+    def weight(self, phi: DensityState) -> float:
+        """φ(X ^ Y) = φ(XY) for a pair checked to commute."""
+        return state_eval(phi, la.hermitize(self.mat))
+
+    @property
+    def order_residual(self) -> float:
+        """‖XY − Y‖_F / max(1, ‖Y‖_F), which vanishes exactly when Y <= X."""
+        return la.frob(self.mat - self.y.mat) / max(1.0, la.frob(self.y.mat))
+
+
 def correlation(phi: DensityState, a, b) -> float:
     """phi(A ^ B) - phi(A) phi(B) for commuting projections (A ^ B = AB)."""
     pa, pb = _proj_of(a), _proj_of(b)
-    la.check_same_dim(pa.mat, pb.mat)
-    resid = la.comm_residual(pa.mat, pb.mat)
+    ab = PairProduct(pa, pb)
+    resid = ab.commutator_norm
     if resid > TOL.comm:
         raise CommutationError(
             f"projections do not commute (residual {resid:.3e} > comm_tol)"
         )
-    joint = state_eval(phi, la.hermitize(pa.mat @ pb.mat))
-    return joint - state_eval(phi, pa) * state_eval(phi, pb)
+    return ab.weight(phi) - state_eval(phi, pa) * state_eval(phi, pb)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +303,8 @@ def lattice_join(a, b) -> Projection:
 def is_subprojection(p, q, tol: float | None = None) -> bool:
     """Whether P <= Q, i.e. QP = P within tolerance."""
     pp, qq = _proj_of(p), _proj_of(q)
-    la.check_same_dim(pp.mat, qq.mat)
     tol = TOL.proj if tol is None else tol
-    resid = la.frob(qq.mat @ pp.mat - pp.mat) / max(1.0, la.frob(pp.mat))
-    return resid <= tol
+    return PairProduct(qq, pp).order_residual <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ correlated pair in two spacelike regions, build a common-cause region in
 their backward light cones, and synthesize a verified common cause inside
 that region's algebra. The checks and the demonstration evolve operators
 by one light-cone kernel, which carries an operator's support through the
-gates touching it; the demonstration's dense 2^n objects are its state and
-its candidate projections.
+gates touching it. The demonstration validates each candidate projection on
+that support and embeds it once, trusted; the 2^n validations left are of
+the state, the meet of each candidate pair and the embedded cause.
 """
 
 from __future__ import annotations
@@ -500,8 +501,14 @@ def weak_rccp_demo(
 
     The state is evolved to step k, and each candidate projection back to
     step 0, by ``_relative_image`` on its light-cone support; no U(k) is
-    built. The dense objects are the state and the candidate projections,
-    so nets above DENSE_MAX_SITES are refused.
+    built. A candidate is validated there, at 2^|support|, and embedded by
+    the trusted ``Projection.embedded``, which gives the verdict, rank and
+    matrix a 2^n validation would. The 2^n validations left are the state
+    (built by the caller), the meet of each candidate pair and the embedded
+    cause; when the step-0 row covers the chain, ``find_strong_cc`` uses
+    the state and the meet as they are instead of compressing and
+    validating them again. The state, the candidates and the meet are dense
+    2^n matrices, so nets above DENSE_MAX_SITES are refused.
     """
     cone1 = d1 if isinstance(d1, SliceCone) else _cone_from_region(d1, net.n_sites, net.n_steps)
     cone2 = d2 if isinstance(d2, SliceCone) else _cone_from_region(d2, net.n_sites, net.n_steps)
@@ -556,7 +563,7 @@ def weak_rccp_demo(
             2 ** (len(keep) - len(local_sites))
         )
         support, m = _relative_image(net, 0, k, local_sites, loc)
-        return Projection(la.embed_factor(m, dims, support))
+        return Projection(m).embedded(dims, support)
 
     local = region_algebra(net, SliceCone(0, site_lo, site_hi))
 

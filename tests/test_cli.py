@@ -20,8 +20,9 @@ from pathlib import Path
 import pytest
 
 import ccbench
-from ccbench import cli
+from ccbench import cli, config
 from ccbench.cli import main
+from ccbench.errors import ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -245,6 +246,85 @@ def test_tol_override_must_be_known_and_positive(capsys):
     )
     assert code == 2
     assert "KEY=VAL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
+def test_tol_override_must_be_finite(capsys, value):
+    # float() reads these, and "nan" passed "tolerance must be positive":
+    # every "residual > nan" check then passed silently
+    code = run_cli(
+        "bell", "--scenario", scenario("bell_singlet.json"), "--tol-override", f"comm_tol={value}"
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --tol-override 'comm_tol={value}': value is not a finite number\n"
+
+
+def _scenario_text(tmp_path, text):
+    doc = tmp_path / "nonfinite.json"
+    doc.write_text(text)
+    return str(doc)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_scenario_tolerance_must_be_finite(tmp_path, capsys, value):
+    # json accepts NaN and Infinity; the tolerance parser must not
+    doc = _scenario_text(
+        tmp_path,
+        '{"kind": "classical", "payload": {"weights": [0.4, 0.1, 0.1, 0.4]},'
+        f' "tolerances": {{"comm_tol": {value}}}}}',
+    )
+    assert run_cli("classical-audit", "--scenario", doc) == 2
+    assert capsys.readouterr().err == "error: tolerances.comm_tol: expected a finite number\n"
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "1e400", "1" + "0" * 400])
+def test_scenario_weights_must_be_finite(tmp_path, capsys, weight):
+    # NaN passed ClassicalSpace's sum and sign checks: the audit exited 0
+    # with "90 correlated pair(s); 0 admit a nontrivial common cause"
+    doc = _scenario_text(
+        tmp_path,
+        f'{{"kind": "classical", "payload": {{"weights": [{weight}, 0.5, 0.25, 0.25]}}}}',
+    )
+    assert run_cli("classical-audit", "--scenario", doc) == 2
+    assert capsys.readouterr().err == "error: payload.weights: expected a finite number\n"
+
+
+@pytest.mark.parametrize("entry", ["NaN", "[0.5, Infinity]", "[-Infinity, 0]"])
+def test_scenario_matrix_entries_must_be_finite(tmp_path, capsys, entry):
+    doc = _scenario_text(
+        tmp_path,
+        '{"kind": "quantum", "payload": {'
+        f'"state": [[{entry}, 0], [0, 0.5]],'
+        ' "projections": {"A": [[1, 0], [0, 0]], "B": [[0, 0], [0, 1]]}}}',
+    )
+    assert run_cli("analyze", "--scenario", doc) == 2
+    assert capsys.readouterr().err == "error: payload.state[0][0]: expected a finite number\n"
+
+
+def test_finite_checks_leave_the_old_exit_2_messages(tmp_path, capsys):
+    doc = _scenario_text(
+        tmp_path,
+        '{"kind": "classical", "payload": {"weights": ["x", 0.5, 0.25, 0.25]}}',
+    )
+    assert run_cli("classical-audit", "--scenario", doc) == 2
+    assert capsys.readouterr().err == "error: payload.weights: expected a number\n"
+    code = run_cli(
+        "bell", "--scenario", scenario("bell_singlet.json"), "--tol-override", "bell=abc"
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: --tol-override 'bell=abc': value is not a number\n"
+
+
+def test_config_override_refuses_non_finite_values():
+    before = config.TOL.comm
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="not finite"):
+            config.override("comm_tol", value)
+        with pytest.raises(ValidationError, match="not finite"):
+            with config.temporary(comm_tol=value):
+                pass
+    assert config.TOL.comm == before
 
 
 def test_argparse_usage_errors_exit_2():

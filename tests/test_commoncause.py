@@ -39,7 +39,6 @@ from ccbench import (
 )
 from ccbench import _linalg as la
 from ccbench import commoncause, qprob
-from ccbench.commoncause import _product_meet
 from ccbench.errors import (
     CommutationError,
     InfeasibleError,
@@ -51,7 +50,7 @@ from ccbench.errors import (
     ValidationError,
     ZeroConditioningError,
 )
-from ccbench.qprob import MatrixAlgebra
+from ccbench.qprob import MatrixAlgebra, PairProduct
 
 from conftest import masked_instance
 
@@ -95,6 +94,15 @@ def test_space_rejects_bad_weights():
     with pytest.raises(ValidationError) as err:
         ClassicalSpace([0.5, 0.6])
     assert err.value.invariant == "sum(weights) = 1"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_space_rejects_non_finite_weights(bad):
+    # NaN passed the sign and sum checks before: NaN < 0 and |NaN − 1| > tol
+    # are both False
+    with pytest.raises(ValidationError) as err:
+        ClassicalSpace([bad, 0.5, 0.25, 0.25])
+    assert err.value.invariant == "weights finite"
 
 
 def test_event_conversions():
@@ -454,10 +462,39 @@ def test_find_strong_cc_localized_in_algebra(conjugate):
     assert cert.to_record()["localization"] == "left factor"
 
 
+@pytest.mark.parametrize("conjugate", [False, True], ids=["plain", "conjugated"])
+def test_find_strong_cc_in_an_algebra_on_every_factor(monkeypatch, conjugate):
+    # a factor on every tensor factor is the full matrix algebra; a plain
+    # one compresses by the identity, so the state and the meet are used as
+    # they are, but under a unitary they must still be compressed
+    phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
+    alg = MatrixAlgebra.tensor_factor((3, 3), (0, 1))
+    if conjugate:
+        alg = alg.conjugated_by(la.haar_unitary(9, np.random.default_rng(23)))
+    states = []
+    real_state = commoncause.DensityState
+
+    def counted_state(mat):
+        states.append(mat)
+        return real_state(mat)
+
+    monkeypatch.setattr(commoncause, "DensityState", counted_state)
+    cert = find_strong_cc(phi, a, b, algebra=alg)
+    monkeypatch.undo()
+    assert cert.verified and cert.is_strong
+    assert state_eval(phi, cert.cause) == pytest.approx(DIM9_R, abs=1e-10)
+    assert len(states) == (1 if conjugate else 0)
+    if not conjugate:
+        ref = find_strong_cc(phi, a, b)
+        assert np.array_equal(cert.cause.mat, ref.cause.mat)
+        assert dataclasses.replace(cert, cause=ref.cause) == ref
+
+
 @pytest.mark.parametrize("localized", [False, True], ids=["global", "localized"])
 def test_find_strong_cc_verifies_with_the_meet_it_built(monkeypatch, localized):
-    # one meet and one A/B commutation check per call, plus C against A and
-    # B; the certificate is the one quantum_verify_cc gives, to the bit
+    # one product A·B per call, for the A/B check and the meet, then one
+    # product X·C for each X in {AB, A, B}, and no two-product commutator;
+    # the certificate is the one quantum_verify_cc gives, to the bit
     if localized:
         v = np.array([0.3, 0.2, 0.18, 0.18, 0.14])
         phi = DensityState(np.diag(np.kron(v, [0.5, 0.5])).astype(complex))
@@ -467,22 +504,30 @@ def test_find_strong_cc_verifies_with_the_meet_it_built(monkeypatch, localized):
     else:
         phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
         alg = None
-    real_meet, real_comm = commoncause._product_meet, la.comm_residual
-    meets, residuals = [], []
+    real_comm = la.comm_residual
+    products, residuals = [], []
 
-    def meet(x, y):
-        meets.append((x, y))
-        return real_meet(x, y)
+    class CountedProduct(PairProduct):
+        def __init__(self, x, y):
+            products.append((x, y))
+            super().__init__(x, y)
 
     def comm(x, y):
         residuals.append((x, y))
         return real_comm(x, y)
 
-    monkeypatch.setattr(commoncause, "_product_meet", meet)
+    monkeypatch.setattr(commoncause, "PairProduct", CountedProduct)
     monkeypatch.setattr(la, "comm_residual", comm)
     cert = find_strong_cc(phi, a, b, algebra=alg)
-    assert (len(meets), len(residuals)) == (1, 3)
     monkeypatch.undo()
+    assert (len(products), len(residuals)) == (4, 0)
+    (x0, y0), *on_c = products
+    assert x0 is a and y0 is b
+    assert all(y is cert.cause for _, y in on_c)
+    factors = [x for x, _ in on_c]
+    assert sum(x is a for x in factors) == sum(x is b for x in factors) == 1
+    (meet,) = [x for x in factors if x is not a and x is not b]
+    assert np.array_equal(meet.mat, la.hermitize(a.mat @ b.mat))
     ref = quantum_verify_cc(phi, a, b, cert.cause)
     for field in dataclasses.fields(cert):
         assert getattr(cert, field.name) == getattr(ref, field.name), field.name
@@ -492,7 +537,7 @@ def test_verification_checks_the_cause_against_both_events():
     # C commutes with B but not with A: the kernel behind find_strong_cc
     # and quantum_verify_cc must refuse it
     phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B)
-    meet = _product_meet(a, b)
+    meet = PairProduct(a, b).meet()
     v = np.zeros(9, dtype=complex)
     v[[4, 6]] = 1.0 / np.sqrt(2.0)  # both in range(B), only site 4 in range(A)
     c = Projection(np.outer(v, v))
@@ -640,7 +685,7 @@ def test_product_meet_and_join_match_the_lattice(seed, strong):
     rng = np.random.default_rng(4000 + seed)
     phi, a, b, c = commuting_instance(rng, strong_cause=strong)
     for x, y in ((a, b), (a, c), (b, c), (a, c.complement())):
-        meet, ref = _product_meet(x, y), lattice_meet(x, y)
+        meet, ref = PairProduct(x, y).meet(), lattice_meet(x, y)
         assert meet.rank == ref.rank
         assert la.frob(meet.mat - ref.mat) < 1e-12
         join = Projection(x.mat + y.mat - meet.mat)

@@ -7,6 +7,8 @@ point sampling as an independent oracle for the set-level claims.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccbench import geometry as geo
 from ccbench.errors import (
@@ -14,6 +16,7 @@ from ccbench.errors import (
     InternalInconsistencyError,
     RegionError,
 )
+from ccbench.toynet import SliceCone
 
 UNIT_CONE = geo.double_cone(u=(-1.0, 1.0), v=(-1.0, 1.0))
 FAR_CONE = geo.double_cone(u=(-11.0, -9.0), v=(9.0, 11.0))  # unit cone at x = 10
@@ -354,3 +357,70 @@ def test_region_record_shape():
 def test_describe_mentions_both_charts():
     text = geo.describe(UNIT_CONE)
     assert "u (-1, 1)" in text and "t (-1, 1)" in text
+
+
+# ---------------------------------------------------------------------------
+# complement and completion identities, as properties
+# ---------------------------------------------------------------------------
+
+# Coordinates on a grid of 1/8: hulls, wedges and the tightening of rect
+# bounds are then exact, so the identities hold with no tolerance.
+GRID = 0.125
+
+
+@st.composite
+def drawn_regions(draw):
+    """A double cone on the grid, or a toy-net slice cone as its diamond or
+    as its cell hull (a rect, which its completion strictly contains)."""
+    kind = draw(st.sampled_from(["double_cone", "diamond", "cell_hull"]))
+    if kind == "double_cone":
+        u0, v0 = draw(st.integers(-80, 80)), draw(st.integers(-80, 80))
+        du, dv = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        return geo.double_cone(u=(u0 * GRID, (u0 + du) * GRID), v=(v0 * GRID, (v0 + dv) * GRID))
+    lo = draw(st.integers(0, 9))
+    cone = SliceCone(draw(st.integers(0, 6)), lo, draw(st.integers(lo, 9)))
+    return cone.diamond() if kind == "diamond" else cone.cell_hull()
+
+
+def inside(inner, outer) -> bool:
+    """Every cell of ``inner`` lies in one cell of ``outer``, an intersection
+    of wedges (a double cone or a wedge is its own null-coordinate box)."""
+    return all(
+        any(o.u.contains_interval(c.u) and o.v.contains_interval(c.v) for o in outer.cells)
+        for c in inner.cells
+    )
+
+
+@given(r=drawn_regions(), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_region_lies_in_its_double_complement(r, seed):
+    twice = geo.causal_complement(geo.causal_complement(r))
+    assert inside(r, twice)
+    # the sampled points are an oracle apart from the interval bounds
+    pts = geo.sample_points(r, 20, np.random.default_rng(seed))
+    assert all(twice.contains(geo.Point(t, x)) for t, x in pts)
+
+
+@given(r=drawn_regions())
+@settings(max_examples=60, deadline=None)
+def test_triple_complement_is_the_complement(r):
+    once = geo.causal_complement(r)
+    thrice = geo.causal_complement(geo.causal_complement(once))
+    assert set(thrice.cells) == set(once.cells)
+
+
+@given(r=drawn_regions())
+@settings(max_examples=60, deadline=None)
+def test_completion_is_idempotent(r):
+    comp = geo.causal_completion(r)
+    assert geo.causal_completion(comp).cells == comp.cells
+    assert comp.cells == geo.causal_complement(geo.causal_complement(r)).cells
+
+
+@given(r=drawn_regions(), s=drawn_regions())
+@settings(max_examples=80, deadline=None)
+def test_causal_complement_agrees_with_spacelike_separation(r, s):
+    assert geo.spacelike_separated(r, geo.causal_complement(r))
+    verdict = geo.spacelike_separated(r, s)
+    assert verdict == geo.spacelike_separated(s, r)
+    assert verdict == inside(s, geo.causal_complement(r)) == inside(r, geo.causal_complement(s))

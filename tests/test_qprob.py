@@ -21,6 +21,7 @@ from ccbench import (
     conditional_expectation,
     correlation,
     is_product_state,
+    is_subprojection,
     lattice_join,
     lattice_meet,
     logical_independence_check,
@@ -28,7 +29,8 @@ from ccbench import (
 )
 from ccbench import _linalg as la
 from ccbench.errors import CommutationError, DimensionMismatchError, NotProjectionError
-from ccbench.qprob import PAULI_X, FactorStructure
+from ccbench.config import TOL
+from ccbench.qprob import PAULI_X, FactorStructure, PairProduct
 
 from conftest import rand_faithful_state
 
@@ -254,6 +256,109 @@ def test_subprojection_order():
     assert is_subprojection(p, q)
     assert not is_subprojection(q, p)
     assert is_subprojection(p, p)
+
+
+# ---------------------------------------------------------------------------
+# one product per pair, and embedded projections
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def hermitian_pairs(draw):
+    """Two Hermitian operators: a commuting pair (one eigenbasis, eigenvalues
+    repeated or not) perturbed by 0, 1e-12 or 1e-8, or an unrelated pair."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 8))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    if draw(st.booleans()):
+        u = la.haar_unitary(dim, rng)
+        x, y = ((u * rng.integers(-2, 3, dim)) @ la.dagger(u) for _ in range(2))
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        y = y + draw(st.sampled_from([0.0, 1e-12, 1e-8])) * g
+    else:
+        x, y = (
+            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for _ in range(2)
+        )
+    return HermitianOperator(la.hermitize(x)), HermitianOperator(scale * la.hermitize(y))
+
+
+@given(hermitian_pairs())
+@settings(max_examples=120, deadline=None)
+def test_pair_product_commutator_norm_matches_two_products(pair):
+    x, y = pair
+    ref = la.comm_residual(x.mat, y.mat)
+    prod = PairProduct(x, y)
+    assert np.array_equal(prod.mat, x.mat @ y.mat)
+    bound = 1e-12 * (1.0 + la.frob(x.mat) * la.frob(y.mat))
+    assert abs(prod.commutator_norm - ref) <= bound
+    if ref > TOL.comm:
+        with pytest.raises(CommutationError, match="X and Y do not commute"):
+            prod.require_commuting("X and Y")
+    else:
+        assert prod.require_commuting("X and Y") is prod
+
+
+def test_pair_product_reads_meet_weight_and_order_off_one_product():
+    phi = DensityState(np.diag([0.4, 0.3, 0.2, 0.1]))
+    a = Projection(np.diag([1.0, 1.0, 0.0, 0.0]))
+    b = Projection(np.diag([1.0, 0.0, 1.0, 0.0]))
+    ab = PairProduct(a, b)
+    assert np.array_equal(ab.meet().mat, np.diag([1.0, 0, 0, 0]))
+    assert ab.weight(phi) == state_eval(phi, ab.meet()) == 0.4
+    meet = ab.meet()
+    assert PairProduct(a, meet).order_residual == 0.0  # A ^ B <= A
+    assert PairProduct(meet, a).order_residual > 0.5  # A is not below A ^ B
+    for p, q in ((meet, a), (a, meet), (a, b), (b, b)):
+        assert is_subprojection(p, q) == (PairProduct(q, p).order_residual <= TOL.proj)
+
+
+EMBEDDINGS = [((2, 2, 2), (2, 0)), ((2, 3, 2), (1,)), ((2,) * 5, (4, 1, 2)), ((3, 2), (0, 1))]
+
+
+@pytest.mark.parametrize("dims, acting", EMBEDDINGS)
+def test_embedded_projection_is_the_validated_embedding(dims, acting):
+    rng = np.random.default_rng(len(dims) + 10 * len(acting))
+    d_act = int(np.prod([dims[i] for i in acting]))
+    for rank in range(d_act + 1):
+        m = la.haar_projection(d_act, rank, rng) if rank else np.zeros((d_act, d_act))
+        # an exactly Hermitian input and one hermitized on validation
+        g = rng.standard_normal((d_act, d_act)) + 1j * rng.standard_normal((d_act, d_act))
+        for mat in (m, m + 1e-13 * g):
+            local = Projection(mat)
+            emb = local.embedded(dims, acting)
+            ref = Projection(la.embed_factor(mat, dims, acting))
+            assert np.array_equal(emb.mat, ref.mat)
+            assert emb.rank == ref.rank == rank * int(np.prod(dims)) // d_act
+            assert not emb.mat.flags.writeable
+
+
+def _local_rejects(d_act):
+    """Inputs refused for idempotence, for the spectrum, and for symmetry."""
+    v = np.full(d_act, 1.0 / np.sqrt(d_act))
+    half = np.zeros((d_act, d_act))
+    half[0, 0], half[1, 1] = 1.0, 0.5
+    skew = np.zeros((d_act, d_act), dtype=complex)
+    skew[0, 0], skew[0, 1] = 1.0, 1e-6
+    # 3e-9 |v><v|: every defect entry is below tol_proj, the eigenvalue 3e-9 is not
+    return [half, 3e-9 * np.outer(v, v), skew]
+
+
+@pytest.mark.parametrize("dims, acting", EMBEDDINGS)
+def test_embedding_refuses_what_the_local_validation_refuses(dims, acting):
+    d_act = int(np.prod([dims[i] for i in acting]))
+    messages = []
+    for mat in _local_rejects(d_act):
+        with pytest.raises(ValidationError) as local:
+            Projection(mat)
+        with pytest.raises(ValidationError) as full:
+            Projection(la.embed_factor(mat, dims, acting))
+        assert type(local.value) is type(full.value)
+        assert str(local.value) == str(full.value)
+        messages.append(str(local.value))
+    assert "idempotent" in messages[0]
+    assert "spectrum" in messages[1]
+    assert "self-adjoint" in messages[2]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccbench import DensityState, MatrixAlgebra, geometry as geo, toynet
+from ccbench import DensityState, MatrixAlgebra, Projection, geometry as geo, toynet
 from ccbench import _linalg as la
 from ccbench.cli import main as cli_main
 from ccbench.errors import (
@@ -520,6 +520,44 @@ def test_demo_evolves_on_light_cone_supports_without_a_dense_evolution(monkeypat
         p_loc = la.partial_trace(heis, dims, sites) / 2 ** (net.n_sites - len(sites))
         expected = la.dagger(u2) @ la.embed_factor(p_loc, dims, sites) @ u2
         assert np.max(np.abs(p.mat - expected)) < 1e-12
+
+
+def test_full_row_demo_validates_candidates_on_their_support(monkeypatch):
+    # D1 = [1, 2] and D2 = [5, 6] at step 2 snap to the whole step-0 row:
+    # find_strong_cc then uses the state and the meet as they are, and each
+    # candidate is validated on its light-cone support and embedded. The
+    # only 2^n validations are demo_state's, each attempt's meet and the
+    # embedded cause
+    net = build_net(8, "random", seed=0)
+    full = 2**net.n_sites
+    counts = {"eigvalsh": [], "Projection": [], "DensityState": []}
+
+    def counting(name, original):
+        def wrapper(*args):
+            mat = args[-1]
+            counts[name].append(np.shape(mat)[0])
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    for cls in (Projection, DensityState):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    demo = weak_rccp_demo(net, demo_state(net, seed=0), SliceCone(2, 1, 2), SliceCone(2, 5, 6))
+    monkeypatch.undo()
+
+    assert demo.lattice_sites == (0, net.n_sites - 1)
+    assert demo.certificate.verified and demo.certificate.is_strong
+    assert counts["eigvalsh"].count(full) == 1
+    assert counts["DensityState"].count(full) == 1
+    assert counts["Projection"].count(full) == demo.attempts + 1
+    local = [d for d in counts["Projection"] if d < full]
+    assert len(local) == 2 * demo.attempts
+    # the trusted embedding gives what validating at 2^n would
+    for p in (demo.a, demo.b):
+        ref = Projection(p.mat)
+        assert ref.rank == p.rank
+        assert np.array_equal(ref.mat, p.mat)
 
 
 def test_demo_refuses_nets_above_the_dense_limit():
