@@ -7,8 +7,9 @@ qprob. Kept private: the public API is the qprob module.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg.lapack
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InternalInconsistencyError
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -63,6 +64,27 @@ def eig_groups(w_ascending: np.ndarray, gap: float = 1e-8) -> list[list[int]]:
         else:
             groups.append([i])
     return groups
+
+
+def range_basis(p: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal columns spanning the range of a projection of known rank.
+
+    Pivoted Cholesky (LAPACK xPSTRF; Hammarling, Higham & Lucas, LNCS 4699,
+    2007) picks ``rank`` columns of P that span its range, and a thin QR
+    orthonormalizes them: no eigendecomposition of P. After j < rank pivots
+    the Schur complement is the projection onto the rest of the range, of
+    rank ``rank`` - j, so its largest diagonal entry is at least
+    (rank - j)/N; after ``rank`` pivots it vanishes up to rounding. The
+    stopping tolerance 1/(2N) therefore ends the factorization at exactly
+    ``rank`` pivots, and any other count is an inconsistency.
+    """
+    _, piv, found, info = scipy.linalg.lapack.zpstrf(p, tol=0.5 / p.shape[0])
+    if info < 0 or found != rank:
+        raise InternalInconsistencyError(
+            f"pivoted Cholesky found rank {found} for a projection of rank {rank}"
+        )
+    q, _ = np.linalg.qr(p[:, piv[:rank] - 1])
+    return q
 
 
 def span_project(p_cols: np.ndarray) -> np.ndarray:

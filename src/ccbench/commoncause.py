@@ -498,6 +498,12 @@ def synthesize_subprojection(
     eigenvectors of the crossing step, so φ(C) lands on r up to rounding.
     Raises Infeasible when r lies outside every achievable rank interval,
     which is the finite-dimensional obstruction to the construction.
+
+    Any orthonormal basis of range(P) will do, so it comes from
+    ``la.range_basis`` (pivoted Cholesky and a thin QR, O(N²m) for rank m)
+    rather than an N × N eigendecomposition; the only eigendecomposition is
+    of the m × m compressed state. The cause's columns W are checked to lie
+    in range(P), ‖PW − W‖_F ≤ tol_proj, in O(N²k) for rank k.
     """
     if not phi.faithful:
         raise NotFaithfulError(
@@ -510,8 +516,7 @@ def synthesize_subprojection(
     m = p.rank
     if m == 0:
         raise TargetRangeError("P is the zero projection")
-    w, vecs = np.linalg.eigh(la.hermitize(p.mat))
-    basis = vecs[:, w >= 0.5]
+    basis = la.range_basis(p.mat, m)
     compressed = la.hermitize(la.dagger(basis) @ phi.mat @ basis)
     mu, emb = la.eigh_desc(compressed)
     max_rank = m - 1 if strict else m
@@ -547,8 +552,13 @@ def synthesize_subprojection(
         i, j, sin2 = partial
         sin2 = min(max(sin2, 0.0), 1.0)
         cols.append(np.sqrt(1.0 - sin2) * emb[:, i] + np.sqrt(sin2) * emb[:, j])
-    local = np.stack(cols, axis=1)
-    c = Projection.from_span(basis @ local)
+    span = basis @ np.stack(cols, axis=1)
+    outside = la.frob(p.mat @ span - span)
+    if outside > TOL.proj:
+        raise InternalInconsistencyError(
+            f"synthesized cause leaves range(P) (‖PW − W‖_F = {outside:.3e})"
+        )
+    c = Projection.from_span(span)
     achieved = state_eval(phi, c)
     if abs(achieved - r) > TOL.synth:
         raise InternalInconsistencyError(
@@ -578,8 +588,15 @@ def find_strong_cc(
     are compressed to the acting factors, and the resulting local
     projection is embedded back, so the cause is an element of the algebra
     (used for spacetime-localized causes). A plain factor on every tensor
-    factor compresses by the identity map, so it takes the state and the
-    validated meet as they are.
+    factor is the full matrix algebra: A and B lie in it and compression is
+    the identity map, so the state and the validated meet are taken as they
+    are and the synthesized cause is returned as it is. A plain factor on
+    fewer factors embeds the local cause by the trusted
+    ``Projection.embedded``; only under a unitary, whose unitarity is
+    checked to 1e-9 alone, is the embedded cause validated again. Nothing of size N is eigendecomposed: the synthesis
+    takes its basis by pivoted Cholesky, the state was accepted by one
+    Cholesky, and a cause of rank k <= N/2 from the synthesis is multiplied
+    in O(N²k) (``PairProduct``).
     """
     if not phi.faithful:
         raise NotFaithfulError(
@@ -596,18 +613,23 @@ def find_strong_cc(
     if algebra is None:
         c = synthesize_subprojection(phi, meet, rv.r, strict=True)
     else:
-        if algebra.structure is None:
+        s = algebra.structure
+        if s is None:
             raise StructureError("localized synthesis needs a factor algebra")
-        for name, x in (("A", a), ("B", b)):
-            if not algebra.contains(x.mat):
-                raise StructureError(f"projection {name} is not in the given algebra")
-        if algebra.unitary is None and not algebra.structure.rest:
-            local_meet, local_state = meet, phi
+        plain = algebra.unitary is None
+        if plain and not s.rest:
+            c = synthesize_subprojection(phi, meet, rv.r, strict=True)
         else:
-            local_meet = Projection(algebra.compress(meet.mat) / algebra.structure.rest_dim)
+            for name, x in (("A", a), ("B", b)):
+                if not algebra.contains(x.mat):
+                    raise StructureError(f"projection {name} is not in the given algebra")
+            local_meet = Projection(algebra.compress(meet.mat) / s.rest_dim)
             local_state = DensityState(algebra.compress(phi.mat))
-        c_local = synthesize_subprojection(local_state, local_meet, rv.r, strict=True)
-        c = Projection(algebra.embed(c_local.mat))
+            c_local = synthesize_subprojection(local_state, local_meet, rv.r, strict=True)
+            if plain:
+                c = c_local.embedded(s.dims, s.acting)
+            else:
+                c = Projection(algebra.embed(c_local.mat))
     cert = _verify_with_meet(phi, a, b, meet, c)
     if localization is not None:
         cert = replace(cert, localization=localization)
@@ -700,7 +722,7 @@ def search_genuine_cc(
     comm = MatrixAlgebra.from_generators([a.mat, b.mat]).commutant()
     herm = comm.hermitian_basis
     n_par = herm.shape[0]
-    rho = phi.mat
+    rho_conj = np.conj(phi.mat)  # ρᵀ, as ρ is exactly Hermitian
     amat, bmat = a.mat, b.mat
     ab = pair.mat
     dim = a.dim
@@ -708,7 +730,7 @@ def search_genuine_cc(
     margin_floor = 1e-6
 
     def weight(x):
-        return float(np.real(np.sum(rho.T * x)))
+        return float(np.real(np.sum(rho_conj * x)))
 
     w_ab, w_a, w_b = weight(ab), weight(amat), weight(bmat)
 

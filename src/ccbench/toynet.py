@@ -18,8 +18,9 @@ their backward light cones, and synthesize a verified common cause inside
 that region's algebra. The checks and the demonstration evolve operators
 by one light-cone kernel, which carries an operator's support through the
 gates touching it. The demonstration validates each candidate projection on
-that support and embeds it once, trusted; the 2^n validations left are of
-the state, the meet of each candidate pair and the embedded cause.
+that support and embeds it once, trusted; the 2^n validation left is of the
+meet of each candidate pair. The state is accepted by one Cholesky
+factorization, and no 2^n matrix is eigendecomposed.
 """
 
 from __future__ import annotations
@@ -503,12 +504,15 @@ def weak_rccp_demo(
     step 0, by ``_relative_image`` on its light-cone support; no U(k) is
     built. A candidate is validated there, at 2^|support|, and embedded by
     the trusted ``Projection.embedded``, which gives the verdict, rank and
-    matrix a 2^n validation would. The 2^n validations left are the state
-    (built by the caller), the meet of each candidate pair and the embedded
-    cause; when the step-0 row covers the chain, ``find_strong_cc`` uses
-    the state and the meet as they are instead of compressing and
-    validating them again. The state, the candidates and the meet are dense
-    2^n matrices, so nets above DENSE_MAX_SITES are refused.
+    matrix a 2^n validation would. The 2^n validation left is the meet of
+    each candidate pair; the state (built by the caller) is accepted by one
+    Cholesky factorization. When the step-0 row covers the chain,
+    ``find_strong_cc`` uses the state, the meet and the synthesized cause as
+    they are; otherwise it compresses them to the row and embeds the cause
+    by ``Projection.embedded``. No 2^n matrix is eigendecomposed: the cause
+    is synthesized on a pivoted-Cholesky basis of the meet's range. The
+    state, the candidates and the meet are dense 2^n matrices, so nets
+    above DENSE_MAX_SITES are refused.
     """
     cone1 = d1 if isinstance(d1, SliceCone) else _cone_from_region(d1, net.n_sites, net.n_steps)
     cone2 = d2 if isinstance(d2, SliceCone) else _cone_from_region(d2, net.n_sites, net.n_steps)

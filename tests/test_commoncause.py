@@ -42,6 +42,7 @@ from ccbench import commoncause, qprob
 from ccbench.errors import (
     CommutationError,
     InfeasibleError,
+    InternalInconsistencyError,
     NotFaithfulError,
     PreconditionError,
     StructureError,
@@ -358,6 +359,19 @@ def test_synthesis_requires_faithful_state():
     phi = DensityState(np.diag([0.5, 0.5, 0.0, 0.0]))
     with pytest.raises(NotFaithfulError):
         synthesize_subprojection(phi, SYNTH_P, 0.3)
+
+
+def test_synthesis_refuses_a_cause_outside_the_range(monkeypatch):
+    # any orthonormal basis of range(P) will do, but one reaching outside it
+    # leaves the state weight on target, so only the PW = W check sees it:
+    # e1..e3 against range(P) = span(e0, e1, e2), with the walk rotating
+    # into e3 for the target 0.15
+    def skewed(p, rank):
+        return np.eye(p.shape[0], dtype=complex)[:, 1 : rank + 1]
+
+    monkeypatch.setattr(la, "range_basis", skewed)
+    with pytest.raises(InternalInconsistencyError, match="leaves range"):
+        synthesize_subprojection(SYNTH_PHI, SYNTH_P, 0.15)
 
 
 def rank_weight_bounds(phi, p, k):

@@ -98,6 +98,135 @@ def test_faithfulness_flag():
     assert not DensityState(np.diag([1.0, 0.0])).faithful
 
 
+def eigvalsh_verdict(mat):
+    """The eigvalsh-only DensityState check: ("reject", message) or
+    ("accept", least eigenvalue)."""
+    m = la.hermitize(np.asarray(mat, dtype=complex))
+    least = float(np.linalg.eigvalsh(m)[0])
+    if least < -TOL.state:
+        return "reject", f"state has negative eigenvalue {least:.3e}"
+    return "accept", least
+
+
+def state_with_least_eigenvalue(least, dim=6, seed=0):
+    """U diag(λ) U* of trace one whose least eigenvalue is ``least``."""
+    rng = np.random.default_rng(seed)
+    rest = rng.uniform(0.5, 1.5, dim - 1)
+    lam = np.concatenate([[least], (1.0 - least) * rest / rest.sum()])
+    u = la.haar_unitary(dim, rng)
+    return (u * lam) @ la.dagger(u)
+
+
+DELTA = 1e-12
+LEAST_EIGENVALUES = [
+    -2 * TOL.state, -TOL.state - DELTA, -TOL.state + DELTA, 0.0,
+    TOL.faithful_eps - DELTA, TOL.faithful_eps + DELTA, 1e-3,
+]
+
+
+@pytest.mark.parametrize("least", LEAST_EIGENVALUES)
+@pytest.mark.parametrize("dim", [2, 6, 40])
+def test_density_state_verdicts_match_the_eigvalsh_route(least, dim):
+    # the Cholesky route must accept, reject and call faithful exactly as
+    # eigvalsh alone does, with the same messages, on both sides of each
+    # threshold
+    mat = state_with_least_eigenvalue(least, dim)
+    verdict, detail = eigvalsh_verdict(mat)
+    if verdict == "reject":
+        with pytest.raises(ValidationError) as err:
+            DensityState(mat)
+        assert str(err.value) == detail and err.value.invariant == "tol_state"
+        return
+    phi = DensityState(mat)
+    assert phi.faithful == (detail > TOL.faithful_eps)
+    assert phi.min_eigenvalue == detail
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The dimension of each np.linalg.eigvalsh call, in order."""
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(m.shape[0])
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_well_conditioned_state_needs_no_eigendecomposition(eigvalsh_calls):
+    # a Cholesky factorization settles positivity and faithfulness; the
+    # least eigenvalue is computed on first read, and faithful follows the
+    # faithful_eps in force when it is read, not the one of construction
+    mat = state_with_least_eigenvalue(1e-3, 40)
+    calls = eigvalsh_calls
+    phi = DensityState(mat)
+    assert phi.faithful and calls == []
+    with config.temporary(faithful_eps=2e-3):
+        assert not phi.faithful
+    assert calls == [40]
+    with config.temporary(faithful_eps=5e-4):
+        assert phi.faithful
+    assert phi.faithful and calls == [40]
+    assert phi.min_eigenvalue == pytest.approx(1e-3, abs=1e-14)
+
+
+def test_cholesky_route_keeps_its_margin(eigvalsh_calls):
+    # Cholesky accepts only states whose least eigenvalue clears
+    # s0 = max(faithful_eps, −tol_state) by the documented backward-error
+    # bound β = 8N(N+1)u(‖ρ‖_F + |s0|); closer to s0, eigvalsh decides
+    dim, s0 = 40, max(TOL.faithful_eps, -TOL.state)
+    calls = eigvalsh_calls
+    for factor, route in ((0.5, [dim]), (4.0, [])):
+        probe = state_with_least_eigenvalue(s0 + 1e-13, dim)
+        beta = 8 * dim * (dim + 1) * np.finfo(float).eps / 2 * (la.frob(probe) + abs(s0))
+        calls.clear()
+        phi = DensityState(state_with_least_eigenvalue(s0 + factor * beta, dim))
+        assert calls == route
+        assert phi.faithful
+
+
+@pytest.mark.parametrize("dim", [1, 4, 64, 512])
+def test_state_eval_reads_the_conjugate_bit_for_bit(dim):
+    # ρ is exactly Hermitian, so conj(ρ) equals ρᵀ entry for entry and the
+    # expectation is the strided ρᵀ sum to the bit
+    rng = np.random.default_rng(dim)
+    phi = DensityState(la.random_faithful_density(dim, rng))
+    for x in (
+        la.haar_projection(dim, max(1, dim // 2), rng),
+        la.hermitize(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))),
+    ):
+        assert state_eval(phi, x) == float(complex(np.sum(phi.mat.T * x)).real)
+
+
+@st.composite
+def projections_of_every_rank(draw):
+    """A projection of dimension <= 64 and any rank 0 < k <= N: Haar, on
+    leading coordinates, or on scattered coordinates."""
+    dim = draw(st.integers(1, 64))
+    rank = draw(st.integers(1, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["haar", "diagonal", "permuted"]))
+    if kind == "haar":
+        return la.haar_projection(dim, rank, rng), rank
+    on = np.arange(dim) < rank
+    if kind == "permuted":
+        on = rng.permutation(on)
+    return np.diag(on.astype(complex)), rank
+
+
+@given(projections_of_every_rank())
+@settings(max_examples=150, deadline=None)
+def test_range_basis_spans_the_projection(case):
+    p, rank = case
+    q = la.range_basis(p, rank)
+    assert q.shape == (p.shape[0], rank)
+    assert la.frob(la.dagger(q) @ q - np.eye(rank)) <= 1e-12
+    assert la.frob(q @ la.dagger(q) - p) <= 1e-12
+
+
 def test_projection_from_span():
     v = np.array([1.0, 0.0, 1.0]).astype(complex) / np.sqrt(2.0)
     p = Projection.from_span(v[:, None])
@@ -266,11 +395,26 @@ def test_subprojection_order():
 @st.composite
 def hermitian_pairs(draw):
     """Two Hermitian operators: a commuting pair (one eigenbasis, eigenvalues
-    repeated or not) perturbed by 0, 1e-12 or 1e-8, or an unrelated pair."""
+    repeated or not) perturbed by 0, 1e-12 or 1e-8, or an unrelated pair.
+    The second may be a ``from_span`` projection of any rank, onto
+    eigenvectors of the first (so commuting) up to the same perturbation,
+    or onto Haar columns."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(2, 8))
     scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["commuting", "unrelated", "span"]))
+    if kind == "span":
+        u = la.haar_unitary(dim, rng)
+        x = (u * rng.integers(-2, 3, dim)) @ la.dagger(u)
+        rank = draw(st.integers(1, dim))
+        if draw(st.booleans()):
+            g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+            eps = draw(st.sampled_from([0.0, 1e-12, 1e-8]))
+            cols, _ = np.linalg.qr(u[:, rng.permutation(dim)[:rank]] + eps * g)
+        else:
+            cols = la.haar_unitary(dim, rng)[:, :rank]
+        return HermitianOperator(scale * la.hermitize(x)), Projection.from_span(cols)
+    if kind == "commuting":
         u = la.haar_unitary(dim, rng)
         x, y = ((u * rng.integers(-2, 3, dim)) @ la.dagger(u) for _ in range(2))
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -289,8 +433,12 @@ def test_pair_product_commutator_norm_matches_two_products(pair):
     x, y = pair
     ref = la.comm_residual(x.mat, y.mat)
     prod = PairProduct(x, y)
-    assert np.array_equal(prod.mat, x.mat @ y.mat)
     bound = 1e-12 * (1.0 + la.frob(x.mat) * la.frob(y.mat))
+    if isinstance(y, Projection) and 2 * y.rank <= y.dim:
+        # a span of at most half the dimension is multiplied as (XW)W*
+        assert la.frob(prod.mat - x.mat @ y.mat) <= bound
+    else:
+        assert np.array_equal(prod.mat, x.mat @ y.mat)
     assert abs(prod.commutator_norm - ref) <= bound
     if ref > TOL.comm:
         with pytest.raises(CommutationError, match="X and Y do not commute"):

@@ -524,13 +524,14 @@ def test_demo_evolves_on_light_cone_supports_without_a_dense_evolution(monkeypat
 
 def test_full_row_demo_validates_candidates_on_their_support(monkeypatch):
     # D1 = [1, 2] and D2 = [5, 6] at step 2 snap to the whole step-0 row:
-    # find_strong_cc then uses the state and the meet as they are, and each
-    # candidate is validated on its light-cone support and embedded. The
-    # only 2^n validations are demo_state's, each attempt's meet and the
-    # embedded cause
+    # find_strong_cc then uses the state, the meet and the synthesized cause
+    # as they are, and each candidate is validated on its light-cone support
+    # and embedded. The only 2^n Projection validations are each attempt's
+    # meet; demo_state's state is accepted by a Cholesky factorization, and
+    # nothing of size 2^n is eigendecomposed
     net = build_net(8, "random", seed=0)
     full = 2**net.n_sites
-    counts = {"eigvalsh": [], "Projection": [], "DensityState": []}
+    counts = {"eigvalsh": [], "eigh": [], "Projection": [], "DensityState": []}
 
     def counting(name, original):
         def wrapper(*args):
@@ -540,7 +541,8 @@ def test_full_row_demo_validates_candidates_on_their_support(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     for cls in (Projection, DensityState):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
     demo = weak_rccp_demo(net, demo_state(net, seed=0), SliceCone(2, 1, 2), SliceCone(2, 5, 6))
@@ -548,9 +550,10 @@ def test_full_row_demo_validates_candidates_on_their_support(monkeypatch):
 
     assert demo.lattice_sites == (0, net.n_sites - 1)
     assert demo.certificate.verified and demo.certificate.is_strong
-    assert counts["eigvalsh"].count(full) == 1
+    assert counts["eigvalsh"].count(full) == 0
+    assert counts["eigh"].count(full) == 0
     assert counts["DensityState"].count(full) == 1
-    assert counts["Projection"].count(full) == demo.attempts + 1
+    assert counts["Projection"].count(full) == demo.attempts
     local = [d for d in counts["Projection"] if d < full]
     assert len(local) == 2 * demo.attempts
     # the trusted embedding gives what validating at 2^n would
@@ -558,6 +561,46 @@ def test_full_row_demo_validates_candidates_on_their_support(monkeypatch):
         ref = Projection(p.mat)
         assert ref.rank == p.rank
         assert np.array_equal(ref.mat, p.mat)
+
+
+def test_nine_site_demo_builds_its_cause_without_a_full_eigendecomposition(monkeypatch):
+    # net-cause's 9-site op: the cause is synthesized on the full step-0
+    # row from a pivoted-Cholesky basis, the state is accepted by Cholesky,
+    # and nothing of size 2^9 is eigendecomposed; the cause is then checked
+    # against dense products formed here
+    net = build_net(9, "random", seed=0, n_steps=3)
+    full = 2**net.n_sites
+    sizes = []
+
+    def counting(original):
+        def wrapper(m, *args, **kwargs):
+            sizes.append(np.shape(m)[0])
+            return original(m, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    phi = demo_state(net, seed=0)
+    demo = weak_rccp_demo(net, phi, SliceCone(2, 1, 2), SliceCone(2, 6, 7))
+    monkeypatch.undo()
+
+    assert full not in sizes
+    assert demo.lattice_sites == (0, net.n_sites - 1)
+    cert = demo.certificate
+    assert cert.verified and cert.is_strong and cert.cause.rank == 1
+    rho, a, b, c = phi.mat, demo.a.mat, demo.b.mat, cert.cause.mat
+
+    def weight(x):
+        return np.trace(rho @ x).real
+
+    ab = a @ b
+    r = (weight(ab) - weight(a) * weight(b)) / (1.0 - weight(a) - weight(b) + weight(ab))
+    assert np.linalg.norm(c @ c - c) <= 1e-12
+    assert np.linalg.norm(ab @ c - c) <= 1e-10  # C <= AB
+    assert np.linalg.norm(c @ a - a @ c) <= 1e-10
+    assert np.linalg.norm(c @ b - b @ c) <= 1e-10
+    assert weight(c) == pytest.approx(r, abs=1e-10)
 
 
 def test_demo_refuses_nets_above_the_dense_limit():
