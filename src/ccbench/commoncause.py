@@ -351,14 +351,17 @@ def quantum_verify_cc(
     products.
     """
     meet = PairProduct(a, b).require_commuting("A and B").meet()
-    return _verify_with_meet(phi, a, b, meet, c)
+    totals = (state_eval(phi, meet), state_eval(phi, a), state_eval(phi, b))
+    return _verify_with_meet(phi, a, b, meet, c, totals)
 
 
 def _verify_with_meet(
-    phi: DensityState, a: Projection, b: Projection, ab: Projection, c: Projection
+    phi: DensityState, a: Projection, b: Projection, ab: Projection, c: Projection,
+    totals: tuple[float, float, float],
 ) -> CommonCauseCertificate:
     """The certificate of ``quantum_verify_cc`` for a pair already checked to
-    commute, given its meet ab = AB; C is checked against A and B here."""
+    commute, given its meet ab = AB and ``totals`` = (φ(AB), φ(A), φ(B)),
+    which the caller has evaluated; C is checked against A and B here."""
     on_a = PairProduct(a, c).require_commuting("C and A")
     on_b = PairProduct(b, c).require_commuting("C and B")
     pc = state_eval(phi, c)
@@ -366,7 +369,6 @@ def _verify_with_meet(
     if pc <= TOL.cc or pcp <= TOL.cc:
         raise ZeroConditioningError(f"conditioning weight φ(C) = {pc:.3g} is degenerate")
     on_ab = PairProduct(ab, c)
-    totals = [state_eval(phi, x) for x in (ab, a, b)]
     on_c = [xc.weight(phi) for xc in (on_ab, on_a, on_b)]
     s_c, s_cp, m_a, m_b = _four_conditions(
         *(w / pc for w in on_c), *((t - w) / pcp for t, w in zip(totals, on_c))
@@ -587,16 +589,16 @@ def find_strong_cc(
     ``algebra`` given, the synthesis runs inside it: the state and the meet
     are compressed to the acting factors, and the resulting local
     projection is embedded back, so the cause is an element of the algebra
-    (used for spacetime-localized causes). A plain factor on every tensor
-    factor is the full matrix algebra: A and B lie in it and compression is
-    the identity map, so the state and the validated meet are taken as they
-    are and the synthesized cause is returned as it is. A plain factor on
-    fewer factors embeds the local cause by the trusted
-    ``Projection.embedded``; only under a unitary, whose unitarity is
-    checked to 1e-9 alone, is the embedded cause validated again. Nothing of size N is eigendecomposed: the synthesis
-    takes its basis by pivoted Cholesky, the state was accepted by one
-    Cholesky, and a cause of rank k <= N/2 from the synthesis is multiplied
-    in O(N²k) (``PairProduct``).
+    (used for spacetime-localized causes). A factor on every tensor factor
+    is the full matrix algebra: A and B lie in it and compression is the
+    identity map, so the state and the validated meet are taken as they are
+    and the synthesized cause is returned as it is. A factor on fewer
+    factors must hold A and B; the local cause is embedded by the trusted
+    ``Projection.embedded``. Nothing of size N is eigendecomposed: the
+    synthesis takes its basis by pivoted Cholesky, the state was accepted
+    by one Cholesky, and a cause of rank k <= N/2 from the synthesis is
+    multiplied in O(N²k) (``PairProduct``). φ(A), φ(B) and φ(A^B) are
+    evaluated once, for the r-value and the verification.
     """
     if not phi.faithful:
         raise NotFaithfulError(
@@ -610,27 +612,20 @@ def find_strong_cc(
             f"φ(A) and φ(B) (got {pab:.6g} vs {pa:.6g}, {pb:.6g})"
         )
     rv = _r_value(pa, pb, pab)
-    if algebra is None:
+    s = None if algebra is None else algebra.structure
+    if algebra is not None and s is None:
+        raise StructureError("localized synthesis needs a factor algebra")
+    if s is None or not s.rest:
         c = synthesize_subprojection(phi, meet, rv.r, strict=True)
     else:
-        s = algebra.structure
-        if s is None:
-            raise StructureError("localized synthesis needs a factor algebra")
-        plain = algebra.unitary is None
-        if plain and not s.rest:
-            c = synthesize_subprojection(phi, meet, rv.r, strict=True)
-        else:
-            for name, x in (("A", a), ("B", b)):
-                if not algebra.contains(x.mat):
-                    raise StructureError(f"projection {name} is not in the given algebra")
-            local_meet = Projection(algebra.compress(meet.mat) / s.rest_dim)
-            local_state = DensityState(algebra.compress(phi.mat))
-            c_local = synthesize_subprojection(local_state, local_meet, rv.r, strict=True)
-            if plain:
-                c = c_local.embedded(s.dims, s.acting)
-            else:
-                c = Projection(algebra.embed(c_local.mat))
-    cert = _verify_with_meet(phi, a, b, meet, c)
+        for name, x in (("A", a), ("B", b)):
+            if not algebra.contains(x.mat):
+                raise StructureError(f"projection {name} is not in the given algebra")
+        local_meet = Projection(algebra.compress(meet.mat) / s.rest_dim)
+        local_state = DensityState(algebra.compress(phi.mat))
+        c_local = synthesize_subprojection(local_state, local_meet, rv.r, strict=True)
+        c = c_local.embedded(s.dims, s.acting)
+    cert = _verify_with_meet(phi, a, b, meet, c, (pab, pa, pb))
     if localization is not None:
         cert = replace(cert, localization=localization)
     if not cert.verified or not cert.is_strong:
@@ -659,7 +654,8 @@ def find_multiple_strong_cc(
         raise TargetRangeError("count must be nonnegative")
     rng = np.random.default_rng(seed)
     ab = PairProduct(a, b).require_commuting("A and B")
-    rv = _r_value(state_eval(phi, a), state_eval(phi, b), ab.weight(phi))
+    pa, pb, pab = state_eval(phi, a), state_eval(phi, b), ab.weight(phi)
+    rv = _r_value(pa, pb, pab)
     meet = ab.meet()
     if meet.rank <= 1:
         warnings.warn("meet has rank <= 1; no strict subprojections exist")
@@ -681,7 +677,7 @@ def find_multiple_strong_cc(
         except InfeasibleError:
             continue
         if all(np.linalg.norm(c.mat - prev.mat, 2) > 1e-6 for prev in causes):
-            cert = _verify_with_meet(phi, a, b, meet, c)
+            cert = _verify_with_meet(phi, a, b, meet, c, (pab, pa, pb))
             if cert.verified and cert.is_strong:
                 causes.append(c)
     if len(causes) < count:

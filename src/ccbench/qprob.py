@@ -415,15 +415,15 @@ class MatrixAlgebra:
 
     * explicit: a trace-orthonormal basis is stored (word closure of the
       generators).
-    * factor: U (full matrix algebra on a subset of tensor factors) U* for a
-      unitary U, which a plain factor does not carry (``unitary`` is None).
-      Two maps connect it to the acting factors: ``compress`` is the partial
-      trace of U* m U and ``embed`` is U embed(x) U*. Basis, conditional
-      expectation and random projections go through them, so nothing of size
-      (acting_dim * rest_dim)^2 x basis_count is ever materialized.
+    * factor: the full matrix algebra on a subset of tensor factors,
+      identity elsewhere. Two maps connect it to the acting factors:
+      ``compress`` is the partial trace and ``embed`` is x ⊗ I. Basis,
+      conditional expectation and random projections go through them, so
+      nothing of size (acting_dim * rest_dim)^2 x basis_count is ever
+      materialized.
     """
 
-    def __init__(self, dim, generators=None, basis=None, structure=None, unitary=None):
+    def __init__(self, dim, generators=None, basis=None, structure=None):
         self.dim = int(dim)
         # None only for factor algebras, which embed theirs on first read
         self._generators = (
@@ -431,20 +431,15 @@ class MatrixAlgebra:
         )
         self._basis = basis  # ndarray (k, d, d) for explicit algebras
         self.structure: FactorStructure | None = structure
-        self.unitary: np.ndarray | None = unitary
 
     @property
     def generators(self) -> list[np.ndarray]:
-        """Dense generators. A factor algebra builds them on first read: its
-        embedded local generators, conjugated by ``unitary`` if it has one."""
+        """Dense generators. A factor algebra embeds its local generators on
+        first read."""
         if self._generators is None:
             s = self.structure
             gens = [la.embed_factor(x, s.dims, (i,)) for i, x in s.local_generators()]
-            gens = gens or [np.eye(self.dim, dtype=complex)]
-            if self.unitary is not None:
-                ud = la.dagger(self.unitary)
-                gens = [self.unitary @ g @ ud for g in gens]
-            self._generators = gens
+            self._generators = gens or [np.eye(self.dim, dtype=complex)]
         return self._generators
 
     # -- constructors -------------------------------------------------------
@@ -496,46 +491,43 @@ class MatrixAlgebra:
         return cls(int(np.prod(dims)), structure=FactorStructure(dims, acting))
 
     def conjugated_by(self, u: np.ndarray) -> "MatrixAlgebra":
-        """The algebra U N U* (U validated unitary).
+        """The explicit algebra U N U* (U validated unitary).
 
-        A factor carrying U0 becomes a factor carrying U U0 (its generators
-        are built from that on first read); an explicit algebra's generators
-        and basis are conjugated element by element.
+        Its generators are U g U* and its basis U b U* for each element b of
+        ``basis_iter()``. A factor is expanded to that basis, so factors
+        above the explicit closure limit are refused.
         """
         u = la.as_square(u)
         la.check_same_dim(u, np.empty((self.dim, self.dim)))
         if la.frob(u @ la.dagger(u) - np.eye(self.dim)) > 1e-9:
             raise ValidationError("conjugation matrix is not unitary", invariant="unitary")
-        if self.structure is not None:
-            total = u if self.unitary is None else u @ self.unitary
-            return MatrixAlgebra(self.dim, structure=self.structure, unitary=total)
+        if self.structure is not None and self.dim > _EXPLICIT_CLOSURE_MAX_DIM:
+            raise StructureError(
+                f"conjugating a factor of dim {self.dim} needs its explicit basis, "
+                f"limited to dim <= {_EXPLICIT_CLOSURE_MAX_DIM}"
+            )
         ud = la.dagger(u)
         return MatrixAlgebra(
             self.dim,
             [u @ g @ ud for g in self.generators],
-            basis=np.array([u @ b @ ud for b in self._basis]),
+            basis=np.array([u @ b @ ud for b in self.basis_iter()]),
         )
 
     # -- factor maps ---------------------------------------------------------
 
     def compress(self, m: np.ndarray) -> np.ndarray:
-        """Factor algebras: the partial trace of U* m U onto the acting factors."""
+        """Factor algebras: the partial trace of m onto the acting factors."""
         s = self.structure
         if s is None:
             raise StructureError("compression requires factor structure")
-        if self.unitary is not None:
-            m = la.dagger(self.unitary) @ m @ self.unitary
         return la.partial_trace(m, s.dims, s.acting)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        """Factor algebras: U embed(x) U* for an operator x on the acting factors."""
+        """Factor algebras: x ⊗ I for an operator x on the acting factors."""
         s = self.structure
         if s is None:
             raise StructureError("embedding requires factor structure")
-        out = la.embed_factor(x, s.dims, s.acting)
-        if self.unitary is not None:
-            out = self.unitary @ out @ la.dagger(self.unitary)
-        return out
+        return la.embed_factor(x, s.dims, s.acting)
 
     # -- basis access --------------------------------------------------------
 
@@ -610,8 +602,7 @@ class MatrixAlgebra:
                 np.eye(self.dim, dtype=complex).reshape(1, self.dim, self.dim)
                 / np.sqrt(self.dim)
             )
-        comm = MatrixAlgebra.tensor_factor(s.dims, s.rest)
-        return comm if self.unitary is None else comm.conjugated_by(self.unitary)
+        return MatrixAlgebra.tensor_factor(s.dims, s.rest)
 
     def random_projection(self, rng: np.random.Generator) -> Projection:
         """A random nonzero projection inside the algebra.
@@ -640,12 +631,7 @@ class MatrixAlgebra:
         return Projection(np.eye(self.dim))  # scalar algebra: identity only
 
     def __repr__(self):
-        if self.structure is None:
-            tag = "explicit"
-        else:
-            tag = f"factor acting={self.structure.acting}"
-            if self.unitary is not None:
-                tag += " under U"
+        tag = "explicit" if self.structure is None else f"factor acting={self.structure.acting}"
         return f"MatrixAlgebra(dim={self.dim}, {tag}, n_basis={self.n_basis})"
 
 
@@ -710,14 +696,9 @@ def conditional_expectation(m, n: MatrixAlgebra) -> HermitianOperator:
 
 
 def _same_split(n1: MatrixAlgebra, n2: MatrixAlgebra) -> bool:
-    """Both algebras are plain factors (no unitary) of one tensor split."""
-    return (
-        n1.structure is not None
-        and n2.structure is not None
-        and n1.unitary is None
-        and n2.unitary is None
-        and n1.structure.dims == n2.structure.dims
-    )
+    """Both algebras are factors of one tensor split."""
+    s1, s2 = n1.structure, n2.structure
+    return s1 is not None and s2 is not None and s1.dims == s2.dims
 
 
 def check_commuting_algebras(n1: MatrixAlgebra, n2: MatrixAlgebra) -> None:

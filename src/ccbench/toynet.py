@@ -5,6 +5,8 @@ on even bonds, even steps on odd bonds), which gives a strict light cone of
 one site per step. The algebra of a base interval [a, b] observed at integer
 step k is the Heisenberg image U(k)* (factors a..b) U(k); site i at step k
 occupies the open spacetime cell t in (k-1/2, k+1/2), x in (i-1/2, i+1/2).
+The package builds it only at step 0, as a plain tensor factor; later
+steps are reached by evolving operators on their light-cone supports.
 
 ``check_axioms`` samples isotony and Einstein causality for
 cell-hull-spacelike regions, both of which a wrong gate placement breaks.
@@ -149,7 +151,9 @@ class NetModel:
         self._evolution = []
 
     def evolution(self, k: int) -> np.ndarray:
-        """U(k) = L_k ... L_1; U(0) = identity. Dense: at most 10 sites."""
+        """U(k) = L_k ... L_1; U(0) = identity. Dense: at most 10 sites.
+        The dense reference: no package path calls it; the tests and the
+        benchmark self-test check the light-cone evolution against it."""
         _require_dense("NetModel.evolution", self.n_sites)
         if not 0 <= k <= self.n_steps:
             raise RegionError(f"step {k} outside the built horizon {self.n_steps}")
@@ -211,22 +215,21 @@ class LocalAlgebra:
 
 
 def region_algebra(net: NetModel, d) -> LocalAlgebra:
-    """Heisenberg algebra U(k)* (factors lo..hi) U(k) of a slice cone.
+    """The algebra of a step-0 slice cone: the plain factor on sites lo..hi.
 
     Accepts a SliceCone or any region whose causal completion is a
-    slice-based double cone (others are off-lattice errors). The assignment
-    depends only on the completion, so a cone and its completion get the
-    same algebra.
+    slice-based double cone (others are off-lattice errors), so a cone and
+    its completion get the same algebra. A cone at a later step raises
+    StructureError: its algebra U(k)* F U(k) is reached by evolving
+    operators on their light-cone supports (``_relative_image``).
     """
     _require_dense("region_algebra", net.n_sites)
     cone = d if isinstance(d, SliceCone) else _cone_from_region(d, net.n_sites, net.n_steps)
-    base = MatrixAlgebra.tensor_factor(
-        (2,) * net.n_sites, tuple(range(cone.lo, cone.hi + 1))
-    )
-    if cone.step == 0:
-        alg = base
-    else:
-        alg = base.conjugated_by(la.dagger(net.evolution(cone.step)))
+    if cone.step != 0:
+        raise StructureError(
+            f"region_algebra builds step-0 rows only; the cone is at step {cone.step}"
+        )
+    alg = MatrixAlgebra.tensor_factor((2,) * net.n_sites, tuple(range(cone.lo, cone.hi + 1)))
     return LocalAlgebra(
         region=cone.diamond(), step=cone.step, sites=(cone.lo, cone.hi), algebra=alg
     )

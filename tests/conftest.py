@@ -4,6 +4,8 @@ Everything here is seeded; tests that need fresh randomness derive their
 own Generator from an explicit seed so failures replay exactly.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from ccbench import DensityState, Projection, state_eval
@@ -49,3 +51,26 @@ def masked_instance(dim: int, rng: np.random.Generator, min_meet_rank: int = 2):
             if corr > 1e-6:
                 return phi, a, b
     return None
+
+
+class HeisenbergAlgebra:
+    """Dense oracle for a net's local algebra at step k: U* F U.
+
+    ``u`` is the dense evolution ``net.evolution(k)`` and ``factor`` the
+    plain tensor factor on the cone's sites. The package builds only the
+    step-0 factor and evolves operators on their light-cone supports; the
+    toy-net tests check that against this 2^n conjugation.
+    """
+
+    def __init__(self, u: np.ndarray, factor):
+        self.u = u
+        self.factor = factor
+        self.n_basis = factor.n_basis
+
+    @cached_property
+    def generators(self) -> list[np.ndarray]:
+        ud = la.dagger(self.u)
+        return [ud @ g @ self.u for g in self.factor.generators]
+
+    def contains(self, m: np.ndarray) -> bool:
+        return self.factor.contains(self.u @ m @ la.dagger(self.u))

@@ -453,9 +453,9 @@ def test_find_strong_cc_localized_in_algebra(conjugate):
     # state = v x I/2 on a 5x2 split; A and B act on the left leg only,
     # with r = (0.5 - 0.68^2) / 0.14 = 0.2686 inside the local rank-1
     # interval [0.2, 0.3], so the localized synthesis must succeed and
-    # the cause must land inside the left-leg algebra. The conjugated copy
-    # rotates the state, A, B and the algebra by one Haar unitary, which
-    # leaves every asserted quantity unchanged.
+    # the cause must land inside the left-leg algebra. Conjugated by a
+    # Haar unitary, the algebra is an explicit basis, and localized
+    # synthesis needs a factor algebra: it is refused.
     v = np.array([0.3, 0.2, 0.18, 0.18, 0.14])
     rho = np.diag(np.kron(v, [0.5, 0.5])).astype(complex)
     alg = MatrixAlgebra.tensor_factor((5, 2), (0,))
@@ -465,6 +465,9 @@ def test_find_strong_cc_localized_in_algebra(conjugate):
         u = la.haar_unitary(10, np.random.default_rng(17))
         rho, a, b = (u @ m @ la.dagger(u) for m in (rho, a, b))
         alg = alg.conjugated_by(u)
+        with pytest.raises(StructureError, match="needs a factor algebra"):
+            find_strong_cc(DensityState(rho), Projection(a), Projection(b), algebra=alg)
+        return
     phi = DensityState(rho)
     cert = find_strong_cc(
         phi, Projection(a), Projection(b), algebra=alg, localization="left factor"
@@ -478,13 +481,17 @@ def test_find_strong_cc_localized_in_algebra(conjugate):
 
 @pytest.mark.parametrize("conjugate", [False, True], ids=["plain", "conjugated"])
 def test_find_strong_cc_in_an_algebra_on_every_factor(monkeypatch, conjugate):
-    # a factor on every tensor factor is the full matrix algebra; a plain
-    # one compresses by the identity, so the state and the meet are used as
-    # they are, but under a unitary they must still be compressed
+    # a factor on every tensor factor is the full matrix algebra; it
+    # compresses by the identity, so the state and the meet are used as
+    # they are. Conjugated, it is an explicit basis, which localized
+    # synthesis refuses
     phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
     alg = MatrixAlgebra.tensor_factor((3, 3), (0, 1))
     if conjugate:
         alg = alg.conjugated_by(la.haar_unitary(9, np.random.default_rng(23)))
+        with pytest.raises(StructureError, match="needs a factor algebra"):
+            find_strong_cc(phi, a, b, algebra=alg)
+        return
     states = []
     real_state = commoncause.DensityState
 
@@ -497,11 +504,10 @@ def test_find_strong_cc_in_an_algebra_on_every_factor(monkeypatch, conjugate):
     monkeypatch.undo()
     assert cert.verified and cert.is_strong
     assert state_eval(phi, cert.cause) == pytest.approx(DIM9_R, abs=1e-10)
-    assert len(states) == (1 if conjugate else 0)
-    if not conjugate:
-        ref = find_strong_cc(phi, a, b)
-        assert np.array_equal(cert.cause.mat, ref.cause.mat)
-        assert dataclasses.replace(cert, cause=ref.cause) == ref
+    assert len(states) == 0
+    ref = find_strong_cc(phi, a, b)
+    assert np.array_equal(cert.cause.mat, ref.cause.mat)
+    assert dataclasses.replace(cert, cause=ref.cause) == ref
 
 
 @pytest.mark.parametrize("localized", [False, True], ids=["global", "localized"])
@@ -547,6 +553,35 @@ def test_find_strong_cc_verifies_with_the_meet_it_built(monkeypatch, localized):
         assert getattr(cert, field.name) == getattr(ref, field.name), field.name
 
 
+def test_find_strong_cc_evaluates_each_event_once(monkeypatch):
+    # φ(A), φ(B) and φ(A^B) feed both the r-value and the four conditions;
+    # each is evaluated once. The algebra acts on one factor, so the
+    # synthesis reads the compressed meet, not the meet itself
+    v = np.array([0.3, 0.2, 0.18, 0.18, 0.14])
+    phi = DensityState(np.diag(np.kron(v, [0.5, 0.5])).astype(complex))
+    a = Projection(la.embed_factor(np.diag([1.0, 1, 1, 0, 0]), (5, 2), (0,)))
+    b = Projection(la.embed_factor(np.diag([1.0, 1, 0, 1, 0]), (5, 2), (0,)))
+    alg = MatrixAlgebra.tensor_factor((5, 2), (0,))
+    real_eval = commoncause.state_eval
+    operands = []
+
+    def counted_eval(state, x):
+        if state is phi:
+            operands.append(x)
+        return real_eval(state, x)
+
+    monkeypatch.setattr(commoncause, "state_eval", counted_eval)
+    cert = find_strong_cc(phi, a, b, algebra=alg)
+    monkeypatch.undo()
+    ref = quantum_verify_cc(phi, a, b, cert.cause)
+    assert sum(x is a for x in operands) == sum(x is b for x in operands) == 1
+    meets = [x for x in operands if x is not a and x is not b and x is not cert.cause]
+    assert len(meets) == 1
+    assert np.array_equal(meets[0].mat, la.hermitize(a.mat @ b.mat))
+    for field in dataclasses.fields(cert):
+        assert getattr(cert, field.name) == getattr(ref, field.name), field.name
+
+
 def test_verification_checks_the_cause_against_both_events():
     # C commutes with B but not with A: the kernel behind find_strong_cc
     # and quantum_verify_cc must refuse it
@@ -557,7 +592,8 @@ def test_verification_checks_the_cause_against_both_events():
     c = Projection(np.outer(v, v))
     assert la.comm_residual(c.mat, b.mat) < 1e-12 < la.comm_residual(c.mat, a.mat)
     with pytest.raises(CommutationError, match="C and A"):
-        commoncause._verify_with_meet(phi, a, b, meet, c)
+        totals = tuple(state_eval(phi, x) for x in (meet, a, b))
+        commoncause._verify_with_meet(phi, a, b, meet, c, totals)
     with pytest.raises(CommutationError, match="C and A"):
         quantum_verify_cc(phi, a, b, c)
 

@@ -28,7 +28,12 @@ from ccbench import (
     state_eval,
 )
 from ccbench import _linalg as la
-from ccbench.errors import CommutationError, DimensionMismatchError, NotProjectionError
+from ccbench.errors import (
+    CommutationError,
+    DimensionMismatchError,
+    NotProjectionError,
+    StructureError,
+)
 from ccbench.config import TOL
 from ccbench.qprob import PAULI_X, FactorStructure, PairProduct
 
@@ -621,22 +626,24 @@ def test_factor_generators_are_built_on_first_read(monkeypatch):
     monkeypatch.setattr(la, "embed_factor", counting)
     dims, acting = (2,) * 6, (1, 2, 4)
     rng = np.random.default_rng(8)
-    u = la.haar_unitary(64, rng)
     m = la.hermitize(rng.standard_normal((64, 64)))
     n = MatrixAlgebra.tensor_factor(dims, acting)
-    nu = n.conjugated_by(u)
     n.compress(m)
-    nu.compress(m)
     assert calls == []
-    # project and contains embed their one compressed result, no generator
+    # project embeds its one compressed result, no generator
     n.project(m)
-    nu.contains(m)
-    assert calls == [acting, acting]
+    assert calls == [acting]
     eager = [real(x, dims, (i,)) for i, x in FactorStructure(dims, acting).local_generators()]
-    assert len(n.generators) == len(nu.generators) == 2 * len(acting)
+    assert len(n.generators) == 2 * len(acting)
     assert all(np.array_equal(g, e) for g, e in zip(n.generators, eager))
-    assert all(np.array_equal(g, u @ e @ la.dagger(u)) for g, e in zip(nu.generators, eager))
-    assert len(calls) == 2 + 2 * 2 * len(acting)  # built once per algebra
+    assert len(calls) == 1 + 2 * len(acting)  # built once
+
+
+def test_conjugating_a_large_factor_is_refused():
+    u = la.haar_unitary(64, np.random.default_rng(2))
+    n = MatrixAlgebra.tensor_factor((2,) * 6, (0, 1))
+    with pytest.raises(StructureError, match="dim 64"):
+        n.conjugated_by(u)
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +799,9 @@ def test_faithful_state_spectrum(dim):
 def test_conjugated_algebra_membership():
     rng = np.random.default_rng(21)
     u = la.haar_unitary(4, rng)
+    # a conjugated factor is expanded to an explicit basis
     n = MatrixAlgebra.tensor_factor((2, 2), (0,)).conjugated_by(u)
+    assert n.structure is None and n.n_basis == 4
     x = u @ np.kron(np.diag([1.0, -1.0]), np.eye(2)) @ la.dagger(u)
     assert n.contains(x)
     assert not n.contains(u @ np.kron(np.eye(2), np.diag([1.0, -1.0])) @ la.dagger(u))

@@ -22,6 +22,7 @@ from ccbench.errors import (
     NotFaithfulError,
     NotUnitaryError,
     RegionError,
+    StructureError,
     ValidationError,
 )
 from ccbench.toynet import (
@@ -34,11 +35,24 @@ from ccbench.toynet import (
     weak_rccp_demo,
 )
 
+from conftest import HeisenbergAlgebra
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def embedded_pauli(net, site):
     return la.embed_factor(SX, (2,) * net.n_sites, (site,))
+
+
+def cone_of(net, region):
+    """The slice cone recovered from a region, as region_algebra recovers it."""
+    return toynet._cone_from_region(region, net.n_sites, net.n_steps)
+
+
+def heisenberg(net, cone):
+    """The dense oracle U(k)* (factors lo..hi) U(k) of a slice cone."""
+    factor = MatrixAlgebra.tensor_factor((2,) * net.n_sites, tuple(range(cone.lo, cone.hi + 1)))
+    return HeisenbergAlgebra(net.evolution(cone.step), factor)
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +73,15 @@ def test_slice_cone_charts():
 def test_region_round_trip_through_geometry():
     net = build_net(5, "swap", n_steps=3)
     cone = SliceCone(2, 1, 3)
-    via_region = region_algebra(net, cone.diamond())
-    assert via_region.step == 2
-    assert via_region.sites == (1, 3)
+    recovered = cone_of(net, cone.diamond())
+    assert (recovered.step, (recovered.lo, recovered.hi)) == (2, (1, 3))
+    assert heisenberg(net, recovered).n_basis == 64
+    # the package builds step-0 rows only
+    with pytest.raises(StructureError, match="step 2"):
+        region_algebra(net, cone.diamond())
+    row = region_algebra(net, SliceCone(0, 1, 3).diamond())
+    assert (row.step, row.sites) == (0, (1, 3))
+    assert row.algebra.structure.acting == (1, 2, 3)
 
 
 def test_off_lattice_regions_rejected():
@@ -75,6 +95,9 @@ def test_off_lattice_regions_rejected():
     too_late = SliceCone(7, 1, 2).diamond()
     with pytest.raises(RegionError, match="horizon"):
         region_algebra(net, too_late)
+    # the geometric errors come before the step-0 refusal
+    with pytest.raises(RegionError, match="outside the chain"):
+        region_algebra(net, SliceCone(2, 3, 6).diamond())
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +224,7 @@ def test_swap_net_streams_single_sites():
     # step 0, shifted two cells along its light ray
     net = build_net(6, "swap", n_steps=4)
     for site, origin in ((2, 0), (3, 5)):
-        alg = region_algebra(net, SliceCone(2, site, site)).algebra
+        alg = heisenberg(net, SliceCone(2, site, site))
         assert alg.n_basis == 4
         homes = [
             s for s in range(6) if alg.contains(embedded_pauli(net, s))
@@ -219,7 +242,6 @@ def test_step_zero_algebra_is_plain_factor():
 
 def test_region_algebra_embeds_its_generators_only_when_read(monkeypatch):
     net = build_net(6, "random", seed=3, n_steps=2)
-    u = la.dagger(net.evolution(2))
     real = la.embed_factor
     calls = []
 
@@ -228,21 +250,19 @@ def test_region_algebra_embeds_its_generators_only_when_read(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(la, "embed_factor", counting)
-    alg = region_algebra(net, SliceCone(2, 1, 3)).algebra
+    alg = region_algebra(net, SliceCone(0, 1, 3)).algebra
     assert calls == []
-    base = MatrixAlgebra.tensor_factor((2,) * 6, (1, 2, 3))
-    eager = [u @ g @ la.dagger(u) for g in base.generators]
-    assert len(calls) == 6
+    eager = [real(x, (2,) * 6, (i,)) for i, x in alg.structure.local_generators()]
     assert all(np.array_equal(g, e) for g, e in zip(alg.generators, eager))
-    assert len(alg.generators) == 6 and len(calls) == 12
+    assert len(alg.generators) == 6 and len(calls) == 6
 
 
 def test_same_step_cones_commute_for_any_gates():
     # both algebras are conjugated by the same evolution, so spacelike
     # separation at equal step reduces to disjoint base intervals
     net = build_net(6, "random", seed=3, n_steps=3)
-    a1 = region_algebra(net, SliceCone(2, 0, 1)).algebra
-    a2 = region_algebra(net, SliceCone(2, 4, 5)).algebra
+    a1 = heisenberg(net, SliceCone(2, 0, 1))
+    a2 = heisenberg(net, SliceCone(2, 4, 5))
     worst = max(
         la.comm_residual(g1, g2) for g1 in a1.generators for g2 in a2.generators
     )
@@ -252,8 +272,8 @@ def test_same_step_cones_commute_for_any_gates():
 def test_primitive_causality_exact():
     net = build_net(5, "random", seed=2, n_steps=3)
     cone = SliceCone(1, 1, 2)
-    direct = region_algebra(net, cone).algebra
-    completed = region_algebra(net, geo.causal_completion(cone.diamond())).algebra
+    direct = heisenberg(net, cone)
+    completed = heisenberg(net, cone_of(net, geo.causal_completion(cone.diamond())))
     assert len(direct.generators) == len(completed.generators)
     assert all(
         np.array_equal(g1, g2)
@@ -282,8 +302,8 @@ def test_axioms_hold_on_brickwork_net():
 def test_long_range_gate_breaks_isotony():
     rng = np.random.default_rng(4)
     bad = NetModel(5, [[((0, 2), la.haar_unitary(4, rng))]], label="corrupt")
-    inner = region_algebra(bad, SliceCone(1, 0, 0)).algebra
-    outer = region_algebra(bad, SliceCone(0, 0, 1)).algebra
+    inner = heisenberg(bad, SliceCone(1, 0, 0))
+    outer = heisenberg(bad, SliceCone(0, 0, 1))
     assert not all(outer.contains(g) for g in inner.generators)
     # the violating configuration is a ~1/60 draw, so sample generously
     report = check_axioms(bad, sample_pairs=300, seed=1)
@@ -292,8 +312,8 @@ def test_long_range_gate_breaks_isotony():
 
 
 def dense_axioms(net, sample_pairs, seed):
-    """The sampled axiom checks through region_algebra generators: the same
-    cone draws as check_axioms, each algebra conjugated by the full U(k)."""
+    """The sampled axiom checks through the dense oracle's generators: the
+    same cone draws as check_axioms, each algebra conjugated by the full U(k)."""
     rng = np.random.default_rng(seed)
     n, max_step = net.n_sites, min(net.n_steps, 3)
 
@@ -304,7 +324,7 @@ def dense_axioms(net, sample_pairs, seed):
         return SliceCone(k, a, min(b, n - 1))
 
     def gens(cone):
-        return region_algebra(net, cone).algebra.generators
+        return heisenberg(net, cone).generators
 
     counts = [0, 0, 0]  # isotony, causality, primitive
     iso_bad, caus_bad, prim_bad, max_comm = [], [], [], 0.0
@@ -314,8 +334,8 @@ def dense_axioms(net, sample_pairs, seed):
         c1 = draw()
         if counts[2] < sample_pairs:
             counts[2] += 1
-            completed = region_algebra(net, geo.causal_completion(c1.diamond())).algebra
-            if not all(np.array_equal(g, h) for g, h in zip(gens(c1), completed.generators)):
+            completed = gens(cone_of(net, geo.causal_completion(c1.diamond())))
+            if not all(np.array_equal(g, h) for g, h in zip(gens(c1), completed)):
                 prim_bad.append(c1)
         if counts[0] < sample_pairs:
             counts[0] += 1
@@ -323,7 +343,7 @@ def dense_axioms(net, sample_pairs, seed):
                 outer = SliceCone(c1.step, int(rng.integers(0, c1.lo + 1)), int(rng.integers(c1.hi, n)))
             else:
                 outer = SliceCone(c1.step - 1, max(0, c1.lo - 1), min(n - 1, c1.hi + 1))
-            big = region_algebra(net, outer).algebra
+            big = heisenberg(net, outer)
             if not all(big.contains(g) for g in gens(c1)):
                 iso_bad.append((c1, outer))
         if counts[1] < sample_pairs:
@@ -440,8 +460,8 @@ def test_three_cell_gate_breaks_causality():
     bad = NetModel(5, [[((0, 3), la.haar_unitary(4, rng))]], label="corrupt")
     c1, c2 = SliceCone(1, 0, 0), SliceCone(0, 3, 3)
     assert geo.spacelike_separated(c1.cell_hull(), c2.cell_hull())
-    a1 = region_algebra(bad, c1).algebra
-    a2 = region_algebra(bad, c2).algebra
+    a1 = heisenberg(bad, c1)
+    a2 = heisenberg(bad, c2)
     worst = max(
         la.comm_residual(g1, g2) for g1 in a1.generators for g2 in a2.generators
     )
