@@ -155,6 +155,24 @@ def embed_factor(x_loc: np.ndarray, dims: tuple[int, ...], acting: tuple[int, ..
     return np.ascontiguousarray(shaped.reshape(d, d))
 
 
+def embed_columns(w_loc: np.ndarray, dims: tuple[int, ...], acting: tuple[int, ...]) -> np.ndarray:
+    """Columns spanning the range of embed_factor(w_loc w_loc*, dims, acting).
+
+    ``w_loc`` has orthonormal columns on the factors ``acting`` (in its own
+    factor order, as in embed_factor); the result is W_loc ⊗ I with its rows
+    in the order of ``dims``, again orthonormal.
+    """
+    n = len(dims)
+    acting = tuple(acting)
+    rest = tuple(i for i in range(n) if i not in acting)
+    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
+    big = np.kron(w_loc, np.eye(d_rest))
+    order = list(acting) + list(rest)
+    shaped = big.reshape([dims[i] for i in order] + [big.shape[1]])
+    shaped = shaped.transpose(list(np.argsort(order)) + [n])
+    return np.ascontiguousarray(shaped.reshape(-1, big.shape[1]))
+
+
 def apply_factor(
     x_loc: np.ndarray, m: np.ndarray, dims: tuple[int, ...], acting: tuple[int, ...]
 ) -> np.ndarray:
@@ -178,9 +196,10 @@ def apply_factor(
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Trace out all factors not in ``keep`` (result ordered as keep, sorted)."""
+    """Trace out all factors not in ``keep``; the result's factors follow
+    ``keep`` as given, which need not be sorted (as in embed_factor)."""
     n = len(dims)
-    keep = tuple(sorted(keep))
+    keep = tuple(keep)
     shaped = m.reshape(list(dims) * 2)
     remaining = list(range(n))
     for i in range(n - 1, -1, -1):
@@ -189,6 +208,8 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -
         pos = remaining.index(i)
         shaped = np.trace(shaped, axis1=pos, axis2=pos + len(remaining))
         remaining.remove(i)
+    perm = [remaining.index(i) for i in keep]
+    shaped = shaped.transpose(perm + [p + len(perm) for p in perm])
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
     return shaped.reshape(d_keep, d_keep)
 

@@ -357,14 +357,17 @@ def quantum_verify_cc(
 
 def _verify_with_meet(
     phi: DensityState, a: Projection, b: Projection, ab: Projection, c: Projection,
-    totals: tuple[float, float, float],
+    totals: tuple[float, float, float], pc: Optional[float] = None,
 ) -> CommonCauseCertificate:
     """The certificate of ``quantum_verify_cc`` for a pair already checked to
     commute, given its meet ab = AB and ``totals`` = (φ(AB), φ(A), φ(B)),
-    which the caller has evaluated; C is checked against A and B here."""
+    which the caller has evaluated, and pc = φ(C) if the caller has it; C is
+    checked against A and B here. A cause that keeps k <= N/2 columns W is
+    read through XW alone (``PairProduct``): no N × N product is formed."""
     on_a = PairProduct(a, c).require_commuting("C and A")
     on_b = PairProduct(b, c).require_commuting("C and B")
-    pc = state_eval(phi, c)
+    if pc is None:
+        pc = state_eval(phi, c)
     pcp = 1.0 - pc
     if pc <= TOL.cc or pcp <= TOL.cc:
         raise ZeroConditioningError(f"conditioning weight φ(C) = {pc:.3g} is degenerate")
@@ -490,8 +493,6 @@ def synthesize_subprojection(
     p: Projection,
     r: float,
     strict: bool = False,
-    _order_rng: Optional[np.random.Generator] = None,
-    _prefer_rank: Optional[int] = None,
 ) -> Projection:
     """A subprojection C <= P with state weight exactly r.
 
@@ -507,12 +508,29 @@ def synthesize_subprojection(
     of the m × m compressed state. The cause's columns W are checked to lie
     in range(P), ‖PW − W‖_F ≤ tol_proj, in O(N²k) for rank k.
     """
+    return _synthesize(phi, p, r, None, strict)[0]
+
+
+def _synthesize(
+    phi: DensityState,
+    p: Projection,
+    r: float,
+    pp: Optional[float],
+    strict: bool = False,
+    order_rng: Optional[np.random.Generator] = None,
+    prefer_rank: Optional[int] = None,
+) -> tuple[Projection, float]:
+    """``synthesize_subprojection``'s kernel: takes pp = φ(P) when the caller
+    has evaluated it (None evaluates it here) and returns (C, φ(C)), so that
+    each weight is evaluated once. ``find_multiple_strong_cc`` varies the
+    causes by ``order_rng`` (the walk's order) and ``prefer_rank``."""
     if not phi.faithful:
         raise NotFaithfulError(
             f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})"
         )
     la.check_same_dim(phi.mat, p.mat)
-    pp = state_eval(phi, p)
+    if pp is None:
+        pp = state_eval(phi, p)
     if not 0.0 < r < pp:
         raise TargetRangeError(f"target r = {r:.15g} outside (0, φ(P) = {pp:.15g})")
     m = p.rank
@@ -527,9 +545,9 @@ def synthesize_subprojection(
             "P has rank 1; its only strict subprojection is 0"
         )
     ranks = list(range(1, max_rank + 1))
-    if _prefer_rank is not None and _prefer_rank in ranks:
-        ranks.remove(_prefer_rank)
-        ranks.insert(0, _prefer_rank)
+    if prefer_rank is not None and prefer_rank in ranks:
+        ranks.remove(prefer_rank)
+        ranks.insert(0, prefer_rank)
     chosen = None
     for k in ranks:
         lo, hi = _rank_interval(mu, k)
@@ -544,7 +562,7 @@ def synthesize_subprojection(
         raise InfeasibleError(
             f"target {r:.6g} lies outside every achievable interval ({intervals})"
         )
-    selected, partial = _walk_selection(mu, chosen, min(r, _rank_interval(mu, chosen)[1]), _order_rng)
+    selected, partial = _walk_selection(mu, chosen, min(r, _rank_interval(mu, chosen)[1]), order_rng)
     cols = []
     for idx in selected:
         if partial is not None and idx == partial[0]:
@@ -566,7 +584,7 @@ def synthesize_subprojection(
         raise InternalInconsistencyError(
             f"synthesized weight {achieved:.15g} misses target {r:.15g}"
         )
-    return c
+    return c, achieved
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +614,12 @@ def find_strong_cc(
     factors must hold A and B; the local cause is embedded by the trusted
     ``Projection.embedded``. Nothing of size N is eigendecomposed: the
     synthesis takes its basis by pivoted Cholesky, the state was accepted
-    by one Cholesky, and a cause of rank k <= N/2 from the synthesis is
-    multiplied in O(N²k) (``PairProduct``). φ(A), φ(B) and φ(A^B) are
-    evaluated once, for the r-value and the verification.
+    by one Cholesky, and a cause of rank k <= N/2 from the synthesis (or
+    its embedding) is verified through XW alone, in O(N²k), with no N × N
+    product (``PairProduct``). The N × N work left is the product AB and
+    the meet's validation, O(N³), and N² weights and compressions. φ(A),
+    φ(B), φ(A^B) and φ(C) are each evaluated once, shared by the r-value,
+    the synthesis and the verification.
     """
     if not phi.faithful:
         raise NotFaithfulError(
@@ -616,16 +637,17 @@ def find_strong_cc(
     if algebra is not None and s is None:
         raise StructureError("localized synthesis needs a factor algebra")
     if s is None or not s.rest:
-        c = synthesize_subprojection(phi, meet, rv.r, strict=True)
+        c, pc = _synthesize(phi, meet, rv.r, pab, strict=True)
     else:
         for name, x in (("A", a), ("B", b)):
             if not algebra.contains(x.mat):
                 raise StructureError(f"projection {name} is not in the given algebra")
         local_meet = Projection(algebra.compress(meet.mat) / s.rest_dim)
         local_state = DensityState(algebra.compress(phi.mat))
-        c_local = synthesize_subprojection(local_state, local_meet, rv.r, strict=True)
-        c = c_local.embedded(s.dims, s.acting)
-    cert = _verify_with_meet(phi, a, b, meet, c, (pab, pa, pb))
+        # the meet lies in the algebra, so its compressed weight is φ(A^B)
+        c_local, _ = _synthesize(local_state, local_meet, rv.r, pab, strict=True)
+        c, pc = c_local.embedded(s.dims, s.acting), None
+    cert = _verify_with_meet(phi, a, b, meet, c, (pab, pa, pb), pc)
     if localization is not None:
         cert = replace(cert, localization=localization)
     if not cert.verified or not cert.is_strong:
@@ -666,18 +688,19 @@ def find_multiple_strong_cc(
     while len(causes) < count and attempts < max(20 * count, 20):
         attempts += 1
         try:
-            c = synthesize_subprojection(
+            c, pc = _synthesize(
                 phi,
                 meet,
                 rv.r,
+                pab,
                 strict=True,
-                _order_rng=rng if attempts > 1 else None,
-                _prefer_rank=next(ranks),
+                order_rng=rng if attempts > 1 else None,
+                prefer_rank=next(ranks),
             )
         except InfeasibleError:
             continue
         if all(np.linalg.norm(c.mat - prev.mat, 2) > 1e-6 for prev in causes):
-            cert = _verify_with_meet(phi, a, b, meet, c, (pab, pa, pb))
+            cert = _verify_with_meet(phi, a, b, meet, c, (pab, pa, pb), pc)
             if cert.verified and cert.is_strong:
                 causes.append(c)
     if len(causes) < count:

@@ -79,8 +79,8 @@ class Projection(HermitianOperator):
     The trusted constructors ``from_span``, ``complement`` and ``embedded``
     (P ⊗ I of a P validated on its factors) skip validation and keep the
     matrix exactly Hermitian, as ``PairProduct`` needs. ``from_span`` also
-    keeps its orthonormal columns W, so ``PairProduct`` can multiply by
-    P = WW* at the cost of W.
+    keeps its orthonormal columns W, and ``embedded`` passes them on as
+    W ⊗ I, so ``PairProduct`` can multiply by P = WW* at the cost of W.
     """
 
     _span: np.ndarray | None = None
@@ -139,11 +139,18 @@ class Projection(HermitianOperator):
         this verdict and this rank times the identity's dimension; and as
         hermitize commutes with the embedding, the matrix is the one
         ``Projection(embed_factor(P, dims, acting))`` would store.
+
+        The 2^n work left is that matrix, O(N²). A projection that keeps
+        its span W (``from_span``), with rank at most half its dimension,
+        passes on W ⊗ I, so that ``PairProduct`` multiplies the embedding
+        at the cost of its columns too.
         """
         q = object.__new__(Projection)
         q._mat = la.embed_factor(self._mat, tuple(dims), tuple(acting))
         q._mat.flags.writeable = False
         q._rank = self._rank * (q.dim // self.dim)
+        if self._span is not None and 2 * self._rank <= self.dim:
+            q._span = la.embed_columns(self._span, tuple(dims), tuple(acting))
         return q
 
     def __repr__(self):
@@ -269,8 +276,15 @@ class PairProduct:
     off the same M: the meet X ^ Y = hermitize(M), its weight, and the
     order test Y <= X.
 
-    When Y is a projection built from k <= N/2 orthonormal columns W
-    (``Projection.from_span``), M is formed as (XW)W*, in O(N²k).
+    When Y is a projection that keeps k <= N/2 orthonormal columns W
+    (``Projection.from_span``, or ``embedded`` from one), only XW is
+    formed, in O(N²k), and everything but the meet is read off it. With
+    Q = I − WW*, [X, WW*] = QXWW* − WW*XQ, two terms of equal norm in
+    orthogonal blocks, so ‖[X, Y]‖_F = √2 ‖XW − W(W*XW)‖_F, exact for
+    Hermitian X (unlike ‖XW‖² − ‖W*XW‖², which cancels at comm_tol's
+    scale). The weight is Re Σ conj(ρW) ⊙ XW = Re tr(ρXY) and the order
+    residual ‖XW − W‖_F / max(1, √k). M = (XW)W*, the one N × N product
+    left, is formed only when ``mat`` or ``meet()`` is read.
     """
 
     def __init__(self, x: HermitianOperator, y: HermitianOperator):
@@ -278,14 +292,23 @@ class PairProduct:
         self.y = y
         w = y._span if isinstance(y, Projection) else None
         if w is not None and 2 * w.shape[1] <= y.dim:
-            self.mat = (x.mat @ w) @ la.dagger(w)
+            self._w, self._xw = w, x.mat @ w
         else:
-            self.mat = x.mat @ y.mat
+            self._w = None
+            self.mat = x.mat @ y.mat  # fills the cached property
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        """M = XY; for a span, (XW)W*, formed on first read."""
+        return self._xw @ la.dagger(self._w)
 
     @property
     def commutator_norm(self) -> float:
-        """‖[X, Y]‖_F = ‖M − M*‖_F."""
-        return la.frob(self.mat - la.dagger(self.mat))
+        """‖[X, Y]‖_F = ‖M − M*‖_F, for a span √2 ‖XW − W(W*XW)‖_F."""
+        if self._w is None:
+            return la.frob(self.mat - la.dagger(self.mat))
+        w, xw = self._w, self._xw
+        return float(np.sqrt(2.0)) * la.frob(xw - w @ (la.dagger(w) @ xw))
 
     def require_commuting(self, name: str) -> "PairProduct":
         """This product, once ‖[X, Y]‖_F is within comm_tol; ``name`` the pair."""
@@ -300,12 +323,18 @@ class PairProduct:
 
     def weight(self, phi: DensityState) -> float:
         """φ(X ^ Y) = φ(XY) for a pair checked to commute."""
-        return state_eval(phi, la.hermitize(self.mat))
+        if self._w is None:
+            return state_eval(phi, la.hermitize(self.mat))
+        la.check_same_dim(phi.mat, self.y.mat)
+        return float(np.sum(np.conj(phi.mat @ self._w) * self._xw).real)
 
     @property
     def order_residual(self) -> float:
-        """‖XY − Y‖_F / max(1, ‖Y‖_F), which vanishes exactly when Y <= X."""
-        return la.frob(self.mat - self.y.mat) / max(1.0, la.frob(self.y.mat))
+        """‖XY − Y‖_F / max(1, ‖Y‖_F), which vanishes exactly when Y <= X;
+        for a span ‖XW − W‖_F / max(1, √k), as ‖WW*‖_F = √k."""
+        if self._w is None:
+            return la.frob(self.mat - self.y.mat) / max(1.0, la.frob(self.y.mat))
+        return la.frob(self._xw - self._w) / max(1.0, float(np.sqrt(self._w.shape[1])))
 
 
 def correlation(phi: DensityState, a, b) -> float:

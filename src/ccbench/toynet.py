@@ -19,10 +19,16 @@ correlated pair in two spacelike regions, build a common-cause region in
 their backward light cones, and synthesize a verified common cause inside
 that region's algebra. The checks and the demonstration evolve operators
 by one light-cone kernel, which carries an operator's support through the
-gates touching it. The demonstration validates each candidate projection on
-that support and embeds it once, trusted; the 2^n validation left is of the
-meet of each candidate pair. The state is accepted by one Cholesky
-factorization, and no 2^n matrix is eigendecomposed.
+gates touching it, and both take the net's gate order from one function.
+The demonstration validates each candidate projection on that support and
+embeds it once, trusted. A state that keeps its pure part (``demo_state``)
+is evolved as a 2^n vector and reduced by a reshape; any other state is
+evolved as the 2^n matrix. The 2^n work left: ``demo_state`` builds the
+matrix and accepts it by one Cholesky factorization; each candidate is
+embedded as a 2^n matrix; each candidate pair is multiplied once and its
+meet validated, O(N³) for N = 2^n; a row short of the chain compresses the
+state and the meet to it; weights are O(N²) sums. No 2^n matrix is
+eigendecomposed, and a cause of rank k <= N/2 is verified in O(N²k).
 """
 
 from __future__ import annotations
@@ -278,28 +284,31 @@ def _random_cone(net: NetModel, rng, max_step: int) -> SliceCone:
     return SliceCone(k, a, min(b, net.n_sites - 1))
 
 
+def _gate_sequence(net: NetModel, k_to: int, k_from: int) -> list:
+    """The gates of W = U(k_to) U(k_from)*, as ((i, j), G) in the order they
+    act: forward through layers k_from+1..k_to in list order, backward
+    through layers k_from..k_to+1 in reverse order with each gate as G*."""
+    if k_to >= k_from:
+        return [g for k in range(k_from + 1, k_to + 1) for g in net.layers[k - 1]]
+    return [
+        (pair, la.dagger(gate))
+        for k in range(k_from, k_to, -1)
+        for pair, gate in reversed(net.layers[k - 1])
+    ]
+
+
 def _relative_image(net: NetModel, k_to: int, k_from: int, support: tuple, x: np.ndarray):
     """(support, local matrix) of W x W* for W = U(k_to) U(k_from)*, x on ``support``.
 
     No 2^n matrix is formed. The operator is carried as (support, local
-    matrix) and evolved through the net's own gates: forward through layers
-    k_from+1..k_to in list order, backward through layers k_from..k_to+1 in
-    reverse order with each gate as G*. A gate touching the support first
-    widens it by its sites; one missing it is skipped. This is exact, since
-    a Heisenberg-evolved local operator stays local (Arrighi, Nesme & Werner,
-    J. Comput. Syst. Sci. 77, 2011); a support wider than DENSE_MAX_SITES
-    is refused.
+    matrix) and evolved through the gates of ``_gate_sequence``. A gate
+    touching the support first widens it by its sites; one missing it is
+    skipped. This is exact, since a Heisenberg-evolved local operator stays
+    local (Arrighi, Nesme & Werner, J. Comput. Syst. Sci. 77, 2011); a
+    support wider than DENSE_MAX_SITES is refused.
     """
-    if k_to >= k_from:
-        gates = [g for k in range(k_from + 1, k_to + 1) for g in net.layers[k - 1]]
-    else:
-        gates = [
-            (pair, la.dagger(gate))
-            for k in range(k_from, k_to, -1)
-            for pair, gate in reversed(net.layers[k - 1])
-        ]
     m = x
-    for (i, j), gate in gates:
+    for (i, j), gate in _gate_sequence(net, k_to, k_from):
         if i not in support and j not in support:
             continue
         wider = tuple(sorted({*support, i, j}))
@@ -422,13 +431,56 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
 # ---------------------------------------------------------------------------
 
 
-def demo_state(net: NetModel, seed: int = 0, epsilon: float = 0.05) -> DensityState:
-    """Seeded full-rank state: (1 - eps) |psi><psi| + eps I/dim."""
+class EpsilonPureState(DensityState):
+    """(1 - ε) |ψ><ψ| + ε I/d: a DensityState that also keeps ψ and ε.
+
+    The matrix is built and accepted as any DensityState's is. Keeping the
+    pure part lets ``weak_rccp_demo`` evolve ψ as a vector and reduce it by
+    a reshape, instead of evolving and tracing the 2^n matrix.
+    """
+
+    def __init__(self, psi: np.ndarray, epsilon: float):
+        psi = np.array(psi, dtype=complex)
+        dim = psi.shape[0]
+        super().__init__((1.0 - epsilon) * np.outer(psi, psi.conj()) + epsilon * np.eye(dim) / dim)
+        psi.flags.writeable = False
+        self.psi, self.epsilon = psi, float(epsilon)
+
+
+def demo_state(net: NetModel, seed: int = 0, epsilon: float = 0.05) -> EpsilonPureState:
+    """Seeded full-rank state (1 - eps) |psi><psi| + eps I/dim, with psi Haar.
+
+    The 2^n matrix is still built and accepted by one Cholesky
+    factorization, as ``find_strong_cc`` weighs and compresses it; the
+    demo's step-k state is evolved from psi and eps alone.
+    """
     _require_dense("demo_state", net.n_sites)
     rng = np.random.default_rng(seed)
-    psi = la.random_pure_state(net.dim, rng)
-    rho = (1.0 - epsilon) * np.outer(psi, psi.conj()) + epsilon * np.eye(net.dim) / net.dim
-    return DensityState(rho)
+    return EpsilonPureState(la.random_pure_state(net.dim, rng), epsilon)
+
+
+def _reduced_state(net: NetModel, state: DensityState, k: int, keep: tuple) -> np.ndarray:
+    """The step-k state reduced to the sites ``keep``, factors in that order.
+
+    An EpsilonPureState's ψ is evolved by the gates of ``_gate_sequence`` as
+    an N × 1 block, and its kept sites are made the rows of a matrix T by a
+    reshape: the reduction is (1 - ε) T T* + (ε / d_keep) I, in O(N) per
+    gate and O(N d_keep) for T T*. Any other state is evolved as the 2^n
+    matrix by ``_relative_image`` and partially traced.
+    """
+    n = net.n_sites
+    dims = (2,) * n
+    if not isinstance(state, EpsilonPureState):
+        _, rho = _relative_image(net, k, 0, tuple(range(n)), state.mat)
+        return la.partial_trace(rho, dims, keep)
+    v = state.psi.reshape(-1, 1)
+    for (i, j), gate in _gate_sequence(net, k, 0):
+        v = la.apply_factor(gate, v, dims, (i, j))
+    rest = [s for s in range(n) if s not in keep]
+    d_keep = 2 ** len(keep)
+    t = v.reshape(dims).transpose(list(keep) + rest).reshape(d_keep, -1)
+    eps = state.epsilon
+    return (1.0 - eps) * (t @ la.dagger(t)) + (eps / d_keep) * np.eye(d_keep)
 
 
 @dataclass(frozen=True)
@@ -503,19 +555,28 @@ def weak_rccp_demo(
     ``budget``. The strong cause is synthesized inside the step-0 row's
     algebra.
 
-    The state is evolved to step k, and each candidate projection back to
-    step 0, by ``_relative_image`` on its light-cone support; no U(k) is
-    built. A candidate is validated there, at 2^|support|, and embedded by
-    the trusted ``Projection.embedded``, which gives the verdict, rank and
-    matrix a 2^n validation would. The 2^n validation left is the meet of
-    each candidate pair; the state (built by the caller) is accepted by one
-    Cholesky factorization. When the step-0 row covers the chain,
-    ``find_strong_cc`` uses the state, the meet and the synthesized cause as
-    they are; otherwise it compresses them to the row and embeds the cause
-    by ``Projection.embedded``. No 2^n matrix is eigendecomposed: the cause
-    is synthesized on a pivoted-Cholesky basis of the meet's range. The
-    state, the candidates and the meet are dense 2^n matrices, so nets
-    above DENSE_MAX_SITES are refused.
+    The sweep's state is the step-k state on sites1 + sites2, factors in
+    that order (D1 may lie to the right of D2). An ``EpsilonPureState``
+    (what ``demo_state`` returns) gives it from ψ evolved as an N × 1 block
+    and reduced by a reshape, O(N) per gate; any other state is evolved as
+    the 2^n matrix by ``_relative_image`` and partially traced. Each
+    candidate projection is evolved back to step 0 by ``_relative_image``
+    on its light-cone support; no U(k) is built. A candidate is validated
+    there, at 2^|support|, and embedded by the trusted
+    ``Projection.embedded``, which gives the verdict, rank and matrix a 2^n
+    validation would.
+
+    The 2^n work left: the state (built by the caller; ``demo_state``
+    accepts it by one Cholesky factorization), each embedded candidate, and
+    in ``find_strong_cc`` the product AB of each candidate pair and its
+    meet's validation, O(N³), and O(N²) weights. When the step-0 row covers
+    the chain, ``find_strong_cc`` uses the state, the meet and the
+    synthesized cause as they are; otherwise it compresses the state and
+    the meet to the row and embeds the cause by ``Projection.embedded``.
+    No 2^n matrix is eigendecomposed: the cause is synthesized on a
+    pivoted-Cholesky basis of the meet's range, and verified through its k
+    columns in O(N²k). The state, the candidates and the meet are dense
+    2^n matrices, so nets above DENSE_MAX_SITES are refused.
     """
     cone1 = d1 if isinstance(d1, SliceCone) else _cone_from_region(d1, net.n_sites, net.n_steps)
     cone2 = d2 if isinstance(d2, SliceCone) else _cone_from_region(d2, net.n_sites, net.n_steps)
@@ -551,9 +612,8 @@ def weak_rccp_demo(
     sites1 = tuple(range(cone1.lo, cone1.hi + 1))
     sites2 = tuple(range(cone2.lo, cone2.hi + 1))
     _require_dense("weak_rccp_demo", net.n_sites)
-    _, rho_h = _relative_image(net, k, 0, tuple(range(net.n_sites)), state.mat)
     keep = sites1 + sites2
-    phi_red = DensityState(la.partial_trace(rho_h, dims, keep))
+    phi_red = DensityState(_reduced_state(net, state, k, keep))
     red_dims = (2,) * len(keep)
     n1r = MatrixAlgebra.tensor_factor(red_dims, tuple(range(len(sites1))))
     n2r = MatrixAlgebra.tensor_factor(

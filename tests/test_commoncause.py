@@ -582,6 +582,66 @@ def test_find_strong_cc_evaluates_each_event_once(monkeypatch):
         assert getattr(cert, field.name) == getattr(ref, field.name), field.name
 
 
+def _span_instance(kind):
+    if kind == "localized":
+        v = np.array([0.3, 0.2, 0.18, 0.18, 0.14])
+        phi = DensityState(np.diag(np.kron(v, [0.5, 0.5])).astype(complex))
+        a = Projection(la.embed_factor(np.diag([1.0, 1, 1, 0, 0]), (5, 2), (0,)))
+        b = Projection(la.embed_factor(np.diag([1.0, 1, 0, 1, 0]), (5, 2), (0,)))
+        return phi, a, b, MatrixAlgebra.tensor_factor((5, 2), (0,))
+    if kind == "global":
+        return (*diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31), None)
+    rng = np.random.default_rng(5)
+    while (inst := masked_instance(32, rng)) is None:
+        pass
+    return (*inst, None)
+
+
+@pytest.mark.parametrize("kind", ["global", "localized", "haar32"])
+def test_span_cause_is_verified_without_a_full_product(monkeypatch, kind):
+    # a synthesized cause, or its embedding, keeps k <= N/2 columns W; the
+    # verification reads each X·C through XW, so no N x N matrix reaches
+    # dagger, hermitize or frob, no weight is evaluated twice, and no
+    # PairProduct forms its N x N product. The certificate is the one a
+    # dense copy of the cause (no columns kept) gives, to 1e-12
+    phi, a, b, alg = _span_instance(kind)
+    cert = find_strong_cc(phi, a, b, algebra=alg)
+    c = cert.cause
+    assert 2 * c.rank <= c.dim
+    meet = PairProduct(a, b).meet()
+    totals = tuple(state_eval(phi, x) for x in (meet, a, b))
+    pc = state_eval(phi, c)
+    full = (c.dim, c.dim)
+    shapes, evals, products = [], [], []
+
+    def watching(original):
+        def wrapper(m):
+            shapes.append(np.shape(m))
+            return original(m)
+
+        return wrapper
+
+    class WatchedProduct(PairProduct):
+        def __init__(self, x, y):
+            products.append(self)
+            super().__init__(x, y)
+
+    for name in ("dagger", "hermitize", "frob"):
+        monkeypatch.setattr(la, name, watching(getattr(la, name)))
+    for module in (commoncause, qprob):
+        monkeypatch.setattr(module, "state_eval", lambda *args: evals.append(args))
+    monkeypatch.setattr(commoncause, "PairProduct", WatchedProduct)
+    span = commoncause._verify_with_meet(phi, a, b, meet, c, totals, pc)
+    monkeypatch.undo()
+    assert full not in shapes
+    assert evals == []
+    assert len(products) == 3 and all("mat" not in vars(p) for p in products)
+    dense = commoncause._verify_with_meet(phi, a, b, meet, Projection(c.mat), totals, pc)
+    assert span.is_strong == dense.is_strong and span.is_genuine == dense.is_genuine
+    for field in ("residual_screen_C", "residual_screen_Cperp", "margin_A", "margin_B", "correlation"):
+        assert abs(getattr(span, field) - getattr(dense, field)) < 1e-12, field
+
+
 def test_verification_checks_the_cause_against_both_events():
     # C commutes with B but not with A: the kernel behind find_strong_cc
     # and quantum_verify_cc must refuse it

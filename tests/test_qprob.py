@@ -397,17 +397,45 @@ def test_subprojection_order():
 # ---------------------------------------------------------------------------
 
 
+SPAN_EMBEDDINGS = [((2, 2), (1,)), ((2, 2, 2), (2, 0)), ((2, 3), (1,)), ((3, 2), (0,)), ((2, 2, 2), (1,))]
+
+
 @st.composite
 def hermitian_pairs(draw):
     """Two Hermitian operators: a commuting pair (one eigenbasis, eigenvalues
     repeated or not) perturbed by 0, 1e-12 or 1e-8, or an unrelated pair.
     The second may be a ``from_span`` projection of any rank, onto
     eigenvectors of the first (so commuting) up to the same perturbation,
-    or onto Haar columns."""
+    or onto Haar columns; or such a projection on some tensor factors,
+    ``embedded`` in the whole space (keeping W ⊗ I when its rank is at most
+    half its dimension), against a first operator that is a sum of a local
+    term and a term on the other factors, perturbed likewise, or unrelated."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(2, 8))
     scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
-    kind = draw(st.sampled_from(["commuting", "unrelated", "span"]))
+    kind = draw(st.sampled_from(["commuting", "unrelated", "span", "embedded"]))
+    if kind == "embedded":
+        dims, acting = draw(st.sampled_from(SPAN_EMBEDDINGS))
+        rest = tuple(i for i in range(len(dims)) if i not in acting)
+        d_act = int(np.prod([dims[i] for i in acting]))
+        d_rest = int(np.prod([dims[i] for i in rest]))
+        u = la.haar_unitary(d_act, rng)
+        rank = draw(st.integers(1, d_act))
+        cols = u[:, rng.permutation(d_act)[:rank]]
+        n = d_act * d_rest
+        eps = draw(st.sampled_from([0.0, 1e-12, 1e-8, None]))
+        if eps is None:
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        else:
+            z = rng.standard_normal((d_rest, d_rest)) + 1j * rng.standard_normal((d_rest, d_rest))
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x = (
+                la.embed_factor((u * rng.integers(-2, 3, d_act)) @ la.dagger(u), dims, acting)
+                + la.embed_factor(la.hermitize(z), dims, rest)
+                + eps * g
+            )
+        y = Projection.from_span(cols).embedded(dims, acting)
+        return HermitianOperator(scale * la.hermitize(x)), y
     if kind == "span":
         u = la.haar_unitary(dim, rng)
         x = (u * rng.integers(-2, 3, dim)) @ la.dagger(u)
@@ -452,6 +480,20 @@ def test_pair_product_commutator_norm_matches_two_products(pair):
         assert prod.require_commuting("X and Y") is prod
 
 
+@given(hermitian_pairs(), st.integers(0, 2**16))
+@settings(max_examples=80, deadline=None)
+def test_pair_product_weight_and_order_match_the_dense_product(pair, seed):
+    # the weight Re tr(ρXY) and the order residual, for a span read off XW
+    x, y = pair
+    phi = DensityState(la.random_faithful_density(x.dim, np.random.default_rng(seed)))
+    prod = PairProduct(x, y)
+    m = x.mat @ y.mat
+    bound = 1e-12 * (1.0 + la.frob(x.mat) * la.frob(y.mat))
+    assert abs(prod.weight(phi) - np.trace(phi.mat @ m).real) <= bound
+    ref = la.frob(m - y.mat) / max(1.0, la.frob(y.mat))
+    assert abs(prod.order_residual - ref) <= bound
+
+
 def test_pair_product_reads_meet_weight_and_order_off_one_product():
     phi = DensityState(np.diag([0.4, 0.3, 0.2, 0.1]))
     a = Projection(np.diag([1.0, 1.0, 0.0, 0.0]))
@@ -484,6 +526,40 @@ def test_embedded_projection_is_the_validated_embedding(dims, acting):
             assert np.array_equal(emb.mat, ref.mat)
             assert emb.rank == ref.rank == rank * int(np.prod(dims)) // d_act
             assert not emb.mat.flags.writeable
+
+
+@pytest.mark.parametrize("dims, acting", EMBEDDINGS)
+def test_embedded_projection_keeps_its_span(dims, acting):
+    # a from_span projection of at most half its dimension passes on W ⊗ I:
+    # orthonormal columns spanning the embedded range
+    rng = np.random.default_rng(len(dims))
+    d_act = int(np.prod([dims[i] for i in acting]))
+    for rank in range(1, d_act + 1):
+        local = Projection.from_span(la.haar_unitary(d_act, rng)[:, :rank])
+        emb = local.embedded(dims, acting)
+        w = emb._span
+        if 2 * rank > d_act:
+            assert w is None
+            continue
+        assert w.shape == (emb.dim, emb.rank)
+        assert np.max(np.abs(la.dagger(w) @ w - np.eye(emb.rank))) < 1e-14
+        assert np.max(np.abs(w @ la.dagger(w) - emb.mat)) < 1e-14
+
+
+@pytest.mark.parametrize("keep", [(0, 2), (2, 0), (3, 1, 0), (1, 3), (2,)])
+def test_partial_trace_follows_the_keep_order(keep):
+    # the reduced factors come in the order keep lists them, as embed_factor
+    # reads its acting factors
+    rng = np.random.default_rng(sum(keep))
+    dims = (2, 3, 2, 2)
+    locs = [la.random_density(d, rng) for d in dims]
+    full = locs[0]
+    for loc in locs[1:]:
+        full = np.kron(full, loc)
+    expected = locs[keep[0]]
+    for i in keep[1:]:
+        expected = np.kron(expected, locs[i])
+    assert np.max(np.abs(la.partial_trace(full, dims, keep) - expected)) < 1e-14
 
 
 def _local_rejects(d_act):

@@ -623,6 +623,137 @@ def test_nine_site_demo_builds_its_cause_without_a_full_eigendecomposition(monke
     assert weight(c) == pytest.approx(r, abs=1e-10)
 
 
+def reduction_cases():
+    """(net, step, keep): random nets of 6-9 sites and the explicit net, whose
+    layers hold overlapping gates, at steps 1-3, with kept sites in and out
+    of order."""
+    cases = []
+    for n, seed in ((6, 0), (7, 1), (8, 2), (9, 3)):
+        net = build_net(n, "random", seed=seed, n_steps=3)
+        for k, keep in ((1, (0, 1, n - 2, n - 1)), (2, (n - 1, 0, 1)), (3, (3, 1)), (2, (2,))):
+            cases.append((net, k, keep))
+    net = explicit_net()
+    cases += [(net, k, keep) for k in (1, 2, 3) for keep in ((4, 0, 1), (0, 1, 4, 5))]
+    return cases
+
+
+@pytest.mark.parametrize("net, k, keep", reduction_cases())
+def test_vector_route_reduces_the_state_as_the_dense_route(net, k, keep):
+    phi = demo_state(net, seed=net.n_sites)
+    vector = toynet._reduced_state(net, phi, k, keep)
+    dense = toynet._reduced_state(net, DensityState(phi.mat), k, keep)
+    assert vector.shape == dense.shape == (2 ** len(keep),) * 2
+    assert np.max(np.abs(vector - dense)) < 1e-13
+    # the dense route against the 2^n evolution, factors in the order of keep
+    u = net.evolution(k)
+    rho = la.partial_trace(u @ phi.mat @ la.dagger(u), (2,) * net.n_sites, tuple(sorted(keep)))
+    order = [sorted(keep).index(s) for s in keep]
+    m = len(keep)
+    rho = rho.reshape((2,) * 2 * m).transpose(order + [p + m for p in order]).reshape(vector.shape)
+    assert np.max(np.abs(dense - rho)) < 1e-13
+
+
+# net-cause's region pairs and their mirror images (D1 right of D2), on
+# the full row and on a row short of the chain
+DEMO_CASES = [
+    (6, (2, 0, 1), (2, 4, 4)),
+    (7, (2, 0, 1), (2, 4, 5)),
+    (7, (3, 5, 6), (3, 0, 1)),
+    (8, (2, 4, 4), (2, 0, 1)),
+    (8, (3, 2, 3), (3, 0, 1)),
+    (9, (2, 6, 7), (2, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("n, d1, d2", DEMO_CASES)
+def test_vector_route_demo_matches_the_dense_route(n, d1, d2):
+    net = build_net(n, "random", seed=0, n_steps=3)
+    phi = demo_state(net, seed=0)
+    demos = [
+        weak_rccp_demo(net, state, SliceCone(*d1), SliceCone(*d2))
+        for state in (phi, DensityState(phi.mat))
+    ]
+    vector, dense = demos
+    assert vector.lattice_sites == dense.lattice_sites
+    assert vector.attempts == dense.attempts
+    assert (vector.a.rank, vector.b.rank) == (dense.a.rank, dense.b.rank)
+    assert vector.certificate.cause.rank == dense.certificate.cause.rank
+    assert abs(vector.pair_correlation - dense.pair_correlation) < 1e-12
+    for field in ("residual_screen_C", "residual_screen_Cperp", "margin_A", "margin_B", "correlation"):
+        assert abs(getattr(vector.certificate, field) - getattr(dense.certificate, field)) < 1e-12
+    for demo in demos:
+        assert demo.certificate.verified and demo.certificate.is_strong
+        # the sweep's correlation is the certified pair's
+        assert abs(demo.pair_correlation - demo.certificate.correlation) < 1e-12
+
+
+@pytest.mark.parametrize("route", ["vector", "dense"])
+def test_regions_in_either_order_give_the_certified_correlation(route):
+    # D1 to the right of D2: the reduced state's factors must follow
+    # sites1 + sites2, or the sweep splits it at the wrong place
+    net = build_net(8, "random", seed=0)
+    phi = demo_state(net, seed=0)
+    state = phi if route == "vector" else DensityState(phi.mat)
+    right, left = SliceCone(2, 4, 4), SliceCone(2, 0, 1)
+    swapped = weak_rccp_demo(net, state, right, left)
+    ordered = weak_rccp_demo(net, state, left, right)
+    for demo in (swapped, ordered):
+        assert abs(demo.pair_correlation - demo.certificate.correlation) < 1e-12
+    assert abs(swapped.pair_correlation - ordered.pair_correlation) < 1e-12
+    assert (swapped.a.rank, swapped.b.rank) == (ordered.b.rank, ordered.a.rank)
+
+
+def test_epsilon_pure_demo_evolves_no_full_chain_matrix(monkeypatch):
+    # demo_state keeps psi and eps: the step-k state is evolved as a vector,
+    # so apply_factor never sees a 2^n x 2^n matrix; a plain DensityState
+    # with the same matrix is still evolved as one
+    net = build_net(8, "random", seed=0)
+    full = (2**net.n_sites,) * 2
+    phi = demo_state(net, seed=0)
+    shapes = []
+    original = la.apply_factor
+
+    def counting(x_loc, m, dims, acting):
+        shapes.append(np.shape(m))
+        return original(x_loc, m, dims, acting)
+
+    monkeypatch.setattr(la, "apply_factor", counting)
+    demo = weak_rccp_demo(net, phi, SliceCone(2, 1, 2), SliceCone(2, 5, 6))
+    assert demo.certificate.verified
+    assert (2**net.n_sites, 1) in shapes
+    assert full not in shapes
+    shapes.clear()
+    weak_rccp_demo(net, DensityState(phi.mat), SliceCone(2, 1, 2), SliceCone(2, 5, 6))
+    assert full in shapes
+
+
+def test_full_row_demo_evaluates_each_weight_once(monkeypatch):
+    # on the full row, find_strong_cc evaluates phi(A), phi(B) and phi(A^B)
+    # and the synthesis phi(C); the synthesis and the verification reuse
+    # them, so no operand is evaluated twice in the 2^n state
+    from ccbench import commoncause
+
+    net = build_net(8, "random", seed=0)
+    phi = demo_state(net, seed=0)
+    real_eval = commoncause.state_eval
+    operands = []
+
+    def counted_eval(state, x):
+        if state is phi:
+            operands.append(x)  # kept alive, so identities stay distinct
+        return real_eval(state, x)
+
+    monkeypatch.setattr(commoncause, "state_eval", counted_eval)
+    demo = weak_rccp_demo(net, phi, SliceCone(2, 1, 2), SliceCone(2, 5, 6))
+    monkeypatch.undo()
+    assert demo.lattice_sites == (0, net.n_sites - 1)
+    cause = demo.certificate.cause
+    assert sum(x is cause for x in operands) == 1
+    assert sum(x is demo.a for x in operands) == sum(x is demo.b for x in operands) == 1
+    assert all(sum(x is y for y in operands) == 1 for x in operands)
+    assert len(operands) == 3 * demo.attempts + 1
+
+
 def test_demo_refuses_nets_above_the_dense_limit():
     # the refusal comes before the state is read, so a stand-in state will do
     class Faithful:
