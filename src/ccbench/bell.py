@@ -15,7 +15,7 @@ two-qubit evaluation is kept alongside as an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -265,12 +265,7 @@ class BellSampleReport:
     max_beta: float
 
     def to_record(self) -> dict:
-        return {
-            "ensemble": self.ensemble,
-            "n": self.n,
-            "fraction": self.fraction,
-            "max_beta": self.max_beta,
-        }
+        return asdict(self)
 
 
 def _sample_state(ensemble: str, d1: int, d2: int, rng) -> DensityState:

@@ -127,10 +127,11 @@ def _as_complex_matrix(node, where: str) -> np.ndarray:
     return out
 
 
-def _as_pair(node, where: str) -> tuple[float, float]:
+def _as_pair(node, where: str, coerce=_as_number, shape: str = "[lo, hi]") -> tuple:
+    """A two-element list, each element read by ``coerce`` under its index."""
     if not isinstance(node, list) or len(node) != 2:
-        raise ScenarioParseError(f"{where}: expected [lo, hi]")
-    return _as_number(node[0], f"{where}[0]"), _as_number(node[1], f"{where}[1]")
+        raise ScenarioParseError(f"{where}: expected {shape}")
+    return tuple(coerce(entry, f"{where}[{i}]") for i, entry in enumerate(node))
 
 
 @contextlib.contextmanager
@@ -182,10 +183,13 @@ def _validate_classical(payload: dict) -> dict:
         raise ScenarioParseError("payload.weights: expected a list of atom weights")
     with _invariant_scope("payload.weights"):
         space = _cc.ClassicalSpace([_as_number(w, "payload.weights") for w in weights])
+    events_node = payload.get("events", {})
+    if not isinstance(events_node, dict):
+        raise ScenarioParseError("payload.events: expected an object")
     events = {}
-    for name, node in payload.get("events", {}).items():
+    for name, node in events_node.items():
         where = f"payload.events.{name}"
-        if not isinstance(node, list) or not all(isinstance(i, int) for i in node):
+        if not isinstance(node, list) or not all(type(i) is int for i in node):
             raise ScenarioParseError(f"{where}: expected a list of atom indices")
         with _invariant_scope(where):
             events[name] = space.as_mask(node)
@@ -193,10 +197,7 @@ def _validate_classical(payload: dict) -> dict:
 
 
 def _validate_bell(payload: dict) -> dict:
-    split = _need(payload, "split", "payload")
-    if not isinstance(split, list) or len(split) != 2:
-        raise ScenarioParseError("payload.split: expected [d1, d2]")
-    d1, d2 = (_as_int(d, "payload.split") for d in split)
+    d1, d2 = _as_pair(_need(payload, "split", "payload"), "payload.split", _as_int, "[d1, d2]")
     if d1 < 2 or d2 < 2:
         raise ScenarioInvariantError(
             f"payload.split: each side needs dimension >= 2, got {d1}x{d2}",
@@ -206,17 +207,15 @@ def _validate_bell(payload: dict) -> dict:
     node = payload.get("state")
     if node is not None:
         with _invariant_scope("payload.state"):
+            werner = isinstance(node, dict) and set(node) == {"werner"}
+            if (werner or node == "singlet") and (d1, d2) != (2, 2):
+                raise ScenarioInvariantError(
+                    f"payload.state: {'werner' if werner else 'singlet'} needs a [2, 2] split",
+                    invariant="split",
+                )
             if node == "singlet":
-                if (d1, d2) != (2, 2):
-                    raise ScenarioInvariantError(
-                        "payload.state: singlet needs a [2, 2] split", invariant="split"
-                    )
                 phi = _bell.singlet_state()
-            elif isinstance(node, dict) and set(node) == {"werner"}:
-                if (d1, d2) != (2, 2):
-                    raise ScenarioInvariantError(
-                        "payload.state: werner needs a [2, 2] split", invariant="split"
-                    )
+            elif werner:
                 phi = _bell.werner_state(_as_number(node["werner"], "payload.state.werner"))
             else:
                 phi = DensityState(_as_complex_matrix(node, "payload.state"))
@@ -288,10 +287,7 @@ def _validate_toynet(payload: dict) -> dict:
         if not isinstance(node, dict):
             raise ScenarioParseError(f"payload.{name}: expected {{step, sites}}")
         step = _as_int(_need(node, "step", f"payload.{name}"), f"payload.{name}.step")
-        sites = _need(node, "sites", f"payload.{name}")
-        if not isinstance(sites, list) or len(sites) != 2:
-            raise ScenarioParseError(f"payload.{name}.sites: expected [lo, hi]")
-        lo, hi = (_as_int(s, f"payload.{name}.sites") for s in sites)
+        lo, hi = _as_pair(_need(node, "sites", f"payload.{name}"), f"payload.{name}.sites", _as_int)
         if not (0 <= lo <= hi < n_sites):
             raise ScenarioInvariantError(
                 f"payload.{name}.sites [{lo}, {hi}] outside the chain of {n_sites}",
@@ -331,23 +327,26 @@ _VALIDATORS = {
 }
 
 
+def _tolerance(key: str, value, where: str, coerce) -> float:
+    """A tolerance override: the name ``key`` is resolved first, then
+    ``coerce`` reads ``value``, which must be positive."""
+    try:
+        config.canonical_name(key)
+    except KeyError:
+        known = ", ".join(sorted(config.ALIASES))
+        raise ScenarioParseError(f"{where}: unknown tolerance {key!r} (known: {known})")
+    val = coerce(value, where)
+    if val <= 0:
+        raise ScenarioParseError(f"{where}: tolerance must be positive")
+    return val
+
+
 def _parse_tolerances(node, where: str) -> dict:
     if node is None:
         return {}
     if not isinstance(node, dict):
         raise ScenarioParseError(f"{where}: expected an object of name -> value")
-    out = {}
-    for key, val in node.items():
-        try:
-            config.canonical_name(key)
-        except KeyError:
-            known = ", ".join(sorted(config.ALIASES))
-            raise ScenarioParseError(f"{where}.{key}: unknown tolerance (known: {known})")
-        val = _as_number(val, f"{where}.{key}")
-        if val <= 0:
-            raise ScenarioParseError(f"{where}.{key}: tolerance must be positive")
-        out[key] = val
-    return out
+    return {key: _tolerance(key, val, f"{where}.{key}", _as_number) for key, val in node.items()}
 
 
 def load_scenario(path, extra_tolerances: Optional[dict] = None) -> Scenario:
@@ -750,26 +749,24 @@ def run(command: str, scenario: Scenario, seed: Optional[int] = None):
     return report, summary, 0 if outcome == "ok" else 1
 
 
+def _override_value(text: str, where: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        raise ScenarioParseError(f"{where}: value is not a number")
+    if not math.isfinite(val):
+        raise ScenarioParseError(f"{where}: value is not a finite number")
+    return val
+
+
 def _parse_overrides(items: Sequence[str]) -> dict:
     out = {}
     for item in items:
         key, sep, val = item.partition("=")
+        where = f"--tol-override {item!r}"
         if not sep:
-            raise ScenarioParseError(f"--tol-override {item!r}: expected KEY=VAL")
-        try:
-            config.canonical_name(key)
-        except KeyError:
-            known = ", ".join(sorted(config.ALIASES))
-            raise ScenarioParseError(f"--tol-override: unknown tolerance {key!r} (known: {known})")
-        try:
-            fval = float(val)
-        except ValueError:
-            raise ScenarioParseError(f"--tol-override {item!r}: value is not a number")
-        if not math.isfinite(fval):
-            raise ScenarioParseError(f"--tol-override {item!r}: value is not a finite number")
-        if fval <= 0:
-            raise ScenarioParseError(f"--tol-override {item!r}: tolerance must be positive")
-        out[key] = fval
+            raise ScenarioParseError(f"{where}: expected KEY=VAL")
+        out[key] = _tolerance(key, val, where, _override_value)
     return out
 
 
@@ -799,6 +796,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ScenarioParseError(f"--seed {args.seed}: expected a nonnegative integer")
         overrides = _parse_overrides(args.tol_override)
         scenario = load_scenario(args.scenario, extra_tolerances=overrides)
         report, summary, code = run(args.command, scenario, seed=args.seed)

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy.optimize
@@ -35,7 +35,6 @@ from . import _linalg as la
 from .config import TOL
 from .errors import (
     CommutationError,
-    DimensionMismatchError,
     InfeasibleError,
     InternalInconsistencyError,
     NotFaithfulError,
@@ -409,13 +408,7 @@ class RValue:
     phiAvB: float
 
     def to_record(self) -> dict:
-        return {
-            "r": self.r,
-            "phiAB": self.phiAB,
-            "phiA": self.phiA,
-            "phiB": self.phiB,
-            "phiAvB": self.phiAvB,
-        }
+        return asdict(self)
 
 
 def reichenbach_r(phi: DensityState, a: Projection, b: Projection) -> RValue:

@@ -505,45 +505,31 @@ def _interior_not(region: Region) -> list[list[Cell]]:
     out = []
     for c in region.cells:
         flips = []
-        if c.t.lo != -INF:
-            flips.append(make_cell(t=Interval(-INF, c.t.lo)))
-        if c.t.hi != INF:
-            flips.append(make_cell(t=Interval(c.t.hi, INF)))
-        if c.x.lo != -INF:
-            flips.append(make_cell(x=Interval(-INF, c.x.lo)))
-        if c.x.hi != INF:
-            flips.append(make_cell(x=Interval(c.x.hi, INF)))
-        if c.u.lo != -INF:
-            flips.append(make_cell(u=Interval(-INF, c.u.lo)))
-        if c.u.hi != INF:
-            flips.append(make_cell(u=Interval(c.u.hi, INF)))
-        if c.v.lo != -INF:
-            flips.append(make_cell(v=Interval(-INF, c.v.lo)))
-        if c.v.hi != INF:
-            flips.append(make_cell(v=Interval(c.v.hi, INF)))
+        for axis in ("t", "x", "u", "v"):
+            iv = getattr(c, axis)
+            if iv.lo != -INF:
+                flips.append(make_cell(**{axis: Interval(-INF, iv.lo)}))
+            if iv.hi != INF:
+                flips.append(make_cell(**{axis: Interval(iv.hi, INF)}))
         out.append([f for f in flips if f is not None])
     return out
 
 
-def _intersect_regions(*regions: Region) -> Region:
-    cells = _meet_cells(r.cells for r in regions)
+def _meet_region(*families: Iterable[Cell]) -> Region:
+    """The region of the nonempty meets taking one cell from each family."""
+    cells = _meet_cells(families)
     return Region("union" if len(cells) != 1 else "cell", tuple(cells))
 
 
-def _subtract(region: Region, minus: Region) -> Region:
-    """Interior set difference region \\ minus (boundary sets dropped)."""
-    pieces = _meet_cells([region.cells, *_interior_not(minus)])
-    return Region("union" if len(pieces) != 1 else "cell", tuple(pieces))
-
-
 def tilde_regions(v1: Region, v2: Region, v: Region) -> TildeDecomposition:
-    """Decompose v by backward-cone coverage from v1 and v2."""
+    """Decompose v by backward-cone coverage from v1 and v2 (boundary sets dropped)."""
     b1 = blc(v1)
     b2 = blc(v2)
-    common = _intersect_regions(v, b1, b2)
-    part1 = _subtract(_intersect_regions(v, b1), b2)
-    part2 = _subtract(_intersect_regions(v, b2), b1)
-    return TildeDecomposition(part1=part1, part2=part2, common=common)
+    return TildeDecomposition(
+        part1=_meet_region(v.cells, b1.cells, *_interior_not(b2)),
+        part2=_meet_region(v.cells, b2.cells, *_interior_not(b1)),
+        common=_meet_region(v.cells, b1.cells, b2.cells),
+    )
 
 
 # ---------------------------------------------------------------------------

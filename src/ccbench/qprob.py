@@ -109,26 +109,27 @@ class Projection(HermitianOperator):
         self._rank = int(np.sum(eigs > 0.5))
 
     @classmethod
+    def _trusted(cls, mat: np.ndarray, rank: int, span=None) -> "Projection":
+        """A projection built from a matrix known to be one: no validation."""
+        p = object.__new__(cls)
+        mat.flags.writeable = False
+        p._mat, p._rank, p._span = mat, rank, span
+        return p
+
+    @classmethod
     def from_span(cls, cols: np.ndarray) -> "Projection":
         """Projection onto the span of orthonormal columns (trusted input)."""
-        p = object.__new__(cls)
-        mat = la.span_project(cols) if cols.size else np.zeros((cols.shape[0],) * 2, dtype=complex)
-        p._mat = mat
-        p._mat.flags.writeable = False
-        p._rank = cols.shape[1] if cols.size else 0
-        p._span = cols
-        return p
+        if not cols.size:
+            return cls._trusted(np.zeros((cols.shape[0],) * 2, dtype=complex), 0, cols)
+        return cls._trusted(la.span_project(cols), cols.shape[1], cols)
 
     @property
     def rank(self) -> int:
         return self._rank
 
     def complement(self) -> "Projection":
-        q = object.__new__(Projection)
-        q._mat = np.eye(self.dim, dtype=complex) - self._mat
-        q._mat.flags.writeable = False
-        q._rank = self.dim - self._rank
-        return q
+        mat = np.eye(self.dim, dtype=complex) - self._mat
+        return Projection._trusted(mat, self.dim - self._rank)
 
     def embedded(self, dims: Sequence[int], acting: Sequence[int]) -> "Projection":
         """P ⊗ I: this projection on the factors ``acting`` of ``dims``.
@@ -145,13 +146,11 @@ class Projection(HermitianOperator):
         passes on W ⊗ I, so that ``PairProduct`` multiplies the embedding
         at the cost of its columns too.
         """
-        q = object.__new__(Projection)
-        q._mat = la.embed_factor(self._mat, tuple(dims), tuple(acting))
-        q._mat.flags.writeable = False
-        q._rank = self._rank * (q.dim // self.dim)
-        if self._span is not None and 2 * self._rank <= self.dim:
-            q._span = la.embed_columns(self._span, tuple(dims), tuple(acting))
-        return q
+        dims, acting = tuple(dims), tuple(acting)
+        mat = la.embed_factor(self._mat, dims, acting)
+        keep = self._span is not None and 2 * self._rank <= self.dim
+        span = la.embed_columns(self._span, dims, acting) if keep else None
+        return Projection._trusted(mat, self._rank * (mat.shape[0] // self.dim), span)
 
     def __repr__(self):
         return f"Projection(dim={self.dim}, rank={self.rank})"
@@ -340,12 +339,7 @@ class PairProduct:
 def correlation(phi: DensityState, a, b) -> float:
     """phi(A ^ B) - phi(A) phi(B) for commuting projections (A ^ B = AB)."""
     pa, pb = _proj_of(a), _proj_of(b)
-    ab = PairProduct(pa, pb)
-    resid = ab.commutator_norm
-    if resid > TOL.comm:
-        raise CommutationError(
-            f"projections do not commute (residual {resid:.3e} > comm_tol)"
-        )
+    ab = PairProduct(pa, pb).require_commuting("projections")
     return ab.weight(phi) - state_eval(phi, pa) * state_eval(phi, pb)
 
 
@@ -754,13 +748,18 @@ def is_product_state(
 
     Checks |phi(XY) - phi(X) phi(Y)| <= tol over all pairs of basis
     elements, which by bilinearity of the correlation form decides
-    factorization over the full algebras.
+    factorization over the full algebras. Two factors of one split are swept
+    on the union of their acting factors, phi reduced there by partial trace.
     """
     check_commuting_algebras(n1, n2)
     tol = TOL.product if tol is None else tol
     rho = phi.mat
     if _same_split(n1, n2):
-        return _product_check_factors(rho, n1, n2, tol) is None
+        s1, s2 = n1.structure, n2.structure
+        union = tuple(sorted(s1.acting + s2.acting))  # disjoint, checked above
+        rho = la.partial_trace(rho, s1.dims, union)
+        dims = [s1.dims[i] for i in union]
+        n1, n2 = (MatrixAlgebra.tensor_factor(dims, map(union.index, s.acting)) for s in (s1, s2))
     mats1 = list(n1.basis_iter())
     mats2 = list(n2.basis_iter())
     left = [rho @ x for x in mats1]
@@ -772,28 +771,6 @@ def is_product_state(
             if abs(joint - e1[i] * e2[j]) > tol:
                 return False
     return True
-
-
-def _product_check_factors(rho, n1, n2, tol):
-    """Fast sweep for factor algebras; returns a violating pair or None."""
-    s1, s2 = n1.structure, n2.structure
-    union = tuple(sorted(set(s1.acting) | set(s2.acting)))
-    udims = tuple(s1.dims[i] for i in union)
-    pos1 = tuple(union.index(i) for i in s1.acting)
-    pos2 = tuple(union.index(i) for i in s2.acting)
-    rho_u = la.partial_trace(rho, s1.dims, union)
-    rho_1 = la.partial_trace(rho, s1.dims, s1.acting)
-    rho_2 = la.partial_trace(rho, s1.dims, s2.acting)
-    for i, x in enumerate(n1.local_basis_iter()):
-        xe = la.embed_factor(x, udims, pos1)
-        ex = _expect_c(rho_1, x)
-        rx = rho_u @ xe
-        for j, y in enumerate(n2.local_basis_iter()):
-            ye = la.embed_factor(y, udims, pos2)
-            joint = complex(np.sum(rx.T * ye))
-            if abs(joint - ex * _expect_c(rho_2, y)) > tol:
-                return (i, j)
-    return None
 
 
 def logical_independence_check(

@@ -382,6 +382,373 @@ def test_overlapping_regions_are_an_invariant_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the parse and invariant message table (exit 2 and 3)
+# ---------------------------------------------------------------------------
+
+_DROP = object()
+_KNOWN = ", ".join(sorted(config.ALIASES))
+_QUBIT_P = [[1, 0], [0, 0]]
+_CONE = {"shape": "double_cone", "u": [-1, 1], "v": [-1, 1]}
+_BASES = {
+    "quantum": {
+        "kind": "quantum",
+        "payload": {"state": [[0.5, 0], [0, 0.5]], "projections": {"A": _QUBIT_P, "B": _QUBIT_P}},
+    },
+    "classical": {
+        "kind": "classical",
+        "payload": {"weights": [0.25, 0.25, 0.25, 0.25], "events": {"A": [0, 1], "B": [1, 2]}},
+    },
+    "bell": {
+        "kind": "bell",
+        "payload": {"split": [2, 2], "state": "singlet", "ensemble": "product", "n": 2},
+    },
+    "geometry": {"kind": "geometry", "payload": {"regions": {"v": _CONE}}},
+    "pair": json.loads((SCENARIOS / "separated_double_cones.json").read_text()),
+    "toynet": json.loads((SCENARIOS / "eight_qubit_chain.json").read_text()),
+}
+del _BASES["toynet"]["payload"]["axiom_pairs"]
+
+
+def _edited(base, edits):
+    doc = json.loads(json.dumps(_BASES[base]))
+    for path, value in edits.items():
+        *head, last = path.split(".")
+        node = doc
+        for key in head:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return doc
+
+
+def _row(name, command, base, edits, code, line, argv=()):
+    return pytest.param(command, base, edits, argv, code, line, id=name)
+
+
+# Each row: one malformed scenario (an edit of a valid base document, raw
+# text, or no file at all) or flag, with its exit code and the exact first
+# stderr line; <path> stands for the scenario path, <known> for the sorted
+# tolerance names.
+_MESSAGE_ROWS = [
+    # files and the top level
+    _row("no-file", "bell", "missing", None, 2,
+         "error: cannot read scenario file <path>: [Errno 2] No such file or directory: '<path>'"),
+    _row("bad-json", "bell", "raw", "{ not json", 2,
+         "error: <path>: invalid JSON at line 1, column 3: "
+         "Expecting property name enclosed in double quotes"),
+    _row("top-list", "bell", "raw", "[]", 2, "error: <path>: top level must be an object"),
+    _row("kind", "bell", "bell", {"kind": "astrology"}, 2,
+         "error: <path>: kind must be one of quantum, classical, geometry, toynet, bell"),
+    _row("payload", "bell", "bell", {"payload": [1]}, 2, "error: <path>: payload must be an object"),
+    _row("seed-negative", "bell", "bell", {"seed": -1}, 2,
+         "error: <path>: seed must be a nonnegative integer"),
+    _row("seed-bool", "bell", "bell", {"seed": True}, 2,
+         "error: <path>: seed must be a nonnegative integer"),
+    _row("seed-float", "bell", "bell", {"seed": 1.5}, 2,
+         "error: <path>: seed must be a nonnegative integer"),
+    _row("wrong-kind", "geometry", "bell", {}, 2,
+         "error: command geometry expects a scenario of kind geometry, got 'bell'"),
+    # tolerances, in the file and on the command line
+    _row("tol-list", "bell", "bell", {"tolerances": [1]}, 2,
+         "error: tolerances: expected an object of name -> value"),
+    _row("tol-unknown", "bell", "bell", {"tolerances": {"nope": 1}}, 2,
+         "error: tolerances.nope: unknown tolerance 'nope' (known: <known>)"),
+    _row("tol-unknown-before-value", "bell", "bell", {"tolerances": {"nope": "x"}}, 2,
+         "error: tolerances.nope: unknown tolerance 'nope' (known: <known>)"),
+    _row("tol-string", "bell", "bell", {"tolerances": {"comm_tol": "1e-9"}}, 2,
+         "error: tolerances.comm_tol: expected a number"),
+    _row("tol-bool", "bell", "bell", {"tolerances": {"comm_tol": True}}, 2,
+         "error: tolerances.comm_tol: expected a number"),
+    _row("tol-nan", "bell", "raw",
+         '{"kind": "bell", "payload": {"split": [2, 2]}, "tolerances": {"comm_tol": NaN}}', 2,
+         "error: tolerances.comm_tol: expected a finite number"),
+    _row("tol-zero", "bell", "bell", {"tolerances": {"bell": 0}}, 2,
+         "error: tolerances.bell: tolerance must be positive"),
+    _row("tol-negative", "bell", "bell", {"tolerances": {"tol_herm": -1e-3}}, 2,
+         "error: tolerances.tol_herm: tolerance must be positive"),
+    _row("override-no-equals", "bell", "bell", {}, 2,
+         "error: --tol-override 'bell': expected KEY=VAL", ("--tol-override", "bell")),
+    _row("override-unknown", "bell", "bell", {}, 2,
+         "error: --tol-override 'nope=1': unknown tolerance 'nope' (known: <known>)",
+         ("--tol-override", "nope=1")),
+    _row("override-unknown-before-value", "bell", "bell", {}, 2,
+         "error: --tol-override 'nope=abc': unknown tolerance 'nope' (known: <known>)",
+         ("--tol-override", "nope=abc")),
+    _row("override-text", "bell", "bell", {}, 2,
+         "error: --tol-override 'bell=abc': value is not a number", ("--tol-override", "bell=abc")),
+    _row("override-inf", "bell", "bell", {}, 2,
+         "error: --tol-override 'bell=inf': value is not a finite number",
+         ("--tol-override", "bell=inf")),
+    _row("override-zero", "bell", "bell", {}, 2,
+         "error: --tol-override 'bell=0': tolerance must be positive", ("--tol-override", "bell=0")),
+    _row("override-first", "bell", "bell", {"tolerances": {"nope": 1}}, 2,
+         "error: --tol-override 'bell': expected KEY=VAL", ("--tol-override", "bell")),
+    # quantum payloads
+    _row("q-state-missing", "analyze", "quantum", {"payload.state": _DROP}, 2,
+         "error: payload.state is required"),
+    _row("q-state-text", "analyze", "quantum", {"payload.state": "x"}, 2,
+         "error: payload.state: expected a matrix as a list of rows"),
+    _row("q-state-empty", "analyze", "quantum", {"payload.state": []}, 2,
+         "error: payload.state: expected a matrix as a list of rows"),
+    _row("q-state-ragged", "analyze", "quantum", {"payload.state": [[1, 0], [0]]}, 2,
+         "error: payload.state[1]: row length 1 != 2"),
+    _row("q-state-entry", "analyze", "quantum", {"payload.state": [[True, 0], [0, 0.5]]}, 2,
+         "error: payload.state[0][0]: entries must be numbers or [re, im] pairs"),
+    _row("q-state-triple", "analyze", "quantum", {"payload.state": [[[1, 0, 0], 0], [0, 0.5]]}, 2,
+         "error: payload.state[0][0]: entries must be numbers or [re, im] pairs"),
+    _row("q-state-square", "analyze", "quantum", {"payload.state": [[0.5, 0.5]]}, 3,
+         "error: payload.state: state must be square, got shape (1, 2)"),
+    _row("q-state-herm", "analyze", "quantum", {"payload.state": [[0.5, 0.3], [0.1, 0.5]]}, 3,
+         "error: payload.state violates tol_herm: state is not self-adjoint"),
+    _row("q-state-trace", "analyze", "quantum", {"payload.state": [[1, 0], [0, 1]]}, 3,
+         "error: payload.state violates tol_state: state trace 2.0 is not 1 within tol_state"),
+    _row("q-state-negative", "analyze", "quantum", {"payload.state": [[1.5, 0], [0, -0.5]]}, 3,
+         "error: payload.state violates tol_state: state has negative eigenvalue -5.000e-01"),
+    _row("q-projections-missing", "analyze", "quantum", {"payload.projections": _DROP}, 2,
+         "error: payload.projections is required"),
+    _row("q-projections-list", "analyze", "quantum", {"payload.projections": [1]}, 2,
+         "error: payload.projections: expected an object"),
+    _row("q-projection-b-missing", "analyze", "quantum", {"payload.projections.B": _DROP}, 2,
+         "error: payload.projections.B is required"),
+    _row("q-projection-text", "analyze", "quantum", {"payload.projections.A": "x"}, 2,
+         "error: payload.projections.A: expected a matrix as a list of rows"),
+    _row("q-projection-idem", "analyze", "quantum",
+         {"payload.projections.A": [[0.5, 0], [0, 0]]}, 3,
+         "error: payload.projections.A violates tol_proj: "
+         "matrix is not idempotent (residual 2.500e-01 > 1e-09)"),
+    _row("q-projection-herm", "analyze", "quantum",
+         {"payload.projections.A": [[1, 1], [0, 0]]}, 3,
+         "error: payload.projections.A violates tol_herm: "
+         "operator is not self-adjoint (residual 1.000e+00 > 1e-10)"),
+    _row("q-projection-dim", "analyze", "quantum", {"payload.projections.A": [[1]]}, 3,
+         "error: payload.projections.A: projection dim 1 != state dim 2"),
+    _row("q-projection-c-dim", "analyze", "quantum", {"payload.projections.C": [[1]]}, 3,
+         "error: payload.projections.C: projection dim 1 != state dim 2"),
+    _row("q-noncommuting", "analyze", "quantum",
+         {"payload.projections.B": [[0.5, 0.5], [0.5, 0.5]]}, 3,
+         "error: projections do not commute (residual 0.707)"),
+    _row("q-count", "find-cc", "quantum", {"payload.count": "2"}, 2,
+         "error: payload.count: expected an integer"),
+    _row("q-count-bool", "find-cc", "quantum", {"payload.count": True}, 2,
+         "error: payload.count: expected an integer"),
+    _row("q-budget", "genuine-cc", "quantum", {"payload.budget": 1.5}, 2,
+         "error: payload.budget: expected an integer"),
+    # classical payloads
+    _row("c-weights-missing", "analyze", "classical", {"payload.weights": _DROP}, 2,
+         "error: payload.weights is required"),
+    _row("c-weights-text", "analyze", "classical", {"payload.weights": "x"}, 2,
+         "error: payload.weights: expected a list of atom weights"),
+    _row("c-weight-text", "analyze", "classical", {"payload.weights": ["x", 1]}, 2,
+         "error: payload.weights: expected a number"),
+    _row("c-weights-empty", "classical-audit", "classical", {"payload.weights": []}, 3,
+         "error: payload.weights: weights must be a nonempty 1-d sequence"),
+    _row("c-weight-negative", "classical-audit", "classical", {"payload.weights": [1.5, -0.5]}, 3,
+         "error: payload.weights violates weights >= 0: negative atom weight"),
+    _row("c-weights-sum", "classical-audit", "classical", {"payload.weights": [0.5, 0.2]}, 3,
+         "error: payload.weights violates sum(weights) = 1: weights sum to 0.7, not 1"),
+    _row("c-events-list", "analyze", "classical", {"payload.events": [[0, 1], [1, 2]]}, 2,
+         "error: payload.events: expected an object"),
+    _row("c-event-text", "analyze", "classical", {"payload.events.A": "x"}, 2,
+         "error: payload.events.A: expected a list of atom indices"),
+    _row("c-event-float", "analyze", "classical", {"payload.events.A": [0.0, 1]}, 2,
+         "error: payload.events.A: expected a list of atom indices"),
+    _row("c-event-bool", "analyze", "classical", {"payload.events.A": [True, 0]}, 2,
+         "error: payload.events.A: expected a list of atom indices"),
+    _row("c-event-range", "analyze", "classical", {"payload.events.A": [7]}, 3,
+         "error: payload.events.A: atom index 7 out of range"),
+    _row("c-event-b-missing", "analyze", "classical", {"payload.events.B": _DROP}, 2,
+         "error: payload.events.B is required for this command"),
+    _row("c-events-missing", "find-cc", "classical", {"payload.events": _DROP}, 2,
+         "error: payload.events.A is required for this command"),
+    _row("c-exclude-trivial", "find-cc", "classical", {"payload.exclude_trivial": 1}, 2,
+         "error: payload.exclude_trivial: expected true or false"),
+    # bell payloads
+    _row("b-split-missing", "bell", "bell", {"payload.split": _DROP}, 2,
+         "error: payload.split is required"),
+    _row("b-split-short", "bell", "bell", {"payload.split": [2]}, 2,
+         "error: payload.split: expected [d1, d2]"),
+    _row("b-split-text", "bell", "bell", {"payload.split": "2x2"}, 2,
+         "error: payload.split: expected [d1, d2]"),
+    _row("b-split-entry", "bell", "bell", {"payload.split": [2, "x"]}, 2,
+         "error: payload.split[1]: expected an integer"),
+    _row("b-split-bool", "bell", "bell", {"payload.split": [True, 2]}, 2,
+         "error: payload.split[0]: expected an integer"),
+    _row("b-split-small", "bell", "bell", {"payload.split": [1, 2]}, 3,
+         "error: payload.split: each side needs dimension >= 2, got 1x2"),
+    _row("b-singlet-split", "bell", "bell", {"payload.split": [2, 3]}, 3,
+         "error: payload.state: singlet needs a [2, 2] split"),
+    _row("b-werner-split", "bell", "bell",
+         {"payload.split": [3, 2], "payload.state": {"werner": 0.5}}, 3,
+         "error: payload.state: werner needs a [2, 2] split"),
+    _row("b-werner-text", "bell", "bell", {"payload.state": {"werner": "x"}}, 2,
+         "error: payload.state.werner: expected a number"),
+    _row("b-werner-range", "bell", "bell", {"payload.state": {"werner": 1.5}}, 3,
+         "error: payload.state: mixing weight 1.5 outside [0, 1]"),
+    _row("b-state-object", "bell", "bell", {"payload.state": {"mix": 0.5}}, 2,
+         "error: payload.state: expected a matrix as a list of rows"),
+    _row("b-state-dim", "bell", "bell", {"payload.state": [[0.5, 0], [0, 0.5]]}, 3,
+         "error: payload.state: state dim 2 != split product 4"),
+    _row("b-state-missing", "bell", "bell", {"payload.state": _DROP}, 2,
+         "error: payload.state is required for the bell command"),
+    _row("b-restarts", "bell", "bell", {"payload.restarts": "20"}, 2,
+         "error: payload.restarts: expected an integer"),
+    _row("s-ensemble-missing", "sample-bell", "bell", {"payload.ensemble": _DROP}, 2,
+         "error: payload.ensemble is required"),
+    _row("s-ensemble-unknown", "sample-bell", "bell", {"payload.ensemble": "nope"}, 3,
+         "error: payload: unknown ensemble 'nope'"),
+    _row("s-n-missing", "sample-bell", "bell", {"payload.n": _DROP}, 2,
+         "error: payload.n is required"),
+    _row("s-n-float", "sample-bell", "bell", {"payload.n": 2.0}, 2,
+         "error: payload.n: expected an integer"),
+    _row("s-n-zero", "sample-bell", "bell", {"payload.n": 0}, 3,
+         "error: payload: need at least one sample"),
+    _row("s-restarts", "sample-bell", "bell", {"payload.restarts": None}, 2,
+         "error: payload.restarts: expected an integer"),
+    # geometry payloads
+    _row("g-regions-missing", "geometry", "geometry", {"payload.regions": _DROP}, 2,
+         "error: payload.regions is required"),
+    _row("g-regions-empty", "geometry", "geometry", {"payload.regions": {}}, 2,
+         "error: payload.regions: expected a nonempty object"),
+    _row("g-regions-names", "geometry", "geometry", {"payload.regions": {"w": _CONE}}, 2,
+         "error: payload.regions needs either v1 and v2, or v"),
+    _row("g-region-text", "geometry", "geometry", {"payload.regions.v": "x"}, 2,
+         "error: payload.regions.v: expected a region object"),
+    _row("g-shape", "geometry", "geometry", {"payload.regions.v.shape": "circle"}, 2,
+         "error: payload.regions.v.shape must be double_cone, rect, or union"),
+    _row("g-u-missing", "geometry", "geometry", {"payload.regions.v.u": _DROP}, 2,
+         "error: payload.regions.v.u is required"),
+    _row("g-u-short", "geometry", "geometry", {"payload.regions.v.u": [1]}, 2,
+         "error: payload.regions.v.u: expected [lo, hi]"),
+    _row("g-v-entry", "geometry", "geometry", {"payload.regions.v.v": [-1, "1"]}, 2,
+         "error: payload.regions.v.v[1]: expected a number"),
+    _row("g-u-empty", "geometry", "geometry", {"payload.regions.v.u": [1, -1]}, 3,
+         "error: payload.regions.v: u interval (1.0, -1.0) is empty"),
+    _row("g-rect-t", "geometry", "geometry",
+         {"payload.regions.v": {"shape": "rect", "x": [0, 1]}}, 2,
+         "error: payload.regions.v.t is required"),
+    _row("g-rect-x", "geometry", "geometry",
+         {"payload.regions.v": {"shape": "rect", "t": [0, 1], "x": [0, None]}}, 2,
+         "error: payload.regions.v.x[1]: expected a number"),
+    _row("g-parts-empty", "geometry", "geometry",
+         {"payload.regions.v": {"shape": "union", "parts": []}}, 2,
+         "error: payload.regions.v.parts: expected a nonempty list"),
+    _row("g-part-text", "geometry", "geometry",
+         {"payload.regions.v": {"shape": "union", "parts": [_CONE, "x"]}}, 2,
+         "error: payload.regions.v.parts[1]: expected a region object"),
+    _row("g-point-short", "geometry", "geometry", {"payload.point": [1]}, 2,
+         "error: payload.point: expected [lo, hi]"),
+    _row("g-point-entry", "geometry", "geometry", {"payload.point": ["a", 0]}, 2,
+         "error: payload.point[0]: expected a number"),
+    _row("g-margin", "geometry", "pair", {"payload.margin": "x"}, 2,
+         "error: payload.margin: expected a number"),
+    _row("g-depth", "geometry", "pair", {"payload.depth": [6]}, 2,
+         "error: payload.depth: expected a number"),
+    _row("g-overlap", "geometry", "pair", {"payload.regions.v2": _CONE}, 3,
+         "error: regions are not spacelike separated"),
+    # toy-net payloads
+    _row("t-n-sites-missing", "toynet-demo", "toynet", {"payload.n_sites": _DROP}, 2,
+         "error: payload.n_sites is required"),
+    _row("t-n-sites-text", "toynet-demo", "toynet", {"payload.n_sites": "8"}, 2,
+         "error: payload.n_sites: expected an integer"),
+    _row("t-n-sites-small", "toynet-demo", "toynet", {"payload.n_sites": 3}, 2,
+         "error: payload.n_sites = 3: the demo builds dense 2^n matrices and takes 4..10 sites"),
+    _row("t-gate", "toynet-demo", "toynet", {"payload.gate": "cnot"}, 2,
+         'error: payload.gate must be "swap" or "random"'),
+    _row("t-n-steps-text", "toynet-demo", "toynet", {"payload.n_steps": "3"}, 2,
+         "error: payload.n_steps: expected an integer"),
+    _row("t-n-steps-zero", "toynet-demo", "toynet", {"payload.n_steps": 0}, 3,
+         "error: payload.n_steps must be >= 1"),
+    _row("t-d1-missing", "toynet-demo", "toynet", {"payload.d1": _DROP}, 2,
+         "error: payload.d1 is required"),
+    _row("t-d2-list", "toynet-demo", "toynet", {"payload.d2": [2, 6, 7]}, 2,
+         "error: payload.d2: expected {step, sites}"),
+    _row("t-step-missing", "toynet-demo", "toynet", {"payload.d1.step": _DROP}, 2,
+         "error: payload.d1.step is required"),
+    _row("t-step-float", "toynet-demo", "toynet", {"payload.d1.step": 2.0}, 2,
+         "error: payload.d1.step: expected an integer"),
+    _row("t-sites-missing", "toynet-demo", "toynet", {"payload.d2.sites": _DROP}, 2,
+         "error: payload.d2.sites is required"),
+    _row("t-sites-short", "toynet-demo", "toynet", {"payload.d1.sites": [1, 2, 3]}, 2,
+         "error: payload.d1.sites: expected [lo, hi]"),
+    _row("t-sites-entry", "toynet-demo", "toynet", {"payload.d1.sites": ["1", 2]}, 2,
+         "error: payload.d1.sites[0]: expected an integer"),
+    _row("t-sites-order", "toynet-demo", "toynet", {"payload.d1.sites": [2, 1]}, 3,
+         "error: payload.d1.sites [2, 1] outside the chain of 8"),
+    _row("t-sites-range", "toynet-demo", "toynet", {"payload.d2.sites": [6, 8]}, 3,
+         "error: payload.d2.sites [6, 8] outside the chain of 8"),
+    _row("t-step-horizon", "toynet-demo", "toynet",
+         {"payload.n_steps": 2, "payload.d1.step": 3}, 3,
+         "error: payload.d1.step 3 outside the built horizon 2"),
+    _row("t-state", "toynet-demo", "toynet", {"payload.state": "mixed"}, 2,
+         'error: payload.state must be "entangled" or "product"'),
+    _row("t-epsilon-text", "toynet-demo", "toynet", {"payload.epsilon": "0.1"}, 2,
+         "error: payload.epsilon: expected a number"),
+    _row("t-epsilon-range", "toynet-demo", "toynet", {"payload.epsilon": 1}, 3,
+         "error: payload.epsilon must lie strictly between 0 and 1"),
+    _row("t-budget", "toynet-demo", "toynet", {"payload.budget": "10"}, 2,
+         "error: payload.budget: expected an integer"),
+    _row("t-axiom-pairs", "toynet-demo", "toynet", {"payload.axiom_pairs": 1.0}, 2,
+         "error: payload.axiom_pairs: expected an integer"),
+]
+
+
+@pytest.mark.parametrize("command, base, edits, argv, code, line", _MESSAGE_ROWS)
+def test_parse_and_invariant_messages(tmp_path, capsys, command, base, edits, argv, code, line):
+    path = tmp_path / "scenario.json"
+    if base == "raw":
+        path.write_text(edits)
+    elif base != "missing":
+        path.write_text(json.dumps(_edited(base, edits)))
+    assert run_cli(command, "--scenario", str(path), *argv) == code
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first == line.replace("<path>", str(path)).replace("<known>", _KNOWN)
+
+
+@pytest.mark.parametrize("command", ["analyze", "find-cc"])
+@pytest.mark.parametrize("events", [None, True, 0, 1.5, "A", [[0, 1], [1, 2]], []])
+def test_non_object_events_are_a_parse_error(tmp_path, capsys, command, events):
+    # a list here used to crash with exit 4: 'list' object has no attribute 'items'
+    path = tmp_path / "events.json"
+    path.write_text(json.dumps(_edited("classical", {"payload.events": events})))
+    assert run_cli(command, "--scenario", str(path)) == 2
+    assert capsys.readouterr().err == "error: payload.events: expected an object\n"
+
+
+@pytest.mark.parametrize("name", ["A", "C"])
+def test_boolean_atom_indices_are_refused(tmp_path, capsys, name):
+    # true used to pass as atom 1
+    path = tmp_path / "events.json"
+    edits = {"payload.events.C": [0, 3], f"payload.events.{name}": [True, 0]}
+    path.write_text(json.dumps(_edited("classical", edits)))
+    assert run_cli("analyze", "--scenario", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: payload.events.{name}: expected a list of atom indices\n"
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("analyze", "four_block_classical_pair.json"),
+        ("find-cc", "three_causes_dim9.json"),
+        ("genuine-cc", "planted_genuine_dim16.json"),
+        ("bell", "bell_singlet.json"),
+        ("sample-bell", "product_ensemble.json"),
+        ("geometry", "single_double_cone.json"),
+        ("classical-audit", "four_atom_incomplete.json"),
+        ("toynet-demo", "eight_qubit_chain.json"),
+    ],
+)
+def test_negative_seed_flag_is_a_parse_error(capsys, command, name):
+    # it used to crash in SeedSequence (exit 4) or be written into the record
+    assert run_cli(command, "--scenario", scenario(name), "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed -1: expected a nonnegative integer\n"
+
+
+# ---------------------------------------------------------------------------
 # internal errors (exit 4)
 # ---------------------------------------------------------------------------
 

@@ -828,6 +828,25 @@ def test_is_product_rejects_overlapping_factors():
         is_product_state(DensityState(np.eye(4) / 4), n1, n1)
 
 
+def test_product_state_on_outer_factors_matches_explicit_route():
+    # factors 0 and 2 of a (2, 3, 2) split: the factor route reduces to the
+    # outer pair, tracing the middle factor out; conjugating by I gives the
+    # same algebras in explicit form, swept on the full space
+    rng = np.random.default_rng(23)
+    dims = (2, 3, 2)
+    n1, n2 = (MatrixAlgebra.tensor_factor(dims, (k,)) for k in (0, 2))
+    e1, e2 = (n.conjugated_by(np.eye(12)) for n in (n1, n2))
+    assert e1.structure is None and e2.structure is None
+    product = np.kron(la.random_density(6, rng), la.random_density(2, rng))
+    mid = la.random_density(3, rng)
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    correlated = 0.5 * np.kron(np.kron(up, mid), up) + 0.5 * np.kron(np.kron(down, mid), down)
+    for rho, expected in ((product, True), (correlated, False)):
+        phi = DensityState(rho)
+        assert is_product_state(phi, n1, n2) is expected
+        assert is_product_state(phi, e1, e2) is expected
+
+
 def test_logical_independence_exact_for_disjoint_factors():
     n1, n2 = _split_algebras(2, 2)
     verdict = logical_independence_check(n1, n2)
