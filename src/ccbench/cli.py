@@ -203,6 +203,11 @@ def _validate_bell(payload: dict) -> dict:
             f"payload.split: each side needs dimension >= 2, got {d1}x{d2}",
             invariant="split",
         )
+    if d1 * d2 > 2**_toynet.DENSE_MAX_SITES:
+        raise ScenarioInvariantError(
+            f"payload.split: {d1}x{d2} exceeds the dense dimension limit {2**_toynet.DENSE_MAX_SITES}",
+            invariant="split",
+        )
     objects = {"split": (d1, d2)}
     node = payload.get("state")
     if node is not None:

@@ -7,11 +7,10 @@ Double cones are pure (u, v) boxes, axis rectangles pure (t, x) boxes, and
 backward light cones / causal complements are one-sided (u, v) wedges, so
 every operation here reduces to interval arithmetic.
 
-Bounds of a cell are tightened by propagating constraints between the two
-frames. For pure cells (cones, rects, wedges) one pass is exact, which is
-what the interval-exact identities rely on; for mixed cells (for example
-slab-intersect-lightcone pieces) the tightened bounds are a superset of the
-true hull, which is all that membership tests and rejection sampling need.
+Every cell carries its exact hull: each of its four bounds is the tightest
+one the other three coordinates allow, found in closed form by eliminating
+the other coordinate of the pair, so cones, rects, wedges and their mixed
+intersections alike have exact bounds in both frames.
 """
 
 from __future__ import annotations
@@ -92,31 +91,6 @@ class Interval:
 FULL = Interval()
 
 
-def _lo_sub(a_lo: float, b_hi: float) -> float:
-    """Lower bound of {a - b}; -inf when either operand is unbounded that way."""
-    if a_lo == -INF or b_hi == INF:
-        return -INF
-    return a_lo - b_hi
-
-
-def _hi_sub(a_hi: float, b_lo: float) -> float:
-    if a_hi == INF or b_lo == -INF:
-        return INF
-    return a_hi - b_lo
-
-
-def _lo_add(a_lo: float, b_lo: float) -> float:
-    if a_lo == -INF or b_lo == -INF:
-        return -INF
-    return a_lo + b_lo
-
-
-def _hi_add(a_hi: float, b_hi: float) -> float:
-    if a_hi == INF or b_hi == INF:
-        return INF
-    return a_hi + b_hi
-
-
 # ---------------------------------------------------------------------------
 # cells
 # ---------------------------------------------------------------------------
@@ -152,30 +126,37 @@ class Cell:
         )
 
 
-MAX_TIGHTEN_PASSES = 60
-
-
 def make_cell(t=FULL, x=FULL, u=FULL, v=FULL) -> Optional[Cell]:
-    """Tighten bounds to a fixpoint; None when the cell is empty.
+    """The exact hull of the cell the four bounds cut out; None when empty.
 
-    Propagates u = t - x and v = t + x both ways. Bounds only ever shrink,
-    so intermediate states remain supersets of the true cell.
+    With u = t - x and v = t + x, eliminating the other coordinate of the
+    pair (Fourier-Motzkin) gives each bound as the max of four lower terms
+    or the min of four upper terms. Empty inputs are refused first, so every
+    term is lo + lo, hi + hi or lo - hi and no inf - inf arises.
     """
-    for _ in range(MAX_TIGHTEN_PASSES):
-        nu = u.intersect(Interval(_lo_sub(t.lo, x.hi), _hi_sub(t.hi, x.lo)))
-        nv = v.intersect(Interval(_lo_add(t.lo, x.lo), _hi_add(t.hi, x.hi)))
-        nt = t.intersect(
-            Interval(0.5 * _lo_add(nu.lo, nv.lo), 0.5 * _hi_add(nu.hi, nv.hi))
-        )
-        nx = x.intersect(
-            Interval(0.5 * _lo_sub(nv.lo, nu.hi), 0.5 * _hi_sub(nv.hi, nu.lo))
-        )
-        if any(i.empty for i in (nt, nx, nu, nv)):
-            return None
-        if (nt, nx, nu, nv) == (t, x, u, v):
-            break
-        t, x, u, v = nt, nx, nu, nv
-    return Cell(t=t, x=x, u=u, v=v)
+    if any(i.empty for i in (t, x, u, v)):
+        return None
+    hull = (
+        Interval(
+            max(t.lo, x.lo + u.lo, v.lo - x.hi, 0.5 * (u.lo + v.lo)),
+            min(t.hi, x.hi + u.hi, v.hi - x.lo, 0.5 * (u.hi + v.hi)),
+        ),
+        Interval(
+            max(x.lo, t.lo - u.hi, v.lo - t.hi, 0.5 * (v.lo - u.hi)),
+            min(x.hi, t.hi - u.lo, v.hi - t.lo, 0.5 * (v.hi - u.lo)),
+        ),
+        Interval(
+            max(u.lo, t.lo - x.hi, 2 * t.lo - v.hi, v.lo - 2 * x.hi),
+            min(u.hi, t.hi - x.lo, 2 * t.hi - v.lo, v.hi - 2 * x.lo),
+        ),
+        Interval(
+            max(v.lo, t.lo + x.lo, 2 * t.lo - u.hi, u.lo + 2 * x.lo),
+            min(v.hi, t.hi + x.hi, 2 * t.hi - u.lo, u.hi + 2 * x.hi),
+        ),
+    )
+    if any(i.empty for i in hull):
+        return None
+    return Cell(*hull)
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +434,13 @@ def weak_cc_region(
         raise InternalInconsistencyError("slab slice is empty; no overlap depth exists")
     slab = rect(t=(top - margin, top), x=(x_lo, x_hi))
     completion = causal_completion(slab)
-    hull = completion.cells[0]
     checks = {
         "slab_below_regions": top <= t_min,
         "slab_in_blc_union": top <= t_overlap
         and x_lo >= top - max(b1, b2)
         and x_hi <= max(d1, d2) - top,
-        "completion_contains_inputs": all(
-            hull.u.contains_interval(c.u) and hull.v.contains_interval(c.v)
-            for c in (*v1.cells, *v2.cells)
-        ),
+        "completion_contains_inputs": causal_shadow_check(v1, slab)
+        and causal_shadow_check(v2, slab),
     }
     if not all(checks.values()):
         failed = [k for k, ok in checks.items() if not ok]
@@ -544,8 +522,8 @@ def slice_at(region: Region, t: float) -> list[tuple[float, float]]:
         if not c.t.contains(t):
             continue
         iv = c.x
-        iv = iv.intersect(Interval(_lo_sub(t, c.u.hi), _hi_sub(t, c.u.lo)))
-        iv = iv.intersect(Interval(_lo_sub(c.v.lo, t), _hi_sub(c.v.hi, t)))
+        iv = iv.intersect(Interval(t - c.u.hi, t - c.u.lo))
+        iv = iv.intersect(Interval(c.v.lo - t, c.v.hi - t))
         if not iv.empty:
             raw.append((iv.lo, iv.hi))
     raw.sort()

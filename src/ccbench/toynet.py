@@ -48,7 +48,6 @@ from .commoncause import CommonCauseCertificate, find_strong_cc, quantum_verify_
 from .config import TOL
 from .errors import (
     InfeasibleError,
-    InternalInconsistencyError,
     NotFaithfulError,
     NotUnitaryError,
     RegionError,
@@ -591,13 +590,6 @@ def weak_rccp_demo(
         cone1.diamond(), cone2.diamond(), margin=1.0, depth=-0.5
     )
     slab = construction.region
-    if not (
-        geo.causal_shadow_check(cone1.diamond(), slab)
-        and geo.causal_shadow_check(cone2.diamond(), slab)
-    ):
-        raise InternalInconsistencyError(
-            "base regions escaped the causal completion of the slab"
-        )
     cell = slab.cells[0]
     snapped = [
         i

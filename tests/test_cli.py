@@ -577,6 +577,10 @@ _MESSAGE_ROWS = [
          "error: payload.split[0]: expected an integer"),
     _row("b-split-small", "bell", "bell", {"payload.split": [1, 2]}, 3,
          "error: payload.split: each side needs dimension >= 2, got 1x2"),
+    _row("b-split-large", "sample-bell", "bell", {"payload.split": [1000000, 2]}, 3,
+         "error: payload.split: 1000000x2 exceeds the dense dimension limit 1024"),
+    _row("b-split-wide", "bell", "bell", {"payload.split": [2, 513]}, 3,
+         "error: payload.split: 2x513 exceeds the dense dimension limit 1024"),
     _row("b-singlet-split", "bell", "bell", {"payload.split": [2, 3]}, 3,
          "error: payload.state: singlet needs a [2, 2] split"),
     _row("b-werner-split", "bell", "bell",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from ccbench import geometry as geo
 from ccbench.errors import (
@@ -363,7 +364,7 @@ def test_describe_mentions_both_charts():
 # complement and completion identities, as properties
 # ---------------------------------------------------------------------------
 
-# Coordinates on a grid of 1/8: hulls, wedges and the tightening of rect
+# Coordinates on a grid of 1/8: hulls, wedges and the closed-form cell
 # bounds are then exact, so the identities hold with no tolerance.
 GRID = 0.125
 
@@ -424,3 +425,79 @@ def test_causal_complement_agrees_with_spacelike_separation(r, s):
     verdict = geo.spacelike_separated(r, s)
     assert verdict == geo.spacelike_separated(s, r)
     assert verdict == inside(s, geo.causal_complement(r)) == inside(r, geo.causal_complement(s))
+
+
+# ---------------------------------------------------------------------------
+# cell bounds against an independent hull
+# ---------------------------------------------------------------------------
+
+# Each coordinate as a linear form in (t, x).
+FORMS = {"t": (1.0, 0.0), "x": (0.0, 1.0), "u": (1.0, -1.0), "v": (1.0, 1.0)}
+
+
+@st.composite
+def grid_intervals(draw):
+    """An interval on the 1/8 grid, each end finite or infinite, possibly empty."""
+    lo = draw(st.one_of(st.none(), st.integers(-24, 24)))
+    hi = draw(st.one_of(st.none(), st.integers(-24, 24)))
+    return geo.Interval(-geo.INF if lo is None else lo * GRID, geo.INF if hi is None else hi * GRID)
+
+
+def octagon_rows(bounds):
+    """A z <= b rows of the closed octagon the four intervals cut out."""
+    rows, rhs = [], []
+    for name, iv in bounds.items():
+        a = np.array(FORMS[name])
+        if np.isfinite(iv.lo):
+            rows.append(-a)
+            rhs.append(-iv.lo)
+        if np.isfinite(iv.hi):
+            rows.append(a)
+            rhs.append(iv.hi)
+    return np.array(rows).reshape(-1, 2), np.array(rhs)
+
+
+def lp_extreme(rows, rhs, form, sign) -> float:
+    """min (sign 1) or max (sign -1) of the form over the closed octagon."""
+    res = linprog(sign * np.array(form), A_ub=rows, b_ub=rhs, bounds=[(None, None)] * 2)
+    if res.status == 3:
+        return -sign * geo.INF
+    assert res.status == 0, res.message
+    return sign * res.fun
+
+
+def lp_has_interior(rows, rhs) -> bool:
+    """Whether some point meets every row with slack: max s, A z + s <= b."""
+    if not len(rows):
+        return True
+    slack_rows = np.hstack([rows, np.ones((len(rows), 1))])
+    res = linprog([0.0, 0.0, -1.0], A_ub=slack_rows, b_ub=rhs, bounds=[(None, None)] * 2 + [(None, 1)])
+    return res.status == 0 and -res.fun > 1e-9
+
+
+@given(t=grid_intervals(), x=grid_intervals(), u=grid_intervals(), v=grid_intervals())
+@settings(max_examples=200, deadline=None)
+def test_cell_bounds_are_the_lp_hull(t, x, u, v):
+    bounds = {"t": t, "x": x, "u": u, "v": v}
+    cell = geo.make_cell(**bounds)
+    rows, rhs = octagon_rows(bounds)
+    if not all(iv.lo < iv.hi for iv in bounds.values()) or not lp_has_interior(rows, rhs):
+        assert cell is None
+        return
+    assert cell is not None
+    for name, form in FORMS.items():
+        hull = (lp_extreme(rows, rhs, form, 1), lp_extreme(rows, rhs, form, -1))
+        got = getattr(cell, name)
+        assert (got.lo, got.hi) == pytest.approx(hull, abs=1e-9), name
+
+
+def test_parallelogram_cell_is_bounded():
+    # a t-slab cut by a u-strip is a bounded parallelogram in every chart
+    cell = geo.make_cell(t=geo.Interval(-1, 1), u=geo.Interval(0, 1))
+    assert cell.bounded
+    assert (cell.x, cell.v) == (geo.Interval(-2, 1), geo.Interval(-3, 2))
+    region = geo.Region("cell", (cell,))
+    assert geo.causal_completion(region).cells == geo.double_cone(u=(0, 1), v=(-3, 2)).cells
+    pts = geo.sample_points(region, 50, np.random.default_rng(0))
+    assert len(pts) == 50
+    assert all(region.contains(geo.Point(t, x)) for t, x in pts)

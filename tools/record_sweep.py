@@ -1,0 +1,63 @@
+"""Run every CLI command on bundled scenarios and keep the canonical records.
+
+Usage, from the root of a source tree:
+
+    python3 tools/record_sweep.py OUT [SCENARIO ...]
+
+For each scenario in ``scenarios/`` (or each one named, with or without
+``.json``) and each command in the CLI's own command table, this runs
+``python3 -m ccbench CMD --scenario scenarios/S.json --format record``
+with the tree's ``src`` first on PYTHONPATH and BLAS at one thread, and
+writes ``OUT/<scenario>.<command>.out``, ``.err`` and ``.code``, two runs
+at a time. A run that outlives its 30 s cap is killed and gets the code
+``timeout``. Sweeps of two trees are compared with ``diff -r OUT1 OUT2``.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+CAP_S = 30
+WORKERS = 2
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def record(command: str, stem: str, env: dict) -> tuple[bytes, bytes, str]:
+    """stdout, stderr and exit code of one run, or code ``timeout`` at the cap."""
+    argv = [sys.executable, "-m", "ccbench", command,
+            "--scenario", f"scenarios/{stem}.json", "--format", "record"]
+    try:
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=CAP_S)
+    except subprocess.TimeoutExpired as exc:
+        return exc.stdout or b"", exc.stderr or b"", "timeout"
+    return proc.stdout, proc.stderr, str(proc.returncode)
+
+
+def sweep(out: Path, names: list[str]) -> None:
+    src = Path("src").resolve()
+    sys.path.insert(0, str(src))
+    from ccbench.cli import _COMMANDS
+
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": path}
+    stems = [Path(n).stem for n in names] or sorted(p.stem for p in Path("scenarios").glob("*.json"))
+    jobs = [(command, stem) for stem in stems for command in _COMMANDS]
+    out.mkdir(parents=True, exist_ok=True)
+    with ThreadPoolExecutor(WORKERS) as pool:
+        runs = pool.map(lambda job: record(*job, env), jobs)
+        for (command, stem), (stdout, stderr, code) in zip(jobs, runs):
+            base = f"{stem}.{command}"
+            (out / f"{base}.out").write_bytes(stdout)
+            (out / f"{base}.err").write_bytes(stderr)
+            (out / f"{base}.code").write_text(code + "\n")
+            print(f"{stem} {command}: {code}", flush=True)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit(__doc__)
+    sweep(Path(sys.argv[1]), sys.argv[2:])
