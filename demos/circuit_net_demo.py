@@ -10,6 +10,7 @@ lives in the slab below both regions. Run:
 """
 
 from ccbench import toynet
+from ccbench.record import render_text
 
 net = toynet.build_net(6, "random", seed=0, n_steps=3)
 print(net)
@@ -26,7 +27,7 @@ d1 = toynet.SliceCone(step=2, lo=0, hi=1)
 d2 = toynet.SliceCone(step=2, lo=4, hi=5)
 demo = toynet.weak_rccp_demo(net, phi, d1, d2, budget=10)
 print()
-print(demo.narrative())
+print(render_text(demo.to_record()), end="")
 
 # the certificate's cause is an element of the step-0 row algebra under
 # the slab, which is how "localized in the common past" is made literal

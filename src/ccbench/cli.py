@@ -9,8 +9,10 @@ Exit codes: 0 success, 1 honest negative (a search that correctly found
 nothing), 2 parse or schema error, 3 violated invariant or precondition
 (the failing invariant is named), 4 internal inconsistency or any other
 uncaught exception (a bug).
-Given the same scenario, command, and seed, the machine-readable record is
-byte-identical across reruns.
+Each command returns its results and an outcome; ``--format record`` writes
+the canonical record, byte-identical across reruns of the same scenario,
+command and seed, and the text report is ``record.render_text`` of the same
+results followed by the ``outcome:`` line.
 """
 
 from __future__ import annotations
@@ -46,9 +48,16 @@ from .errors import (
     ValidationError,
 )
 from .qprob import DensityState, MatrixAlgebra, Projection, correlation, state_eval
-from .record import complex_matrix_record, render_record
+from .record import complex_matrix_record, render_record, render_text
 
 KINDS = ("quantum", "classical", "geometry", "toynet", "bell")
+
+# Most layers a toynet-demo scenario may ask for. build_net builds every
+# layer before anything runs, and the demo evolves each candidate back
+# through every layer below its regions, about 0.4 s a layer on 10 sites:
+# with both regions at step 50 a 10-site demo takes 22 s (2-vCPU guest, one
+# BLAS thread), inside the record sweep's 30 s cap.
+MAX_STEPS = 50
 
 
 @dataclass
@@ -100,6 +109,18 @@ def _as_int(entry, where: str) -> int:
     if isinstance(entry, bool) or not isinstance(entry, int):
         raise ScenarioParseError(f"{where}: expected an integer")
     return entry
+
+
+def _count(payload: dict, key: str, default: int, least: int, most: float = math.inf) -> int:
+    """The optional integer ``payload[key]``; outside [least, most] it
+    violates the invariant named ``key`` (below ``least`` the search it
+    sizes would not run)."""
+    val = _as_int(payload.get(key, default), f"payload.{key}")
+    if val < least:
+        raise ScenarioInvariantError(f"payload.{key} must be >= {least}", invariant=key)
+    if val > most:
+        raise ScenarioInvariantError(f"payload.{key} must be <= {most}", invariant=key)
+    return val
 
 
 def _as_complex(entry, where: str) -> complex:
@@ -280,12 +301,7 @@ def _validate_toynet(payload: dict) -> dict:
     gate = payload.get("gate", "random")
     if gate not in ("swap", "random"):
         raise ScenarioParseError('payload.gate must be "swap" or "random"')
-    n_steps = payload.get("n_steps")
-    if n_steps is not None:
-        n_steps = _as_int(n_steps, "payload.n_steps")
-        if n_steps < 1:
-            raise ScenarioInvariantError("payload.n_steps must be >= 1", invariant="n_steps")
-    horizon = n_steps if n_steps is not None else n_sites
+    n_steps = _count(payload, "n_steps", n_sites, 1, MAX_STEPS)
     cones = {}
     for name in ("d1", "d2"):
         node = _need(payload, name, "payload")
@@ -298,9 +314,9 @@ def _validate_toynet(payload: dict) -> dict:
                 f"payload.{name}.sites [{lo}, {hi}] outside the chain of {n_sites}",
                 invariant="sites",
             )
-        if not (0 <= step <= horizon):
+        if not (0 <= step <= n_steps):
             raise ScenarioInvariantError(
-                f"payload.{name}.step {step} outside the built horizon {horizon}",
+                f"payload.{name}.step {step} outside the built horizon {n_steps}",
                 invariant="step",
             )
         cones[name] = _toynet.SliceCone(step, lo, hi)
@@ -319,6 +335,8 @@ def _validate_toynet(payload: dict) -> dict:
         "n_steps": n_steps,
         "state_kind": state_kind,
         "epsilon": epsilon,
+        "budget": _count(payload, "budget", 10, 1),
+        "axiom_pairs": _count(payload, "axiom_pairs", 0, 0),
         **cones,
     }
 
@@ -396,18 +414,6 @@ def load_scenario(path, extra_tolerances: Optional[dict] = None) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
-
-
-def _cert_lines(cert) -> list[str]:
-    return [
-        f"screening residuals: ({_fmt(cert.residual_screen_C)}, {_fmt(cert.residual_screen_Cperp)})",
-        f"relevance margins: ({_fmt(cert.margin_A)}, {_fmt(cert.margin_B)})",
-        f"strong={cert.is_strong} genuine={cert.is_genuine} verified={cert.verified}",
-    ]
-
-
 def _classical_events(sc: Scenario, *names: str) -> list[int]:
     events = sc.objects["events"]
     out = []
@@ -422,41 +428,32 @@ def _cmd_analyze(sc: Scenario, seed: int):
     if sc.kind == "classical":
         space = sc.objects["space"]
         a, b = _classical_events(sc, "A", "B")
-        corr = space.correlation(a, b)
         results = {
-            "correlation": corr,
+            "correlation": space.correlation(a, b),
             "logically_independent": space.logically_independent(a, b),
         }
-        summary = [f"classical pair on {space.n_atoms} atoms", f"correlation = {_fmt(corr)}"]
         if "C" in sc.objects["events"]:
             cert = _cc.classical_verify_cc(space, a, b, sc.objects["events"]["C"])
             results["certificate"] = cert.to_record()
-            summary += _cert_lines(cert)
-        return results, summary, "ok"
+        return results, "ok"
     phi, a, b = sc.objects["phi"], sc.objects["A"], sc.objects["B"]
-    corr = correlation(phi, a, b)
     results = {
         "dim": phi.dim,
         "faithful": phi.faithful,
-        "correlation": corr,
+        "correlation": correlation(phi, a, b),
         "weights": {"A": state_eval(phi, a), "B": state_eval(phi, b)},
     }
-    summary = [
-        f"state dim {phi.dim}, faithful={phi.faithful}",
-        f"correlation(A, B) = {_fmt(corr)}",
-    ]
     try:
-        rv = _cc.reichenbach_r(phi, a, b)
-        results["target_weight"] = rv.to_record()
-        summary.append(f"target weight r = {_fmt(rv.r)} (meet weight {_fmt(rv.phiAB)})")
+        results["target_weight"] = _cc.reichenbach_r(phi, a, b).to_record()
     except UncorrelatedError:
         results["target_weight"] = None
-        summary.append("pair is not positively correlated; no target weight")
     if "C" in sc.objects:
-        cert = _cc.quantum_verify_cc(phi, a, b, sc.objects["C"])
-        results["certificate"] = cert.to_record()
-        summary += _cert_lines(cert)
-    return results, summary, "ok"
+        results["certificate"] = _cc.quantum_verify_cc(phi, a, b, sc.objects["C"]).to_record()
+    return results, "ok"
+
+
+def _cause_record(cert) -> dict:
+    return {"certificate": cert.to_record(), "cause_matrix": complex_matrix_record(cert.cause.mat)}
 
 
 def _cmd_find_cc(sc: Scenario, seed: int):
@@ -468,63 +465,33 @@ def _cmd_find_cc(sc: Scenario, seed: int):
             raise ScenarioParseError("payload.exclude_trivial: expected true or false")
         certs = _cc.classical_find_cc(space, a, b, exclude_trivial=exclude)
         results = {"n_found": len(certs), "causes": [c.to_record() for c in certs]}
-        if not certs:
-            summary = ["exhaustive search found no common cause in this space"]
-            return results, summary, "none-found"
-        summary = [f"{len(certs)} common cause(s) found"]
-        for c in certs[:5]:
-            summary.append(f"  C = atoms {sorted(c.cause)}")
-        return results, summary, "ok"
+        return results, "ok" if certs else "none-found"
     phi, a, b = sc.objects["phi"], sc.objects["A"], sc.objects["B"]
-    count = sc.payload.get("count", 1)
-    count = _as_int(count, "payload.count")
-    if count <= 1:
+    count = _count(sc.payload, "count", 1, 1)
+    if count == 1:
         try:
             cert = _cc.find_strong_cc(phi, a, b)
         except InfeasibleError as exc:
-            return {"message": str(exc)}, [f"infeasible: {exc}"], "infeasible"
-        results = {"certificate": cert.to_record(), "cause_matrix": complex_matrix_record(cert.cause.mat)}
-        summary = [
-            f"strong common cause of rank {cert.cause.rank} (dim {cert.cause.dim})",
-            f"cause weight = {_fmt(state_eval(phi, cert.cause))}",
-        ] + _cert_lines(cert)
-        return results, summary, "ok"
+            return {"message": str(exc)}, "infeasible"
+        return _cause_record(cert), "ok"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         causes = _cc.find_multiple_strong_cc(phi, a, b, count, seed=seed)
+    records = [_cause_record(_cc.quantum_verify_cc(phi, a, b, c)) for c in causes]
     notes = sorted(str(w.message) for w in caught)
-    records = []
-    for c in causes:
-        cert = _cc.quantum_verify_cc(phi, a, b, c)
-        records.append({"certificate": cert.to_record(), "cause_matrix": complex_matrix_record(c.mat)})
     results = {"requested": count, "n_found": len(causes), "causes": records, "notes": notes}
-    summary = [f"{len(causes)} of {count} requested distinct strong common causes"]
-    summary += [f"  note: {n}" for n in notes]
-    if not causes:
-        return results, summary, "none-found"
-    return results, summary, "ok"
+    return results, "ok" if causes else "none-found"
 
 
 def _cmd_genuine_cc(sc: Scenario, seed: int):
     if sc.kind != "quantum":
         raise ScenarioParseError("genuine-cc needs a quantum scenario")
     phi, a, b = sc.objects["phi"], sc.objects["A"], sc.objects["B"]
-    budget = _as_int(sc.payload.get("budget", 60), "payload.budget")
+    budget = _count(sc.payload, "budget", 60, 1)
     cert = _cc.search_genuine_cc(phi, a, b, budget=budget, seed=seed)
     if cert is None:
-        results = {"budget": budget, "certificate": None}
-        summary = [
-            f"no genuinely probabilistic cause found within budget {budget}",
-            "(a negative search result, not a nonexistence claim)",
-        ]
-        return results, summary, "not-found"
-    results = {
-        "budget": budget,
-        "certificate": cert.to_record(),
-        "cause_matrix": complex_matrix_record(cert.cause.mat),
-    }
-    summary = [f"genuine cause of rank {cert.cause.rank} found"] + _cert_lines(cert)
-    return results, summary, "ok"
+        return {"budget": budget, "certificate": None}, "not-found"
+    return {"budget": budget, **_cause_record(cert)}, "ok"
 
 
 def _cmd_bell(sc: Scenario, seed: int):
@@ -534,58 +501,41 @@ def _cmd_bell(sc: Scenario, seed: int):
     d1, d2 = sc.objects["split"]
     n1 = MatrixAlgebra.tensor_factor((d1, d2), (0,))
     n2 = MatrixAlgebra.tensor_factor((d1, d2), (1,))
-    restarts = _as_int(sc.payload.get("restarts", 20), "payload.restarts")
+    restarts = _count(sc.payload, "restarts", 20, 2)
     report = _bell.bell_correlation(phi, n1, n2, restarts=restarts, seed=seed)
     results = report.to_record()
     results["correlated"] = bool(report.beta > 1.0 + config.TOL.bell)
-    summary = [
-        f"bell correlation beta = {_fmt(report.beta)}",
-        f"converged={report.converged} after {report.iterations} iteration(s)",
-        f"correlated beyond the classical bound: {results['correlated']}",
-    ]
     if (d1, d2) == (2, 2):
         oracle = _bell.two_qubit_chsh_oracle(phi)
         results["oracle_beta"] = oracle
         results["oracle_gap"] = abs(report.beta - oracle)
-        summary.append(f"closed-form two-qubit value = {_fmt(oracle)} (gap {_fmt(results['oracle_gap'])})")
     pair = _bell.find_correlated_pair(phi, n1, n2)
     if pair is None:
         results["correlated_pair"] = {"found": False}
-        summary.append("no positively correlated commuting pair: state is a product across the split")
     else:
         a, b = pair
-        corr = correlation(phi, a, b)
         results["correlated_pair"] = {
             "found": True,
             "A": complex_matrix_record(a.mat),
             "B": complex_matrix_record(b.mat),
-            "correlation": corr,
+            "correlation": correlation(phi, a, b),
         }
-        summary.append(f"found a positively correlated commuting pair (correlation {_fmt(corr)})")
-    return results, summary, "ok"
+    return results, "ok"
 
 
 def _cmd_sample_bell(sc: Scenario, seed: int):
     ensemble = _need(sc.payload, "ensemble", "payload")
     n = _as_int(_need(sc.payload, "n", "payload"), "payload.n")
-    restarts = _as_int(sc.payload.get("restarts", 6), "payload.restarts")
+    restarts = _count(sc.payload, "restarts", 6, 2)
     with _invariant_scope("payload"):
         report = _bell.sample_bell_fraction(
             sc.objects["split"], ensemble, n, seed=seed, restarts=restarts
         )
-    results = report.to_record()
-    summary = [
-        f"{ensemble} ensemble on split {list(sc.objects['split'])}: "
-        f"{_fmt(report.fraction)} of {n} states are bell correlated",
-        f"max beta = {_fmt(report.max_beta)}",
-    ]
-    return results, summary, "ok"
+    return report.to_record(), "ok"
 
 
 def _cmd_geometry(sc: Scenario, seed: int):
     regions = sc.objects["regions"]
-    results = {}
-    summary = []
     if "v1" in regions and "v2" in regions:
         v1, v2 = regions["v1"], regions["v2"]
         margin = _as_number(sc.payload.get("margin", 0.5), "payload.margin")
@@ -593,54 +543,42 @@ def _cmd_geometry(sc: Scenario, seed: int):
         if depth is not None:
             depth = _as_number(depth, "payload.depth")
         spacelike = geo.spacelike_separated(v1, v2)
-        results["spacelike"] = spacelike
-        summary.append(f"v1: {geo.describe(v1)}")
-        summary.append(f"v2: {geo.describe(v2)}")
-        summary.append(f"spacelike separated: {spacelike}")
         construction = geo.weak_cc_region(v1, v2, margin=margin, depth=depth)
-        slab = construction.region
-        tilde = geo.tilde_regions(v1, v2, slab)
-        results.update(
-            {
-                "v1": geo.region_record(v1),
-                "v2": geo.region_record(v2),
-                "region": geo.region_record(slab),
-                "completion": geo.region_record(construction.completion),
-                "depth": construction.depth,
-                "margin": construction.margin,
-                "t_overlap": construction.t_overlap,
-                "t_min": construction.t_min,
-                "checks": dict(construction.checks),
-                "tilde_part1": geo.region_record(tilde.part1),
-                "tilde_part2": geo.region_record(tilde.part2),
-                "tilde_common": geo.region_record(tilde.common),
-            }
-        )
+        tilde = geo.tilde_regions(v1, v2, construction.region)
         mid = -construction.depth - 0.5 * construction.margin
-        results["slice_t"] = mid
-        results["slice"] = {
-            name: [[lo, hi] for lo, hi in geo.slice_at(part, mid)]
-            for name, part in (
-                ("part1", tilde.part1),
-                ("part2", tilde.part2),
-                ("common", tilde.common),
-            )
+        results = {
+            "spacelike": spacelike,
+            "v1": geo.region_record(v1),
+            "v2": geo.region_record(v2),
+            "region": geo.region_record(construction.region),
+            "completion": geo.region_record(construction.completion),
+            "depth": construction.depth,
+            "margin": construction.margin,
+            "t_overlap": construction.t_overlap,
+            "t_min": construction.t_min,
+            "checks": dict(construction.checks),
+            "tilde_part1": geo.region_record(tilde.part1),
+            "tilde_part2": geo.region_record(tilde.part2),
+            "tilde_common": geo.region_record(tilde.common),
+            "slice_t": mid,
+            "slice": {
+                name: [[lo, hi] for lo, hi in geo.slice_at(part, mid)]
+                for name, part in (
+                    ("part1", tilde.part1),
+                    ("part2", tilde.part2),
+                    ("common", tilde.common),
+                )
+            },
         }
-        summary.append(f"common-cause slab: {geo.describe(slab)}")
-        summary.append(f"completion: {geo.describe(construction.completion)}")
-        for name in ("part1", "part2", "common"):
-            ivs = ", ".join(f"({_fmt(lo)}, {_fmt(hi)})" for lo, hi in results["slice"][name])
-            summary.append(f"tilde {name} at t = {_fmt(mid)}: x in {ivs or 'nothing'}")
-        return results, summary, "ok"
+        return results, "ok"
     v = regions["v"]
-    results["v"] = geo.region_record(v)
-    summary.append(f"v: {geo.describe(v)}")
     complement = geo.causal_complement(v)
-    results["complement"] = geo.region_record(complement)
-    summary.append(f"causal complement: {geo.describe(complement)}")
     completion = geo.causal_completion(v)
-    results["completion"] = geo.region_record(completion)
-    summary.append(f"causal completion: {geo.describe(completion)}")
+    results = {
+        "v": geo.region_record(v),
+        "complement": geo.region_record(complement),
+        "completion": geo.region_record(completion),
+    }
     point = sc.payload.get("point")
     if point is not None:
         t, x = _as_pair(point, "payload.point")
@@ -653,26 +591,11 @@ def _cmd_geometry(sc: Scenario, seed: int):
             "in_completion": completion.contains(p),
             "in_blc": geo.blc(v).contains(p),
         }
-        summary.append(
-            f"point (t={_fmt(t)}, x={_fmt(x)}): in v={results['point']['in_v']}, "
-            f"in complement={results['point']['in_complement']}, "
-            f"in blc={results['point']['in_blc']}"
-        )
-    return results, summary, "ok"
+    return results, "ok"
 
 
 def _cmd_classical_audit(sc: Scenario, seed: int):
-    space = sc.objects["space"]
-    report = _cc.classical_closedness_audit(space)
-    results = report.to_record()
-    summary = [
-        f"{report.n_correlated_pairs} correlated pair(s); "
-        f"{report.n_covered} admit a nontrivial common cause",
-        f"common cause closed: {report.closed}",
-    ]
-    for item in results["uncovered"][:10]:
-        summary.append(f"  uncovered: A = atoms {item['A']}, B = atoms {item['B']}")
-    return results, summary, "ok"
+    return _cc.classical_closedness_audit(sc.objects["space"]).to_record(), "ok"
 
 
 def _product_demo_state(net: _toynet.NetModel, seed: int) -> DensityState:
@@ -697,23 +620,15 @@ def _cmd_toynet_demo(sc: Scenario, seed: int):
         state = _product_demo_state(net, state_seed)
     else:
         state = _toynet.demo_state(net, seed=state_seed, epsilon=ob["epsilon"])
-    budget = _as_int(sc.payload.get("budget", 10), "payload.budget")
     try:
-        demo = _toynet.weak_rccp_demo(net, state, ob["d1"], ob["d2"], budget=budget)
+        demo = _toynet.weak_rccp_demo(net, state, ob["d1"], ob["d2"], budget=ob["budget"])
     except InfeasibleError as exc:
-        results = {"message": str(exc), "net": repr(net)}
-        return results, [f"infeasible: {exc}"], "infeasible"
+        return {"message": str(exc), "net": repr(net)}, "infeasible"
     results = {"net": repr(net), "demo": demo.to_record()}
-    summary = demo.narrative().splitlines()
-    axiom_pairs = _as_int(sc.payload.get("axiom_pairs", 0), "payload.axiom_pairs")
-    if axiom_pairs > 0:
-        axioms = _toynet.check_axioms(net, sample_pairs=axiom_pairs, seed=seed)
+    if ob["axiom_pairs"] > 0:
+        axioms = _toynet.check_axioms(net, sample_pairs=ob["axiom_pairs"], seed=seed)
         results["axioms"] = axioms.to_record()
-        summary.append(
-            f"axiom checks over {axiom_pairs} sampled pair(s): ok={axioms.ok} "
-            f"(max spacelike commutator {_fmt(axioms.max_spacelike_commutator)})"
-        )
-    return results, summary, "ok"
+    return results, "ok"
 
 
 _COMMANDS = {
@@ -729,7 +644,7 @@ _COMMANDS = {
 
 
 def run(command: str, scenario: Scenario, seed: Optional[int] = None):
-    """Dispatch a command; returns (report dict, summary lines, exit code)."""
+    """Dispatch a command; returns (report dict, exit code)."""
     if command not in _COMMANDS:
         raise ScenarioParseError(f"unknown command {command!r}")
     handler, kinds, _ = _COMMANDS[command]
@@ -740,7 +655,7 @@ def run(command: str, scenario: Scenario, seed: Optional[int] = None):
         )
     use_seed = scenario.seed if seed is None else seed
     with config.temporary(**scenario.tolerances):
-        results, summary, outcome = handler(scenario, use_seed)
+        results, outcome = handler(scenario, use_seed)
     report = {
         "command": command,
         "kind": scenario.kind,
@@ -750,8 +665,7 @@ def run(command: str, scenario: Scenario, seed: Optional[int] = None):
         "outcome": outcome,
         "results": results,
     }
-    summary = list(summary) + [f"outcome: {outcome}"]
-    return report, summary, 0 if outcome == "ok" else 1
+    return report, 0 if outcome == "ok" else 1
 
 
 def _override_value(text: str, where: str) -> float:
@@ -805,7 +719,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ScenarioParseError(f"--seed {args.seed}: expected a nonnegative integer")
         overrides = _parse_overrides(args.tol_override)
         scenario = load_scenario(args.scenario, extra_tolerances=overrides)
-        report, summary, code = run(args.command, scenario, seed=args.seed)
+        report, code = run(args.command, scenario, seed=args.seed)
     except CCBenchError as exc:
         code = _exit_code(exc)
         sys.stderr.write(f"error: {exc}\n")
@@ -814,7 +728,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: internal error: {type(exc).__name__}: {exc}\n")
         traceback.print_exc(file=sys.stderr)
         return 4
-    text = render_record(report) if args.format == "record" else "\n".join(summary) + "\n"
+    if args.format == "record":
+        text = render_record(report)
+    else:
+        text = render_text(report["results"]) + render_text({"outcome": report["outcome"]})
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
-import scipy.optimize
 
 from . import _linalg as la
 from .config import TOL
@@ -724,6 +723,8 @@ def search_genuine_cc(
     certificate with is_genuine, or None (which is not a nonexistence
     claim).
     """
+    import scipy.optimize  # here, not at module level: loading it costs about 0.2 s
+
     pair = PairProduct(a, b).require_commuting("A and B")
     if not phi.faithful:
         raise NotFaithfulError("state is not faithful")

@@ -1,10 +1,11 @@
-"""Deterministic machine-record rendering.
+"""Deterministic report rendering, as a machine record or as text.
 
-Reports are emitted as canonical JSON text: keys sorted, floats printed
+Records are emitted as canonical JSON text: keys sorted, floats printed
 with 17 significant digits, complex numbers as [re, im] pairs, and nothing
 environment-dependent (no timestamps, no paths). Identical report dicts
 therefore render to byte-identical output, which is the determinism
-contract the CLI tests pin.
+contract the CLI tests pin. The text report is the same canonical value
+written as one ``path: value`` line per scalar leaf.
 """
 
 from __future__ import annotations
@@ -67,6 +68,11 @@ def _is_scalar(v) -> bool:
     return not isinstance(v, (list, dict))
 
 
+def _inline(v: list) -> bool:
+    """A short list of scalars is written on one line in both formats."""
+    return len(v) <= 8 and all(_is_scalar(e) for e in v)
+
+
 def _render(obj, pieces: list, level: int) -> None:
     pad = "  " * level
     if isinstance(obj, dict):
@@ -84,7 +90,7 @@ def _render(obj, pieces: list, level: int) -> None:
         if not obj:
             pieces.append("[]")
             return
-        if all(_is_scalar(v) for v in obj) and len(obj) <= 8:
+        if _inline(obj):
             pieces.append("[" + ", ".join(_scalar(v) for v in obj) + "]")
             return
         pieces.append("[\n")
@@ -102,6 +108,49 @@ def render_record(obj) -> str:
     pieces: list[str] = []
     _render(canonicalize(obj), pieces, 0)
     return "".join(pieces) + "\n"
+
+
+def _is_complex_matrix(v) -> bool:
+    """Rows of one length whose entries are all [re, im] float pairs."""
+    if not (isinstance(v, list) and v and isinstance(v[0], list) and v[0]):
+        return False
+    return all(
+        isinstance(row, list)
+        and len(row) == len(v[0])
+        and all(isinstance(e, list) and len(e) == 2 and all(isinstance(p, float) for p in e) for e in row)
+        for row in v
+    )
+
+
+def _text_scalar(v) -> str:
+    return format(v, ".10g") if isinstance(v, float) else str(v)
+
+
+def _text(obj, path: str, lines: list) -> None:
+    if isinstance(obj, dict) and obj:
+        for k in sorted(obj):
+            _text(obj[k], f"{path}.{k}" if path else k, lines)
+    elif _is_complex_matrix(obj):
+        lines.append(f"{path}: <{len(obj)}x{len(obj[0])} matrix>")
+    elif isinstance(obj, list) and not _inline(obj):
+        for i, v in enumerate(obj):
+            _text(v, f"{path}[{i}]", lines)
+    elif isinstance(obj, list):
+        lines.append(f"{path}: [{', '.join(map(_text_scalar, obj))}]")
+    else:
+        lines.append(f"{path}: {_text_scalar(obj)}")
+
+
+def render_text(obj) -> str:
+    """Text report: one ``path: value`` line per scalar leaf, keys sorted.
+
+    Floats are written to 10 significant digits, a short list of scalars
+    on one line, any other list one element per ``path[i]``, and a complex
+    matrix by its shape, ``<9x9 matrix>`` (its entries are in the record).
+    """
+    lines: list[str] = []
+    _text(canonicalize(obj), "", lines)
+    return "".join(line + "\n" for line in lines)
 
 
 def complex_matrix_record(mat) -> list:

@@ -518,21 +518,6 @@ class WeakRCCPDemo:
             "attempts": self.attempts,
         }
 
-    def narrative(self) -> str:
-        c = self.certificate
-        lines = [
-            f"regions: D1 sites [{self.d1.lo}, {self.d1.hi}] at step {self.d1.step}, "
-            f"D2 sites [{self.d2.lo}, {self.d2.hi}] at step {self.d2.step}",
-            f"correlated pair: ranks ({self.a.rank}, {self.b.rank}), "
-            f"correlation {self.pair_correlation:.6f}",
-            f"common-cause region: {geo.describe(self.region)}",
-            f"completion: {geo.describe(self.completion)}",
-            f"lattice support: sites {list(self.lattice_sites)} at step {self.lattice_step}",
-            f"certificate: residuals ({c.residual_screen_C:.3g}, {c.residual_screen_Cperp:.3g}), "
-            f"margins ({c.margin_A:.6f}, {c.margin_B:.6f}), verified={c.verified}",
-        ]
-        return "\n".join(lines)
-
 
 def weak_rccp_demo(
     net: NetModel,

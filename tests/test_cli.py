@@ -13,8 +13,10 @@ invariant, 4 internal bug (an uncaught exception included).
 import json
 import os
 import shutil
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def text_lines(out):
+    """The ``path: value`` lines of a text report."""
+    return set(out.splitlines())
+
+
 # ---------------------------------------------------------------------------
 # success paths on the bundled scenarios
 # ---------------------------------------------------------------------------
@@ -43,32 +50,32 @@ def run_cli(*argv):
 
 def test_bell_singlet(capsys):
     assert run_cli("bell", "--scenario", scenario("bell_singlet.json")) == 0
-    out = capsys.readouterr().out
-    assert "1.414213562" in out
+    out = text_lines(capsys.readouterr().out)
+    assert "beta: 1.414213562" in out
     assert "outcome: ok" in out
-    assert "correlated beyond the classical bound: True" in out
+    assert "correlated: True" in out
 
 
 def test_bell_product_state_reports_no_pair(capsys):
     code = run_cli("bell", "--scenario", scenario("bell_product_state.json"))
-    out = capsys.readouterr().out
+    out = text_lines(capsys.readouterr().out)
     assert code == 0
-    assert "no positively correlated commuting pair" in out
-    assert "correlated beyond the classical bound: False" in out
+    assert "correlated_pair.found: False" in out
+    assert "correlated: False" in out
 
 
 def test_sample_bell_product_ensemble(capsys):
     code = run_cli("sample-bell", "--scenario", scenario("product_ensemble.json"))
-    out = capsys.readouterr().out
+    out = text_lines(capsys.readouterr().out)
     assert code == 0
-    assert "0 of 40 states are bell correlated" in out
-    assert "max beta = 1" in out
+    assert {"fraction: 0", "n: 40"} <= out
+    assert "max_beta: 1" in out
 
 
 def test_bell_werner_tol_override_flips_verdict(capsys):
     run_cli("bell", "--scenario", scenario("bell_werner_mixture.json"))
-    default = capsys.readouterr().out
-    assert "correlated beyond the classical bound: True" in default
+    default = text_lines(capsys.readouterr().out)
+    assert "correlated: True" in default
     run_cli(
         "bell",
         "--scenario",
@@ -76,40 +83,42 @@ def test_bell_werner_tol_override_flips_verdict(capsys):
         "--tol-override",
         "bell=0.2",
     )
-    loose = capsys.readouterr().out
-    assert "correlated beyond the classical bound: False" in loose
+    loose = text_lines(capsys.readouterr().out)
+    assert "correlated: False" in loose
 
 
 def test_find_cc_strong_cause(capsys):
     code = run_cli("find-cc", "--scenario", scenario("strong_cause_dim9.json"))
-    out = capsys.readouterr().out
+    out = text_lines(capsys.readouterr().out)
     assert code == 0
     assert "outcome: ok" in out
-    assert "verified" in out
+    assert "certificate.verified: True" in out
 
 
 def test_find_cc_three_distinct_causes(capsys):
     code = run_cli("find-cc", "--scenario", scenario("three_causes_dim9.json"))
-    out = capsys.readouterr().out
+    out = text_lines(capsys.readouterr().out)
     assert code == 0
-    assert "3" in out
+    assert "n_found: 3" in out
     assert "outcome: ok" in out
 
 
 def test_genuine_cc_on_planted_instance(capsys):
     code = run_cli("genuine-cc", "--scenario", scenario("planted_genuine_dim16.json"))
-    out = capsys.readouterr().out
+    out = text_lines(capsys.readouterr().out)
     assert code == 0
-    assert "genuine cause of rank 5 found" in out
-    assert "genuine=True verified=True" in out
+    assert {"certificate.cause.rank: 5", "certificate.is_genuine: True"} <= out
+    assert "certificate.verified: True" in out
 
 
 def test_classical_audit_uncovered_pair(capsys):
     code = run_cli("classical-audit", "--scenario", scenario("four_atom_incomplete.json"))
-    out = capsys.readouterr().out
+    out = text_lines(capsys.readouterr().out)
     assert code == 0
-    assert "common cause closed: False" in out
-    assert "A = atoms [0, 1], B = atoms [0, 2]" in out
+    assert "closed: False" in out
+    assert any(
+        {f"uncovered[{i}].A: [0, 1]", f"uncovered[{i}].B: [0, 2]"} <= out for i in range(len(out))
+    )
 
 
 def test_analyze_classical_events(capsys):
@@ -120,9 +129,9 @@ def test_analyze_classical_events(capsys):
 
 def test_geometry_slab_instance(capsys):
     code = run_cli("geometry", "--scenario", scenario("separated_double_cones.json"))
-    out = capsys.readouterr().out
+    out = text_lines(capsys.readouterr().out)
     assert code == 0
-    assert "-6.5" in out  # slab floor of the depth-6 construction
+    assert "region.cells[0].t: [-6.5, -6]" in out  # slab of the depth-6 construction
     assert "outcome: ok" in out
 
 
@@ -140,10 +149,10 @@ def test_geometry_point_membership(capsys):
 
 def test_rank_one_meet_is_infeasible(capsys):
     code = run_cli("find-cc", "--scenario", scenario("rank_one_meet.json"))
-    out = capsys.readouterr().out
+    out = text_lines(capsys.readouterr().out)
     assert code == 1
     assert "outcome: infeasible" in out
-    assert "rank 1" in out
+    assert "message: P has rank 1; its only strict subprojection is 0" in out
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +236,7 @@ def test_find_cc_exclude_trivial_takes_json_booleans_only(tmp_path, capsys, valu
     if n_found is None:
         assert "payload.exclude_trivial" in err
     else:
-        assert f"{n_found} common cause(s) found" in out
+        assert f"n_found: {n_found}" in text_lines(out)
 
 
 def test_tol_override_must_be_known_and_positive(capsys):
@@ -695,6 +704,21 @@ _MESSAGE_ROWS = [
          "error: payload.budget: expected an integer"),
     _row("t-axiom-pairs", "toynet-demo", "toynet", {"payload.axiom_pairs": 1.0}, 2,
          "error: payload.axiom_pairs: expected an integer"),
+    # lower bounds on the optional counts: a search sized below them never runs
+    _row("b-restarts-one", "bell", "bell", {"payload.restarts": 1}, 3,
+         "error: payload.restarts must be >= 2"),
+    _row("s-restarts-zero", "sample-bell", "bell", {"payload.restarts": 0}, 3,
+         "error: payload.restarts must be >= 2"),
+    _row("q-count-zero", "find-cc", "quantum", {"payload.count": 0}, 3,
+         "error: payload.count must be >= 1"),
+    _row("q-budget-zero", "genuine-cc", "quantum", {"payload.budget": 0}, 3,
+         "error: payload.budget must be >= 1"),
+    _row("t-budget-negative", "toynet-demo", "toynet", {"payload.budget": -3}, 3,
+         "error: payload.budget must be >= 1"),
+    _row("t-axiom-pairs-negative", "toynet-demo", "toynet", {"payload.axiom_pairs": -1}, 3,
+         "error: payload.axiom_pairs must be >= 0"),
+    _row("t-n-steps-cap", "toynet-demo", "toynet", {"payload.n_steps": 1000000000000}, 3,
+         "error: payload.n_steps must be <= 50"),
 ]
 
 
@@ -708,6 +732,49 @@ def test_parse_and_invariant_messages(tmp_path, capsys, command, base, edits, ar
     assert run_cli(command, "--scenario", str(path), *argv) == code
     first = capsys.readouterr().err.splitlines()[0]
     assert first == line.replace("<path>", str(path)).replace("<known>", _KNOWN)
+
+
+@pytest.mark.parametrize(
+    "command, base, edits, code",
+    [
+        ("bell", "bell", {"payload.restarts": -1}, 3),
+        ("find-cc", "quantum", {"payload.count": -5}, 3),
+        ("toynet-demo", "toynet", {"payload.budget": 0}, 3),
+        ("toynet-demo", "toynet", {"payload.budget": "10"}, 2),
+        ("toynet-demo", "toynet", {"payload.axiom_pairs": "x"}, 2),
+    ],
+)
+def test_counts_are_read_before_any_work(tmp_path, monkeypatch, capsys, command, base, edits, code):
+    # a count below its bound used to run no search at all (bell's lone
+    # identity start reported the singlet as uncorrelated, exit 0; a zero
+    # budget exited 1), and toynet's budget and axiom_pairs were read only
+    # after the net, the state and the whole demo had run
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before the payload was read")
+
+    for module, name in (
+        (cli._bell, "bell_correlation"),
+        (cli._cc, "find_strong_cc"),
+        (cli._cc, "find_multiple_strong_cc"),
+        (cli._toynet, "build_net"),
+    ):
+        monkeypatch.setattr(module, name, no_work)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_edited(base, edits)))
+    assert run_cli(command, "--scenario", str(path)) == code
+    (key,) = edits
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+
+
+def test_toynet_demo_at_the_step_cap_finishes(tmp_path, capsys):
+    edits = {"payload.n_sites": 10, "payload.n_steps": cli.MAX_STEPS, "payload.axiom_pairs": 100}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_edited("toynet", edits)))
+    start = time.perf_counter()
+    assert run_cli("toynet-demo", "--scenario", str(path)) == 0
+    assert time.perf_counter() - start < 15  # the record sweep kills a run at 30 s
+    out = text_lines(capsys.readouterr().out)
+    assert {"axioms.n_causality: 100", "axioms.ok: True", "outcome: ok"} <= out
 
 
 @pytest.mark.parametrize("command", ["analyze", "find-cc"])
@@ -824,6 +891,78 @@ def test_seed_flag_overrides_scenario_seed(tmp_path):
         str(out),
     )
     assert json.loads(out.read_text())["seed"] == 17
+
+
+def _nodes(node, path=""):
+    """Every node of a record's results under its text-report path."""
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _nodes(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _nodes(value, f"{path}[{i}]")
+
+
+def _as_text(value):
+    return format(value, ".10g") if isinstance(value, float) else str(value)
+
+
+def _is_leaf_shown(path, value, nodes, lines):
+    """The leaf's own line, its list's one-line form, or its matrix's line."""
+    if path in lines:
+        return lines[path] == _as_text(value)
+    head = path.rpartition("[")[0]
+    if head in lines and isinstance(nodes.get(head), list):
+        return lines[head] == "[" + ", ".join(map(_as_text, nodes[head])) + "]"
+    matrix = re.fullmatch(r"(.*)\[\d+\]\[\d+\]\[[01]\]", path)
+    if matrix is None or matrix[1] not in lines:
+        return False
+    rows = nodes[matrix[1]]
+    return lines[matrix[1]] == f"<{len(rows)}x{len(rows[0])} matrix>"
+
+
+# every bundled scenario under every command that takes its kind, except
+# classical-audit on the 8-atom pair, which runs for minutes
+_TEXT_PAIRS = [
+    pytest.param(command, path.name, id=f"{path.stem}-{command}")
+    for path in sorted(SCENARIOS.glob("*.json"))
+    for command, (_, kinds, _) in cli._COMMANDS.items()
+    if json.loads(path.read_text())["kind"] in kinds
+    and (command, path.stem) != ("classical-audit", "four_block_classical_pair")
+]
+
+
+@pytest.mark.parametrize("command, name", _TEXT_PAIRS)
+def test_text_report_shows_every_record_leaf(monkeypatch, capsys, command, name):
+    # both formats render one report, so the search runs once
+    reports, compute = [], cli.run
+
+    def run_once(*args, **kwargs):
+        if not reports:
+            reports.append(compute(*args, **kwargs))
+        return reports[0]
+
+    monkeypatch.setattr(cli, "run", run_once)
+    code = run_cli(command, "--scenario", scenario(name), "--format", "record")
+    record = capsys.readouterr()
+    assert run_cli(command, "--scenario", scenario(name)) == code
+    text = capsys.readouterr()
+    assert text.err == record.err
+    if not record.out:
+        assert code in (2, 3) and text.out == ""
+        return
+    results = json.loads(record.out)["results"]
+    *body, last = text.out.splitlines()
+    assert last == f"outcome: {json.loads(record.out)['outcome']}"
+    lines = dict(line.split(": ", 1) for line in body)
+    assert len(lines) == len(body)
+    nodes = dict(_nodes(results))
+    for path, value in nodes.items():
+        if value in ([], {}):
+            assert lines[path] == str(value), path
+        elif not isinstance(value, (list, dict)):
+            assert _is_leaf_shown(path, value, nodes, lines), path
 
 
 def test_out_file_suppresses_stdout(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""No ccbench module imports a name it never uses.
+"""No ccbench module imports a name it never uses, or loads one it does
+not need at import.
 
 A name bound by ``import`` or ``from ... import`` in a ``src/ccbench``
 module must be referenced somewhere in that module, in code or in a string
@@ -7,6 +8,9 @@ and so is ``from __future__``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ccbench
@@ -84,3 +88,13 @@ def test_unused_import_is_detected(tmp_path):
         "    return np.zeros(x)\n"
     )
     assert unused_imports(mod) == ["mod.py:2 os", "mod.py:4 Sequence", "mod.py:5 state_eval"]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the genuine-cause search uses it, and loads it when called
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC.parent), env.get("PYTHONPATH"))))
+    probe = "import sys, ccbench.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,9 +1,10 @@
-"""Record rendering: the byte-determinism contract."""
+"""Report rendering: the record's byte-determinism contract and the text
+report's line rules."""
 
 import numpy as np
 import pytest
 
-from ccbench.record import canonicalize, complex_matrix_record, render_record
+from ccbench.record import canonicalize, complex_matrix_record, render_record, render_text
 
 
 def test_canonicalize_unwraps_numpy_scalars():
@@ -79,3 +80,26 @@ def test_complex_matrix_record_shape():
     assert rec == [[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [0.5, 0.0]]]
     # and it renders without a TypeError
     assert render_record({"m": rec}).count("[") > 0
+
+
+def test_render_text_writes_one_line_per_scalar_leaf():
+    report = {
+        "b": {"rank": np.int64(5), "ok": True, "none": None},
+        "a": 1 / 3,
+        "cells": [{"t": (-6.5, -6.0)}],
+        "empty": [],
+        "long": list(range(9)),
+        "m": complex_matrix_record(np.ones((2, 3))),
+        "slice": [[-7.0, 2.75]],
+    }
+    assert render_text(report).splitlines() == [
+        "a: 0.3333333333",
+        "b.none: None",
+        "b.ok: True",
+        "b.rank: 5",
+        "cells[0].t: [-6.5, -6]",
+        "empty: []",
+        *(f"long[{i}]: {i}" for i in range(9)),
+        "m: <2x3 matrix>",
+        "slice[0]: [-7, 2.75]",
+    ]

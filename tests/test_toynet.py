@@ -25,6 +25,7 @@ from ccbench.errors import (
     StructureError,
     ValidationError,
 )
+from ccbench.record import render_text
 from ccbench.toynet import (
     NetModel,
     SliceCone,
@@ -519,7 +520,7 @@ def test_demo_pipeline_on_six_sites():
     rec = demo.to_record()
     assert rec["certificate"]["verified"] is True
     assert rec["d1"] == {"step": 2, "sites": [0, 1]}
-    assert "verified=True" in demo.narrative()
+    assert "certificate.verified: True" in render_text(rec).splitlines()
 
 
 def test_demo_evolves_on_light_cone_supports_without_a_dense_evolution(monkeypatch):
