@@ -218,19 +218,21 @@ def correlated_pairs(
     algebra, and the correlation form is bilinear, so an empty sweep is
     conclusive: the state is a product state across the pair. A negatively
     correlated hit is flipped to positive by complementing B. A hit whose
-    ranks and rounded |corr| repeat an earlier one is skipped.
+    ranks and rounded |corr| repeat an earlier one is skipped. The first
+    algebra's projections are generated as the sweep reaches them, and
+    each weight φ(B) is evaluated once, when the sweep first reaches B.
     """
     check_commuting_algebras(n1, n2)
     rho = phi.mat
-    projs1 = [p for e in n1.basis_iter() for p in _spectral_projections(e)]
     projs2 = [p for e in n2.basis_iter() for p in _spectral_projections(e)]
-    seen = set()
-    for a in projs1:
+    weights2, seen = [], set()
+    for a in (p for e in n1.basis_iter() for p in _spectral_projections(e)):
         pa = state_eval(phi, a)
         ra = rho @ a.mat
-        for b in projs2:
-            pb = state_eval(phi, b)
-            corr = float(np.real(np.trace(ra @ b.mat))) - pa * pb
+        for j, b in enumerate(projs2):
+            if j == len(weights2):
+                weights2.append(state_eval(phi, b))
+            corr = float(np.real(np.trace(ra @ b.mat))) - pa * weights2[j]
             if abs(corr) <= TOL.product:
                 continue
             if corr < 0:

@@ -9,9 +9,9 @@ comm_tol commutation check first, so its lattice operations are algebra:
 A ^ B is the product AB and A v B is A + B - AB, computed with no
 eigendecomposition (qprob.lattice_meet stays the general, noncommuting
 meet). Each such pair is multiplied once, as a qprob.PairProduct: the one
-product M = XY gives the commutation check (comm_tol still bounds the
-full-space Frobenius norm of [X, Y], here ‖M − M*‖_F), the meet, the joint
-weight and the order test Y <= X.
+product M = XY gives the commutation check (comm_tol bounds the full-space
+Frobenius norm of [X, Y]), the meet, the joint weight and the order test
+Y <= X. A ^ B is multiplied on the union of A's and B's supports.
 
 The constructive half: for a faithful state and a commuting correlated pair
 there is a closed-form target weight r such that any strict subprojection of
@@ -334,6 +334,21 @@ def random_cc_instance(rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
+def _meet(a: Projection, b: Projection) -> Projection:
+    """A ^ B = AB for a pair checked to commute, formed on the union S of
+    their supports (``Projection.factor``; the whole space unless both are
+    embedded in one split). AB lies in the algebra of S: it is formed,
+    checked (the norm of [A, B] on S times √(N/d_S) against comm_tol) and
+    validated at d_S, then embedded trusted; for S whole, ``PairProduct``."""
+    la.check_same_dim(a.mat, b.mat)
+    fa, fb, dims, s = a.factor, b.factor, (a.dim,), (0,)
+    if fa and fb and fa[1] == fb[1]:
+        dims, s = fa[1], tuple(sorted({*fa[2], *fb[2]}))
+    pair = PairProduct(a.within(dims, s), b.within(dims, s))
+    meet = pair.require_commuting("A and B", np.sqrt(a.dim / pair.y.dim)).meet()
+    return meet if meet.dim == a.dim else meet.embedded(dims, s)
+
+
 def quantum_verify_cc(
     phi: DensityState, a: Projection, b: Projection, c: Projection
 ) -> CommonCauseCertificate:
@@ -348,7 +363,7 @@ def quantum_verify_cc(
     weights and the strong/genuine order tests are all read off those four
     products.
     """
-    meet = PairProduct(a, b).require_commuting("A and B").meet()
+    meet = _meet(a, b)
     totals = (state_eval(phi, meet), state_eval(phi, a), state_eval(phi, b))
     return _verify_with_meet(phi, a, b, meet, c, totals)
 
@@ -419,8 +434,8 @@ def reichenbach_r(phi: DensityState, a: Projection, b: Projection) -> RValue:
     [A, B], read off the one product AB), φ(A^B) = φ(AB) and
     φ(AvB) = φ(A) + φ(B) − φ(AB).
     """
-    ab = PairProduct(a, b).require_commuting("A and B")
-    return _r_value(state_eval(phi, a), state_eval(phi, b), ab.weight(phi))
+    meet = _meet(a, b)
+    return _r_value(state_eval(phi, a), state_eval(phi, b), state_eval(phi, meet))
 
 
 def _r_value(pa: float, pb: float, pab: float) -> RValue:
@@ -594,30 +609,25 @@ def find_strong_cc(
     """Construct and verify a strong common cause C < A^B with φ(C) = r.
 
     A and B must commute within comm_tol (the full-space Frobenius norm of
-    [A, B]), which is checked first; the meet A^B is then the product AB,
-    with no eigendecomposition; AB is formed once, for both. With a factor
-    ``algebra`` given, the synthesis runs inside it: the state and the meet
-    are compressed to the acting factors, and the resulting local
-    projection is embedded back, so the cause is an element of the algebra
-    (used for spacetime-localized causes). A factor on every tensor factor
-    is the full matrix algebra: A and B lie in it and compression is the
-    identity map, so the state and the validated meet are taken as they are
-    and the synthesized cause is returned as it is. A factor on fewer
-    factors must hold A and B; the local cause is embedded by the trusted
-    ``Projection.embedded``. Nothing of size N is eigendecomposed: the
-    synthesis takes its basis by pivoted Cholesky, the state was accepted
-    by one Cholesky, and a cause of rank k <= N/2 from the synthesis (or
-    its embedding) is verified through XW alone, in O(N²k), with no N × N
-    product (``PairProduct``). The N × N work left is the product AB and
-    the meet's validation, O(N³), and N² weights and compressions. φ(A),
-    φ(B), φ(A^B) and φ(C) are each evaluated once, shared by the r-value,
-    the synthesis and the verification.
+    [A, B]); A^B is then the product AB, formed, checked and validated on
+    the union S of their supports (``_meet``). With a factor ``algebra``,
+    the cause is synthesized inside it and embedded back by the trusted
+    ``Projection.embedded`` (used for spacetime-localized causes). On every
+    tensor factor it is the full matrix algebra, and the state, the meet
+    and the cause are used as they are. On fewer factors it must hold A and
+    B: a support inside it settles that, else ``contains`` decides; when it
+    holds S the meet on S is embedded into it, else the meet is compressed.
+    No N × N matrix is eigendecomposed (the synthesis takes its basis by
+    pivoted Cholesky), and a cause of rank k <= N/2 is verified through XW
+    alone, in O(N²k). The N × N work left is the embedded meet, O(N²)
+    weights and compressions, and the meet's O(N³) validation when S is
+    the whole space. φ(A), φ(B), φ(A^B) and φ(C) are each evaluated once.
     """
     if not phi.faithful:
         raise NotFaithfulError(
             f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})"
         )
-    meet = PairProduct(a, b).require_commuting("A and B").meet()
+    meet = _meet(a, b)
     pa, pb, pab = state_eval(phi, a), state_eval(phi, b), state_eval(phi, meet)
     if not pab < min(pa, pb) - TOL.cc:
         raise PreconditionError(
@@ -631,10 +641,12 @@ def find_strong_cc(
     if s is None or not s.rest:
         c, pc = _synthesize(phi, meet, rv.r, pab, strict=True)
     else:
-        for name, x in (("A", a), ("B", b)):
-            if not algebra.contains(x.mat):
-                raise StructureError(f"projection {name} is not in the given algebra")
-        local_meet = Projection(algebra.compress(meet.mat) / s.rest_dim)
+        local_meet = meet.within(s.dims, s.acting)
+        if local_meet is None:
+            for name, x in (("A", a), ("B", b)):
+                if x.within(s.dims, s.acting) is None and not algebra.contains(x.mat):
+                    raise StructureError(f"projection {name} is not in the given algebra")
+            local_meet = Projection(algebra.compress(meet.mat) / s.rest_dim)
         local_state = DensityState(algebra.compress(phi.mat))
         # the meet lies in the algebra, so its compressed weight is φ(A^B)
         c_local, _ = _synthesize(local_state, local_meet, rv.r, pab, strict=True)
@@ -667,10 +679,9 @@ def find_multiple_strong_cc(
     if count < 0:
         raise TargetRangeError("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    ab = PairProduct(a, b).require_commuting("A and B")
-    pa, pb, pab = state_eval(phi, a), state_eval(phi, b), ab.weight(phi)
+    meet = _meet(a, b)
+    pa, pb, pab = state_eval(phi, a), state_eval(phi, b), state_eval(phi, meet)
     rv = _r_value(pa, pb, pab)
-    meet = ab.meet()
     if meet.rank <= 1:
         warnings.warn("meet has rank <= 1; no strict subprojections exist")
         return []

@@ -81,9 +81,11 @@ class Projection(HermitianOperator):
     matrix exactly Hermitian, as ``PairProduct`` needs. ``from_span`` also
     keeps its orthonormal columns W, and ``embedded`` passes them on as
     W ⊗ I, so ``PairProduct`` can multiply by P = WW* at the cost of W.
+    ``embedded`` also keeps ``factor`` = (P, dims, acting): its support.
     """
 
     _span: np.ndarray | None = None
+    factor: tuple | None = None
 
     def __init__(self, mat):
         super().__init__(mat)
@@ -141,16 +143,32 @@ class Projection(HermitianOperator):
         hermitize commutes with the embedding, the matrix is the one
         ``Projection(embed_factor(P, dims, acting))`` would store.
 
-        The 2^n work left is that matrix, O(N²). A projection that keeps
-        its span W (``from_span``), with rank at most half its dimension,
-        passes on W ⊗ I, so that ``PairProduct`` multiplies the embedding
-        at the cost of its columns too.
+        The result keeps P and ``acting`` as its ``factor``, so that
+        ``PairProduct`` multiplies by it through P, in O(N² d_P), and
+        ``within`` restricts it to any factors holding that support. A P
+        that keeps its span W (``from_span``), of rank at most half its
+        dimension, also passes on W ⊗ I.
         """
         dims, acting = tuple(dims), tuple(acting)
         mat = la.embed_factor(self._mat, dims, acting)
         keep = self._span is not None and 2 * self._rank <= self.dim
         span = la.embed_columns(self._span, dims, acting) if keep else None
-        return Projection._trusted(mat, self._rank * (mat.shape[0] // self.dim), span)
+        p = Projection._trusted(mat, self._rank * (mat.shape[0] // self.dim), span)
+        p.factor = (self, dims, acting)
+        return p
+
+    def within(self, dims: Sequence[int], acting: Sequence[int]) -> Optional["Projection"]:
+        """This projection on the sorted factors ``acting`` of ``dims``, or None
+        unless its support lies inside them: itself on the whole space, else
+        its ``factor``'s P, embedded there (trusted) unless it acts there."""
+        dims, acting = tuple(dims), tuple(acting)
+        if int(np.prod([dims[i] for i in acting])) == self.dim:
+            return self
+        if self.factor is None or self.factor[1] != dims or not set(self.factor[2]) <= set(acting):
+            return None
+        local, _, own = self.factor
+        pos = [acting.index(i) for i in own]
+        return local if own == acting else local.embedded([dims[i] for i in acting], pos)
 
     def __repr__(self):
         return f"Projection(dim={self.dim}, rank={self.rank})"
@@ -176,15 +194,7 @@ class DensityState:
     """
 
     def __init__(self, mat):
-        m = la.as_square(mat, "state")
-        if la.herm_residual(m) > TOL.herm:
-            raise ValidationError("state is not self-adjoint", invariant="tol_herm")
-        m = la.hermitize(m)
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TOL.state:
-            raise ValidationError(
-                f"state trace {tr!r} is not 1 within tol_state", invariant="tol_state"
-            )
+        m = self._unit_trace(mat)
         floor = max(TOL.faithful_eps, -TOL.state)
         n = m.shape[0]
         beta = 8.0 * n * (n + 1) * (np.finfo(float).eps / 2) * (la.frob(m) + abs(floor))
@@ -204,6 +214,20 @@ class DensityState:
         self._floor = floor
         self._mat = m
         self._mat.flags.writeable = False
+
+    @staticmethod
+    def _unit_trace(mat) -> np.ndarray:
+        """The hermitized matrix, checked self-adjoint and of unit trace."""
+        m = la.as_square(mat, "state")
+        if la.herm_residual(m) > TOL.herm:
+            raise ValidationError("state is not self-adjoint", invariant="tol_herm")
+        m = la.hermitize(m)
+        tr = float(np.trace(m).real)
+        if abs(tr - 1.0) > TOL.state:
+            raise ValidationError(
+                f"state trace {tr!r} is not 1 within tol_state", invariant="tol_state"
+            )
+        return m
 
     @property
     def mat(self) -> np.ndarray:
@@ -226,6 +250,38 @@ class DensityState:
 
     def __repr__(self):
         return f"DensityState(dim={self.dim}, faithful={self.faithful})"
+
+
+class EpsilonPureState(DensityState):
+    """(1 - ε) |ψ><ψ| + ε I/d: a DensityState that also keeps ψ and ε.
+
+    The matrix is built, hermitized and trace-checked as any DensityState's;
+    its positivity comes from the construction. For 0 < ε <= 1 the exact
+    matrix has least eigenvalue ε/d. Forming it rounds each entry by at most
+    8u times the size of its exact terms (u the unit roundoff), so the
+    stored matrix is within β = 16u(‖ψ‖² + 1) of it in Frobenius norm, and
+    λ_min > ε/d − β by Weyl's inequality. For ψ finite with ‖ψ‖ within
+    tol_state of 1, and ε/d − β above s0 = max(faithful_eps, −tol_state),
+    ε/d − β is the state's floor; any other state is validated as a
+    DensityState, with the same verdicts and messages. Keeping ψ also lets
+    the toy net's demonstration evolve the state as a vector and reduce it
+    by a reshape, instead of evolving and tracing the matrix.
+    """
+
+    def __init__(self, psi: np.ndarray, epsilon: float):
+        psi = np.array(psi, dtype=complex)
+        psi.flags.writeable = False
+        self.psi, self.epsilon = psi, float(epsilon)
+        dim = psi.shape[0]
+        mat = (1.0 - epsilon) * np.outer(psi, psi.conj()) + epsilon * np.eye(dim) / dim
+        norm = float(np.linalg.norm(psi))  # inf or nan unless ψ is finite
+        floor = self.epsilon / dim - 16.0 * (np.finfo(float).eps / 2) * (norm**2 + 1.0)
+        if not (abs(norm - 1.0) <= TOL.state and 0.0 < self.epsilon <= 1.0
+                and floor > max(TOL.faithful_eps, -TOL.state)):
+            super().__init__(mat)
+            return
+        self._mat, self._floor = self._unit_trace(mat), floor
+        self._mat.flags.writeable = False
 
 
 def _mat_of(x) -> np.ndarray:
@@ -273,7 +329,8 @@ class PairProduct:
     full-space Frobenius norm of [X, Y] that la.comm_residual forms from two
     products, up to rounding. For a pair within comm_tol, the rest is read
     off the same M: the meet X ^ Y = hermitize(M), its weight, and the
-    order test Y <= X.
+    order test Y <= X. When X is an embedded P ⊗ I (``Projection.factor``),
+    products by X are formed through P by la.apply_factor, in O(N² d_P).
 
     When Y is a projection that keeps k <= N/2 orthonormal columns W
     (``Projection.from_span``, or ``embedded`` from one), only XW is
@@ -289,12 +346,17 @@ class PairProduct:
     def __init__(self, x: HermitianOperator, y: HermitianOperator):
         la.check_same_dim(x.mat, y.mat)
         self.y = y
+        f = x.factor if isinstance(x, Projection) else None
+
+        def times(m: np.ndarray) -> np.ndarray:
+            return x.mat @ m if f is None else la.apply_factor(f[0].mat, m, f[1], f[2])
+
         w = y._span if isinstance(y, Projection) else None
         if w is not None and 2 * w.shape[1] <= y.dim:
-            self._w, self._xw = w, x.mat @ w
+            self._w, self._xw = w, times(w)
         else:
             self._w = None
-            self.mat = x.mat @ y.mat  # fills the cached property
+            self.mat = times(y.mat)  # fills the cached property
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -309,9 +371,10 @@ class PairProduct:
         w, xw = self._w, self._xw
         return float(np.sqrt(2.0)) * la.frob(xw - w @ (la.dagger(w) @ xw))
 
-    def require_commuting(self, name: str) -> "PairProduct":
-        """This product, once ‖[X, Y]‖_F is within comm_tol; ``name`` the pair."""
-        res = self.commutator_norm
+    def require_commuting(self, name: str, scale: float = 1.0) -> "PairProduct":
+        """This product, once ``scale`` ‖[X, Y]‖_F is within comm_tol; ``name``
+        the pair. Scale √(N/d) gives the norm of [X ⊗ I, Y ⊗ I] on N ≥ d."""
+        res = self.commutator_norm * scale
         if res > TOL.comm:
             raise CommutationError(f"{name} do not commute (residual {res:.3g})")
         return self

@@ -21,14 +21,14 @@ that region's algebra. The checks and the demonstration evolve operators
 by one light-cone kernel, which carries an operator's support through the
 gates touching it, and both take the net's gate order from one function.
 The demonstration validates each candidate projection on that support and
-embeds it once, trusted. A state that keeps its pure part (``demo_state``)
-is evolved as a 2^n vector and reduced by a reshape; any other state is
-evolved as the 2^n matrix. The 2^n work left: ``demo_state`` builds the
-matrix and accepts it by one Cholesky factorization; each candidate is
-embedded as a 2^n matrix; each candidate pair is multiplied once and its
-meet validated, O(N³) for N = 2^n; a row short of the chain compresses the
-state and the meet to it; weights are O(N²) sums. No 2^n matrix is
-eigendecomposed, and a cause of rank k <= N/2 is verified in O(N²k).
+embeds it once, trusted, keeping the support, so a candidate pair's meet
+is formed and validated on the union S of their supports. The state of
+``demo_state`` is accepted from its construction, evolved as a 2^n vector
+and reduced by a reshape; any other state is evolved as the matrix. The
+2^n work left, for N = 2^n: the state's matrix; each candidate and meet
+embedded, products by it O(N² d) through its support of dimension d; the
+meet's O(N³) validation when S is the whole chain; compressing the state
+to a short row; O(N²) weights. No 2^n matrix is eigendecomposed.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .errors import (
     StructureError,
     ValidationError,
 )
-from .qprob import DensityState, FactorStructure, MatrixAlgebra, Projection
+from .qprob import DensityState, EpsilonPureState, FactorStructure, MatrixAlgebra, Projection
 
 SWAP = np.array(
     [
@@ -430,27 +430,11 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
 # ---------------------------------------------------------------------------
 
 
-class EpsilonPureState(DensityState):
-    """(1 - ε) |ψ><ψ| + ε I/d: a DensityState that also keeps ψ and ε.
-
-    The matrix is built and accepted as any DensityState's is. Keeping the
-    pure part lets ``weak_rccp_demo`` evolve ψ as a vector and reduce it by
-    a reshape, instead of evolving and tracing the 2^n matrix.
-    """
-
-    def __init__(self, psi: np.ndarray, epsilon: float):
-        psi = np.array(psi, dtype=complex)
-        dim = psi.shape[0]
-        super().__init__((1.0 - epsilon) * np.outer(psi, psi.conj()) + epsilon * np.eye(dim) / dim)
-        psi.flags.writeable = False
-        self.psi, self.epsilon = psi, float(epsilon)
-
-
 def demo_state(net: NetModel, seed: int = 0, epsilon: float = 0.05) -> EpsilonPureState:
     """Seeded full-rank state (1 - eps) |psi><psi| + eps I/dim, with psi Haar.
 
-    The 2^n matrix is still built and accepted by one Cholesky
-    factorization, as ``find_strong_cc`` weighs and compresses it; the
+    The 2^n matrix is still built, as ``find_strong_cc`` weighs and
+    compresses it, and accepted from eps/dim without a factorization; the
     demo's step-k state is evolved from psi and eps alone.
     """
     _require_dense("demo_state", net.n_sites)
@@ -551,12 +535,12 @@ def weak_rccp_demo(
     validation would.
 
     The 2^n work left: the state (built by the caller; ``demo_state``
-    accepts it by one Cholesky factorization), each embedded candidate, and
-    in ``find_strong_cc`` the product AB of each candidate pair and its
-    meet's validation, O(N³), and O(N²) weights. When the step-0 row covers
-    the chain, ``find_strong_cc`` uses the state, the meet and the
-    synthesized cause as they are; otherwise it compresses the state and
-    the meet to the row and embeds the cause by ``Projection.embedded``.
+    accepts it from ε/d), each embedded candidate and meet, and O(N²)
+    weights. ``find_strong_cc`` forms each pair's meet on the union S of
+    the candidates' supports, O(N³) only when S is the whole chain. When
+    the step-0 row covers the chain, it uses the state, the meet and the
+    synthesized cause as they are; otherwise it compresses the state to
+    the row and embeds the meet there from S and the cause from the row.
     No 2^n matrix is eigendecomposed: the cause is synthesized on a
     pivoted-Cholesky basis of the meet's range, and verified through its k
     columns in O(N²k). The state, the candidates and the meet are dense

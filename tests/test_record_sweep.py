@@ -1,5 +1,7 @@
-"""tools/record_sweep.py writes one record, stderr and exit code per command."""
+"""tools/record_sweep.py writes one record, stderr and exit code per command,
+and each run's wall time outside the compared tree."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_sweep_of_one_scenario(tmp_path):
+    out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "tools/record_sweep.py", str(tmp_path), "single_double_cone.json"],
+        [sys.executable, "tools/record_sweep.py", str(out), "single_double_cone.json"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -19,15 +22,18 @@ def test_sweep_of_one_scenario(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     codes = {
-        command: (tmp_path / f"single_double_cone.{command}.code").read_text()
+        command: (out / f"single_double_cone.{command}.code").read_text()
         for command in _COMMANDS
     }
-    assert len(list(tmp_path.iterdir())) == 3 * len(_COMMANDS)
+    assert len(list(out.iterdir())) == 3 * len(_COMMANDS)
+    times = json.loads((tmp_path / "out.times.json").read_text())
+    assert sorted(times) == sorted(f"single_double_cone.{command}" for command in _COMMANDS)
+    assert all(isinstance(t, float) and t >= 0.0 for t in times.values())
     # a geometry scenario: its own command succeeds, every other is a kind mismatch
     assert codes.pop("geometry") == "0\n"
     assert set(codes.values()) == {"2\n"}
-    record = (tmp_path / "single_double_cone.geometry.out").read_text()
+    record = (out / "single_double_cone.geometry.out").read_text()
     assert record.startswith("{") and '"command": "geometry"' in record
-    assert (tmp_path / "single_double_cone.analyze.err").read_text().startswith(
+    assert (out / "single_double_cone.analyze.err").read_text().startswith(
         "error: command analyze expects a scenario of kind"
     )

@@ -7,17 +7,20 @@ checker.
 """
 
 import json
+import re
 import time
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccbench import DensityState, MatrixAlgebra, Projection, geometry as geo, toynet
+from ccbench import DensityState, MatrixAlgebra, Projection, commoncause, geometry as geo, toynet
 from ccbench import _linalg as la
 from ccbench.cli import main as cli_main
 from ccbench.errors import (
+    CommutationError,
     InfeasibleError,
     NotFaithfulError,
     NotUnitaryError,
@@ -25,6 +28,7 @@ from ccbench.errors import (
     StructureError,
     ValidationError,
 )
+from ccbench.qprob import EpsilonPureState, PairProduct
 from ccbench.record import render_text
 from ccbench.toynet import (
     NetModel,
@@ -487,6 +491,48 @@ def test_demo_state_is_faithful_mixture():
     assert abs(np.trace(phi.mat) - 1.0) < 1e-12
 
 
+def test_epsilon_pure_state_is_accepted_from_its_construction(monkeypatch):
+    # no factorization or eigendecomposition: the floor is eps/d less the
+    # rounding bound, and the matrix is the one a DensityState would store
+    rng = np.random.default_rng(4)
+    psi = la.random_pure_state(64, rng)
+    mat = 0.95 * np.outer(psi, psi.conj()) + 0.05 * np.eye(64) / 64
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an epsilon-pure state was factorized")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zpotrf", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    phi = EpsilonPureState(psi, 0.05)
+    assert phi.faithful
+    monkeypatch.undo()
+    ref = DensityState(mat)
+    assert np.array_equal(phi.mat, ref.mat) and not phi.mat.flags.writeable
+    assert 0.0 < 0.05 / 64 - phi._floor < 1e-14
+    assert phi.min_eigenvalue > phi._floor
+
+
+@pytest.mark.parametrize(
+    "scale, epsilon",
+    [(1.0, 0.0), (1.0, -0.01), (1.0, 1.5), (1.0, 1e-13), (1.001, 0.05), (np.nan, 0.05)],
+    ids=["pure", "negative", "above-one", "below-floor", "not-unit", "not-finite"],
+)
+def test_epsilon_pure_states_outside_the_bound_are_validated_as_before(scale, epsilon):
+    # the same verdict, message and faithfulness as a DensityState of the matrix
+    psi = scale * la.random_pure_state(16, np.random.default_rng(2))
+    mat = (1.0 - epsilon) * np.outer(psi, psi.conj()) + epsilon * np.eye(16) / 16
+
+    def outcome(build):
+        try:
+            phi = build()
+        except Exception as exc:  # the verdict under test
+            return type(exc), str(exc)
+        return phi.faithful, phi.mat.tobytes()
+
+    got = outcome(lambda: EpsilonPureState(psi, epsilon))
+    assert got == outcome(lambda: DensityState(mat))
+
+
 def test_demo_pipeline_on_six_sites():
     net = build_net(6, "random", seed=0, n_steps=3)
     phi = demo_state(net, seed=0, epsilon=0.05)
@@ -548,8 +594,9 @@ def test_full_row_demo_validates_candidates_on_their_support(monkeypatch):
     # find_strong_cc then uses the state, the meet and the synthesized cause
     # as they are, and each candidate is validated on its light-cone support
     # and embedded. The only 2^n Projection validations are each attempt's
-    # meet; demo_state's state is accepted by a Cholesky factorization, and
-    # nothing of size 2^n is eigendecomposed
+    # meet, whose supports' union is the whole chain; demo_state's state is
+    # accepted from its construction, and nothing of size 2^n is
+    # eigendecomposed
     net = build_net(8, "random", seed=0)
     full = 2**net.n_sites
     counts = {"eigvalsh": [], "eigh": [], "Projection": [], "DensityState": []}
@@ -573,7 +620,7 @@ def test_full_row_demo_validates_candidates_on_their_support(monkeypatch):
     assert demo.certificate.verified and demo.certificate.is_strong
     assert counts["eigvalsh"].count(full) == 0
     assert counts["eigh"].count(full) == 0
-    assert counts["DensityState"].count(full) == 1
+    assert counts["DensityState"].count(full) == 0
     assert counts["Projection"].count(full) == demo.attempts
     local = [d for d in counts["Projection"] if d < full]
     assert len(local) == 2 * demo.attempts
@@ -706,19 +753,30 @@ def test_regions_in_either_order_give_the_certified_correlation(route):
 
 def test_epsilon_pure_demo_evolves_no_full_chain_matrix(monkeypatch):
     # demo_state keeps psi and eps: the step-k state is evolved as a vector,
-    # so apply_factor never sees a 2^n x 2^n matrix; a plain DensityState
-    # with the same matrix is still evolved as one
+    # so the state's evolution never hands apply_factor a 2^n x 2^n matrix;
+    # a plain DensityState with the same matrix is still evolved as one.
+    # Only calls made while the state is reduced are counted: products by an
+    # embedded candidate or meet go through apply_factor on 2^n matrices
     net = build_net(8, "random", seed=0)
     full = (2**net.n_sites,) * 2
     phi = demo_state(net, seed=0)
-    shapes = []
-    original = la.apply_factor
+    shapes, reducing = [], []
+    original, real_reduced = la.apply_factor, toynet._reduced_state
 
     def counting(x_loc, m, dims, acting):
-        shapes.append(np.shape(m))
+        if reducing:
+            shapes.append(np.shape(m))
         return original(x_loc, m, dims, acting)
 
+    def watched_reduced(*args):
+        reducing.append(True)
+        try:
+            return real_reduced(*args)
+        finally:
+            reducing.clear()
+
     monkeypatch.setattr(la, "apply_factor", counting)
+    monkeypatch.setattr(toynet, "_reduced_state", watched_reduced)
     demo = weak_rccp_demo(net, phi, SliceCone(2, 1, 2), SliceCone(2, 5, 6))
     assert demo.certificate.verified
     assert (2**net.n_sites, 1) in shapes
@@ -753,6 +811,104 @@ def test_full_row_demo_evaluates_each_weight_once(monkeypatch):
     assert sum(x is demo.a for x in operands) == sum(x is demo.b for x in operands) == 1
     assert all(sum(x is y for y in operands) == 1 for x in operands)
     assert len(operands) == 3 * demo.attempts + 1
+
+
+def evolved_candidate(net, k, sites, p_loc):
+    """A step-k projection on ``sites`` evolved to step 0 on its light-cone
+    support and embedded, as weak_rccp_demo embeds its candidates."""
+    support, m = toynet._relative_image(net, 0, k, sites, p_loc)
+    return Projection(m).embedded((2,) * net.n_sites, support)
+
+
+# (step, D1 sites, D2 sites) whose step-0 supports are disjoint, overlap, or
+# nest: B's sites at step 1 hold A's, and B's projection commutes with A's
+MEET_CASES = {
+    "disjoint": (1, (0, 1), (5, 6)),
+    "overlapping": (2, (2,), (4,)),
+    "nested": (1, (2, 3), (1, 2, 3, 4)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(MEET_CASES)), seed=st.integers(0, 2**16))
+def test_meet_on_the_union_of_supports_matches_the_dense_meet(kind, seed):
+    rng = np.random.default_rng(seed)
+    net = build_net(8, "random", seed=seed, n_steps=3)
+    k, s1, s2 = MEET_CASES[kind]
+    u = la.haar_unitary(2 ** len(s1), rng)
+
+    def spectral(mask):
+        return (u * mask) @ la.dagger(u)
+
+    half = 2 ** len(s1) // 2
+    p1 = spectral(rng.permutation([1.0] * half + [0.0] * half))
+    if kind == "nested":
+        inner = spectral(rng.permutation([1.0] * half + [0.0] * half))
+        outer = la.haar_projection(4, int(rng.integers(1, 4)), rng)
+        p2 = la.embed_factor(inner, (2,) * 4, (1, 2)) @ la.embed_factor(outer, (2,) * 4, (0, 3))
+    else:
+        p2 = la.haar_projection(2 ** len(s2), int(rng.integers(1, 2 ** len(s2))), rng)
+    a, b = evolved_candidate(net, k, s1, p1), evolved_candidate(net, k, s2, p2)
+    sa, sb = set(a.factor[2]), set(b.factor[2])
+    shapes = {"disjoint": not sa & sb, "overlapping": bool(sa & sb) and not sa <= sb, "nested": sa < sb}
+    assert shapes[kind]
+    support = tuple(sorted(sa | sb))
+    assert len(support) < net.n_sites
+
+    meet = commoncause._meet(a, b)
+    ref = Projection(la.hermitize(a.mat @ b.mat))
+    assert meet.rank == ref.rank
+    assert np.max(np.abs(meet.mat - ref.mat)) <= 1e-12
+    assert meet.factor[1:] == ((2,) * net.n_sites, support)
+    dims = (2,) * net.n_sites
+    pair = PairProduct(a.within(dims, support), b.within(dims, support))
+    scaled = pair.commutator_norm * np.sqrt(2.0 ** (net.n_sites - len(support)))
+    dense = la.comm_residual(a.mat, b.mat)
+    assert abs(scaled - dense) <= 1e-12 * max(1.0, dense)
+
+
+def test_noncommuting_factor_projections_on_overlapping_supports_are_refused():
+    # random projections on sites (2, 3) and (3, 4) of an 8-site chain: the
+    # check on their 3-site union refuses them with the full-space residual
+    rng = np.random.default_rng(11)
+    dims = (2,) * 8
+    a = Projection(la.haar_projection(4, 2, rng)).embedded(dims, (2, 3))
+    b = Projection(la.haar_projection(4, 2, rng)).embedded(dims, (3, 4))
+    message = re.escape(f"A and B do not commute (residual {la.comm_residual(a.mat, b.mat):.3g})")
+    with pytest.raises(CommutationError, match=message):
+        commoncause._meet(a, b)
+    phi = DensityState(la.random_faithful_density(256, rng))
+    with pytest.raises(CommutationError, match=message):
+        commoncause.find_strong_cc(phi, a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_row_short_of_a_candidate_support_is_still_refused(seed):
+    # step 2 [2, 3] against [6, 7]: the snapped row drops a site of D1's
+    # light cone, so A's support is not in the row and contains says no
+    net = build_net(8, "random", seed=seed)
+    with pytest.raises(InfeasibleError, match="projection A is not in the given algebra"):
+        weak_rccp_demo(net, demo_state(net, seed=0), SliceCone(2, 2, 3), SliceCone(2, 6, 7))
+
+
+def test_candidate_supports_inside_the_row_settle_membership(monkeypatch):
+    # step 2 [0, 1] against [4, 4]: both supports lie in the step-0 row, so
+    # no numeric membership test runs and the meet reaches the row from S
+    net = build_net(8, "random", seed=0, n_steps=3)
+
+    def refuse(self, m, tol=None):
+        raise AssertionError("membership was tested numerically")
+
+    monkeypatch.setattr(MatrixAlgebra, "contains", refuse)
+    demo = weak_rccp_demo(net, demo_state(net, seed=0), SliceCone(2, 0, 1), SliceCone(2, 4, 4))
+    monkeypatch.undo()
+    assert demo.certificate.verified and demo.certificate.is_strong
+    lo, hi = demo.lattice_sites
+    assert hi - lo + 1 < net.n_sites
+    support = set(demo.a.factor[2]) | set(demo.b.factor[2])
+    assert support <= set(range(lo, hi + 1))
+    row = region_algebra(net, SliceCone(0, lo, hi)).algebra
+    assert row.contains(demo.certificate.cause.mat)
 
 
 def test_demo_refuses_nets_above_the_dense_limit():

@@ -11,13 +11,18 @@ with the tree's ``src`` first on PYTHONPATH and BLAS at one thread, and
 writes ``OUT/<scenario>.<command>.out``, ``.err`` and ``.code``, two runs
 at a time. A run that outlives its 30 s cap is killed and gets the code
 ``timeout``. Sweeps of two trees are compared with ``diff -r OUT1 OUT2``.
+The wall time of each run, in seconds, goes to ``OUT.times.json`` beside
+OUT, keyed ``<scenario>.<command>``, so that ``diff -r`` compares records
+only.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -26,15 +31,16 @@ WORKERS = 2
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def record(command: str, stem: str, env: dict) -> tuple[bytes, bytes, str]:
-    """stdout, stderr and exit code of one run, or code ``timeout`` at the cap."""
+def record(command: str, stem: str, env: dict) -> tuple[bytes, bytes, str, float]:
+    """stdout, stderr, exit code (``timeout`` at the cap) and wall seconds of one run."""
     argv = [sys.executable, "-m", "ccbench", command,
             "--scenario", f"scenarios/{stem}.json", "--format", "record"]
+    start = time.perf_counter()
     try:
         proc = subprocess.run(argv, env=env, capture_output=True, timeout=CAP_S)
     except subprocess.TimeoutExpired as exc:
-        return exc.stdout or b"", exc.stderr or b"", "timeout"
-    return proc.stdout, proc.stderr, str(proc.returncode)
+        return exc.stdout or b"", exc.stderr or b"", "timeout", time.perf_counter() - start
+    return proc.stdout, proc.stderr, str(proc.returncode), time.perf_counter() - start
 
 
 def sweep(out: Path, names: list[str]) -> None:
@@ -47,17 +53,20 @@ def sweep(out: Path, names: list[str]) -> None:
     stems = [Path(n).stem for n in names] or sorted(p.stem for p in Path("scenarios").glob("*.json"))
     jobs = [(command, stem) for stem in stems for command in _COMMANDS]
     out.mkdir(parents=True, exist_ok=True)
+    times = {}
     with ThreadPoolExecutor(WORKERS) as pool:
         runs = pool.map(lambda job: record(*job, env), jobs)
-        for (command, stem), (stdout, stderr, code) in zip(jobs, runs):
+        for (command, stem), (stdout, stderr, code, seconds) in zip(jobs, runs):
             base = f"{stem}.{command}"
             (out / f"{base}.out").write_bytes(stdout)
             (out / f"{base}.err").write_bytes(stderr)
             (out / f"{base}.code").write_text(code + "\n")
-            print(f"{stem} {command}: {code}", flush=True)
+            times[base] = round(seconds, 3)
+            print(f"{stem} {command}: {code} in {seconds:.2f} s", flush=True)
+    (out.parent / f"{out.name}.times.json").write_text(json.dumps(times, indent=1) + "\n")
 
 
 if __name__ == "__main__":
     if len(sys.argv) < 2:
         sys.exit(__doc__)
-    sweep(Path(sys.argv[1]), sys.argv[2:])
+    sweep(Path(sys.argv[1]).resolve(), sys.argv[2:])
