@@ -33,4 +33,4 @@ print(render_text(demo.to_record()), end="")
 # the slab, which is how "localized in the common past" is made literal
 row = toynet.region_algebra(net, toynet.SliceCone(0, *demo.lattice_sites))
 print()
-print("cause contained in the slab row's algebra:", row.algebra.contains(demo.certificate.cause.mat))
+print("cause contained in the slab row's algebra:", row.contains(demo.certificate.cause.mat))

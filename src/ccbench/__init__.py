@@ -59,7 +59,6 @@ from .qprob import (
     HermitianOperator,
     MatrixAlgebra,
     Projection,
-    commutant,
     conditional_expectation,
     correlation,
     is_product_state,

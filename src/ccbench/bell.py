@@ -186,8 +186,13 @@ def is_bell_correlated(
     seed: int = 0,
 ) -> bool:
     """Whether the computed Bell correlation exceeds 1 beyond tolerance."""
-    report = bell_correlation(phi, n1, n2, restarts=restarts, seed=seed)
-    return report.beta > 1.0 + TOL.bell
+    return exceeds_one(bell_correlation(phi, n1, n2, restarts=restarts, seed=seed).beta)
+
+
+def exceeds_one(beta: float) -> bool:
+    """The Bell-correlation rule: a value beta counts as correlated when
+    beta > 1 + bell_tol."""
+    return bool(beta > 1.0 + TOL.bell)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +282,8 @@ def _sample_state(ensemble: str, d1: int, d2: int, rng) -> DensityState:
         return DensityState(np.outer(v, v.conj()))
     if ensemble == "mixed":
         return DensityState(la.random_density(d, rng))
-    if ensemble == "product":
-        return DensityState(np.kron(la.random_density(d1, rng), la.random_density(d2, rng)))
-    raise ValidationError(f"unknown ensemble {ensemble!r}")
+    # "product": sample_bell_fraction has checked the name
+    return DensityState(np.kron(la.random_density(d1, rng), la.random_density(d2, rng)))
 
 
 def sample_bell_fraction(
@@ -287,14 +291,12 @@ def sample_bell_fraction(
     ensemble: str,
     n: int,
     seed: int = 0,
-    states: Optional[Sequence[DensityState]] = None,
     restarts: int = 6,
 ) -> BellSampleReport:
     """Sample states on a bipartite split and report how often beta > 1.
 
     On a 2x2 split the closed-form evaluation is used; otherwise the
-    see-saw. ``states`` overrides the ensemble draw (the draw is still
-    seeded per index, so results are reproducible either way).
+    see-saw. Sample i is drawn from its own child of ``seed``.
     """
     if n < 1:
         raise ValidationError("need at least one sample")
@@ -311,10 +313,7 @@ def sample_bell_fraction(
     hits = 0
     max_beta = 0.0
     for i in range(n):
-        if states is not None:
-            phi = states[i]
-        else:
-            phi = _sample_state(ensemble, d1, d2, np.random.default_rng(children[i]))
+        phi = _sample_state(ensemble, d1, d2, np.random.default_rng(children[i]))
         if use_oracle:
             beta = two_qubit_chsh_oracle(phi)
         else:
@@ -323,7 +322,7 @@ def sample_bell_fraction(
             raise InternalInconsistencyError(
                 f"sampled Bell value {beta:.12g} exceeds the sqrt(2) ceiling"
             )
-        if beta > 1.0 + TOL.bell:
+        if exceeds_one(beta):
             hits += 1
         max_beta = max(max_beta, beta)
     return BellSampleReport(

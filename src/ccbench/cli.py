@@ -504,7 +504,7 @@ def _cmd_bell(sc: Scenario, seed: int):
     restarts = _count(sc.payload, "restarts", 20, 2)
     report = _bell.bell_correlation(phi, n1, n2, restarts=restarts, seed=seed)
     results = report.to_record()
-    results["correlated"] = bool(report.beta > 1.0 + config.TOL.bell)
+    results["correlated"] = _bell.exceeds_one(report.beta)
     if (d1, d2) == (2, 2):
         oracle = _bell.two_qubit_chsh_oracle(phi)
         results["oracle_beta"] = oracle

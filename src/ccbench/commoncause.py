@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -111,9 +111,6 @@ class ClassicalSpace:
         am, bm = self.as_mask(a), self.as_mask(b)
         cm = self.full_mask
         return all(x != 0 for x in (am & bm, am & ~bm & cm, ~am & bm & cm, ~am & ~bm & cm))
-
-    def events(self) -> Iterable[int]:
-        return range(self.full_mask + 1)
 
     def __repr__(self):
         return f"ClassicalSpace(n_atoms={self.n_atoms})"
@@ -235,7 +232,9 @@ def classical_find_cc(
     """All events C that verify as common causes of the correlated pair.
 
     An empty result is a completeness statement for this space: the search
-    is exhaustive over all events with 0 < p(C) < 1.
+    is exhaustive over all events with 0 < p(C) < 1 and p(C⊥) > 0, the
+    events ``classical_verify_cc`` can condition on (weights that sum to 1
+    only within rounding can give p(C) < 1 with p(C⊥) = 0).
     """
     am, bm = space.as_mask(a), space.as_mask(b)
     if space.correlation(am, bm) <= TOL.cc:
@@ -243,9 +242,11 @@ def classical_find_cc(
             f"pair is not positively correlated (corr = {space.correlation(am, bm):.3g})"
         )
     skip = _trivial_causes(space, am, bm) if exclude_trivial else set()
+    # the atoms of positive weight: p(C⊥) > 0 iff C⊥ holds one of them
+    live = space.as_mask(np.flatnonzero(space.weights > 0.0))
     found = []
     for cm in range(1, space.full_mask):
-        if cm in skip:
+        if cm in skip or not live & ~cm:
             continue
         pc = space.prob(cm)
         if not 0.0 < pc < 1.0:
@@ -617,11 +618,8 @@ def find_strong_cc(
     and the cause are used as they are. On fewer factors it must hold A and
     B: a support inside it settles that, else ``contains`` decides; when it
     holds S the meet on S is embedded into it, else the meet is compressed.
-    No N × N matrix is eigendecomposed (the synthesis takes its basis by
-    pivoted Cholesky), and a cause of rank k <= N/2 is verified through XW
-    alone, in O(N²k). The N × N work left is the embedded meet, O(N²)
-    weights and compressions, and the meet's O(N³) validation when S is
-    the whole space. φ(A), φ(B), φ(A^B) and φ(C) are each evaluated once.
+    Its N × N work is listed once, as the 2^n work left in the ``toynet``
+    module docstring. φ(A), φ(B), φ(A^B) and φ(C) are each evaluated once.
     """
     if not phi.faithful:
         raise NotFaithfulError(

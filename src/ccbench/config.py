@@ -1,8 +1,10 @@
 """Numerical tolerances shared across the package.
 
 All comparisons against "numerically zero" or "numerically one" go through
-this registry so the whole stack can be tightened or loosened in one place
-(the CLI exposes --tol-override for exactly that).
+this registry, ``TOL``, so the whole stack can be tightened or loosened in
+one place. It is changed only for the length of a ``temporary`` block; the
+CLI opens one with the scenario's ``tolerances`` and its --tol-override
+values.
 """
 
 from __future__ import annotations
@@ -62,21 +64,16 @@ def canonical_name(key: str) -> str:
     return name
 
 
-def override(key: str, value: float) -> None:
-    name = canonical_name(key)
-    val = float(value)
-    if not math.isfinite(val):
-        raise ValidationError(f"tolerance {key} = {val!r} is not finite", invariant=key)
-    setattr(TOL, name, val)
-
-
 @contextlib.contextmanager
 def temporary(**overrides: float):
-    """Context manager for scoped tolerance changes (used by tests)."""
+    """Set tolerances, by name or alias, for the block and restore them after."""
     saved = {canonical_name(k): getattr(TOL, canonical_name(k)) for k in overrides}
     try:
-        for k, v in overrides.items():
-            override(k, v)
+        for key, value in overrides.items():
+            val = float(value)
+            if not math.isfinite(val):
+                raise ValidationError(f"tolerance {key} = {val!r} is not finite", invariant=key)
+            setattr(TOL, canonical_name(key), val)
         yield TOL
     finally:
         for name, v in saved.items():

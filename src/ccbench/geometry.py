@@ -236,28 +236,13 @@ def _region_from_cells(cells: Iterable[Optional[Cell]], kind: str) -> Region:
     return Region(kind, kept)
 
 
-def u_hull(region: Region) -> Interval:
+def hull(region: Region, axis: str) -> Interval:
+    """The smallest interval holding the region's cells along ``axis``,
+    one of "t", "x", "u" and "v"."""
     if region.empty:
         raise RegionError("hull of empty region")
-    return Interval(min(c.u.lo for c in region.cells), max(c.u.hi for c in region.cells))
-
-
-def v_hull(region: Region) -> Interval:
-    if region.empty:
-        raise RegionError("hull of empty region")
-    return Interval(min(c.v.lo for c in region.cells), max(c.v.hi for c in region.cells))
-
-
-def t_hull(region: Region) -> Interval:
-    if region.empty:
-        raise RegionError("hull of empty region")
-    return Interval(min(c.t.lo for c in region.cells), max(c.t.hi for c in region.cells))
-
-
-def x_hull(region: Region) -> Interval:
-    if region.empty:
-        raise RegionError("hull of empty region")
-    return Interval(min(c.x.lo for c in region.cells), max(c.x.hi for c in region.cells))
+    ivs = [getattr(c, axis) for c in region.cells]
+    return Interval(min(iv.lo for iv in ivs), max(iv.hi for iv in ivs))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +327,7 @@ def causal_completion(region: Region) -> Region:
             f"region has {len(comps)} components; completion computed per component",
             components=[causal_completion(c) for c in comps],
         )
-    cell = make_cell(u=u_hull(region), v=v_hull(region))
+    cell = make_cell(u=hull(region, "u"), v=hull(region, "v"))
     return Region("double_cone", (cell,))
 
 
@@ -414,10 +399,10 @@ def weak_cc_region(
         raise RegionError("regions are not spacelike separated")
     if margin <= 0:
         raise RegionError("margin must be positive")
-    b1, d1 = u_hull(v1).hi, v_hull(v1).hi
-    b2, d2 = u_hull(v2).hi, v_hull(v2).hi
+    b1, d1 = hull(v1, "u").hi, hull(v1, "v").hi
+    b2, d2 = hull(v2, "u").hi, hull(v2, "v").hi
     t_overlap = 0.5 * (min(b1, b2) + min(d1, d2))
-    t_min = min(t_hull(v1).lo, t_hull(v2).lo)
+    t_min = min(hull(v1, "t").lo, hull(v2, "t").lo)
     latest = min(t_overlap, t_min)
     if depth is None:
         top = latest - 1.0
@@ -544,7 +529,7 @@ def sample_points(region: Region, n: int, rng: np.random.Generator) -> np.ndarra
     """
     if not region.bounded:
         raise RegionError("sampling requires a bounded region")
-    tb, xb = t_hull(region), x_hull(region)
+    tb, xb = hull(region, "t"), hull(region, "x")
     pts: list[tuple[float, float]] = []
     side = max(4, int(math.isqrt(max(n, 1))))
     rounds = 0

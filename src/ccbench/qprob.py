@@ -431,11 +431,9 @@ def lattice_join(a, b) -> Projection:
     return lattice_meet(pa.complement(), pb.complement()).complement()
 
 
-def is_subprojection(p, q, tol: float | None = None) -> bool:
-    """Whether P <= Q, i.e. QP = P within tolerance."""
-    pp, qq = _proj_of(p), _proj_of(q)
-    tol = TOL.proj if tol is None else tol
-    return PairProduct(qq, pp).order_residual <= tol
+def is_subprojection(p, q) -> bool:
+    """Whether P <= Q, i.e. QP = P within tol_proj."""
+    return PairProduct(_proj_of(q), _proj_of(p)).order_residual <= TOL.proj
 
 
 # ---------------------------------------------------------------------------
@@ -671,10 +669,9 @@ class MatrixAlgebra:
         coeffs = np.einsum("kij,ij->k", basis.conj(), m)
         return np.einsum("k,kij->ij", coeffs, basis)
 
-    def contains(self, m, tol: float | None = None) -> bool:
+    def contains(self, m) -> bool:
         m = _mat_of(m)
-        tol = TOL.alg if tol is None else tol
-        return la.frob(m - self.project(m)) <= tol * max(1.0, la.frob(m))
+        return la.frob(m - self.project(m)) <= TOL.alg * max(1.0, la.frob(m))
 
     # -- derived algebras ----------------------------------------------------
 
@@ -762,10 +759,6 @@ def _commutant_solve(gens: list[np.ndarray], dim: int) -> MatrixAlgebra:
     return alg
 
 
-def commutant(n: MatrixAlgebra) -> MatrixAlgebra:
-    return n.commutant()
-
-
 def conditional_expectation(m, n: MatrixAlgebra) -> HermitianOperator:
     """Trace-compatible conditional expectation of a self-adjoint operator.
 
@@ -804,18 +797,18 @@ def check_commuting_algebras(n1: MatrixAlgebra, n2: MatrixAlgebra) -> None:
         )
 
 
-def is_product_state(
-    phi: DensityState, n1: MatrixAlgebra, n2: MatrixAlgebra, tol: float | None = None
-) -> bool:
+def is_product_state(phi: DensityState, n1: MatrixAlgebra, n2: MatrixAlgebra) -> bool:
     """Whether phi factorizes across two commuting algebras.
 
-    Checks |phi(XY) - phi(X) phi(Y)| <= tol over all pairs of basis
-    elements, which by bilinearity of the correlation form decides
-    factorization over the full algebras. Two factors of one split are swept
-    on the union of their acting factors, phi reduced there by partial trace.
+    Checks d |phi(XY) - phi(X) phi(Y)| <= product_tol over all pairs of
+    trace-orthonormal basis elements of the d-dimensional space swept, which
+    by bilinearity of the correlation form decides factorization over the
+    full algebras. The factor d makes the basis orthonormal for the
+    normalized trace, so the verdict does not depend on the space the
+    algebras are written on. Two factors of one split are swept on the union
+    of their acting factors, phi reduced there by partial trace.
     """
     check_commuting_algebras(n1, n2)
-    tol = TOL.product if tol is None else tol
     rho = phi.mat
     if _same_split(n1, n2):
         s1, s2 = n1.structure, n2.structure
@@ -823,6 +816,7 @@ def is_product_state(
         rho = la.partial_trace(rho, s1.dims, union)
         dims = [s1.dims[i] for i in union]
         n1, n2 = (MatrixAlgebra.tensor_factor(dims, map(union.index, s.acting)) for s in (s1, s2))
+    d = n1.dim
     mats1 = list(n1.basis_iter())
     mats2 = list(n2.basis_iter())
     left = [rho @ x for x in mats1]
@@ -831,32 +825,22 @@ def is_product_state(
     for i, lx in enumerate(left):
         for j, y in enumerate(mats2):
             joint = complex(np.sum(lx.T * y))
-            if abs(joint - e1[i] * e2[j]) > tol:
+            if d * abs(joint - e1[i] * e2[j]) > TOL.product:
                 return False
     return True
 
 
 def logical_independence_check(
-    n1: MatrixAlgebra,
-    n2: MatrixAlgebra,
-    mode: str = "auto",
-    samples: int = 500,
-    seed: int = 0,
+    n1: MatrixAlgebra, n2: MatrixAlgebra, samples: int = 500, seed: int = 0
 ) -> IndependenceVerdict:
     """Check that no nonzero projections A in N1, B in N2 have A ^ B = 0.
 
-    Exact verdicts exist only for full matrix algebras on disjoint tensor
-    factors; otherwise seeded random sampling looks for a counterexample.
+    The verdict is exact for factors of one tensor split (disjoint, since
+    they commute); otherwise seeded random sampling looks for a
+    counterexample.
     """
     check_commuting_algebras(n1, n2)
-    split = _same_split(n1, n2) and not set(n1.structure.acting) & set(n2.structure.acting)
-    if mode == "exact" and not split:
-        raise StructureError(
-            "exact independence requires full algebras on disjoint tensor factors"
-        )
-    if mode not in ("exact", "sampled", "auto"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if split and mode in ("exact", "auto"):
+    if _same_split(n1, n2):
         return IndependenceVerdict(independent=True, method="exact", samples=0)
     rng = np.random.default_rng(seed)
     for k in range(samples):

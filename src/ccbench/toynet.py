@@ -24,11 +24,16 @@ The demonstration validates each candidate projection on that support and
 embeds it once, trusted, keeping the support, so a candidate pair's meet
 is formed and validated on the union S of their supports. The state of
 ``demo_state`` is accepted from its construction, evolved as a 2^n vector
-and reduced by a reshape; any other state is evolved as the matrix. The
-2^n work left, for N = 2^n: the state's matrix; each candidate and meet
-embedded, products by it O(N² d) through its support of dimension d; the
-meet's O(N³) validation when S is the whole chain; compressing the state
-to a short row; O(N²) weights. No 2^n matrix is eigendecomposed.
+and reduced by a reshape; any other state is evolved as the matrix.
+
+The 2^n work left, for N = 2^n, listed here once: the state's matrix;
+each candidate and meet embedded, products by it O(N² d) through its
+support of dimension d; the meet's O(N³) validation when S is the whole
+chain; compressing the state to a short row; O(N²) weights; verifying a
+cause of rank k through its k columns, O(N²k). No 2^n matrix is
+eigendecomposed: the cause is synthesized on a pivoted-Cholesky basis of
+the meet's range. The state, the candidates and the meet are dense, so
+nets above DENSE_MAX_SITES are refused.
 """
 
 from __future__ import annotations
@@ -131,12 +136,11 @@ def _require_dense(where: str, n_sites: int) -> None:
 class NetModel:
     """Brickwork circuit net; layers are tuples of ((i, j), 4x4 unitary)."""
 
-    def __init__(self, n_sites: int, layers, seed: int = 0, label: str = "given"):
+    def __init__(self, n_sites: int, layers, label: str = "given"):
         if not 4 <= n_sites <= 16:
             raise ValidationError(f"n_sites = {n_sites} outside the supported 4..16")
         self.n_sites = n_sites
         self.dim = 2**n_sites
-        self.seed = seed
         self.label = label
         checked = []
         for layer in layers:
@@ -188,7 +192,7 @@ def build_net(
     break the brickwork pattern on purpose; unitarity is still enforced.
     """
     if not isinstance(gate_spec, str):
-        return NetModel(n_sites, gate_spec, seed=seed, label="given")
+        return NetModel(n_sites, gate_spec)
     if gate_spec not in ("swap", "random"):
         raise ValidationError(f"unknown gate spec {gate_spec!r}")
     steps = n_steps if n_steps is not None else n_sites
@@ -201,7 +205,7 @@ def build_net(
             gate = SWAP if gate_spec == "swap" else la.haar_unitary(4, rng)
             layer.append(((i, i + 1), gate))
         layers.append(layer)
-    return NetModel(n_sites, layers, seed=seed, label=gate_spec)
+    return NetModel(n_sites, layers, label=gate_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +213,7 @@ def build_net(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalAlgebra:
-    """Algebra observed in a slice-based double cone of the net."""
-
-    region: geo.Region
-    step: int
-    sites: tuple[int, int]
-    algebra: MatrixAlgebra
-
-
-def region_algebra(net: NetModel, d) -> LocalAlgebra:
+def region_algebra(net: NetModel, d) -> MatrixAlgebra:
     """The algebra of a step-0 slice cone: the plain factor on sites lo..hi.
 
     Accepts a SliceCone or any region whose causal completion is a
@@ -234,10 +228,7 @@ def region_algebra(net: NetModel, d) -> LocalAlgebra:
         raise StructureError(
             f"region_algebra builds step-0 rows only; the cone is at step {cone.step}"
         )
-    alg = MatrixAlgebra.tensor_factor((2,) * net.n_sites, tuple(range(cone.lo, cone.hi + 1)))
-    return LocalAlgebra(
-        region=cone.diamond(), step=cone.step, sites=(cone.lo, cone.hi), algebra=alg
-    )
+    return MatrixAlgebra.tensor_factor((2,) * net.n_sites, tuple(range(cone.lo, cone.hi + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +525,12 @@ def weak_rccp_demo(
     ``Projection.embedded``, which gives the verdict, rank and matrix a 2^n
     validation would.
 
-    The 2^n work left: the state (built by the caller; ``demo_state``
-    accepts it from ε/d), each embedded candidate and meet, and O(N²)
-    weights. ``find_strong_cc`` forms each pair's meet on the union S of
-    the candidates' supports, O(N³) only when S is the whole chain. When
-    the step-0 row covers the chain, it uses the state, the meet and the
-    synthesized cause as they are; otherwise it compresses the state to
-    the row and embeds the meet there from S and the cause from the row.
-    No 2^n matrix is eigendecomposed: the cause is synthesized on a
-    pivoted-Cholesky basis of the meet's range, and verified through its k
-    columns in O(N²k). The state, the candidates and the meet are dense
-    2^n matrices, so nets above DENSE_MAX_SITES are refused.
+    ``find_strong_cc`` forms each pair's meet on the union S of the
+    candidates' supports. When the step-0 row covers the chain, it uses
+    the state, the meet and the synthesized cause as they are; otherwise
+    it compresses the state to the row and embeds the meet there from S
+    and the cause from the row. The 2^n work left is listed in the module
+    docstring.
     """
     cone1 = d1 if isinstance(d1, SliceCone) else _cone_from_region(d1, net.n_sites, net.n_steps)
     cone2 = d2 if isinstance(d2, SliceCone) else _cone_from_region(d2, net.n_sites, net.n_steps)
@@ -605,7 +591,7 @@ def weak_rccp_demo(
         b_glob = embed_back(b_red, sites2)
         try:
             cert = find_strong_cc(
-                state, a_glob, b_glob, algebra=local.algebra, localization=slab
+                state, a_glob, b_glob, algebra=local, localization=slab
             )
         except (InfeasibleError, StructureError) as exc:
             last_error = exc

@@ -248,13 +248,6 @@ def test_sample_pure_ensemble_mostly_violates():
     assert report.max_beta <= SQRT2 + 1e-9
 
 
-def test_sample_explicit_states_override():
-    states = [singlet_state(), DensityState(np.diag([1.0, 0.0, 0.0, 0.0]))]
-    report = sample_bell_fraction((2, 2), "pure", 2, states=states)
-    assert report.fraction == pytest.approx(0.5)
-    assert report.max_beta == pytest.approx(SQRT2, abs=1e-12)
-
-
 def test_sample_seesaw_route_on_larger_split():
     report = sample_bell_fraction((3, 2), "mixed", 3, seed=4, restarts=4)
     assert 0.0 <= report.fraction <= 1.0

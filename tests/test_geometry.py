@@ -43,8 +43,8 @@ def random_region(rng):
 
 def same_hull(r1, r2):
     return (
-        geo.u_hull(r1) == geo.u_hull(r2)
-        and geo.v_hull(r1) == geo.v_hull(r2)
+        geo.hull(r1, "u") == geo.hull(r2, "u")
+        and geo.hull(r1, "v") == geo.hull(r2, "v")
     )
 
 
@@ -110,8 +110,8 @@ def test_unit_cone_is_t_x_square():
     # {|t| + |x| < 1}
     assert UNIT_CONE.contains(geo.Point(0.4, 0.55))
     assert not UNIT_CONE.contains(geo.Point(0.4, 0.65))
-    assert geo.t_hull(UNIT_CONE) == geo.Interval(-1.0, 1.0)
-    assert geo.x_hull(UNIT_CONE) == geo.Interval(-1.0, 1.0)
+    assert geo.hull(UNIT_CONE, "t") == geo.Interval(-1.0, 1.0)
+    assert geo.hull(UNIT_CONE, "x") == geo.Interval(-1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

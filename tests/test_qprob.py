@@ -16,7 +16,6 @@ from ccbench import (
     MatrixAlgebra,
     Projection,
     ValidationError,
-    commutant,
     config,
     conditional_expectation,
     correlation,
@@ -642,7 +641,7 @@ def test_diagonal_algebra_is_maximal_abelian():
 
 def test_tensor_factor_commutant_swaps_legs():
     n1 = MatrixAlgebra.tensor_factor((2, 3), (0,))
-    c = commutant(n1)
+    c = n1.commutant()
     # the commutant of M2 x I3 is I2 x M3: dimensions 9 vs 4
     assert c.n_basis == 9
     x = np.kron(np.eye(2), la.haar_unitary(3, np.random.default_rng(0)))
@@ -847,6 +846,31 @@ def test_product_state_on_outer_factors_matches_explicit_route():
         assert is_product_state(phi, e1, e2) is expected
 
 
+@pytest.mark.parametrize("delta", [1e-10, 3e-10, 1e-9, 2e-9, 3e-9, 1e-8, 2e-8, 3e-8, 1e-7])
+def test_product_verdict_does_not_depend_on_the_representation(delta):
+    # factors 0 and 2 of a (2, 3, 2) split, a correlation of size delta
+    # between them: the factor route sweeps the 4-dim outer pair, the
+    # explicit and the Haar-rotated routes the full 12-dim space, and all
+    # three must give one verdict near the product_tol threshold
+    dims = (2, 3, 2)
+    n1, n2 = (MatrixAlgebra.tensor_factor(dims, (k,)) for k in (0, 2))
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    mid = np.eye(3) / 3.0
+    corr = 0.5 * np.kron(np.kron(up, mid), up) + 0.5 * np.kron(np.kron(down, mid), down)
+    rho = (1.0 - delta) * np.eye(12) / 12.0 + delta * corr
+    u = la.haar_unitary(12, np.random.default_rng(0))
+    verdicts = {
+        is_product_state(DensityState(rho), n1, n2),
+        is_product_state(DensityState(rho), *(n.conjugated_by(np.eye(12)) for n in (n1, n2))),
+        is_product_state(
+            DensityState(u @ rho @ la.dagger(u)), *(n.conjugated_by(u) for n in (n1, n2))
+        ),
+    }
+    assert len(verdicts) == 1
+    if delta in (1e-10, 1e-7):
+        assert verdicts == {delta < 1e-9}
+
+
 def test_logical_independence_exact_for_disjoint_factors():
     n1, n2 = _split_algebras(2, 2)
     verdict = logical_independence_check(n1, n2)
@@ -871,7 +895,7 @@ def test_logical_independence_sampled_finds_counterexample():
     # two copies of the diagonal algebra on the same leg share
     # complementary projections whose meet is zero
     n = MatrixAlgebra.diagonal(3)
-    verdict = logical_independence_check(n, n, mode="sampled", samples=200, seed=1)
+    verdict = logical_independence_check(n, n, samples=200, seed=1)
     assert verdict.independent is False
     p, q = verdict.counterexample
     assert lattice_meet(p, q).rank == 0

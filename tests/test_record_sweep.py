@@ -1,6 +1,8 @@
 """tools/record_sweep.py writes one record, stderr and exit code per command,
-and each run's wall time outside the compared tree."""
+and each run's wall time outside the compared tree; it counts the exit codes
+and fails on a crash."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -9,6 +11,9 @@ from pathlib import Path
 from ccbench.cli import _COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("record_sweep", ROOT / "tools" / "record_sweep.py")
+record_sweep = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(record_sweep)
 
 
 def test_sweep_of_one_scenario(tmp_path):
@@ -21,6 +26,7 @@ def test_sweep_of_one_scenario(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit codes: 1 × 0, 7 × 2"
     codes = {
         command: (out / f"single_double_cone.{command}.code").read_text()
         for command in _COMMANDS
@@ -37,3 +43,11 @@ def test_sweep_of_one_scenario(tmp_path):
     assert (out / "single_double_cone.analyze.err").read_text().startswith(
         "error: command analyze expects a scenario of kind"
     )
+
+
+def test_a_crash_fails_the_sweep():
+    codes = ["0", "2", "1", "timeout", "2"]
+    assert record_sweep.tally(codes) == "exit codes: 1 × 0, 1 × 1, 2 × 2, 1 × timeout"
+    assert not record_sweep.crashed(codes)
+    assert record_sweep.crashed(codes + ["4"])
+    assert record_sweep.tally(["4", "0", "4"]) == "exit codes: 1 × 0, 2 × 4"

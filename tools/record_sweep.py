@@ -13,7 +13,9 @@ at a time. A run that outlives its 30 s cap is killed and gets the code
 ``timeout``. Sweeps of two trees are compared with ``diff -r OUT1 OUT2``.
 The wall time of each run, in seconds, goes to ``OUT.times.json`` beside
 OUT, keyed ``<scenario>.<command>``, so that ``diff -r`` compares records
-only.
+only. The sweep ends with one line counting the runs by exit code, and
+exits non-zero if any run exited 4: the CLI's code for a bug, which
+``diff -r`` cannot show when both trees crash alike.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 CAP_S = 30
 WORKERS = 2
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+CRASH = "4"
 
 
 def record(command: str, stem: str, env: dict) -> tuple[bytes, bytes, str, float]:
@@ -43,7 +47,19 @@ def record(command: str, stem: str, env: dict) -> tuple[bytes, bytes, str, float
     return proc.stdout, proc.stderr, str(proc.returncode), time.perf_counter() - start
 
 
-def sweep(out: Path, names: list[str]) -> None:
+def tally(codes: list[str]) -> str:
+    """One line counting runs by exit code, e.g. ``exit codes: 3 × 0, 1 × timeout``."""
+    counts = Counter(codes)
+    return "exit codes: " + ", ".join(f"{counts[c]} × {c}" for c in sorted(counts))
+
+
+def crashed(codes: list[str]) -> bool:
+    """Whether any run exited with the CLI's internal-error code."""
+    return CRASH in codes
+
+
+def sweep(out: Path, names: list[str]) -> list[str]:
+    """Run the sweep into ``out``; returns the exit code of each run."""
     src = Path("src").resolve()
     sys.path.insert(0, str(src))
     from ccbench.cli import _COMMANDS
@@ -53,7 +69,7 @@ def sweep(out: Path, names: list[str]) -> None:
     stems = [Path(n).stem for n in names] or sorted(p.stem for p in Path("scenarios").glob("*.json"))
     jobs = [(command, stem) for stem in stems for command in _COMMANDS]
     out.mkdir(parents=True, exist_ok=True)
-    times = {}
+    times, codes = {}, []
     with ThreadPoolExecutor(WORKERS) as pool:
         runs = pool.map(lambda job: record(*job, env), jobs)
         for (command, stem), (stdout, stderr, code, seconds) in zip(jobs, runs):
@@ -62,11 +78,16 @@ def sweep(out: Path, names: list[str]) -> None:
             (out / f"{base}.err").write_bytes(stderr)
             (out / f"{base}.code").write_text(code + "\n")
             times[base] = round(seconds, 3)
+            codes.append(code)
             print(f"{stem} {command}: {code} in {seconds:.2f} s", flush=True)
     (out.parent / f"{out.name}.times.json").write_text(json.dumps(times, indent=1) + "\n")
+    return codes
 
 
 if __name__ == "__main__":
     if len(sys.argv) < 2:
         sys.exit(__doc__)
-    sweep(Path(sys.argv[1]).resolve(), sys.argv[2:])
+    codes = sweep(Path(sys.argv[1]).resolve(), sys.argv[2:])
+    print(tally(codes))
+    if crashed(codes):
+        sys.exit(f"record sweep: a run exited {CRASH}, the CLI's code for an internal error")
