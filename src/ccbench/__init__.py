@@ -11,7 +11,6 @@ from . import bell, cli, commoncause, config, geometry, qprob, record, toynet
 from .bell import (
     bell_correlation,
     find_correlated_pair,
-    is_bell_correlated,
     sample_bell_fraction,
     singlet_state,
     two_qubit_chsh_oracle,

@@ -35,6 +35,7 @@ from .qprob import (
     MatrixAlgebra,
     Projection,
     check_commuting_algebras,
+    expectation,
     state_eval,
 )
 
@@ -42,6 +43,11 @@ SQRT2 = float(np.sqrt(2.0))
 # see-saw stopping rule: at most this many rounds, or a gain below GAIN_TOL
 MAX_ITERATIONS = 500
 GAIN_TOL = 1e-12
+# Largest d1·d2 the CLI takes. On some pure states nearly every restart
+# runs all MAX_ITERATIONS rounds, at about 1.4 ms a round for d1·d2 = 24
+# (one BLAS thread): 20 restarts on a random 4 x 6 pure state ran 9,005
+# rounds in 12.7 s, and on a 6 x 6 one 10,000 rounds in 19 s.
+MAX_SPLIT_DIM = 25
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +100,9 @@ class BellReport:
 
 
 def _objective(rho, x1, x2, y1, y2) -> float:
-    m = x1 @ (y1 + y2) + x2 @ (y1 - y2)
-    return 0.5 * float(np.real(np.sum(rho.T * m)))
+    # not state_eval: where a sign's zero eigenspace is degenerate, _sign_op
+    # can leave its algebra, and X and Y then need not commute
+    return 0.5 * expectation(rho, x1 @ (y1 + y2) + x2 @ (y1 - y2)).real
 
 
 def _seesaw(rho, n1, n2, y1, y2):
@@ -173,20 +180,9 @@ def two_qubit_chsh_oracle(phi: DensityState) -> float:
     t = np.empty((3, 3))
     for i, si in enumerate(paulis):
         for j, sj in enumerate(paulis):
-            t[i, j] = float(np.real(np.sum(phi.mat.T * np.kron(si, sj))))
+            t[i, j] = state_eval(phi, np.kron(si, sj))
     w = np.linalg.eigvalsh(t.T @ t)
     return max(1.0, float(np.sqrt(w[-1] + w[-2])))
-
-
-def is_bell_correlated(
-    phi: DensityState,
-    n1: MatrixAlgebra,
-    n2: MatrixAlgebra,
-    restarts: int = 20,
-    seed: int = 0,
-) -> bool:
-    """Whether the computed Bell correlation exceeds 1 beyond tolerance."""
-    return exceeds_one(bell_correlation(phi, n1, n2, restarts=restarts, seed=seed).beta)
 
 
 def exceeds_one(beta: float) -> bool:

@@ -52,12 +52,19 @@ from .record import complex_matrix_record, render_record, render_text
 
 KINDS = ("quantum", "classical", "geometry", "toynet", "bell")
 
-# Most layers a toynet-demo scenario may ask for. build_net builds every
-# layer before anything runs, and the demo evolves each candidate back
-# through every layer below its regions, about 0.4 s a layer on 10 sites:
-# with both regions at step 50 a 10-site demo takes 22 s (2-vCPU guest, one
-# BLAS thread), inside the record sweep's 30 s cap.
-MAX_STEPS = 50
+# Caps on the payload's counts, each set so that the bundled scenarios of
+# its command run at the cap inside the record sweep's 30 s cap
+# (tools/cap_check.py; 2-vCPU guest, one BLAS thread; times in README).
+# Most layers a toynet-demo may ask for: the demo evolves each candidate
+# back through every layer below its regions, about 0.7 s a layer on 10
+# sites, and a state that is not demo_state's is evolved as a 2^n matrix
+# too, so the product state is the slower kind.
+MAX_STEPS = 25
+MAX_COUNT = 1000  # find-cc causes
+MAX_BUDGET = 80  # genuine-cc restarts and toynet-demo candidate pairs
+MAX_RESTARTS = 20  # see-saw restarts of bell and sample-bell
+MAX_SAMPLES = 1000  # sample-bell states
+MAX_AXIOM_PAIRS = 1000  # toynet-demo axiom samples
 
 
 @dataclass
@@ -111,7 +118,7 @@ def _as_int(entry, where: str) -> int:
     return entry
 
 
-def _count(payload: dict, key: str, default: int, least: int, most: float = math.inf) -> int:
+def _count(payload: dict, key: str, default: int, least: float, most: float = math.inf) -> int:
     """The optional integer ``payload[key]``; outside [least, most] it
     violates the invariant named ``key`` (below ``least`` the search it
     sizes would not run)."""
@@ -224,9 +231,9 @@ def _validate_bell(payload: dict) -> dict:
             f"payload.split: each side needs dimension >= 2, got {d1}x{d2}",
             invariant="split",
         )
-    if d1 * d2 > 2**_toynet.DENSE_MAX_SITES:
+    if d1 * d2 > _bell.MAX_SPLIT_DIM:
         raise ScenarioInvariantError(
-            f"payload.split: {d1}x{d2} exceeds the dense dimension limit {2**_toynet.DENSE_MAX_SITES}",
+            f"payload.split: {d1}x{d2} exceeds the see-saw dimension limit {_bell.MAX_SPLIT_DIM}",
             invariant="split",
         )
     objects = {"split": (d1, d2)}
@@ -335,8 +342,8 @@ def _validate_toynet(payload: dict) -> dict:
         "n_steps": n_steps,
         "state_kind": state_kind,
         "epsilon": epsilon,
-        "budget": _count(payload, "budget", 10, 1),
-        "axiom_pairs": _count(payload, "axiom_pairs", 0, 0),
+        "budget": _count(payload, "budget", 10, 1, MAX_BUDGET),
+        "axiom_pairs": _count(payload, "axiom_pairs", 0, 0, MAX_AXIOM_PAIRS),
         **cones,
     }
 
@@ -467,7 +474,7 @@ def _cmd_find_cc(sc: Scenario, seed: int):
         results = {"n_found": len(certs), "causes": [c.to_record() for c in certs]}
         return results, "ok" if certs else "none-found"
     phi, a, b = sc.objects["phi"], sc.objects["A"], sc.objects["B"]
-    count = _count(sc.payload, "count", 1, 1)
+    count = _count(sc.payload, "count", 1, 1, MAX_COUNT)
     if count == 1:
         try:
             cert = _cc.find_strong_cc(phi, a, b)
@@ -477,7 +484,7 @@ def _cmd_find_cc(sc: Scenario, seed: int):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         causes = _cc.find_multiple_strong_cc(phi, a, b, count, seed=seed)
-    records = [_cause_record(_cc.quantum_verify_cc(phi, a, b, c)) for c in causes]
+    records = [_cause_record(cert) for cert in causes]
     notes = sorted(str(w.message) for w in caught)
     results = {"requested": count, "n_found": len(causes), "causes": records, "notes": notes}
     return results, "ok" if causes else "none-found"
@@ -487,7 +494,7 @@ def _cmd_genuine_cc(sc: Scenario, seed: int):
     if sc.kind != "quantum":
         raise ScenarioParseError("genuine-cc needs a quantum scenario")
     phi, a, b = sc.objects["phi"], sc.objects["A"], sc.objects["B"]
-    budget = _count(sc.payload, "budget", 60, 1)
+    budget = _count(sc.payload, "budget", 60, 1, MAX_BUDGET)
     cert = _cc.search_genuine_cc(phi, a, b, budget=budget, seed=seed)
     if cert is None:
         return {"budget": budget, "certificate": None}, "not-found"
@@ -501,7 +508,7 @@ def _cmd_bell(sc: Scenario, seed: int):
     d1, d2 = sc.objects["split"]
     n1 = MatrixAlgebra.tensor_factor((d1, d2), (0,))
     n2 = MatrixAlgebra.tensor_factor((d1, d2), (1,))
-    restarts = _count(sc.payload, "restarts", 20, 2)
+    restarts = _count(sc.payload, "restarts", 20, 2, MAX_RESTARTS)
     report = _bell.bell_correlation(phi, n1, n2, restarts=restarts, seed=seed)
     results = report.to_record()
     results["correlated"] = _bell.exceeds_one(report.beta)
@@ -525,8 +532,9 @@ def _cmd_bell(sc: Scenario, seed: int):
 
 def _cmd_sample_bell(sc: Scenario, seed: int):
     ensemble = _need(sc.payload, "ensemble", "payload")
-    n = _as_int(_need(sc.payload, "n", "payload"), "payload.n")
-    restarts = _count(sc.payload, "restarts", 6, 2)
+    # no least: sample_bell_fraction refuses n < 1 with its own message
+    n = _count(sc.payload, "n", _need(sc.payload, "n", "payload"), -math.inf, MAX_SAMPLES)
+    restarts = _count(sc.payload, "restarts", 6, 2, MAX_RESTARTS)
     with _invariant_scope("payload"):
         report = _bell.sample_bell_fraction(
             sc.objects["split"], ensemble, n, seed=seed, restarts=restarts

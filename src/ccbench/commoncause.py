@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -99,9 +99,6 @@ class ClassicalSpace:
         mask = self.as_mask(event)
         return float(sum(self.weights[i] for i in range(self.n_atoms) if mask >> i & 1))
 
-    def complement(self, event) -> frozenset:
-        return self.as_set(self.full_mask & ~self.as_mask(event))
-
     def correlation(self, a, b) -> float:
         am, bm = self.as_mask(a), self.as_mask(b)
         return self.prob(am & bm) - self.prob(am) * self.prob(bm)
@@ -128,7 +125,8 @@ class CommonCauseCertificate:
     Screening residuals are absolute deviations from the two conditional
     factorization equalities; margins are the signed gaps of the two
     positive-relevance inequalities. ``verified`` demands residuals within
-    tolerance and strictly positive margins.
+    tolerance and strictly positive margins. ``localization`` is the
+    caller's text naming where the cause lives; nothing here sets it.
     """
 
     cause: object
@@ -139,7 +137,7 @@ class CommonCauseCertificate:
     is_strong: bool
     is_genuine: bool
     correlation: float
-    localization: object = None
+    localization: Optional[str] = None
 
     @property
     def verified(self) -> bool:
@@ -153,11 +151,6 @@ class CommonCauseCertificate:
             cause = {"kind": "projection", "rank": self.cause.rank, "dim": self.cause.dim}
         else:
             cause = {"kind": "event", "atoms": sorted(self.cause)}
-        loc = self.localization
-        if loc is not None and not isinstance(loc, str):
-            from .geometry import describe
-
-            loc = describe(loc)
         return {
             "cause": cause,
             "residual_screen_C": self.residual_screen_C,
@@ -168,7 +161,7 @@ class CommonCauseCertificate:
             "is_genuine": self.is_genuine,
             "correlation": self.correlation,
             "verified": self.verified,
-            "localization": loc,
+            "localization": self.localization,
         }
 
 
@@ -600,12 +593,32 @@ def _synthesize(
 # ---------------------------------------------------------------------------
 
 
+def _strong_cc_inputs(
+    phi: DensityState, a: Projection, b: Projection
+) -> tuple[Projection, tuple[float, float, float], RValue]:
+    """What both strong-cause constructions start from, after the same
+    checks: the meet A ^ B = AB (``_meet``), ``totals`` = (φ(A^B), φ(A),
+    φ(B)) for a faithful state and a logically independent pair, and the
+    r-value."""
+    if not phi.faithful:
+        raise NotFaithfulError(
+            f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})"
+        )
+    meet = _meet(a, b)
+    pa, pb, pab = state_eval(phi, a), state_eval(phi, b), state_eval(phi, meet)
+    if not pab < min(pa, pb) - TOL.cc:
+        raise PreconditionError(
+            "pair is not logically independent: φ(A^B) must be strictly below "
+            f"φ(A) and φ(B) (got {pab:.6g} vs {pa:.6g}, {pb:.6g})"
+        )
+    return meet, (pab, pa, pb), _r_value(pa, pb, pab)
+
+
 def find_strong_cc(
     phi: DensityState,
     a: Projection,
     b: Projection,
     algebra: MatrixAlgebra | None = None,
-    localization=None,
 ) -> CommonCauseCertificate:
     """Construct and verify a strong common cause C < A^B with φ(C) = r.
 
@@ -621,18 +634,8 @@ def find_strong_cc(
     Its N × N work is listed once, as the 2^n work left in the ``toynet``
     module docstring. φ(A), φ(B), φ(A^B) and φ(C) are each evaluated once.
     """
-    if not phi.faithful:
-        raise NotFaithfulError(
-            f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})"
-        )
-    meet = _meet(a, b)
-    pa, pb, pab = state_eval(phi, a), state_eval(phi, b), state_eval(phi, meet)
-    if not pab < min(pa, pb) - TOL.cc:
-        raise PreconditionError(
-            "pair is not logically independent: φ(A^B) must be strictly below "
-            f"φ(A) and φ(B) (got {pab:.6g} vs {pa:.6g}, {pb:.6g})"
-        )
-    rv = _r_value(pa, pb, pab)
+    meet, totals, rv = _strong_cc_inputs(phi, a, b)
+    pab = totals[0]
     s = None if algebra is None else algebra.structure
     if algebra is not None and s is None:
         raise StructureError("localized synthesis needs a factor algebra")
@@ -649,9 +652,7 @@ def find_strong_cc(
         # the meet lies in the algebra, so its compressed weight is φ(A^B)
         c_local, _ = _synthesize(local_state, local_meet, rv.r, pab, strict=True)
         c, pc = c_local.embedded(s.dims, s.acting), None
-    cert = _verify_with_meet(phi, a, b, meet, c, (pab, pa, pb), pc)
-    if localization is not None:
-        cert = replace(cert, localization=localization)
+    cert = _verify_with_meet(phi, a, b, meet, c, totals, pc)
     if not cert.verified or not cert.is_strong:
         raise InternalInconsistencyError(
             "constructed cause failed verification: residuals "
@@ -667,48 +668,49 @@ def find_multiple_strong_cc(
     b: Projection,
     count: int,
     seed: int = 0,
-) -> list[Projection]:
-    """Up to ``count`` pairwise distinct strong common causes.
+) -> list[CommonCauseCertificate]:
+    """Certificates of up to ``count`` pairwise distinct strong common causes.
 
+    The state and the pair pass ``find_strong_cc``'s checks first.
     Distinctness is operator-norm distance > 1e-6. Diversity comes from
     varying the synthesis rank and randomizing the walk order; a warning is
-    issued when fewer than requested exist or are found.
+    issued when fewer than requested exist or are found. Every attempt
+    synthesizes from the same r and compressed spectrum over the same
+    ranks, so an infeasible target ends the search at the first attempt.
     """
     if count < 0:
         raise TargetRangeError("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    meet = _meet(a, b)
-    pa, pb, pab = state_eval(phi, a), state_eval(phi, b), state_eval(phi, meet)
-    rv = _r_value(pa, pb, pab)
+    meet, totals, rv = _strong_cc_inputs(phi, a, b)
     if meet.rank <= 1:
         warnings.warn("meet has rank <= 1; no strict subprojections exist")
         return []
-    causes: list[Projection] = []
+    certs: list[CommonCauseCertificate] = []
     attempts = 0
     ranks = itertools.cycle(range(1, meet.rank))
-    while len(causes) < count and attempts < max(20 * count, 20):
+    while len(certs) < count and attempts < max(20 * count, 20):
         attempts += 1
         try:
             c, pc = _synthesize(
                 phi,
                 meet,
                 rv.r,
-                pab,
+                totals[0],
                 strict=True,
                 order_rng=rng if attempts > 1 else None,
                 prefer_rank=next(ranks),
             )
         except InfeasibleError:
-            continue
-        if all(np.linalg.norm(c.mat - prev.mat, 2) > 1e-6 for prev in causes):
-            cert = _verify_with_meet(phi, a, b, meet, c, (pab, pa, pb), pc)
+            break
+        if all(np.linalg.norm(c.mat - prev.cause.mat, 2) > 1e-6 for prev in certs):
+            cert = _verify_with_meet(phi, a, b, meet, c, totals, pc)
             if cert.verified and cert.is_strong:
-                causes.append(c)
-    if len(causes) < count:
+                certs.append(cert)
+    if len(certs) < count:
         warnings.warn(
-            f"only {len(causes)} of {count} distinct strong causes constructed"
+            f"only {len(certs)} of {count} distinct strong causes constructed"
         )
-    return causes
+    return certs
 
 
 # ---------------------------------------------------------------------------
@@ -744,17 +746,13 @@ def search_genuine_cc(
     comm = MatrixAlgebra.from_generators([a.mat, b.mat]).commutant()
     herm = comm.hermitian_basis
     n_par = herm.shape[0]
-    rho_conj = np.conj(phi.mat)  # ρᵀ, as ρ is exactly Hermitian
     amat, bmat = a.mat, b.mat
     ab = pair.mat
     dim = a.dim
     rng = np.random.default_rng(seed)
     margin_floor = 1e-6
 
-    def weight(x):
-        return float(np.real(np.sum(rho_conj * x)))
-
-    w_ab, w_a, w_b = weight(ab), weight(amat), weight(bmat)
+    w_ab, w_a, w_b = (state_eval(phi, x) for x in (ab, amat, bmat))
 
     def build(coeffs, k):
         h = np.tensordot(coeffs, herm, axes=1)
@@ -764,11 +762,11 @@ def search_genuine_cc(
     def residuals(coeffs, k):
         cols = build(coeffs, k)
         cmat = cols @ la.dagger(cols)
-        pc = weight(cmat)
+        pc = state_eval(phi, cmat)
         if not 1e-9 < pc < 1.0 - 1e-9:
             return np.array([1.0, 1.0, 1.0, 1.0])
         pcp = 1.0 - pc
-        w_abc, w_ac, w_bc = weight(ab @ cmat), weight(amat @ cmat), weight(bmat @ cmat)
+        w_abc, w_ac, w_bc = (state_eval(phi, x @ cmat) for x in (ab, amat, bmat))
         s1, s2, m_a, m_b = _four_conditions(
             w_abc / pc, w_ac / pc, w_bc / pc,
             (w_ab - w_abc) / pcp, (w_a - w_ac) / pcp, (w_b - w_bc) / pcp,

@@ -183,12 +183,12 @@ class Region:
         return not self.cells
 
 
-def _interval_arg(pair, name: str, require_bounded: bool = True) -> Interval:
+def _interval_arg(pair, name: str) -> Interval:
     lo, hi = float(pair[0]), float(pair[1])
     iv = Interval(lo, hi)
     if iv.empty:
         raise RegionError(f"{name} interval ({lo}, {hi}) is empty")
-    if require_bounded and not iv.bounded:
+    if not iv.bounded:
         raise RegionError(f"{name} interval must be bounded")
     return iv
 

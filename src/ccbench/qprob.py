@@ -305,9 +305,7 @@ def state_eval(phi: DensityState, x) -> float:
     """Expectation value of a self-adjoint operator in a density state."""
     m = _mat_of(x)
     la.check_same_dim(phi.mat, m)
-    # tr(ρm) without the product; ρ is exactly Hermitian, so conj(ρ) is ρᵀ
-    # entry for entry, read contiguously
-    val = complex(np.sum(np.conj(phi.mat) * m))
+    val = expectation(phi.mat, m)
     scale = max(1.0, abs(val))
     if abs(val.imag) > 1e2 * TOL.herm * scale:
         raise ValidationError(
@@ -316,8 +314,13 @@ def state_eval(phi: DensityState, x) -> float:
     return float(val.real)
 
 
-def _expect_c(rho: np.ndarray, x: np.ndarray) -> complex:
-    return complex(np.sum(rho.T * x))
+def expectation(rho: np.ndarray, x: np.ndarray) -> complex:
+    """tr(ρx) without the product, for an exactly Hermitian ρ (conj(ρ) is
+    ρᵀ entry for entry, read contiguously) and any square x of its size.
+    ``state_eval`` is its real part, once x is checked to give a real value;
+    the see-saw objective reads the real part of an x that need not be
+    self-adjoint."""
+    return complex(np.sum(np.conj(rho) * x))
 
 
 class PairProduct:
@@ -547,10 +550,8 @@ class MatrixAlgebra:
         return cls(d, gens, basis=basis)
 
     @classmethod
-    def from_basis(cls, basis: np.ndarray, generators=None) -> "MatrixAlgebra":
-        d = basis.shape[1]
-        gens = list(basis) if generators is None else generators
-        return cls(d, gens, basis=basis)
+    def from_basis(cls, basis: np.ndarray) -> "MatrixAlgebra":
+        return cls(basis.shape[1], list(basis), basis=basis)
 
     @classmethod
     def full(cls, dim: int) -> "MatrixAlgebra":
@@ -627,19 +628,12 @@ class MatrixAlgebra:
             yield from self._basis
             return
         norm = 1.0 / np.sqrt(self.structure.rest_dim)
-        for unit in self.local_basis_iter():
-            yield self.embed(unit * norm)
-
-    def local_basis_iter(self) -> Iterator[np.ndarray]:
-        """For factor algebras: the local (unembedded) orthonormal basis."""
-        if self.structure is None:
-            raise StructureError("local basis requires factor structure")
         d_act = self.structure.acting_dim
         for i in range(d_act):
             for j in range(d_act):
                 unit = np.zeros((d_act, d_act), dtype=complex)
-                unit[i, j] = 1.0
-                yield unit
+                unit[i, j] = norm
+                yield self.embed(unit)
 
     @cached_property
     def hermitian_basis(self) -> np.ndarray:
@@ -820,8 +814,8 @@ def is_product_state(phi: DensityState, n1: MatrixAlgebra, n2: MatrixAlgebra) ->
     mats1 = list(n1.basis_iter())
     mats2 = list(n2.basis_iter())
     left = [rho @ x for x in mats1]
-    e1 = [_expect_c(rho, x) for x in mats1]
-    e2 = [_expect_c(rho, y) for y in mats2]
+    e1 = [expectation(rho, x) for x in mats1]
+    e2 = [expectation(rho, y) for y in mats2]
     for i, lx in enumerate(left):
         for j, y in enumerate(mats2):
             joint = complex(np.sum(lx.T * y))

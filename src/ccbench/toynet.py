@@ -39,7 +39,7 @@ nets above DENSE_MAX_SITES are refused.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -107,11 +107,17 @@ def _cone_from_region(region: geo.Region, n_sites: int, n_steps: int) -> SliceCo
     k, a, b = int(round(k)), int(round(a)), int(round(b))
     if abs(cell.v.hi - (k + b + 0.5)) > TOL.geo:
         raise RegionError("region is not a slice-based double cone")
-    if not (0 <= a <= b < n_sites):
-        raise RegionError(f"sites [{a}, {b}] outside the chain")
-    if not (0 <= k <= n_steps):
-        raise RegionError(f"step {k} outside the built horizon {n_steps}")
-    return SliceCone(k, a, b)
+    return _check_cone(SliceCone(k, a, b), n_sites, n_steps)
+
+
+def _check_cone(cone: SliceCone, n_sites: int, n_steps: int) -> SliceCone:
+    """The cone, once its sites lie in the chain and its step in the built
+    horizon; else RegionError."""
+    if not (0 <= cone.lo <= cone.hi < n_sites):
+        raise RegionError(f"sites [{cone.lo}, {cone.hi}] outside the chain")
+    if not (0 <= cone.step <= n_steps):
+        raise RegionError(f"step {cone.step} outside the built horizon {n_steps}")
+    return cone
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +503,14 @@ class WeakRCCPDemo:
 def weak_rccp_demo(
     net: NetModel,
     state: DensityState,
-    d1,
-    d2,
+    d1: SliceCone,
+    d2: SliceCone,
     budget: int = 10,
 ) -> WeakRCCPDemo:
     """Full pipeline: correlated pair, common-cause region, localized cause.
+
+    D1 and D2 are SliceCones with sites in the chain and steps in the built
+    horizon; anything else is a RegionError.
 
     The geometry comes first, before any 2^n work: the weak common-cause
     region is built at slab depth aligned with the step-0 lattice row and
@@ -532,17 +541,19 @@ def weak_rccp_demo(
     and the cause from the row. The 2^n work left is listed in the module
     docstring.
     """
-    cone1 = d1 if isinstance(d1, SliceCone) else _cone_from_region(d1, net.n_sites, net.n_steps)
-    cone2 = d2 if isinstance(d2, SliceCone) else _cone_from_region(d2, net.n_sites, net.n_steps)
+    for cone in (d1, d2):
+        if not isinstance(cone, SliceCone):
+            raise RegionError(f"the demo takes SliceCones, got {type(cone).__name__}")
+        _check_cone(cone, net.n_sites, net.n_steps)
     if not state.faithful:
         raise NotFaithfulError("demo needs a faithful (full-rank) state")
-    if not geo.spacelike_separated(cone1.diamond(), cone2.diamond()):
+    if not geo.spacelike_separated(d1.diamond(), d2.diamond()):
         raise RegionError("base regions are not spacelike separated")
-    if cone1.step != cone2.step:
+    if d1.step != d2.step:
         raise RegionError("demo expects both regions on the same slice")
     # slab aligned with the step-0 row; margin 1 makes it exactly one cell tall
     construction = geo.weak_cc_region(
-        cone1.diamond(), cone2.diamond(), margin=1.0, depth=-0.5
+        d1.diamond(), d2.diamond(), margin=1.0, depth=-0.5
     )
     slab = construction.region
     cell = slab.cells[0]
@@ -554,10 +565,10 @@ def weak_rccp_demo(
     if not snapped:
         raise InfeasibleError("common-cause slab contains no lattice cells")
     site_lo, site_hi = snapped[0], snapped[-1]
-    k = cone1.step
+    k = d1.step
     dims = (2,) * net.n_sites
-    sites1 = tuple(range(cone1.lo, cone1.hi + 1))
-    sites2 = tuple(range(cone2.lo, cone2.hi + 1))
+    sites1 = tuple(range(d1.lo, d1.hi + 1))
+    sites2 = tuple(range(d2.lo, d2.hi + 1))
     _require_dense("weak_rccp_demo", net.n_sites)
     keep = sites1 + sites2
     phi_red = DensityState(_reduced_state(net, state, k, keep))
@@ -590,16 +601,15 @@ def weak_rccp_demo(
         a_glob = embed_back(a_red, sites1)
         b_glob = embed_back(b_red, sites2)
         try:
-            cert = find_strong_cc(
-                state, a_glob, b_glob, algebra=local, localization=slab
-            )
+            cert = find_strong_cc(state, a_glob, b_glob, algebra=local)
         except (InfeasibleError, StructureError) as exc:
             last_error = exc
             continue
-        tilde = geo.tilde_regions(cone1.diamond(), cone2.diamond(), slab)
+        cert = replace(cert, localization=geo.describe(slab))
+        tilde = geo.tilde_regions(d1.diamond(), d2.diamond(), slab)
         return WeakRCCPDemo(
-            d1=cone1,
-            d2=cone2,
+            d1=d1,
+            d2=d2,
             pair_correlation=corr,
             a=a_glob,
             b=b_glob,

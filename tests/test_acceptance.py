@@ -387,11 +387,11 @@ def test_criterion_08_three_distinct_causes_one_instance():
     causes = find_multiple_strong_cc(phi, a, b, count=3, seed=0)
     assert len(causes) >= 3
     for c1, c2 in itertools.combinations(causes, 2):
-        assert np.linalg.norm(c1.mat - c2.mat, 2) > 1e-6
+        assert np.linalg.norm(c1.cause.mat - c2.cause.mat, 2) > 1e-6
     for c in causes:
-        cert = quantum_verify_cc(phi, a, b, c)
+        cert = quantum_verify_cc(phi, a, b, c.cause)
         assert cert.verified and cert.is_strong
-    assert len({c.rank for c in causes}) == 3  # distinct by rank, too
+    assert len({c.cause.rank for c in causes}) == 3  # distinct by rank, too
 
 
 def test_criterion_09_rank_one_meet_always_infeasible():

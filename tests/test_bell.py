@@ -19,13 +19,13 @@ from ccbench import (
     bell_correlation,
     correlation,
     find_correlated_pair,
-    is_bell_correlated,
     sample_bell_fraction,
     singlet_state,
     two_qubit_chsh_oracle,
     werner_state,
 )
 from ccbench import _linalg as la
+from ccbench.bell import exceeds_one
 from ccbench.errors import (
     DimensionMismatchError,
     InternalInconsistencyError,
@@ -148,7 +148,7 @@ def test_seesaw_product_state_pinned_at_one():
     n1, n2 = split_algebras()
     report = bell_correlation(DensityState(rho), n1, n2, restarts=4)
     assert abs(report.beta - 1.0) <= 1e-9
-    assert not is_bell_correlated(DensityState(rho), n1, n2, restarts=4)
+    assert not exceeds_one(bell_correlation(DensityState(rho), n1, n2, restarts=4).beta)
 
 
 def test_abelian_side_caps_at_one():

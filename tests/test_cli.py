@@ -103,6 +103,24 @@ def test_find_cc_three_distinct_causes(capsys):
     assert "outcome: ok" in out
 
 
+def test_find_cc_refuses_a_dependent_pair_at_every_count(tmp_path, capsys):
+    # B < A, so φ(A^B) = φ(B): with count 3 this used to skip the check and
+    # end as none-found, exit 1
+    def diag(*entries):
+        return [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+
+    messages = []
+    for count in (1, 3):
+        path = tmp_path / f"nested_{count}.json"
+        path.write_text(json.dumps({"kind": "quantum", "payload": {
+            "state": diag(0.3, 0.3, 0.2, 0.2), "count": count,
+            "projections": {"A": diag(1, 1, 1, 0), "B": diag(1, 1, 0, 0)}}}))
+        assert run_cli("find-cc", "--scenario", str(path)) == 3
+        messages.append(capsys.readouterr().err)
+    assert messages[0].startswith("error: pair is not logically independent")
+    assert messages[1] == messages[0]
+
+
 def test_genuine_cc_on_planted_instance(capsys):
     code = run_cli("genuine-cc", "--scenario", scenario("planted_genuine_dim16.json"))
     out = text_lines(capsys.readouterr().out)
@@ -644,9 +662,9 @@ _MESSAGE_ROWS = [
     _row("b-split-small", "bell", "bell", {"payload.split": [1, 2]}, 3,
          "error: payload.split: each side needs dimension >= 2, got 1x2"),
     _row("b-split-large", "sample-bell", "bell", {"payload.split": [1000000, 2]}, 3,
-         "error: payload.split: 1000000x2 exceeds the dense dimension limit 1024"),
+         "error: payload.split: 1000000x2 exceeds the see-saw dimension limit 25"),
     _row("b-split-wide", "bell", "bell", {"payload.split": [2, 513]}, 3,
-         "error: payload.split: 2x513 exceeds the dense dimension limit 1024"),
+         "error: payload.split: 2x513 exceeds the see-saw dimension limit 25"),
     _row("b-singlet-split", "bell", "bell", {"payload.split": [2, 3]}, 3,
          "error: payload.state: singlet needs a [2, 2] split"),
     _row("b-werner-split", "bell", "bell",
@@ -775,7 +793,24 @@ _MESSAGE_ROWS = [
     _row("t-axiom-pairs-negative", "toynet-demo", "toynet", {"payload.axiom_pairs": -1}, 3,
          "error: payload.axiom_pairs must be >= 0"),
     _row("t-n-steps-cap", "toynet-demo", "toynet", {"payload.n_steps": 1000000000000}, 3,
-         "error: payload.n_steps must be <= 50"),
+         "error: payload.n_steps must be <= 25"),
+    # each capped field one above its cap
+    _row("b-split-cap", "bell", "bell", {"payload.split": [2, 13]}, 3,
+         "error: payload.split: 2x13 exceeds the see-saw dimension limit 25"),
+    _row("b-restarts-cap", "bell", "bell", {"payload.restarts": 21}, 3,
+         "error: payload.restarts must be <= 20"),
+    _row("s-restarts-cap", "sample-bell", "bell", {"payload.restarts": 21}, 3,
+         "error: payload.restarts must be <= 20"),
+    _row("s-n-cap", "sample-bell", "bell", {"payload.n": 1001}, 3,
+         "error: payload.n must be <= 1000"),
+    _row("q-count-cap", "find-cc", "quantum", {"payload.count": 1001}, 3,
+         "error: payload.count must be <= 1000"),
+    _row("q-budget-cap", "genuine-cc", "quantum", {"payload.budget": 81}, 3,
+         "error: payload.budget must be <= 80"),
+    _row("t-budget-cap", "toynet-demo", "toynet", {"payload.budget": 81}, 3,
+         "error: payload.budget must be <= 80"),
+    _row("t-axiom-pairs-cap", "toynet-demo", "toynet", {"payload.axiom_pairs": 1001}, 3,
+         "error: payload.axiom_pairs must be <= 1000"),
 ]
 
 

@@ -111,7 +111,6 @@ def test_event_conversions():
     assert space.as_mask([0, 2]) == 0b101
     assert space.as_set(0b101) == frozenset({0, 2})
     assert space.prob([0, 2]) == pytest.approx(0.5)
-    assert space.complement([0, 2]) == frozenset({1, 3})
     with pytest.raises(ValidationError):
         space.as_mask([4])
 
@@ -469,8 +468,8 @@ def test_find_strong_cc_localized_in_algebra(conjugate):
             find_strong_cc(DensityState(rho), Projection(a), Projection(b), algebra=alg)
         return
     phi = DensityState(rho)
-    cert = find_strong_cc(
-        phi, Projection(a), Projection(b), algebra=alg, localization="left factor"
+    cert = dataclasses.replace(
+        find_strong_cc(phi, Projection(a), Projection(b), algebra=alg), localization="left factor"
     )
     assert cert.verified and cert.is_strong
     assert alg.contains(cert.cause.mat)
@@ -669,12 +668,12 @@ def test_find_multiple_distinct_ranks():
     phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
     causes = find_multiple_strong_cc(phi, a, b, 3, seed=0)
     assert len(causes) == 3
-    ranks = sorted(c.rank for c in causes)
+    ranks = sorted(c.cause.rank for c in causes)
     assert ranks == [2, 3, 4]
     for c1, c2 in itertools.combinations(causes, 2):
-        assert np.linalg.norm(c1.mat - c2.mat, 2) > 1e-6
+        assert np.linalg.norm(c1.cause.mat - c2.cause.mat, 2) > 1e-6
     for c in causes:
-        cert = quantum_verify_cc(phi, a, b, c)
+        cert = quantum_verify_cc(phi, a, b, c.cause)
         assert cert.verified and cert.is_strong
 
 
@@ -689,6 +688,31 @@ def test_find_multiple_rejects_negative_count():
     phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B)
     with pytest.raises(TargetRangeError):
         find_multiple_strong_cc(phi, a, b, -1)
+
+
+def test_find_multiple_returns_the_certificates_it_verified():
+    # the CLI renders these; it used to verify each cause a second time
+    phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
+    certs = find_multiple_strong_cc(phi, a, b, 3, seed=0)
+    assert [quantum_verify_cc(phi, a, b, c.cause) for c in certs] == certs
+
+
+def test_find_multiple_stops_at_the_first_infeasible_target(monkeypatch):
+    # r = 0.1724 / 0.23 lies above the meet's rank-1 interval [0.3, 0.45];
+    # every attempt has the same r, spectrum and ranks, and an infeasible
+    # one used to be retried 20 × count times
+    phi, a, b = diag_instance([0.3, 0.45, 0.01, 0.01, 0.23], [1, 1, 1, 0, 0], [1, 1, 0, 1, 0])
+    real = commoncause._synthesize
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(commoncause, "_synthesize", counted)
+    with pytest.warns(UserWarning, match="only 0 of 3"):
+        assert find_multiple_strong_cc(phi, a, b, 3) == []
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

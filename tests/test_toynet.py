@@ -971,3 +971,20 @@ def test_demo_checks_geometry_before_evolution(monkeypatch, n_sites, d1, d2, pro
     monkeypatch.setattr(NetModel, "evolution", no_evolution)
     with pytest.raises(RegionError, match="slab top"):
         weak_rccp_demo(net, phi, d1, d2)
+
+
+@pytest.mark.parametrize(
+    "d1, d2, message",
+    [
+        # beyond the built horizon: an IndexError deep in the evolution
+        (SliceCone(5, 0, 1), SliceCone(5, 4, 5), r"step 5 outside the built horizon 3"),
+        # past the chain's end: a RegionError about the slab top
+        (SliceCone(2, 0, 1), SliceCone(2, 4, 9), r"sites \[4, 9\] outside the chain"),
+        (SliceCone(2, 0, 1).diamond(), SliceCone(2, 4, 5), "takes SliceCones, got Region"),
+    ],
+    ids=["step", "sites", "region"],
+)
+def test_demo_refuses_a_cone_outside_the_net(d1, d2, message):
+    net = build_net(6, "random", seed=0, n_steps=3)
+    with pytest.raises(RegionError, match=message):
+        weak_rccp_demo(net, demo_state(net, seed=0), d1, d2)

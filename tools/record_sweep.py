@@ -58,14 +58,20 @@ def crashed(codes: list[str]) -> bool:
     return CRASH in codes
 
 
+def tree_env() -> dict:
+    """The environment of a run: this tree's ``src`` first on PYTHONPATH
+    (also put first on this process's path) and BLAS at one thread."""
+    src = str(Path("src").resolve())
+    sys.path.insert(0, src)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **ONE_THREAD, "PYTHONPATH": path}
+
+
 def sweep(out: Path, names: list[str]) -> list[str]:
     """Run the sweep into ``out``; returns the exit code of each run."""
-    src = Path("src").resolve()
-    sys.path.insert(0, str(src))
+    env = tree_env()
     from ccbench.cli import _COMMANDS
 
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": path}
     stems = [Path(n).stem for n in names] or sorted(p.stem for p in Path("scenarios").glob("*.json"))
     jobs = [(command, stem) for stem in stems for command in _COMMANDS]
     out.mkdir(parents=True, exist_ok=True)
