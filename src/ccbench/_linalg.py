@@ -11,6 +11,18 @@ import scipy.linalg.lapack
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
 
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def gamma(n: int) -> float:
+    """2(n + 2)u, u the unit roundoff: a bound on the relative rounding of a
+    complex inner product of length n, so |fl(XY) − XY| ≤ γ |X||Y| entry by
+    entry for a product of inner dimension at most n, and its Frobenius norm
+    is at most γ‖X‖_F‖Y‖_F (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, §3.1 and §3.6, constants doubled for complex
+    arithmetic)."""
+    return 2.0 * (n + 2) * UNIT_ROUNDOFF
+
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T

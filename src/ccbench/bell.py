@@ -35,7 +35,6 @@ from .qprob import (
     MatrixAlgebra,
     Projection,
     check_commuting_algebras,
-    expectation,
     state_eval,
 )
 
@@ -76,9 +75,18 @@ def werner_state(w: float) -> DensityState:
 
 
 def _sign_op(h: np.ndarray) -> np.ndarray:
-    """Matrix sign with the zero eigenspace mapped to +1."""
+    """Matrix sign with the zero eigenspace mapped to +1.
+
+    h is a see-saw half-step's conditional expectation of (Y1 ± Y2)ρ or
+    (X1 ± X2)ρ, so ‖h‖₂ <= 2, and rounding moves its d eigenvalues by less
+    than the window τ = 2d·la.gamma(d). Eigenvalues within τ of 0 count as
+    0 and map to +1: a degenerate kernel of X ⊗ I, which rounding splits
+    into tiny ± eigenvalues, then keeps one sign, and the sign stays in its
+    algebra.
+    """
     w, vecs = np.linalg.eigh(la.hermitize(h))
-    s = np.where(w >= 0.0, 1.0, -1.0)
+    window = 2.0 * len(w) * la.gamma(len(w))
+    s = np.where(w >= -window, 1.0, -1.0)
     return (vecs * s) @ la.dagger(vecs)
 
 
@@ -99,13 +107,12 @@ class BellReport:
         }
 
 
-def _objective(rho, x1, x2, y1, y2) -> float:
-    # not state_eval: where a sign's zero eigenspace is degenerate, _sign_op
-    # can leave its algebra, and X and Y then need not commute
-    return 0.5 * expectation(rho, x1 @ (y1 + y2) + x2 @ (y1 - y2)).real
+def _objective(phi, x1, x2, y1, y2) -> float:
+    return 0.5 * state_eval(phi, x1 @ (y1 + y2) + x2 @ (y1 - y2))
 
 
-def _seesaw(rho, n1, n2, y1, y2):
+def _seesaw(phi, n1, n2, y1, y2):
+    rho = phi.mat
     history = []
     x1 = x2 = np.eye(rho.shape[0])
     prev = -np.inf
@@ -116,7 +123,7 @@ def _seesaw(rho, n1, n2, y1, y2):
         x2 = _sign_op(n1.project(la.hermitize((y1 - y2) @ rho)))
         y1 = _sign_op(n2.project(la.hermitize((x1 + x2) @ rho)))
         y2 = _sign_op(n2.project(la.hermitize((x1 - x2) @ rho)))
-        obj = _objective(rho, x1, x2, y1, y2)
+        obj = _objective(phi, x1, x2, y1, y2)
         history.append(obj)
         if obj - prev < GAIN_TOL:
             converged = True
@@ -140,8 +147,7 @@ def bell_correlation(
     random +/-1-spectrum elements of the Y-side algebra.
     """
     check_commuting_algebras(n1, n2)
-    la.check_same_dim(phi.mat, np.eye(n1.dim))
-    rho = phi.mat
+    phi.check_dim(np.eye(n1.dim))
     eye = np.eye(n1.dim)
     rng = np.random.default_rng(seed)
     best = None
@@ -151,7 +157,7 @@ def bell_correlation(
         else:
             y1 = 2.0 * n2.random_projection(rng).mat - eye
             y2 = 2.0 * n2.random_projection(rng).mat - eye
-        run = _seesaw(rho, n1, n2, y1, y2)
+        run = _seesaw(phi, n1, n2, y1, y2)
         if best is None or run[0] > best[0]:
             best = run
     beta, iters, conv, hist = best

@@ -64,6 +64,11 @@ MAX_COUNT = 1000  # find-cc causes
 MAX_BUDGET = 80  # genuine-cc restarts and toynet-demo candidate pairs
 MAX_RESTARTS = 20  # see-saw restarts of bell and sample-bell
 MAX_SAMPLES = 1000  # sample-bell states
+# sample-bell see-saws, n × restarts, on a split that runs the see-saw (any
+# but 2 x 2). On random pure 4 x 6 states a see-saw averages about 0.12 s
+# and some run for 0.6 s (one BLAS thread); n = 4 with 20 restarts took
+# 8.3-17.8 s over three seeds, so 80 would sit too near the sweep's cap.
+MAX_SEESAWS = 60
 MAX_AXIOM_PAIRS = 1000  # toynet-demo axiom samples
 
 
@@ -535,6 +540,12 @@ def _cmd_sample_bell(sc: Scenario, seed: int):
     # no least: sample_bell_fraction refuses n < 1 with its own message
     n = _count(sc.payload, "n", _need(sc.payload, "n", "payload"), -math.inf, MAX_SAMPLES)
     restarts = _count(sc.payload, "restarts", 6, 2, MAX_RESTARTS)
+    if sc.objects["split"] != (2, 2) and n * restarts > MAX_SEESAWS:
+        raise ScenarioInvariantError(
+            f"payload.n × payload.restarts = {n} × {restarts} exceeds the see-saw "
+            f"limit {MAX_SEESAWS} on a split other than 2x2",
+            invariant="n*restarts",
+        )
     with _invariant_scope("payload"):
         report = _bell.sample_bell_fraction(
             sc.objects["split"], ensemble, n, seed=seed, restarts=restarts

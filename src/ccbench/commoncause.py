@@ -333,14 +333,64 @@ def _meet(a: Projection, b: Projection) -> Projection:
     their supports (``Projection.factor``; the whole space unless both are
     embedded in one split). AB lies in the algebra of S: it is formed,
     checked (the norm of [A, B] on S times √(N/d_S) against comm_tol) and
-    validated at d_S, then embedded trusted; for S whole, ``PairProduct``."""
+    settled at d_S, then embedded trusted; for S whole, ``PairProduct``.
+
+    The meet H = hermitize(fl(XY)) of X and Y, A and B on S (d = d_S), is
+    trusted from its factors when both keep a ``defect``: δ_X and δ_Y,
+    bounds on ‖X² − X‖_F and ‖Y² − Y‖_F. With D_X = X² − X, C = XY − YX,
+    M = XY and K = (XY + YX)/2 = M − C/2,
+
+        M² − M = X(XY − C)Y − XY = D_X Y + X D_Y + D_X D_Y − XCY,
+        K² − K = (M² − M) − (MC + CM)/2 + C²/4 + C/2.
+
+    X's eigenvalues lie in [−δ_X, 1 + δ_X], so ‖X‖₂ ≤ x = 1 + δ_X, and
+    ‖Y‖₂ ≤ y = 1 + δ_Y; so ‖K² − K‖_F ≤ k for
+
+        k = δ_X y + x δ_Y + δ_X δ_Y + (2xy + 1/2) c + c²/4,
+
+    c a bound on ‖C‖_F. Rounding: let u be the unit roundoff, γ_d =
+    la.gamma(d), f = ‖X‖_F ‖Y‖_F, and γ = la.gamma(d_X) for the inner
+    dimension d_X of the product as formed: the dimension of X's own factor
+    when X is embedded (``PairProduct`` multiplies through it), else d.
+    fl(XY) lies within γf of XY. So the measured commutator norm c_m gives
+    c = (1 + γ_d)² c_m + 2γf, and H lies within e = (γ + 2u)f of K,
+    hermitizing adding u‖fl(XY)‖_F. Then ‖H² − H‖_F ≤ k + e(2xy + 1 + e),
+    and validation's own product H·H adds γ_d‖H‖_F² ≤
+    γ_d(1 + 2u)‖fl(XY)‖_F², so
+
+        bound = (1 + 2γ_d) (k + e(2xy + 1 + e) + γ_d‖fl(XY)‖_F²)
+
+    is at least the ‖fl(HH) − H‖_F that ``Projection(H)`` measures, to
+    first order in u (the factors 1 + γ_d hold the rounding of the norms).
+    When it passes Projection's own rule (≤ tol_proj/2 and 4√d·bound < 1),
+    ``PairProduct.meet`` trusts H with rank round(tr H), the verdict, rank
+    and matrix that validating H gives. Otherwise, or when either input
+    keeps no defect, H is validated.
+    """
     la.check_same_dim(a.mat, b.mat)
     fa, fb, dims, s = a.factor, b.factor, (a.dim,), (0,)
     if fa and fb and fa[1] == fb[1]:
         dims, s = fa[1], tuple(sorted({*fa[2], *fb[2]}))
-    pair = PairProduct(a.within(dims, s), b.within(dims, s))
-    meet = pair.require_commuting("A and B", np.sqrt(a.dim / pair.y.dim)).meet()
+    x, y = a.within(dims, s), b.within(dims, s)
+    pair = PairProduct(x, y).require_commuting("A and B", np.sqrt(a.dim / y.dim))
+    meet = pair.meet(_meet_defect(x, y, pair))
     return meet if meet.dim == a.dim else meet.embedded(dims, s)
+
+
+def _meet_defect(x: Projection, y: Projection, pair: PairProduct) -> Optional[float]:
+    """``_meet``'s bound on the defect of the meet, or None unless both keep
+    a defect (a validated projection keeps no span, so XY was formed)."""
+    if x.defect is None or y.defect is None:
+        return None
+    g_d = la.gamma(x.dim)
+    g = la.gamma(x.dim if x.factor is None else x.factor[0].dim)
+    dx, dy = x.defect, y.defect
+    xy = (1.0 + dx) * (1.0 + dy)
+    f = la.frob(x.mat) * la.frob(y.mat)
+    c = (1.0 + g_d) ** 2 * pair.commutator_norm + 2.0 * g * f
+    e = (g + 2.0 * la.UNIT_ROUNDOFF) * f
+    k = dx * (1.0 + dy) + (1.0 + dx) * dy + dx * dy + (2.0 * xy + 0.5) * c + c * c / 4.0
+    return (1.0 + 2.0 * g_d) * (k + e * (2.0 * xy + 1.0 + e) + g_d * la.frob(pair.mat) ** 2)
 
 
 def quantum_verify_cc(
@@ -529,7 +579,7 @@ def _synthesize(
         raise NotFaithfulError(
             f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})"
         )
-    la.check_same_dim(phi.mat, p.mat)
+    phi.check_dim(p.mat)
     if pp is None:
         pp = state_eval(phi, p)
     if not 0.0 < r < pp:
@@ -538,8 +588,7 @@ def _synthesize(
     if m == 0:
         raise TargetRangeError("P is the zero projection")
     basis = la.range_basis(p.mat, m)
-    compressed = la.hermitize(la.dagger(basis) @ phi.mat @ basis)
-    mu, emb = la.eigh_desc(compressed)
+    mu, emb = la.eigh_desc(phi.compressed(basis))
     max_rank = m - 1 if strict else m
     if max_rank < 1:
         raise InfeasibleError(
@@ -648,7 +697,7 @@ def find_strong_cc(
                 if x.within(s.dims, s.acting) is None and not algebra.contains(x.mat):
                     raise StructureError(f"projection {name} is not in the given algebra")
             local_meet = Projection(algebra.compress(meet.mat) / s.rest_dim)
-        local_state = DensityState(algebra.compress(phi.mat))
+        local_state = DensityState(phi.reduced(s.dims, s.acting))
         # the meet lies in the algebra, so its compressed weight is φ(A^B)
         c_local, _ = _synthesize(local_state, local_meet, rv.r, pab, strict=True)
         c, pc = c_local.embedded(s.dims, s.acting), None

@@ -76,16 +76,23 @@ class Projection(HermitianOperator):
     Only when that bound cannot decide does ``eigvalsh`` test the spectrum;
     either way the same inputs are accepted, with the same rank.
 
+    A validated projection keeps ``defect``, an upper bound on the exact
+    ‖P² − P‖_F of its stored matrix: (1 + γ)(δ + γ‖P‖_F²), with γ =
+    ``la.gamma(d)`` covering the rounding of the product that measured δ.
+
     The trusted constructors ``from_span``, ``complement`` and ``embedded``
     (P ⊗ I of a P validated on its factors) skip validation and keep the
     matrix exactly Hermitian, as ``PairProduct`` needs. ``from_span`` also
     keeps its orthonormal columns W, and ``embedded`` passes them on as
     W ⊗ I, so ``PairProduct`` can multiply by P = WW* at the cost of W.
-    ``embedded`` also keeps ``factor`` = (P, dims, acting): its support.
+    ``embedded`` also keeps ``factor`` = (P, dims, acting): its support, and
+    scales P's ``defect`` by √(N/d), since (P ⊗ I)² − P ⊗ I = (P² − P) ⊗ I
+    exactly. The others keep no ``defect``.
     """
 
     _span: np.ndarray | None = None
     factor: tuple | None = None
+    defect: float | None = None
 
     def __init__(self, mat):
         super().__init__(mat)
@@ -98,7 +105,9 @@ class Projection(HermitianOperator):
                 invariant="tol_proj",
             )
         delta = la.frob(defect)
-        if delta <= TOL.proj / 2 and 4.0 * np.sqrt(self.dim) * delta < 1.0:
+        g = la.gamma(self.dim)
+        self.defect = (1.0 + g) * (delta + g * la.frob(m) ** 2)
+        if _settles(delta, self.dim):
             self._rank = int(round(float(np.trace(m).real)))
             return
         eigs = np.linalg.eigvalsh(m)
@@ -155,6 +164,8 @@ class Projection(HermitianOperator):
         span = la.embed_columns(self._span, dims, acting) if keep else None
         p = Projection._trusted(mat, self._rank * (mat.shape[0] // self.dim), span)
         p.factor = (self, dims, acting)
+        if self.defect is not None:
+            p.defect = self.defect * float(np.sqrt(mat.shape[0] / self.dim))
         return p
 
     def within(self, dims: Sequence[int], acting: Sequence[int]) -> Optional["Projection"]:
@@ -172,6 +183,12 @@ class Projection(HermitianOperator):
 
     def __repr__(self):
         return f"Projection(dim={self.dim}, rank={self.rank})"
+
+
+def _settles(delta: float, dim: int) -> bool:
+    """Projection's acceptance rule: a defect δ ≤ tol_proj/2 with 4√d δ < 1
+    settles the spectrum, and with it the rank round(tr P)."""
+    return delta <= TOL.proj / 2 and 4.0 * np.sqrt(dim) * delta < 1.0
 
 
 class DensityState:
@@ -197,7 +214,7 @@ class DensityState:
         m = self._unit_trace(mat)
         floor = max(TOL.faithful_eps, -TOL.state)
         n = m.shape[0]
-        beta = 8.0 * n * (n + 1) * (np.finfo(float).eps / 2) * (la.frob(m) + abs(floor))
+        beta = 8.0 * n * (n + 1) * la.UNIT_ROUNDOFF * (la.frob(m) + abs(floor))
         shifted = m.copy()
         shifted.flat[:: n + 1] -= floor + beta
         # zpotrf reads Fortran order: the transpose of ρ − sI is its
@@ -239,7 +256,7 @@ class DensityState:
 
     @cached_property
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self._mat)[0])
+        return float(np.linalg.eigvalsh(self.mat)[0])
 
     @property
     def faithful(self) -> bool:
@@ -248,40 +265,127 @@ class DensityState:
             return True
         return self.min_eigenvalue > eps
 
+    def check_dim(self, m: np.ndarray) -> None:
+        """Raise DimensionMismatchError unless m is square of this dimension."""
+        if m.shape != (self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"dimension mismatch: {(self.dim, self.dim)} vs {m.shape}"
+            )
+
+    # The state's four uses, each read off ``mat`` here; EpsilonPureState
+    # answers them from ψ and ε.
+
+    def expectation(self, x) -> complex:
+        """tr(ρx) for a square x of this dimension (an operator or matrix)."""
+        m = _mat_of(x)
+        self.check_dim(m)
+        return expectation(self.mat, m)
+
+    def times(self, w: np.ndarray) -> np.ndarray:
+        """ρW for an N × k block W."""
+        return self.mat @ w
+
+    def compressed(self, w: np.ndarray) -> np.ndarray:
+        """W*ρW, hermitized, for orthonormal columns W."""
+        return la.hermitize(la.dagger(w) @ self.mat @ w)
+
+    def reduced(self, dims: Sequence[int], acting: Sequence[int]) -> np.ndarray:
+        """The partial trace onto the factors ``acting`` of ``dims``, which
+        follow ``acting`` as given (as in la.partial_trace)."""
+        return la.partial_trace(self.mat, tuple(dims), tuple(acting))
+
     def __repr__(self):
         return f"DensityState(dim={self.dim}, faithful={self.faithful})"
 
 
 class EpsilonPureState(DensityState):
-    """(1 - ε) |ψ><ψ| + ε I/d: a DensityState that also keeps ψ and ε.
+    """φ = (1 − ε)|ψ⟩⟨ψ| + εI/N: a DensityState given by ψ and ε.
 
-    The matrix is built, hermitized and trace-checked as any DensityState's;
-    its positivity comes from the construction. For 0 < ε <= 1 the exact
-    matrix has least eigenvalue ε/d. Forming it rounds each entry by at most
-    8u times the size of its exact terms (u the unit roundoff), so the
-    stored matrix is within β = 16u(‖ψ‖² + 1) of it in Frobenius norm, and
-    λ_min > ε/d − β by Weyl's inequality. For ψ finite with ‖ψ‖ within
-    tol_state of 1, and ε/d − β above s0 = max(faithful_eps, −tol_state),
-    ε/d − β is the state's floor; any other state is validated as a
-    DensityState, with the same verdicts and messages. Keeping ψ also lets
-    the toy net's demonstration evolve the state as a vector and reduce it
-    by a reshape, instead of evolving and tracing the matrix.
+    Accepted from its construction, with no matrix. For 0 < ε <= 1 the
+    exact matrix has least eigenvalue ε/N. Forming it rounds each entry by
+    at most 8u times the size of its exact terms (u the unit roundoff), so
+    the stored matrix is within β = 16u(‖ψ‖² + 1) of it in Frobenius norm,
+    and λ_min > ε/N − β by Weyl's inequality. Its trace is
+    (1 − ε)‖ψ‖² + ε to within 2γ(‖ψ‖² + 1) (γ = ``la.gamma(N)``), and its
+    entries are self-adjoint to within 4u‖ψ‖². So a state whose trace is 1
+    within tol_state less that margin, with 4u‖ψ‖² <= tol_herm and
+    ε/N − β above s0 = max(faithful_eps, −tol_state), is a state, with
+    ε/N − β as its floor; any other is validated as a DensityState, with
+    the same verdicts and messages.
+
+    ``mat``, the matrix a DensityState would store, is built only when
+    read. The four uses of the state are answered from ψ and ε:
+    φ(X) = (1 − ε)⟨ψ, Xψ⟩ + ε tr X / N, with Xψ through la.apply_factor in
+    O(N d) for an embedded projection (``Projection.factor``) and through
+    W*ψ for a span; ρW = (1 − ε)ψ(ψ*W) + (ε/N)W; W*ρW =
+    (1 − ε)(W*ψ)(W*ψ)* + (ε/N)I_k; and the reduction to d_keep of the
+    factors makes them the rows of a matrix T by a reshape of ψ and is
+    (1 − ε)TT* + (ε/d_keep)I.
     """
+
+    _mat = None
 
     def __init__(self, psi: np.ndarray, epsilon: float):
         psi = np.array(psi, dtype=complex)
         psi.flags.writeable = False
         self.psi, self.epsilon = psi, float(epsilon)
         dim = psi.shape[0]
-        mat = (1.0 - epsilon) * np.outer(psi, psi.conj()) + epsilon * np.eye(dim) / dim
-        norm = float(np.linalg.norm(psi))  # inf or nan unless ψ is finite
-        floor = self.epsilon / dim - 16.0 * (np.finfo(float).eps / 2) * (norm**2 + 1.0)
-        if not (abs(norm - 1.0) <= TOL.state and 0.0 < self.epsilon <= 1.0
-                and floor > max(TOL.faithful_eps, -TOL.state)):
-            super().__init__(mat)
+        norm2 = float(np.vdot(psi, psi).real)  # inf or nan unless ψ is finite
+        slack = abs((1.0 - self.epsilon) * norm2 + self.epsilon - 1.0)
+        slack += 2.0 * la.gamma(dim) * (norm2 + 1.0)
+        floor = self.epsilon / dim - 16.0 * la.UNIT_ROUNDOFF * (norm2 + 1.0)
+        if not (slack <= TOL.state and 4.0 * la.UNIT_ROUNDOFF * norm2 <= TOL.herm
+                and 0.0 < self.epsilon <= 1.0 and floor > max(TOL.faithful_eps, -TOL.state)):
+            super().__init__(self._matrix())
             return
-        self._mat, self._floor = self._unit_trace(mat), floor
-        self._mat.flags.writeable = False
+        self._floor = floor
+
+    def _matrix(self) -> np.ndarray:
+        dim, eps = self.dim, self.epsilon
+        return (1.0 - eps) * np.outer(self.psi, self.psi.conj()) + eps * np.eye(dim) / dim
+
+    @property
+    def mat(self) -> np.ndarray:
+        if self._mat is None:
+            self._mat = la.hermitize(self._matrix())
+            self._mat.flags.writeable = False
+        return self._mat
+
+    @property
+    def dim(self) -> int:
+        return self.psi.shape[0]
+
+    def expectation(self, x) -> complex:
+        psi, n = self.psi, self.dim
+        f = x.factor if isinstance(x, Projection) else None
+        w = x._span if isinstance(x, Projection) else None
+        m = _mat_of(x)
+        self.check_dim(m)
+        if f is not None:
+            local, dims, acting = f
+            quad = np.vdot(psi, la.apply_factor(local.mat, psi.reshape(-1, 1), dims, acting))
+        elif w is not None:
+            quad = la.frob(la.dagger(w) @ psi) ** 2
+        else:
+            quad = np.vdot(psi, m @ psi)
+        return complex((1.0 - self.epsilon) * quad + self.epsilon * np.trace(m) / n)
+
+    def times(self, w: np.ndarray) -> np.ndarray:
+        psi = self.psi.reshape(-1, 1)
+        return (1.0 - self.epsilon) * (psi @ (la.dagger(psi) @ w)) + (self.epsilon / self.dim) * w
+
+    def compressed(self, w: np.ndarray) -> np.ndarray:
+        v = la.dagger(w) @ self.psi
+        k = w.shape[1]
+        return (1.0 - self.epsilon) * np.outer(v, v.conj()) + (self.epsilon / self.dim) * np.eye(k)
+
+    def reduced(self, dims: Sequence[int], acting: Sequence[int]) -> np.ndarray:
+        dims, acting = tuple(dims), list(acting)
+        rest = [i for i in range(len(dims)) if i not in acting]
+        d_keep = int(np.prod([dims[i] for i in acting]))
+        t = self.psi.reshape(dims).transpose(acting + rest).reshape(d_keep, -1)
+        eps = self.epsilon
+        return (1.0 - eps) * (t @ la.dagger(t)) + (eps / d_keep) * np.eye(d_keep)
 
 
 def _mat_of(x) -> np.ndarray:
@@ -303,9 +407,7 @@ def _proj_of(x) -> Projection:
 
 def state_eval(phi: DensityState, x) -> float:
     """Expectation value of a self-adjoint operator in a density state."""
-    m = _mat_of(x)
-    la.check_same_dim(phi.mat, m)
-    val = expectation(phi.mat, m)
+    val = phi.expectation(x)
     scale = max(1.0, abs(val))
     if abs(val.imag) > 1e2 * TOL.herm * scale:
         raise ValidationError(
@@ -317,9 +419,7 @@ def state_eval(phi: DensityState, x) -> float:
 def expectation(rho: np.ndarray, x: np.ndarray) -> complex:
     """tr(ρx) without the product, for an exactly Hermitian ρ (conj(ρ) is
     ρᵀ entry for entry, read contiguously) and any square x of its size.
-    ``state_eval`` is its real part, once x is checked to give a real value;
-    the see-saw objective reads the real part of an x that need not be
-    self-adjoint."""
+    It is ``DensityState.expectation`` for a stored matrix."""
     return complex(np.sum(np.conj(rho) * x))
 
 
@@ -366,7 +466,7 @@ class PairProduct:
         """M = XY; for a span, (XW)W*, formed on first read."""
         return self._xw @ la.dagger(self._w)
 
-    @property
+    @cached_property
     def commutator_norm(self) -> float:
         """‖[X, Y]‖_F = ‖M − M*‖_F, for a span √2 ‖XW − W(W*XW)‖_F."""
         if self._w is None:
@@ -382,16 +482,27 @@ class PairProduct:
             raise CommutationError(f"{name} do not commute (residual {res:.3g})")
         return self
 
-    def meet(self) -> Projection:
-        """X ^ Y = XY, validated, for a pair checked to commute."""
-        return Projection(la.hermitize(self.mat))
+    def meet(self, defect: Optional[float] = None) -> Projection:
+        """X ^ Y = H = hermitize(XY), for a pair checked to commute.
+
+        Given ``defect``, an upper bound on the ‖H² − H‖_F that validating H
+        would measure, that passes Projection's acceptance rule, H is
+        trusted with rank round(tr H): the verdict, rank and matrix
+        ``Projection(H)`` gives, as H is exactly Hermitian. Otherwise H is
+        validated."""
+        h = la.hermitize(self.mat)
+        if defect is None or not _settles(defect, h.shape[0]):
+            return Projection(h)
+        p = Projection._trusted(h, int(round(float(np.trace(h).real))))
+        p.defect = defect
+        return p
 
     def weight(self, phi: DensityState) -> float:
         """φ(X ^ Y) = φ(XY) for a pair checked to commute."""
         if self._w is None:
             return state_eval(phi, la.hermitize(self.mat))
-        la.check_same_dim(phi.mat, self.y.mat)
-        return float(np.sum(np.conj(phi.mat @ self._w) * self._xw).real)
+        phi.check_dim(self.y.mat)
+        return float(np.sum(np.conj(phi.times(self._w)) * self._xw).real)
 
     @property
     def order_residual(self) -> float:

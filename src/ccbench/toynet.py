@@ -21,19 +21,25 @@ that region's algebra. The checks and the demonstration evolve operators
 by one light-cone kernel, which carries an operator's support through the
 gates touching it, and both take the net's gate order from one function.
 The demonstration validates each candidate projection on that support and
-embeds it once, trusted, keeping the support, so a candidate pair's meet
-is formed and validated on the union S of their supports. The state of
-``demo_state`` is accepted from its construction, evolved as a 2^n vector
-and reduced by a reshape; any other state is evolved as the matrix.
+embeds it once, trusted, keeping the support and its defect, so a
+candidate pair's meet is formed on the union S of their supports and
+settled there from the candidates' defects. The state of ``demo_state`` is
+never built as a matrix: it is accepted from its construction, evolved as
+a 2^n vector, reduced by a reshape, and weighed and compressed through ψ
+(``EpsilonPureState``); any other state is evolved as the matrix.
 
-The 2^n work left, for N = 2^n, listed here once: the state's matrix;
-each candidate and meet embedded, products by it O(N² d) through its
-support of dimension d; the meet's O(N³) validation when S is the whole
-chain; compressing the state to a short row; O(N²) weights; verifying a
-cause of rank k through its k columns, O(N²k). No 2^n matrix is
-eigendecomposed: the cause is synthesized on a pivoted-Cholesky basis of
-the meet's range. The state, the candidates and the meet are dense, so
-nets above DENSE_MAX_SITES are refused.
+The 2^n work left, for N = 2^n, listed here once: each candidate and meet
+embedded as an N × N matrix, products by it O(N² d) through its support of
+dimension d; for S the whole chain, the product AB and its norms, O(N²d),
+the meet's O(N³) validation only when its bound cannot settle it, a range
+basis of a meet of rank m, O(N²m), and the weight of the meet, O(N²);
+weights of an embedded candidate through ψ, O(N d); verifying a cause of
+rank k through its k columns, O(N²k). No 2^n matrix is eigendecomposed:
+the cause is synthesized on a pivoted-Cholesky basis of the meet's range,
+and the m × m compressed state is. On net-cause's 9-site op that basis and
+that eigendecomposition are the largest costs left (ROADMAP.md, item 2).
+The candidates and the meet are dense, so nets above DENSE_MAX_SITES are
+refused.
 """
 
 from __future__ import annotations
@@ -430,9 +436,9 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
 def demo_state(net: NetModel, seed: int = 0, epsilon: float = 0.05) -> EpsilonPureState:
     """Seeded full-rank state (1 - eps) |psi><psi| + eps I/dim, with psi Haar.
 
-    The 2^n matrix is still built, as ``find_strong_cc`` weighs and
-    compresses it, and accepted from eps/dim without a factorization; the
-    demo's step-k state is evolved from psi and eps alone.
+    An ``EpsilonPureState``: accepted from eps/dim without a factorization,
+    and the demo evolves, reduces, weighs and compresses it from psi and
+    eps alone. Its 2^n matrix is built only if something reads ``mat``.
     """
     _require_dense("demo_state", net.n_sites)
     rng = np.random.default_rng(seed)
@@ -443,9 +449,10 @@ def _reduced_state(net: NetModel, state: DensityState, k: int, keep: tuple) -> n
     """The step-k state reduced to the sites ``keep``, factors in that order.
 
     An EpsilonPureState's ψ is evolved by the gates of ``_gate_sequence`` as
-    an N × 1 block, and its kept sites are made the rows of a matrix T by a
-    reshape: the reduction is (1 - ε) T T* + (ε / d_keep) I, in O(N) per
-    gate and O(N d_keep) for T T*. Any other state is evolved as the 2^n
+    an N × 1 block, in O(N) per gate, and the evolved state is reduced by
+    ``EpsilonPureState.reduced``: its kept sites are made the rows of a
+    matrix T by a reshape, and the reduction is (1 - ε) T T* +
+    (ε / d_keep) I, in O(N d_keep). Any other state is evolved as the 2^n
     matrix by ``_relative_image`` and partially traced.
     """
     n = net.n_sites
@@ -456,11 +463,7 @@ def _reduced_state(net: NetModel, state: DensityState, k: int, keep: tuple) -> n
     v = state.psi.reshape(-1, 1)
     for (i, j), gate in _gate_sequence(net, k, 0):
         v = la.apply_factor(gate, v, dims, (i, j))
-    rest = [s for s in range(n) if s not in keep]
-    d_keep = 2 ** len(keep)
-    t = v.reshape(dims).transpose(list(keep) + rest).reshape(d_keep, -1)
-    eps = state.epsilon
-    return (1.0 - eps) * (t @ la.dagger(t)) + (eps / d_keep) * np.eye(d_keep)
+    return EpsilonPureState(v.ravel(), state.epsilon).reduced(dims, keep)
 
 
 @dataclass(frozen=True)

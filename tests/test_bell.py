@@ -25,6 +25,7 @@ from ccbench import (
     werner_state,
 )
 from ccbench import _linalg as la
+from ccbench import bell
 from ccbench.bell import exceeds_one
 from ccbench.errors import (
     DimensionMismatchError,
@@ -272,3 +273,29 @@ def test_seesaw_never_exceeds_the_two_qubit_optimum(seed, rank):
     n1, n2 = split_algebras()
     beta = bell_correlation(phi, n1, n2, restarts=2, seed=seed).beta
     assert beta <= two_qubit_chsh_oracle(phi) + 1e-9
+
+
+def test_seesaw_signs_stay_in_their_algebras(monkeypatch):
+    # on this rank-1 state a half-step's conditional expectation has a
+    # degenerate zero eigenspace, which rounding splits into tiny ± values;
+    # the sign maps the whole window to +1, so every X stays in N1 and every
+    # Y in N2 (x lay √2 from N1 when the split kernel took both signs), and
+    # the objective goes through state_eval's imaginary-part check
+    phi = DensityState(la.random_density(4, np.random.default_rng(853), rank=1))
+    n1, n2 = split_algebras()
+    seen = []
+    objective = bell._objective
+
+    def watched(state, x1, x2, y1, y2):
+        seen.append((x1, x2, y1, y2))
+        return objective(state, x1, x2, y1, y2)
+
+    monkeypatch.setattr(bell, "_objective", watched)
+    beta = bell_correlation(phi, n1, n2, restarts=2).beta
+    assert seen
+    for x1, x2, y1, y2 in seen:
+        for x in (x1, x2):
+            assert la.frob(x - n1.project(x)) <= 1e-10
+        for y in (y1, y2):
+            assert la.frob(y - n2.project(y)) <= 1e-10
+    assert abs(beta - two_qubit_chsh_oracle(phi)) <= 1e-6

@@ -803,6 +803,10 @@ _MESSAGE_ROWS = [
          "error: payload.restarts must be <= 20"),
     _row("s-n-cap", "sample-bell", "bell", {"payload.n": 1001}, 3,
          "error: payload.n must be <= 1000"),
+    _row("s-seesaws-cap", "sample-bell", "bell",
+         {"payload.split": [2, 3], "payload.state": _DROP, "payload.n": 31, "payload.restarts": 2}, 3,
+         "error: payload.n × payload.restarts = 31 × 2 exceeds the see-saw limit 60 "
+         "on a split other than 2x2"),
     _row("q-count-cap", "find-cc", "quantum", {"payload.count": 1001}, 3,
          "error: payload.count must be <= 1000"),
     _row("q-budget-cap", "genuine-cc", "quantum", {"payload.budget": 81}, 3,

@@ -977,3 +977,116 @@ def test_cc_tolerance_controls_verification():
         # margins of 0.6 no longer clear the floor
         assert not cert.verified
     assert cert.verified
+
+
+# ---------------------------------------------------------------------------
+# the meet settled from its factors' defects
+# ---------------------------------------------------------------------------
+
+
+def block_pair(rng, left, shared, right, idle, tilt=0.0):
+    """Validated A on sites left + shared and B on shared + right of a chain
+    with ``idle`` more sites, embedded; both are block diagonal in one random
+    basis {w_j} of the shared sites, so they commute. ``tilt`` > 0 rotates
+    B's local matrix by exp(i·tilt·G) for a random Hermitian G, which moves
+    [A, B] off zero in proportion."""
+    n = left + shared + right + idle
+    dims = (2,) * n
+    w = la.haar_unitary(2**shared, rng)
+    blocks = [np.outer(w[:, j], w[:, j].conj()) for j in range(2**shared)]
+
+    def local(side, before):
+        d = 2**side
+        parts = [la.haar_projection(d, int(rng.integers(0, d + 1)), rng) for _ in blocks]
+        return sum(np.kron(p, q) if before else np.kron(q, p) for p, q in zip(parts, blocks))
+
+    a_loc = local(left, True)
+    b_loc = local(right, False)
+    if tilt:
+        g = la.hermitize(rng.standard_normal(b_loc.shape) + 1j * rng.standard_normal(b_loc.shape))
+        lam, v = np.linalg.eigh(g)
+        u = (v * np.exp(1j * tilt * lam)) @ la.dagger(v)
+        b_loc = la.hermitize(u @ b_loc @ la.dagger(u))
+    a = Projection(a_loc).embedded(dims, tuple(range(left + shared)))
+    b = Projection(b_loc).embedded(dims, tuple(range(left, left + shared + right)))
+    return a, b
+
+
+LAYOUTS = {
+    "disjoint": (2, 0, 2, 1),
+    "overlapping": (1, 1, 2, 1),
+    "overlapping-whole": (2, 2, 1, 0),
+    "nested": (2, 1, 0, 1),
+    "nested-whole": (0, 2, 2, 0),
+}
+
+
+def meet_inputs(a, b):
+    """A and B on the union S of their supports, their product, H and S."""
+    dims = a.factor[1]
+    s = tuple(sorted({*a.factor[2], *b.factor[2]}))
+    x, y = a.within(dims, s), b.within(dims, s)
+    pair = PairProduct(x, y)
+    return x, y, pair, la.hermitize(pair.mat), s
+
+
+def count_validations(monkeypatch, dim):
+    calls = []
+    original = Projection.__init__
+
+    def counting(self, mat):
+        if np.shape(mat)[0] == dim:
+            calls.append(dim)
+        original(self, mat)
+
+    monkeypatch.setattr(Projection, "__init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_meet_bound_dominates_the_defect_and_settles_as_validation(layout, seed):
+    # the stated bound is at least the ‖H² − H‖_F that validation measures,
+    # and a meet it settles has the rank and matrix Projection(H) gives,
+    # with no validation at d_S
+    rng = np.random.default_rng(seed)
+    a, b = block_pair(rng, *LAYOUTS[layout])
+    x, y, pair, h, s = meet_inputs(a, b)
+    bound = commoncause._meet_defect(x, y, pair)
+    assert bound >= la.frob(h @ h - h)
+    assert bound <= config.TOL.proj / 2  # exactly commuting pairs are settled
+    ref = Projection(h)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_validations(mp, h.shape[0])
+        meet = commoncause._meet(a, b)
+    assert calls == []
+    local = meet if meet.dim == h.shape[0] else meet.factor[0]
+    assert local.rank == ref.rank
+    assert local.mat.tobytes() == ref.mat.tobytes()
+    if meet.dim != h.shape[0]:
+        assert meet.factor[2] == s
+        assert meet.defect == pytest.approx(bound * np.sqrt(a.dim / h.shape[0]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_meet_near_comm_tol_is_validated(monkeypatch, seed):
+    # a pair tilted to half of comm_tol passes the commutation check, but its
+    # bound (about 2.5 times the commutator norm) cannot settle the meet,
+    # which is then validated, as it is for an input with no defect
+    rng = np.random.default_rng(seed)
+    probe = block_pair(np.random.default_rng(seed), 2, 2, 1, 0, tilt=1e-6)
+    rate = la.comm_residual(probe[0].mat, probe[1].mat) / 1e-6
+    a, b = block_pair(rng, 2, 2, 1, 0, tilt=0.5 * config.TOL.comm / rate)
+    x, y, pair, h, _ = meet_inputs(a, b)
+    assert 0.3 * config.TOL.comm < pair.commutator_norm < config.TOL.comm
+    bound = commoncause._meet_defect(x, y, pair)
+    assert bound >= la.frob(h @ h - h)
+    assert bound > config.TOL.proj / 2
+    calls = count_validations(monkeypatch, h.shape[0])
+    meet = commoncause._meet(a, b)
+    assert calls == [h.shape[0]]
+    assert meet.rank == Projection(h).rank
+    spanned = Projection.from_span(np.linalg.qr(a.mat)[0][:, : a.rank])
+    assert spanned.defect is None
+    assert commoncause._meet_defect(spanned, b, PairProduct(spanned, b)) is None

@@ -34,7 +34,7 @@ from ccbench.errors import (
     StructureError,
 )
 from ccbench.config import TOL
-from ccbench.qprob import PAULI_X, FactorStructure, PairProduct
+from ccbench.qprob import PAULI_X, EpsilonPureState, FactorStructure, PairProduct
 
 from conftest import rand_faithful_state
 
@@ -929,3 +929,45 @@ def test_conjugated_algebra_membership():
     assert d.n_basis == 4
     assert d.contains(x)
     assert not d.contains(u @ np.kron(PAULI_X, np.eye(2)) @ la.dagger(u))
+
+
+# ---------------------------------------------------------------------------
+# an ε-pure state answers from ψ and ε as its matrix does
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(4, 9),
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=st.floats(0.01, 1.0),
+)
+def test_epsilon_pure_state_answers_as_its_matrix(n, seed, epsilon):
+    # expectation, times, compressed and reduced through ψ agree with the
+    # dense route on the matrix, for embedded projections, spans and dense
+    # operators, and none of them builds the matrix
+    rng = np.random.default_rng(seed)
+    big = 2**n
+    dims = (2,) * n
+    psi = la.random_pure_state(big, rng)
+    phi = EpsilonPureState(psi, epsilon)
+    dense = DensityState((1.0 - epsilon) * np.outer(psi, psi.conj()) + epsilon * np.eye(big) / big)
+
+    acting = tuple(rng.permutation(n)[: int(rng.integers(1, 4))])
+    local = Projection(la.haar_projection(2 ** len(acting), int(rng.integers(1, 2 ** len(acting))), rng))
+    k = int(rng.integers(1, big // 2 + 1))
+    span = np.linalg.qr(rng.standard_normal((big, k)) + 1j * rng.standard_normal((big, k)))[0]
+    ops = (
+        local.embedded(dims, acting),
+        Projection.from_span(span),
+        la.hermitize(rng.standard_normal((big, big)) + 1j * rng.standard_normal((big, big))),
+    )
+    for x in ops:
+        assert abs(phi.expectation(x) - dense.expectation(x)) <= 1e-13
+        assert abs(state_eval(phi, x) - state_eval(dense, x)) <= 1e-13
+    assert np.max(np.abs(phi.times(span) - dense.times(span))) <= 1e-13
+    assert np.max(np.abs(phi.compressed(span) - dense.compressed(span))) <= 1e-13
+    keep = tuple(rng.permutation(n)[: int(rng.integers(1, n))])
+    assert np.max(np.abs(phi.reduced(dims, keep) - dense.reduced(dims, keep))) <= 1e-13
+    assert phi._mat is None
+    assert phi.mat.tobytes() == dense.mat.tobytes()

@@ -51,3 +51,68 @@ def test_a_crash_fails_the_sweep():
     assert not record_sweep.crashed(codes)
     assert record_sweep.crashed(codes + ["4"])
     assert record_sweep.tally(["4", "0", "4"]) == "exit codes: 1 × 0, 2 × 4"
+
+
+def _sweep_dir(root, files):
+    root.mkdir()
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return root
+
+
+def test_diff_lists_moved_floats_and_fails_on_anything_else(tmp_path):
+    # "zero" is a float the record writes as 0, an integral value
+    record = {"results": {"beta": 1.25, "rank": 2, "ok": True, "cells": [0.5, "x"], "zero": 0}}
+    old = _sweep_dir(tmp_path / "old", {
+        "s.bell.out": json.dumps(record), "s.bell.code": "0\n", "s.bell.err": "",
+    })
+    moved = json.loads(json.dumps(record))
+    moved["results"]["beta"] = 1.25 + 2**-40
+    moved["results"]["cells"][0] = 0.25
+    moved["results"]["zero"] = 2.5e-17
+    new = _sweep_dir(tmp_path / "new", {
+        "s.bell.out": json.dumps(moved), "s.bell.code": "0\n", "s.bell.err": "",
+    })
+    lines, floats_only = record_sweep.diff(old, new)
+    assert floats_only
+    assert lines == [
+        f"s.bell.out:results.beta 1.25 -> {1.25 + 2**-40!r} (change {2**-40:.3g})",
+        "s.bell.out:results.cells[0] 0.5 -> 0.25 (change 0.25)",
+        "s.bell.out:results.zero 0 -> 2.5e-17 (change 2.5e-17)",
+    ]
+    assert record_sweep.diff(old, old) == ([], True)
+
+    # an exit code, an integer, a boolean, a string or a type change fails
+    for name, text in (
+        ("s.bell.code", "1\n"),
+        ("s.bell.out", json.dumps({"results": {**record["results"], "rank": 3}})),
+        ("s.bell.out", json.dumps({"results": {**record["results"], "ok": False}})),
+        ("s.bell.out", json.dumps({"results": {**record["results"], "cells": [0.5, "y"]}})),
+        ("s.bell.out", json.dumps({"results": {**record["results"], "rank": "2"}})),
+    ):
+        (new / "s.bell.out").write_text(json.dumps(record))
+        (new / "s.bell.code").write_text("0\n")
+        (new / name).write_text(text)
+        lines, floats_only = record_sweep.diff(old, new)
+        assert not floats_only and len(lines) == 1
+    (new / "s.bell.out").write_text(json.dumps(record))
+    (new / "s.bell.code").unlink()
+    lines, floats_only = record_sweep.diff(old, new)
+    assert not floats_only and lines == ["s.bell.code: 0 -> '<missing>'"]
+
+
+def test_diff_command_exit_codes(tmp_path):
+    old = _sweep_dir(tmp_path / "old", {"s.geometry.out": '{"x": 1.0}', "s.geometry.code": "0\n"})
+    new = _sweep_dir(tmp_path / "new", {"s.geometry.out": '{"x": 1.5}', "s.geometry.code": "0\n"})
+
+    def run(a, b):
+        return subprocess.run(
+            [sys.executable, "tools/record_sweep.py", "--diff", str(a), str(b)],
+            cwd=ROOT, capture_output=True, text=True, timeout=60,
+        )
+
+    proc = run(old, new)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["s.geometry.out:x 1.0 -> 1.5 (change 0.5)", "1 leaves moved"]
+    (new / "s.geometry.code").write_text("2\n")
+    assert run(old, new).returncode == 1

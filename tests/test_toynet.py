@@ -592,10 +592,10 @@ def test_full_row_demo_validates_candidates_on_their_support(monkeypatch):
     # D1 = [1, 2] and D2 = [5, 6] at step 2 snap to the whole step-0 row:
     # find_strong_cc then uses the state, the meet and the synthesized cause
     # as they are, and each candidate is validated on its light-cone support
-    # and embedded. The only 2^n Projection validations are each attempt's
-    # meet, whose supports' union is the whole chain; demo_state's state is
-    # accepted from its construction, and nothing of size 2^n is
-    # eigendecomposed
+    # and embedded. Each attempt's meet, whose supports' union is the whole
+    # chain, is settled from its factors' defects, so no 2^n Projection is
+    # validated; demo_state's state is accepted from its construction, and
+    # nothing of size 2^n is eigendecomposed
     net = build_net(8, "random", seed=0)
     full = 2**net.n_sites
     counts = {"eigvalsh": [], "eigh": [], "Projection": [], "DensityState": []}
@@ -620,7 +620,7 @@ def test_full_row_demo_validates_candidates_on_their_support(monkeypatch):
     assert counts["eigvalsh"].count(full) == 0
     assert counts["eigh"].count(full) == 0
     assert counts["DensityState"].count(full) == 0
-    assert counts["Projection"].count(full) == demo.attempts
+    assert counts["Projection"].count(full) == 0
     local = [d for d in counts["Projection"] if d < full]
     assert len(local) == 2 * demo.attempts
     # the trusted embedding gives what validating at 2^n would
@@ -632,27 +632,35 @@ def test_full_row_demo_validates_candidates_on_their_support(monkeypatch):
 
 def test_nine_site_demo_builds_its_cause_without_a_full_eigendecomposition(monkeypatch):
     # net-cause's 9-site op: the cause is synthesized on the full step-0
-    # row from a pivoted-Cholesky basis, the state is accepted by Cholesky,
-    # and nothing of size 2^9 is eigendecomposed; the cause is then checked
-    # against dense products formed here
+    # row from a pivoted-Cholesky basis, the state is read through ψ and
+    # never built as a matrix (no outer product of 2^9-vectors), the meet
+    # is settled from its factors (no Projection validated at 2^9), and
+    # nothing of size 2^9 is eigendecomposed; the cause is then checked
+    # against dense products formed here, with the state matrix read last
     net = build_net(9, "random", seed=0, n_steps=3)
     full = 2**net.n_sites
-    sizes = []
+    sizes = {"eigh": [], "eigvalsh": [], "outer": [], "Projection": []}
 
-    def counting(original):
-        def wrapper(m, *args, **kwargs):
-            sizes.append(np.shape(m)[0])
-            return original(m, *args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            sizes[name].append(np.shape(args[-1])[0])
+            return original(*args, **kwargs)
 
         return wrapper
 
     for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np, "outer", counting("outer", np.outer))
+    monkeypatch.setattr(Projection, "__init__", counting("Projection", Projection.__init__))
     phi = demo_state(net, seed=0)
     demo = weak_rccp_demo(net, phi, SliceCone(2, 1, 2), SliceCone(2, 6, 7))
     monkeypatch.undo()
 
-    assert full not in sizes
+    assert all(full not in seen for seen in sizes.values())
+    assert sizes["outer"] and sizes["Projection"]  # the counters saw the op
+    eps, psi = phi.epsilon, phi.psi
+    built = la.hermitize((1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.eye(full) / full)
+    assert phi.mat.tobytes() == built.tobytes()
     assert demo.lattice_sites == (0, net.n_sites - 1)
     cert = demo.certificate
     assert cert.verified and cert.is_strong and cert.cause.rank == 1

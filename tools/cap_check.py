@@ -15,7 +15,9 @@ of its command, the field at its cap and the rest as bundled:
   every see-saw restart runs all ``bell.MAX_ITERATIONS`` rounds, and once
   on a product state, for which the correlated-pair sweep runs to its end;
 - sample-bell with ``n`` (``cli.MAX_SAMPLES``) and ``restarts`` both at
-  their caps, and on ``SPLIT`` with ``restarts`` at its cap;
+  their caps on the bundled 2 x 2 split, and on ``SPLIT`` in the ``pure``
+  ensemble, whose see-saws run longest, with ``restarts`` at its cap and
+  ``n`` × ``restarts`` at ``cli.MAX_SEESAWS``;
 - toynet-demo with ``budget`` and, in a second run, ``axiom_pairs``
   (``cli.MAX_AXIOM_PAIRS``) at the cap;
 - the 10-site toynet-demo with both regions at step ``cli.MAX_STEPS``
@@ -73,7 +75,8 @@ def variants() -> list[tuple[str, str, str, dict]]:
          {**on_split, "state": complex_matrix_record(np.outer(psi, psi.conj()))}),
         ("split.product", "bell", "bell_singlet", {**on_split, "state": complex_matrix_record(product)}),
         ("product_ensemble.n", "sample-bell", "product_ensemble", {"n": cli.MAX_SAMPLES, **restarts}),
-        ("product_ensemble.split", "sample-bell", "product_ensemble", on_split),
+        ("product_ensemble.split", "sample-bell", "product_ensemble",
+         {**on_split, "ensemble": "pure", "n": cli.MAX_SEESAWS // cli.MAX_RESTARTS}),
         ("eight_qubit_chain.budget", "toynet-demo", "eight_qubit_chain", {"budget": cli.MAX_BUDGET}),
         ("eight_qubit_chain.axiom_pairs", "toynet-demo", "eight_qubit_chain",
          {"axiom_pairs": cli.MAX_AXIOM_PAIRS}),

@@ -3,6 +3,7 @@
 Usage, from the root of a source tree:
 
     python3 tools/record_sweep.py OUT [SCENARIO ...]
+    python3 tools/record_sweep.py --diff OUT1 OUT2
 
 For each scenario in ``scenarios/`` (or each one named, with or without
 ``.json``) and each command in the CLI's own command table, this runs
@@ -16,6 +17,15 @@ OUT, keyed ``<scenario>.<command>``, so that ``diff -r`` compares records
 only. The sweep ends with one line counting the runs by exit code, and
 exits non-zero if any run exited 4: the CLI's code for a bug, which
 ``diff -r`` cannot show when both trees crash alike.
+
+``--diff OUT1 OUT2`` compares two sweeps leaf by leaf. A file that parses
+as JSON (a record, an exit code) is split into its leaves, named by their
+paths; any other file (a stderr text, ``timeout``) is one leaf. A record
+writes an integral float without a decimal point, so a pair of numbers
+counts as a float leaf when either one is a float. Every leaf that moved
+is printed with its old value, its new value and, for a float, the
+absolute change. It exits 1 if any leaf other than a float moved,
+appeared or vanished.
 """
 
 from __future__ import annotations
@@ -90,8 +100,54 @@ def sweep(out: Path, names: list[str]) -> list[str]:
     return codes
 
 
+def _leaves(node, path: str = ""):
+    """(path, value) of every leaf of a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def _document(path: Path) -> dict:
+    """The leaves of one sweep file by path: a JSON record's leaves, the
+    whole text of any other file, nothing for a missing one."""
+    if not path.exists():
+        return {}
+    text = path.read_text()
+    try:
+        return dict(_leaves(json.loads(text)))
+    except ValueError:
+        return {"": text}
+
+
+def diff(out1: Path, out2: Path) -> tuple[list[str], bool]:
+    """A line for every leaf that moved between two sweeps, and whether only
+    float leaves moved."""
+    lines, floats_only = [], True
+    names = sorted({p.name for p in out1.iterdir()} | {p.name for p in out2.iterdir()})
+    for name in names:
+        old, new = _document(out1 / name), _document(out2 / name)
+        for path in {**old, **new}:
+            a, b = old.get(path, "<missing>"), new.get(path, "<missing>")
+            if {type(a), type(b)} <= {int, float} and float in {type(a), type(b)}:
+                if a != b and not (a != a and b != b):  # NaN equals NaN here
+                    lines.append(f"{name}:{path} {a!r} -> {b!r} (change {abs(b - a):.3g})")
+            elif type(a) is not type(b) or a != b:
+                floats_only = False
+                lines.append(f"{name}:{path} {a!r} -> {b!r}")
+    return lines, floats_only
+
+
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
+    if len(sys.argv) == 4 and sys.argv[1] == "--diff":
+        moved, floats_only = diff(Path(sys.argv[2]), Path(sys.argv[3]))
+        print("\n".join(moved + [f"{len(moved)} leaves moved"]))
+        sys.exit(0 if floats_only else 1)
+    if len(sys.argv) < 2 or sys.argv[1].startswith("-"):
         sys.exit(__doc__)
     codes = sweep(Path(sys.argv[1]).resolve(), sys.argv[2:])
     print(tally(codes))
