@@ -7,7 +7,6 @@ qprob. Kept private: the public API is the qprob module.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
 
@@ -90,6 +89,8 @@ def range_basis(p: np.ndarray, rank: int) -> np.ndarray:
     stopping tolerance 1/(2N) therefore ends the factorization at exactly
     ``rank`` pivots, and any other count is an inconsistency.
     """
+    import scipy.linalg.lapack  # here, not at module level: loading it costs about 0.35 s
+
     _, piv, found, info = scipy.linalg.lapack.zpstrf(p, tol=0.5 / p.shape[0])
     if info < 0 or found != rank:
         raise InternalInconsistencyError(

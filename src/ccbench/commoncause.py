@@ -17,8 +17,16 @@ The constructive half: for a faithful state and a commuting correlated pair
 there is a closed-form target weight r such that any strict subprojection of
 A ^ B with state weight exactly r is a (strong) common cause. Subprojections
 of prescribed weight are synthesized by an eigenvalue walk on the compressed
-state; genuinely probabilistic causes (C below neither A nor B) are searched
-for numerically inside the commutant of {A, B}.
+state. Whether a genuinely probabilistic cause (C below neither A nor B)
+exists is decided exactly: a cause commuting with A and B splits over the
+blocks AB, AB⊥, A⊥B and A⊥B⊥, so the four conditions depend only on its
+weight in each block. With α = p(A|C) and β = p(B|C), screening on C and C⊥
+fixes those weights, and φ(C) = det/Q, as functions of (α, β); each block's
+Ky Fan pieces then bound them by rows a + bα + cβ + dαβ ≥ 0, each scaled
+and allowed synth_tol, whose solution set is found by testing finitely many
+α (``search_genuine_cc`` has the derivation). This is the commuting-cause
+setting of Hofer-Szabó, Rédei & Szabó, The Principle of the Common Cause
+(CUP 2013), and the four-cell case of Gyenis & Rédei (Found. Phys. 34, 2004).
 """
 
 from __future__ import annotations
@@ -508,42 +516,43 @@ def _rank_interval(mu: np.ndarray, k: int) -> tuple[float, float]:
     return float(mu[len(mu) - k :].sum()), float(mu[:k].sum())
 
 
-def _walk_selection(
-    mu: np.ndarray, k: int, r: float, order_rng: Optional[np.random.Generator]
-) -> tuple[list[int], Optional[tuple[int, int, float]]]:
-    """Walk from the top-k index set downward until the sum hits r.
-
-    Moves one selected index to its immediate successor per step, which
-    keeps every intermediate set reachable by a continuous two-vector
-    rotation. Returns the final selection and, when the target is hit
-    mid-step, the (leaving, entering, sin²θ) triple of the partial move.
-    """
-    m = len(mu)
-    selected = list(range(k))
-    s = float(mu[:k].sum())
+def _weighted_columns(
+    mu: np.ndarray, emb: np.ndarray, r: float, ranks, order_rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Orthonormal columns, in the eigenvectors ``emb`` of a compressed state
+    of descending spectrum mu, spanning a subprojection of weight r. The
+    first of ``ranks`` whose Ky Fan interval holds r within synth_tol is
+    walked down from its top-k index set, one index to its successor per
+    step (the last movable, or a random one with ``order_rng``), and the
+    step that would pass r ends in a partial rotation between its two
+    eigenvectors. Raises Infeasible when r lies outside every interval."""
+    for k in ranks:
+        lo, hi = _rank_interval(mu, k)
+        if lo - TOL.synth <= r <= hi + TOL.synth:
+            break
+    else:
+        shown = ", ".join(
+            f"rank {k}: [%.6g, %.6g]" % _rank_interval(mu, k) for k in sorted(ranks)
+        )
+        raise InfeasibleError(f"target {r:.6g} lies outside every achievable interval ({shown})")
+    selected, s, r = list(range(k)), hi, min(r, hi)
     while s - r > 0.0:
-        movable = [i for i in selected if i + 1 < m and i + 1 not in selected]
+        movable = [i for i in selected if i + 1 < len(mu) and i + 1 not in selected]
         if not movable:
             break
-        if order_rng is None:
-            i = max(movable)
-        else:
-            i = movable[int(order_rng.integers(len(movable)))]
-        j = i + 1
-        drop = float(mu[i] - mu[j])
+        i = max(movable) if order_rng is None else movable[int(order_rng.integers(len(movable)))]
+        drop = float(mu[i] - mu[i + 1])
         if drop > 0.0 and s - drop <= r:
-            sin2 = (s - r) / drop
-            return selected, (i, j, sin2)
-        selected[selected.index(i)] = j
+            sin2 = min(max((s - r) / drop, 0.0), 1.0)
+            turned = np.sqrt(1.0 - sin2) * emb[:, i] + np.sqrt(sin2) * emb[:, i + 1]
+            return np.stack([*(emb[:, j] for j in selected if j != i), turned], axis=1)
+        selected[selected.index(i)] = i + 1
         s -= drop
-    return selected, None
+    return np.stack([emb[:, j] for j in selected], axis=1)
 
 
 def synthesize_subprojection(
-    phi: DensityState,
-    p: Projection,
-    r: float,
-    strict: bool = False,
+    phi: DensityState, p: Projection, r: float, strict: bool = False
 ) -> Projection:
     """A subprojection C <= P with state weight exactly r.
 
@@ -563,13 +572,8 @@ def synthesize_subprojection(
 
 
 def _synthesize(
-    phi: DensityState,
-    p: Projection,
-    r: float,
-    pp: Optional[float],
-    strict: bool = False,
-    order_rng: Optional[np.random.Generator] = None,
-    prefer_rank: Optional[int] = None,
+    phi: DensityState, p: Projection, r: float, pp: Optional[float], strict: bool = False,
+    order_rng: Optional[np.random.Generator] = None, prefer_rank: Optional[int] = None,
 ) -> tuple[Projection, float]:
     """``synthesize_subprojection``'s kernel: takes pp = φ(P) when the caller
     has evaluated it (None evaluates it here) and returns (C, φ(C)), so that
@@ -591,38 +595,9 @@ def _synthesize(
     mu, emb = la.eigh_desc(phi.compressed(basis))
     max_rank = m - 1 if strict else m
     if max_rank < 1:
-        raise InfeasibleError(
-            "P has rank 1; its only strict subprojection is 0"
-        )
-    ranks = list(range(1, max_rank + 1))
-    if prefer_rank is not None and prefer_rank in ranks:
-        ranks.remove(prefer_rank)
-        ranks.insert(0, prefer_rank)
-    chosen = None
-    for k in ranks:
-        lo, hi = _rank_interval(mu, k)
-        if lo - TOL.synth <= r <= hi + TOL.synth:
-            chosen = k
-            break
-    if chosen is None:
-        intervals = ", ".join(
-            f"rank {k}: [{_rank_interval(mu, k)[0]:.6g}, {_rank_interval(mu, k)[1]:.6g}]"
-            for k in range(1, max_rank + 1)
-        )
-        raise InfeasibleError(
-            f"target {r:.6g} lies outside every achievable interval ({intervals})"
-        )
-    selected, partial = _walk_selection(mu, chosen, min(r, _rank_interval(mu, chosen)[1]), order_rng)
-    cols = []
-    for idx in selected:
-        if partial is not None and idx == partial[0]:
-            continue
-        cols.append(emb[:, idx])
-    if partial is not None:
-        i, j, sin2 = partial
-        sin2 = min(max(sin2, 0.0), 1.0)
-        cols.append(np.sqrt(1.0 - sin2) * emb[:, i] + np.sqrt(sin2) * emb[:, j])
-    span = basis @ np.stack(cols, axis=1)
+        raise InfeasibleError("P has rank 1; its only strict subprojection is 0")
+    ranks = sorted(range(1, max_rank + 1), key=lambda k: k != prefer_rank)
+    span = basis @ _weighted_columns(mu, emb, r, ranks, order_rng)
     outside = la.frob(p.mat @ span - span)
     if outside > TOL.proj:
         raise InternalInconsistencyError(
@@ -664,10 +639,7 @@ def _strong_cc_inputs(
 
 
 def find_strong_cc(
-    phi: DensityState,
-    a: Projection,
-    b: Projection,
-    algebra: MatrixAlgebra | None = None,
+    phi: DensityState, a: Projection, b: Projection, algebra: MatrixAlgebra | None = None
 ) -> CommonCauseCertificate:
     """Construct and verify a strong common cause C < A^B with φ(C) = r.
 
@@ -712,11 +684,7 @@ def find_strong_cc(
 
 
 def find_multiple_strong_cc(
-    phi: DensityState,
-    a: Projection,
-    b: Projection,
-    count: int,
-    seed: int = 0,
+    phi: DensityState, a: Projection, b: Projection, count: int, seed: int = 0
 ) -> list[CommonCauseCertificate]:
     """Certificates of up to ``count`` pairwise distinct strong common causes.
 
@@ -740,15 +708,8 @@ def find_multiple_strong_cc(
     while len(certs) < count and attempts < max(20 * count, 20):
         attempts += 1
         try:
-            c, pc = _synthesize(
-                phi,
-                meet,
-                rv.r,
-                totals[0],
-                strict=True,
-                order_rng=rng if attempts > 1 else None,
-                prefer_rank=next(ranks),
-            )
+            c, pc = _synthesize(phi, meet, rv.r, totals[0], strict=True,
+                                order_rng=rng if attempts > 1 else None, prefer_rank=next(ranks))
         except InfeasibleError:
             break
         if all(np.linalg.norm(c.mat - prev.cause.mat, 2) > 1e-6 for prev in certs):
@@ -767,86 +728,125 @@ def find_multiple_strong_cc(
 # ---------------------------------------------------------------------------
 
 
-def search_genuine_cc(
-    phi: DensityState,
-    a: Projection,
-    b: Projection,
-    budget: int = 60,
-    seed: int = 0,
-) -> Optional[CommonCauseCertificate]:
-    """Search the commutant of {A, B} for a genuinely probabilistic cause.
+# the blocks of a commuting pair A, B, each with its eigenvalue of A + 2B
+_BLOCKS = (("AB", 3), ("AB⊥", 1), ("A⊥B", 2), ("A⊥B⊥", 0))
+# m(α, β) = (αβ, α(1 − β), (1 − α)β, (1 − α)(1 − β)) over 1, α, β, αβ
+_CHART = np.array([[0, 0, 0, 1], [0, 1, 0, -1], [0, 0, 1, -1], [1, -1, -1, 1]], dtype=float)
 
-    Random-restart local search: each restart draws a Hermitian element of
-    the commutant, takes a spectral cut of prescribed rank, and refines the
-    coefficients by least squares on the two screening residuals with
-    penalty terms keeping the margins positive. Returns the first verified
-    certificate with is_genuine, or None (which is not a nonexistence
-    claim).
+
+def _pieces(mu: np.ndarray) -> list[list[float]]:
+    """The weights a nonzero subprojection can carry on a block of spectrum
+    mu: the connected pieces of the union of its Ky Fan intervals, whose
+    ends rise with the rank."""
+    pieces: list[list[float]] = []
+    for lo, hi in (_rank_interval(mu, k) for k in range(1, len(mu) + 1)):
+        if pieces and lo <= pieces[-1][1]:
+            pieces[-1][1] = hi
+        else:
+            pieces.append([lo, hi])
+    return pieces
+
+
+def _feasible_points(rows: np.ndarray, slack: float) -> np.ndarray:
+    """The points (α, β), widest β-interval first, at which every row
+    a + bα + cβ + dαβ ≥ 0, scaled to unit largest coefficient, holds within
+    ``slack``, a β-coefficient of magnitude ≤ slack read as 0. At fixed α
+    the feasible β form an interval, which can change only where a row's
+    β-coefficient crosses 0 or ±slack, where its constant term crosses 0,
+    or where two rows' β-bounds cross (a quadratic in α). Testing each such
+    α and one point between each neighbouring pair decides the rows exactly.
     """
-    import scipy.optimize  # here, not at module level: loading it costs about 0.2 s
+    a, b, c, d = (rows / np.abs(rows).max(axis=1, keepdims=True)).T
+    a = a + slack
+    j, k = np.triu_indices(len(rows), 1)
+    polys = [*zip(b, a), *zip(d, c - slack), *zip(d, c), *zip(d, c + slack), *zip(
+        b[j] * d[k] - b[k] * d[j],
+        a[j] * d[k] + b[j] * c[k] - a[k] * d[j] - b[k] * c[j],
+        a[j] * c[k] - a[k] * c[j],
+    )]
+    crit = np.unique(np.concatenate([np.roots(poly).real for poly in polys]))
+    t = np.concatenate([crit, (crit[1:] + crit[:-1]) / 2.0])
+    const, slope = a[:, None] + b[:, None] * t, c[:, None] + d[:, None] * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = -const / slope
+    lower = np.where(slope > slack, bound, -np.inf).max(axis=0)
+    upper = np.where(slope < -slack, bound, np.inf).min(axis=0)
+    ok = np.all((const >= 0.0) | (np.abs(slope) > slack), axis=0) & (lower <= upper)
+    order = [i for i in np.argsort(lower - upper, kind="stable") if ok[i]]
+    return np.stack([t[order], (lower[order] + upper[order]) / 2.0], axis=1)
 
-    pair = PairProduct(a, b).require_commuting("A and B")
+
+def search_genuine_cc(phi: DensityState, a: Projection, b: Projection) -> CommonCauseCertificate:
+    """Decide whether a genuinely probabilistic cause (C below neither A nor
+    B) commutes with the pair: return its verified certificate, or raise
+    Infeasible naming the obstruction.
+
+    Blocks: one ``eigh`` of A + 2B gives P₁ = AB, P₂ = AB⊥, P₃ = A⊥B and
+    P₄ = A⊥B⊥ (eigenvalues 3, 1, 2, 0). A cause commuting with A and B is
+    ⊕ C_i, C_i ≤ P_i, so the four conditions depend only on w_i = φ(C_i).
+    With μ_i the spectrum of φ on P_i, W_i = Σμ_i and det = W₁W₄ − W₂W₃ =
+    φ(AB) − φ(A)φ(B) > 0. A nonzero C_i weighs a point of a piece (the
+    union of P_i's Ky Fan intervals); a box takes one piece per block.
+
+    Chart: let α = p(A|C), β = p(B|C). Screening on C makes w = φ(C)·m,
+    m = (αβ, α(1 − β), (1 − α)β, (1 − α)(1 − β)); screening on C⊥ (W − w
+    of rank one) then gives φ(C) = det/Q, Q = W₁m₄ + W₄m₁ − W₂m₃ − W₃m₂.
+    margin_A = (α − φ(A))/(1 − φ(C)) is positive exactly when α > φ(A);
+    so for B. A piece lo ≤ w_i ≤ hi reads lo·Q ≤ det·m_i ≤ hi·Q, so a box
+    is 13 rows a + bα + cβ + dαβ ≥ 0 (8 bounds, Q > 0, α in
+    [φ(A) + cc_tol, 1], β in [φ(B) + cc_tol, 1]), decided exactly by
+    ``_feasible_points``. For a faithful state w_i = 0 only when C_i = 0,
+    and m_i = 0 sets α or β to 0 (a failed margin) or 1 (C ≤ A or C ≤ B);
+    so a genuine cause weighs every block. An empty block has no piece,
+    and so no box: it rules a genuine cause out.
+
+    Slack: each scaled row may fall short by synth_tol, and a β-coefficient
+    of magnitude ≤ synth_tol counts as 0. With AB and A⊥B whole the feasible
+    set is the segment α = W₁/(W₁ + W₃), on which both pinned rows vanish
+    identically, and rounding alone would rule it out. The margin rows ask
+    α − φ(A) ≥ cc_tol, so margin_A ≥ cc_tol/(1 − φ(C)): causes whose margins
+    lie below that are not reported. A feasible point becomes a cause block by
+    block (``_weighted_columns``, smallest fitting rank first), checked by
+    ``quantum_verify_cc``; one that fails does not end the decision.
+    """
+    PairProduct(a, b).require_commuting("A and B")
     if not phi.faithful:
         raise NotFaithfulError("state is not faithful")
-    if pair.weight(phi) - state_eval(phi, a) * state_eval(phi, b) <= TOL.cc:
-        raise UncorrelatedError("pair is not positively correlated")
-    if budget <= 0:
-        return None
-    comm = MatrixAlgebra.from_generators([a.mat, b.mat]).commutant()
-    herm = comm.hermitian_basis
-    n_par = herm.shape[0]
-    amat, bmat = a.mat, b.mat
-    ab = pair.mat
-    dim = a.dim
-    rng = np.random.default_rng(seed)
-    margin_floor = 1e-6
-
-    w_ab, w_a, w_b = (state_eval(phi, x) for x in (ab, amat, bmat))
-
-    def build(coeffs, k):
-        h = np.tensordot(coeffs, herm, axes=1)
-        w, vecs = np.linalg.eigh(h)
-        return vecs[:, dim - k :]
-
-    def residuals(coeffs, k):
-        cols = build(coeffs, k)
-        cmat = cols @ la.dagger(cols)
-        pc = state_eval(phi, cmat)
-        if not 1e-9 < pc < 1.0 - 1e-9:
-            return np.array([1.0, 1.0, 1.0, 1.0])
-        pcp = 1.0 - pc
-        w_abc, w_ac, w_bc = (state_eval(phi, x @ cmat) for x in (ab, amat, bmat))
-        s1, s2, m_a, m_b = _four_conditions(
-            w_abc / pc, w_ac / pc, w_bc / pc,
-            (w_ab - w_abc) / pcp, (w_a - w_ac) / pcp, (w_b - w_bc) / pcp,
-        )
-        return np.array(
-            [s1, s2, max(0.0, margin_floor - m_a), max(0.0, margin_floor - m_b)]
-        )
-
-    for restart in range(budget):
-        # ranks at the extremes rarely leave room for both margins, so the
-        # draw stays one step inside; this is a heuristic accelerator only
-        k = int(rng.integers(2, dim - 1)) if dim > 3 else int(rng.integers(1, dim))
-        coeffs = rng.standard_normal(n_par)
-        sol = scipy.optimize.least_squares(
-            residuals,
-            coeffs,
-            args=(k,),
-            method="trf",
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-            max_nfev=15 * n_par,
-        )
-        if sol.cost > 1e-22:
-            continue
-        cols = build(sol.x, k)
-        c = Projection.from_span(cols)
-        try:
-            cert = quantum_verify_cc(phi, a, b, c)
-        except (CommutationError, ZeroConditioningError):
-            continue
-        if cert.verified and cert.is_genuine:
-            return cert
-    return None
+    vals, vecs = np.linalg.eigh(a.mat + 2.0 * b.mat)
+    bases = [vecs[:, np.rint(vals) == label] for _, label in _BLOCKS]
+    spectra = [la.eigh_desc(phi.compressed(v)) for v in bases]
+    w = [float(mu.sum()) for mu, _ in spectra]
+    det = w[0] * w[3] - w[1] * w[2]
+    if det <= TOL.cc:
+        raise UncorrelatedError(f"pair is not positively correlated (corr = {det:.3g})")
+    q = w[0] * _CHART[3] + w[3] * _CHART[0] - w[1] * _CHART[2] - w[2] * _CHART[1]
+    pa, pb = w[0] + w[1], w[0] + w[2]
+    fixed = [q, [-pa - TOL.cc, 1, 0, 0], [1, -1, 0, 0], [-pb - TOL.cc, 0, 1, 0], [1, 0, -1, 0]]
+    pieces = [_pieces(mu) for mu, _ in spectra]
+    boxes = list(itertools.product(*pieces))
+    unverified = 0
+    for box in boxes:
+        lo, hi = np.array(box).T[:, :, None]
+        rows = np.vstack([det * _CHART - lo * q, hi * q - det * _CHART, fixed])
+        for alpha, beta in _feasible_points(rows, TOL.synth):
+            mono = np.array([1.0, alpha, beta, alpha * beta])
+            weights = det * (_CHART @ mono) / (q @ mono)
+            try:
+                span = np.hstack([
+                    v @ _weighted_columns(mu, emb, r, range(1, len(mu) + 1))
+                    for v, (mu, emb), r in zip(bases, spectra, weights)
+                ])
+                cert = quantum_verify_cc(phi, a, b, Projection.from_span(span))
+                if cert.verified and cert.is_genuine:
+                    return cert
+            except (InfeasibleError, CommutationError, ZeroConditioningError):
+                pass
+            unverified += 1
+    shown = "; ".join(f"{name} " + (", ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in p) or "none")
+                      for (name, _), p in zip(_BLOCKS, pieces))
+    tail = f"; {unverified} feasible points gave no verified cause" if unverified else ""
+    raise InfeasibleError(
+        "no genuinely probabilistic cause commutes with A and B: no block weights screen off "
+        f"on C and C⊥ with p(A|C) − φ(A) and p(B|C) − φ(B) at least {TOL.cc:g} (pieces: "
+        f"{shown}; boxes ruled out: {len(boxes)}{tail})"
+    )

@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.linalg.lapack
 
 from . import _linalg as la
 from .config import TOL
@@ -217,6 +216,8 @@ class DensityState:
         beta = 8.0 * n * (n + 1) * la.UNIT_ROUNDOFF * (la.frob(m) + abs(floor))
         shifted = m.copy()
         shifted.flat[:: n + 1] -= floor + beta
+        import scipy.linalg.lapack  # here, as in la.range_basis
+
         # zpotrf reads Fortran order: the transpose of ρ − sI is its
         # conjugate, with the same spectrum, and is factored in place
         _, info = scipy.linalg.lapack.zpotrf(shifted.T, lower=1, clean=0, overwrite_a=1)

@@ -24,7 +24,7 @@ import pytest
 import ccbench
 from ccbench import cli, config
 from ccbench.cli import main
-from ccbench.errors import ValidationError
+from ccbench.errors import InfeasibleError, ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -125,8 +125,28 @@ def test_genuine_cc_on_planted_instance(capsys):
     code = run_cli("genuine-cc", "--scenario", scenario("planted_genuine_dim16.json"))
     out = text_lines(capsys.readouterr().out)
     assert code == 0
-    assert {"certificate.cause.rank: 5", "certificate.is_genuine: True"} <= out
+    assert {"certificate.cause.rank: 6", "certificate.is_genuine: True"} <= out
     assert "certificate.verified: True" in out
+
+
+@pytest.mark.parametrize(
+    "name, obstruction",
+    [
+        ("strong_cause_dim9.json", "AB⊥ [0.17, 0.17]; A⊥B [0.17, 0.17]; A⊥B⊥ [0.08, 0.1], [0.18, 0.18]; boxes ruled out: 4"),
+        ("three_causes_dim9.json", "AB⊥ [0.17, 0.17]; A⊥B [0.17, 0.17]; A⊥B⊥ [0.08, 0.1], [0.18, 0.18]; boxes ruled out: 4"),
+        ("rank_one_meet.json", "AB [0.4, 0.4]; AB⊥ [0.2, 0.2]; A⊥B [0.2, 0.2]; A⊥B⊥ [0.2, 0.2]; boxes ruled out: 1"),
+    ],
+)
+def test_genuine_cc_rules_out_a_genuine_cause(capsys, name, obstruction):
+    sc = cli.load_scenario(scenario(name))
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleError, match="no genuinely probabilistic cause") as caught:
+        ccbench.search_genuine_cc(sc.objects["phi"], sc.objects["A"], sc.objects["B"])
+    assert time.perf_counter() - start < 0.5
+    assert obstruction in str(caught.value)
+    assert run_cli("genuine-cc", "--scenario", scenario(name)) == 1
+    out = text_lines(capsys.readouterr().out)
+    assert {f"message: {caught.value}", "outcome: infeasible"} <= out
 
 
 def test_classical_audit_uncovered_pair(capsys):
@@ -617,8 +637,6 @@ _MESSAGE_ROWS = [
          "error: payload.count: expected an integer"),
     _row("q-count-bool", "find-cc", "quantum", {"payload.count": True}, 2,
          "error: payload.count: expected an integer"),
-    _row("q-budget", "genuine-cc", "quantum", {"payload.budget": 1.5}, 2,
-         "error: payload.budget: expected an integer"),
     # classical payloads
     _row("c-weights-missing", "analyze", "classical", {"payload.weights": _DROP}, 2,
          "error: payload.weights is required"),
@@ -786,8 +804,6 @@ _MESSAGE_ROWS = [
          "error: payload.restarts must be >= 2"),
     _row("q-count-zero", "find-cc", "quantum", {"payload.count": 0}, 3,
          "error: payload.count must be >= 1"),
-    _row("q-budget-zero", "genuine-cc", "quantum", {"payload.budget": 0}, 3,
-         "error: payload.budget must be >= 1"),
     _row("t-budget-negative", "toynet-demo", "toynet", {"payload.budget": -3}, 3,
          "error: payload.budget must be >= 1"),
     _row("t-axiom-pairs-negative", "toynet-demo", "toynet", {"payload.axiom_pairs": -1}, 3,
@@ -809,8 +825,6 @@ _MESSAGE_ROWS = [
          "on a split other than 2x2"),
     _row("q-count-cap", "find-cc", "quantum", {"payload.count": 1001}, 3,
          "error: payload.count must be <= 1000"),
-    _row("q-budget-cap", "genuine-cc", "quantum", {"payload.budget": 81}, 3,
-         "error: payload.budget must be <= 80"),
     _row("t-budget-cap", "toynet-demo", "toynet", {"payload.budget": 81}, 3,
          "error: payload.budget must be <= 80"),
     _row("t-axiom-pairs-cap", "toynet-demo", "toynet", {"payload.axiom_pairs": 1001}, 3,

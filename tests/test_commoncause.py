@@ -944,18 +944,119 @@ def test_planted_cause_verifies_as_genuine():
 
 def test_search_finds_genuine_cause_on_planted_instance():
     phi, a, b, _ = planted_genuine_instance()
-    cert = search_genuine_cc(phi, a, b, budget=60, seed=2)
-    assert cert is not None
+    cert = search_genuine_cc(phi, a, b)
     assert cert.verified and cert.is_genuine
-    # the search works inside the commutant of {A, B}, so the cause
-    # commutes with both by construction; double-check anyway
+    # the cause is built block by block in an eigenbasis of A + 2B, so it
+    # commutes with both; double-check anyway
     assert la.comm_residual(cert.cause.mat, a.mat) < 1e-9
     assert la.comm_residual(cert.cause.mat, b.mat) < 1e-9
 
 
-def test_search_budget_zero_returns_none():
-    phi, a, b, _ = planted_genuine_instance()
-    assert search_genuine_cc(phi, a, b, budget=0) is None
+def four_block_pair(rng, dims):
+    """A random faithful state and a commuting pair whose blocks AB, AB⊥,
+    A⊥B and A⊥B⊥ have the given dimensions, in a Haar-random basis; also
+    the compressed state's spectrum on each block."""
+    u = la.haar_unitary(sum(dims), rng)
+    label = np.repeat(np.arange(4), dims)
+    g = rng.standard_normal((len(label),) * 2) + 1j * rng.standard_normal((len(label),) * 2)
+    rho = g @ la.dagger(g)
+    rho /= np.trace(rho).real
+    a, b = (Projection(la.hermitize((u * np.isin(label, on)) @ la.dagger(u))) for on in ([0, 1], [0, 2]))
+    spectra = [np.linalg.eigvalsh(la.dagger(u[:, label == i]) @ rho @ u[:, label == i]) for i in range(4)]
+    return DensityState(rho), a, b, spectra
+
+
+def weight_pieces(mu):
+    """The weights a nonzero subprojection can carry on a block: the union,
+    over ranks k, of [sum of the k smallest, sum of the k largest]."""
+    mu = np.sort(mu)
+    out = []
+    for lo, hi in sorted((mu[:k].sum(), mu[::-1][:k].sum()) for k in range(1, len(mu) + 1)):
+        if out and lo <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return out
+
+
+def grid_finds_genuine_cause(spectra, inset=1e-6, n=40):
+    """Whether a (w₂, w₃) grid over blocks AB⊥ and A⊥B finds block weights
+    that screen off on C and C⊥ with both margins above 1e-6, each weight
+    1e-6 inside its piece. A one-point piece, the block taken whole, is
+    itself on the grid and is matched within 1e-9 by w₁ and w₄. Screening
+    on C gives w₄ = w₂w₃/w₁, and screening on C⊥ then leaves the quadratic
+    W₄w₁² − s·w₁ + W₁w₂w₃ = 0, s = W₁W₄ + w₂w₃ − (W₂ − w₂)(W₃ − w₃)."""
+    W1, W2, W3, W4 = (float(mu.sum()) for mu in spectra)
+    pieces = [weight_pieces(mu) for mu in spectra]
+
+    def grid(block):
+        return np.concatenate([
+            [lo] if hi - lo <= inset else np.linspace(lo + inset, hi - inset, n)
+            for lo, hi in pieces[block]
+        ])
+
+    def inside(x, block):
+        return any(
+            abs(x - lo) <= 1e-9 if hi - lo <= inset else lo + inset < x < hi - inset
+            for lo, hi in pieces[block]
+        )
+
+    pa, pb = W1 + W2, W1 + W3
+    for w2, w3 in itertools.product(grid(1), grid(2)):
+        s = W1 * W4 + w2 * w3 - (W2 - w2) * (W3 - w3)
+        for w1 in np.roots([W4, -s, W1 * w2 * w3]):
+            if abs(w1.imag) > 0 or w1.real <= 0:
+                continue
+            w1 = w1.real
+            w4 = w2 * w3 / w1
+            c = w1 + w2 + w3 + w4
+            alpha, beta = (w1 + w2) / c, (w1 + w3) / c
+            margins = ((alpha - (pa - c * alpha) / (1 - c)), (beta - (pb - c * beta) / (1 - c)))
+            if inside(w1, 0) and inside(w4, 3) and c < 1 - inset and min(margins) > inset:
+                return True
+    return False
+
+
+def test_decision_agrees_with_a_grid_over_the_roadmap_quadratic():
+    rng = np.random.default_rng(2024)
+    found = 0
+    for _ in range(40):
+        dims = rng.integers(1, 4, size=4)
+        phi, a, b, spectra = four_block_pair(rng, dims)
+        if correlation(phi, a, b) <= 1e-3:
+            continue
+        on_grid = grid_finds_genuine_cause(spectra)
+        try:
+            cert = search_genuine_cc(phi, a, b)
+        except InfeasibleError:
+            assert not on_grid, dims
+            continue
+        assert cert.verified and cert.is_genuine and not cert.is_strong
+        found += 1
+    assert found >= 5
+
+
+def test_decision_finds_the_segment_of_two_whole_blocks():
+    # blocks AB and A⊥B are one-dimensional, so a genuine cause takes both
+    # whole; its weights then lie on the segment α = W₁/(W₁ + W₃), along
+    # which both pinned rows vanish identically, and rounding alone would
+    # rule the segment out
+    weights = [0.3, 0.12, 0.03, 0.1, 0.42, 0.03]
+    for seed in range(5):
+        phi, a, b = diag_instance(weights, [1, 1, 1, 0, 0, 0], [1, 0, 0, 1, 0, 0], seed=seed)
+        cert = search_genuine_cc(phi, a, b)
+        assert cert.verified and cert.is_genuine
+        meet = a.mat @ b.mat
+        below_b = b.mat - meet
+        assert la.frob(cert.cause.mat @ meet - meet) < 1e-9
+        assert la.frob(cert.cause.mat @ below_b - below_b) < 1e-9
+
+
+def test_an_empty_block_rules_out_a_genuine_cause():
+    # A <= B leaves the block AB⊥ empty, yet the pair is correlated
+    phi, a, b = diag_instance([0.3, 0.2, 0.5], [1, 0, 0], [1, 1, 0], seed=3)
+    with pytest.raises(InfeasibleError, match="AB⊥ none; .*boxes ruled out: 0"):
+        search_genuine_cc(phi, a, b)
 
 
 def test_search_requires_correlation():

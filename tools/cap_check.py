@@ -7,8 +7,7 @@ Usage, from the root of a source tree:
 Each cap the CLI puts on a payload field is tried on the bundled scenarios
 of its command, the field at its cap and the rest as bundled:
 
-- ``count`` (``cli.MAX_COUNT``) of find-cc and ``budget``
-  (``cli.MAX_BUDGET``) of genuine-cc, on every quantum scenario;
+- ``count`` (``cli.MAX_COUNT``) of find-cc, on every quantum scenario;
 - ``restarts`` (``cli.MAX_RESTARTS``) of bell, on every bell scenario;
 - bell on the split ``SPLIT`` under ``bell.MAX_SPLIT_DIM`` with
   ``restarts`` at its cap too, once on a random pure state on which nearly
@@ -68,7 +67,6 @@ def variants() -> list[tuple[str, str, str, dict]]:
     restarts = {"restarts": cli.MAX_RESTARTS}
     on_split = {"split": list(SPLIT), **restarts}
     runs = [(f"{s}.count", "find-cc", s, {"count": cli.MAX_COUNT}) for s in QUANTUM]
-    runs += [(f"{s}.budget", "genuine-cc", s, {"budget": cli.MAX_BUDGET}) for s in QUANTUM]
     runs += [(f"{s}.restarts", "bell", s, restarts) for s in BELL]
     runs += [
         ("split.pure", "bell", "bell_singlet",
