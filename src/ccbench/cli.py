@@ -50,8 +50,6 @@ from .errors import (
 from .qprob import DensityState, MatrixAlgebra, Projection, correlation, state_eval
 from .record import complex_matrix_record, render_record, render_text
 
-KINDS = ("quantum", "classical", "geometry", "toynet", "bell")
-
 # Caps on the payload's counts, each set so that the bundled scenarios of
 # its command run at the cap inside the record sweep's 30 s cap
 # (tools/cap_check.py; 2-vCPU guest, one BLAS thread; times in README).
@@ -384,8 +382,8 @@ def _parse_tolerances(node, where: str) -> dict:
     return {key: _tolerance(key, val, f"{where}.{key}", _as_number) for key, val in node.items()}
 
 
-def load_scenario(path, extra_tolerances: Optional[dict] = None) -> Scenario:
-    """Parse and validate a scenario file.
+def load_scenario(path, extra_tolerances: Optional[dict] = None, command: Optional[str] = None) -> Scenario:
+    """Parse and validate a scenario file, refusing a kind ``command`` cannot take first.
 
     Validation runs with the scenario's tolerance overrides (merged with
     ``extra_tolerances`` from the command line) already in effect, so a
@@ -405,8 +403,10 @@ def load_scenario(path, extra_tolerances: Optional[dict] = None) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioParseError(f"{path}: top level must be an object")
     kind = doc.get("kind")
-    if kind not in KINDS:
-        raise ScenarioParseError(f"{path}: kind must be one of {', '.join(KINDS)}")
+    if kind not in _VALIDATORS:
+        raise ScenarioParseError(f"{path}: kind must be one of {', '.join(_VALIDATORS)}")
+    if command is not None:
+        _check_kind(command, kind)
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise ScenarioParseError(f"{path}: payload must be an object")
@@ -660,16 +660,21 @@ _COMMANDS = {
 }
 
 
-def run(command: str, scenario: Scenario, seed: Optional[int] = None):
-    """Dispatch a command; returns (report dict, exit code)."""
+def _check_kind(command: str, kind: str):
+    """The command's handler, once it is known and takes scenarios of ``kind``."""
     if command not in _COMMANDS:
         raise ScenarioParseError(f"unknown command {command!r}")
     handler, kinds, _ = _COMMANDS[command]
-    if scenario.kind not in kinds:
+    if kind not in kinds:
         raise ScenarioParseError(
-            f"command {command} expects a scenario of kind {' or '.join(kinds)}, "
-            f"got {scenario.kind!r}"
+            f"command {command} expects a scenario of kind {' or '.join(kinds)}, got {kind!r}"
         )
+    return handler
+
+
+def run(command: str, scenario: Scenario, seed: Optional[int] = None):
+    """Dispatch a command; returns (report dict, exit code)."""
+    handler = _check_kind(command, scenario.kind)
     use_seed = scenario.seed if seed is None else seed
     with config.temporary(**scenario.tolerances):
         results, outcome = handler(scenario, use_seed)
@@ -735,7 +740,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ScenarioParseError(f"--seed {args.seed}: expected a nonnegative integer")
         overrides = _parse_overrides(args.tol_override)
-        scenario = load_scenario(args.scenario, extra_tolerances=overrides)
+        scenario = load_scenario(args.scenario, overrides, args.command)
         report, code = run(args.command, scenario, seed=args.seed)
     except CCBenchError as exc:
         code = _exit_code(exc)

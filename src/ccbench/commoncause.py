@@ -52,7 +52,8 @@ from .errors import (
     ValidationError,
     ZeroConditioningError,
 )
-from .qprob import DensityState, MatrixAlgebra, PairProduct, Projection, state_eval
+from .qprob import (DensityState, EpsilonPureState, MatrixAlgebra, PairProduct, Projection,
+                    state_eval)
 
 AUDIT_CAP = 12
 
@@ -516,25 +517,26 @@ def _rank_interval(mu: np.ndarray, k: int) -> tuple[float, float]:
     return float(mu[len(mu) - k :].sum()), float(mu[:k].sum())
 
 
-def _weighted_columns(
-    mu: np.ndarray, emb: np.ndarray, r: float, ranks, order_rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Orthonormal columns, in the eigenvectors ``emb`` of a compressed state
-    of descending spectrum mu, spanning a subprojection of weight r. The
-    first of ``ranks`` whose Ky Fan interval holds r within synth_tol is
-    walked down from its top-k index set, one index to its successor per
-    step (the last movable, or a random one with ``order_rng``), and the
-    step that would pass r ends in a partial rotation between its two
-    eigenvectors. Raises Infeasible when r lies outside every interval."""
+def _fitting_rank(mu: np.ndarray, r: float, ranks) -> int:
+    """The first of ``ranks`` whose Ky Fan interval holds r within synth_tol."""
     for k in ranks:
         lo, hi = _rank_interval(mu, k)
         if lo - TOL.synth <= r <= hi + TOL.synth:
-            break
-    else:
-        shown = ", ".join(
-            f"rank {k}: [%.6g, %.6g]" % _rank_interval(mu, k) for k in sorted(ranks)
-        )
-        raise InfeasibleError(f"target {r:.6g} lies outside every achievable interval ({shown})")
+            return k
+    shown = ", ".join(f"rank {k}: [%.6g, %.6g]" % _rank_interval(mu, k) for k in sorted(ranks))
+    raise InfeasibleError(f"target {r:.6g} lies outside every achievable interval ({shown})")
+
+
+def _weighted_columns(
+    mu: np.ndarray, emb: np.ndarray, r: float, k: int, order_rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Orthonormal columns, in the eigenvectors ``emb`` of a compressed state
+    of descending spectrum mu, spanning a rank-k subprojection of weight r,
+    for a k whose Ky Fan interval holds r (``_fitting_rank``). The top-k
+    index set is walked down, one index to its successor per step (the last
+    movable, or a random one with ``order_rng``), and the step that would
+    pass r ends in a partial rotation between its two eigenvectors."""
+    hi = _rank_interval(mu, k)[1]
     selected, s, r = list(range(k)), hi, min(r, hi)
     while s - r > 0.0:
         movable = [i for i in selected if i + 1 < len(mu) and i + 1 not in selected]
@@ -562,27 +564,69 @@ def synthesize_subprojection(
     Raises Infeasible when r lies outside every achievable rank interval,
     which is the finite-dimensional obstruction to the construction.
 
-    Any orthonormal basis of range(P) will do, so it comes from
-    ``la.range_basis`` (pivoted Cholesky and a thin QR, O(N²m) for rank m)
-    rather than an N × N eigendecomposition; the only eigendecomposition is
-    of the m × m compressed state. The cause's columns W are checked to lie
-    in range(P), ‖PW − W‖_F ≤ tol_proj, in O(N²k) for rank k.
+    No N × N matrix is eigendecomposed. A DensityState is compressed to the
+    basis W = ``la.range_basis`` of P (O(N²m), m the rank) and the m × m
+    W*ρW is eigendecomposed. For an EpsilonPureState and v = Pψ, any such W
+    has W*ρW = (1 − ε)(W*v)(W*v)* + (ε/N)I: the spectrum is (1 − ε)‖v‖² + ε/N
+    on e₀ = v/‖v‖ and ε/N on range(P) ⊖ v, a degenerate eigenspace where any
+    orthonormal vectors serve. The walk for rank k moves each ε/N index at
+    no change of weight and ends rotating e₀ into the first of k such
+    vectors, which a pivoted Gram–Schmidt (run twice) on the columns of
+    P − e₀e₀* gives: after j steps the rest projects onto m − 1 − j
+    dimensions, so its largest diagonal entry, the next pivot, is at least
+    (m − 1 − j)/N (as in ``la.range_basis``). e₀ is taken as Pv/‖Pv‖, in
+    range(P) even when Pψ is at rounding level (Pψ = 0 leaves pivots alone):
+    O(N²) for the two products, O(Nk²) for the rest. The cause's columns W
+    are checked to lie in range(P), ‖PW − W‖_F ≤ tol_proj, in O(N²k).
     """
     return _synthesize(phi, p, r, None, strict)[0]
+
+
+class _Compression:
+    """φ compressed to range(P), P of rank m >= 1, for any number of walks
+    (``synthesize_subprojection`` derives it): the descending spectrum ``mu``
+    and ``columns``, the walk for rank k. ``_emb`` holds the eigenvectors;
+    for an EpsilonPureState it is the frame, grown as walks ask."""
+
+    def __init__(self, phi: DensityState, p: Projection):
+        self._p, m = p, p.rank
+        if not isinstance(phi, EpsilonPureState):
+            self._basis = la.range_basis(p.mat, m)
+            self.mu, self._emb = la.eigh_desc(phi.compressed(self._basis))
+            return
+        self._basis, v = None, p.mat @ phi.psi
+        self.mu = np.full(m, phi.epsilon / phi.dim)
+        self.mu[0] += (1.0 - phi.epsilon) * float(np.vdot(v, v).real)
+        self._emb, self._rest = np.empty((p.dim, 0), complex), np.diagonal(p.mat).real
+        e0 = p.mat @ v
+        if la.frob(e0) > 0.0:
+            self._grow(e0)
+
+    def _grow(self, w: np.ndarray) -> None:
+        for _ in range(2):
+            w = w - self._emb @ (la.dagger(self._emb) @ w)
+        w = w / la.frob(w)
+        self._emb, self._rest = np.column_stack([self._emb, w]), self._rest - np.abs(w) ** 2
+
+    def columns(self, r: float, k: int, order_rng: Optional[np.random.Generator]) -> np.ndarray:
+        while self._basis is None and self._emb.shape[1] < min(k + 1, len(self.mu)):
+            self._grow(self._p.mat[:, int(np.argmax(self._rest))])
+        cols = _weighted_columns(self.mu[: self._emb.shape[1]], self._emb, r, k, order_rng)
+        return cols if self._basis is None else self._basis @ cols
 
 
 def _synthesize(
     phi: DensityState, p: Projection, r: float, pp: Optional[float], strict: bool = False,
     order_rng: Optional[np.random.Generator] = None, prefer_rank: Optional[int] = None,
+    comp: Optional[_Compression] = None,
 ) -> tuple[Projection, float]:
     """``synthesize_subprojection``'s kernel: takes pp = φ(P) when the caller
     has evaluated it (None evaluates it here) and returns (C, φ(C)), so that
     each weight is evaluated once. ``find_multiple_strong_cc`` varies the
-    causes by ``order_rng`` (the walk's order) and ``prefer_rank``."""
+    causes by ``order_rng`` (the walk's order) and ``prefer_rank``, and
+    passes ``comp``, the ``_Compression`` of φ to P made once for them all."""
     if not phi.faithful:
-        raise NotFaithfulError(
-            f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})"
-        )
+        raise NotFaithfulError(f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})")
     phi.check_dim(p.mat)
     if pp is None:
         pp = state_eval(phi, p)
@@ -591,21 +635,20 @@ def _synthesize(
     m = p.rank
     if m == 0:
         raise TargetRangeError("P is the zero projection")
-    basis = la.range_basis(p.mat, m)
-    mu, emb = la.eigh_desc(phi.compressed(basis))
     max_rank = m - 1 if strict else m
     if max_rank < 1:
         raise InfeasibleError("P has rank 1; its only strict subprojection is 0")
+    comp = comp or _Compression(phi, p)
     ranks = sorted(range(1, max_rank + 1), key=lambda k: k != prefer_rank)
-    span = basis @ _weighted_columns(mu, emb, r, ranks, order_rng)
+    span = comp.columns(r, _fitting_rank(comp.mu, r, ranks), order_rng)
     outside = la.frob(p.mat @ span - span)
-    if outside > TOL.proj:
+    if not outside <= TOL.proj:
         raise InternalInconsistencyError(
             f"synthesized cause leaves range(P) (‖PW − W‖_F = {outside:.3e})"
         )
     c = Projection.from_span(span)
     achieved = state_eval(phi, c)
-    if abs(achieved - r) > TOL.synth:
+    if not abs(achieved - r) <= TOL.synth:
         raise InternalInconsistencyError(
             f"synthesized weight {achieved:.15g} misses target {r:.15g}"
         )
@@ -702,6 +745,7 @@ def find_multiple_strong_cc(
     if meet.rank <= 1:
         warnings.warn("meet has rank <= 1; no strict subprojections exist")
         return []
+    comp = _Compression(phi, meet)
     certs: list[CommonCauseCertificate] = []
     attempts = 0
     ranks = itertools.cycle(range(1, meet.rank))
@@ -709,7 +753,8 @@ def find_multiple_strong_cc(
         attempts += 1
         try:
             c, pc = _synthesize(phi, meet, rv.r, totals[0], strict=True,
-                                order_rng=rng if attempts > 1 else None, prefer_rank=next(ranks))
+                                order_rng=rng if attempts > 1 else None, prefer_rank=next(ranks),
+                                comp=comp)
         except InfeasibleError:
             break
         if all(np.linalg.norm(c.mat - prev.cause.mat, 2) > 1e-6 for prev in certs):
@@ -717,9 +762,7 @@ def find_multiple_strong_cc(
             if cert.verified and cert.is_strong:
                 certs.append(cert)
     if len(certs) < count:
-        warnings.warn(
-            f"only {len(certs)} of {count} distinct strong causes constructed"
-        )
+        warnings.warn(f"only {len(certs)} of {count} distinct strong causes constructed")
     return certs
 
 
@@ -833,7 +876,7 @@ def search_genuine_cc(phi: DensityState, a: Projection, b: Projection) -> Common
             weights = det * (_CHART @ mono) / (q @ mono)
             try:
                 span = np.hstack([
-                    v @ _weighted_columns(mu, emb, r, range(1, len(mu) + 1))
+                    v @ _weighted_columns(mu, emb, r, _fitting_rank(mu, r, range(1, len(mu) + 1)))
                     for v, (mu, emb), r in zip(bases, spectra, weights)
                 ])
                 cert = quantum_verify_cc(phi, a, b, Projection.from_span(span))

@@ -319,9 +319,9 @@ class EpsilonPureState(DensityState):
     φ(X) = (1 − ε)⟨ψ, Xψ⟩ + ε tr X / N, with Xψ through la.apply_factor in
     O(N d) for an embedded projection (``Projection.factor``) and through
     W*ψ for a span; ρW = (1 − ε)ψ(ψ*W) + (ε/N)W; W*ρW =
-    (1 − ε)(W*ψ)(W*ψ)* + (ε/N)I_k; and the reduction to d_keep of the
-    factors makes them the rows of a matrix T by a reshape of ψ and is
-    (1 − ε)TT* + (ε/d_keep)I.
+    (1 − ε)(W*ψ)(W*ψ)* + (ε/N)I_k (``commoncause`` reads its spectrum off Pψ,
+    with no W); and the reduction to d_keep of the factors, made the rows
+    of T by a reshape of ψ, is (1 − ε)TT* + (ε/d_keep)I.
     """
 
     _mat = None

@@ -31,15 +31,13 @@ a 2^n vector, reduced by a reshape, and weighed and compressed through ψ
 The 2^n work left, for N = 2^n, listed here once: each candidate and meet
 embedded as an N × N matrix, products by it O(N² d) through its support of
 dimension d; for S the whole chain, the product AB and its norms, O(N²d),
-the meet's O(N³) validation only when its bound cannot settle it, a range
-basis of a meet of rank m, O(N²m), and the weight of the meet, O(N²);
-weights of an embedded candidate through ψ, O(N d); verifying a cause of
-rank k through its k columns, O(N²k). No 2^n matrix is eigendecomposed:
-the cause is synthesized on a pivoted-Cholesky basis of the meet's range,
-and the m × m compressed state is. On net-cause's 9-site op that basis and
-that eigendecomposition are the largest costs left (ROADMAP.md, item 2).
-The candidates and the meet are dense, so nets above DENSE_MAX_SITES are
-refused.
+the meet's O(N³) validation only when its bound cannot settle it, the
+weight of the meet and Pψ, O(N²), and the cause's k + 1 frame columns,
+O(Nk²), for nothing is eigendecomposed (``synthesize_subprojection``; any
+other state takes a range basis, O(N²m), and an m × m eigh; ROADMAP.md,
+item 4); weights of an embedded candidate through ψ, O(N d); verifying
+the cause through its k columns, O(N²k). The candidates and the meet are
+dense, so nets above DENSE_MAX_SITES are refused.
 """
 
 from __future__ import annotations

@@ -287,6 +287,27 @@ def test_wrong_kind_for_command(capsys):
     assert "expects a scenario of kind" in err
 
 
+@pytest.mark.parametrize("state", ["singlet", [[2, 0, 0, 0]] * 4])
+def test_wrong_kind_is_refused_before_the_payload_is_built(tmp_path, state):
+    # the kind is checked on the parsed document, so the refused run builds
+    # no state and loads no scipy; a payload that fails validation (here a
+    # state that is not of unit trace, exit 3 under bell) is refused too
+    doc = tmp_path / "bell.json"
+    doc.write_text(json.dumps({"kind": "bell", "payload": {"split": [2, 2], "state": state}}))
+    probe = (
+        "import sys; from ccbench.cli import main; "
+        f"code = main(['geometry', '--scenario', {str(doc)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ)
+    src = str(Path(ccbench.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.stdout == "2 []\n"
+    assert "expects a scenario of kind geometry, got 'bell'" in proc.stderr
+    assert run_cli("bell", "--scenario", str(doc)) == (0 if state == "singlet" else 3)
+
+
 def test_field_precise_matrix_error(tmp_path, capsys):
     doc = tmp_path / "ragged.json"
     doc.write_text(

@@ -410,6 +410,110 @@ def test_random_subprojections_obey_rank_bounds(seed):
         assert la.frob(p.mat @ c.mat - c.mat) < 1e-9
 
 
+def epsilon_pure_case(seed):
+    """A seeded ε-pure state on N = 8..64 and a random projection of rank m >= 2."""
+    rng = np.random.default_rng(5000 + seed)
+    dim = int(rng.integers(8, 65))
+    phi = qprob.EpsilonPureState(la.random_pure_state(dim, rng), (0.05, 0.5)[seed % 2])
+    p = Projection(la.haar_projection(dim, int(rng.integers(2, dim)), rng))
+    return phi, p, rng
+
+
+def dense_compressed_spectrum(phi, p):
+    """The compressed state's spectrum, descending, by eigvalsh on a basis of range(P)."""
+    w, vecs = np.linalg.eigh(p.mat)
+    basis = vecs[:, w > 0.5]
+    return np.linalg.eigvalsh(la.dagger(basis) @ phi.mat @ basis)[::-1]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_epsilon_pure_synthesis_agrees_with_the_dense_path(seed):
+    # the closed-form spectrum against eigvalsh of the dense compressed
+    # state, and synthesis through ψ against the dense path on the same
+    # matrix: the same rank, a cause inside range(P) and the target weight
+    phi, p, rng = epsilon_pure_case(seed)
+    dense = DensityState(phi.mat)
+    mu = commoncause._Compression(phi, p).mu
+    ref = dense_compressed_spectrum(phi, p)
+    ranks = range(1, p.rank + 1)
+    edges = np.array([commoncause._rank_interval(ref, k) for k in ranks])
+    assert np.allclose([commoncause._rank_interval(mu, k) for k in ranks], edges, rtol=0, atol=1e-12)
+    pp = state_eval(phi, p)
+    targets = [t for t in rng.uniform(0.0, pp, size=40) if np.min(np.abs(edges - t)) > 1e-9]
+    for target in targets[:12]:
+        outcomes = []
+        for state in (phi, dense):
+            try:
+                c = synthesize_subprojection(state, p, float(target), strict=True)
+            except InfeasibleError:
+                outcomes.append(None)
+                continue
+            assert la.frob(p.mat @ c.mat - c.mat) < 1e-9
+            assert state_eval(dense, c) == pytest.approx(float(target), abs=1e-10)
+            outcomes.append(c.rank)
+        assert outcomes[0] == outcomes[1]
+
+
+def axis_case(support, psi_axis, dim=8, epsilon=0.05):
+    """P on the coordinate axes ``support`` and ψ the axis ``psi_axis``."""
+    p = Projection(np.diag([1.0 if i in support else 0.0 for i in range(dim)]))
+    psi = np.zeros(dim, dtype=complex)
+    psi[psi_axis] = 1.0
+    return qprob.EpsilonPureState(psi, epsilon), p
+
+
+def test_epsilon_pure_synthesis_pivots_past_the_top_eigenvector():
+    # ψ = e₀ lies in range(P), so P's largest diagonal entry is e₀'s own
+    # column: pivoting on P rather than P − e₀e₀* would repeat it
+    phi, p = axis_case({0, 1, 2}, 0)
+    r = 0.95 + 1.5 * 0.05 / 8  # above the rank-1 interval, so rank 2, turned off e₀
+    c = synthesize_subprojection(phi, p, r, strict=True)
+    assert c.rank == 2
+    assert state_eval(phi, c) == pytest.approx(r, abs=1e-12)
+    assert la.frob(p.mat @ c.mat - c.mat) < 1e-12
+
+
+@pytest.mark.parametrize("at_rounding_level", [False, True])
+def test_epsilon_pure_synthesis_on_a_flat_spectrum(at_rounding_level):
+    # Pψ = 0: the compressed spectrum is ε/N throughout, so only r = kε/N
+    # is feasible; with Pψ at rounding level (ψ in the kernel of a Haar P)
+    # e₀ still lies in range(P), even when the walk keeps it whole
+    if at_rounding_level:
+        rng = np.random.default_rng(7)
+        p = Projection(la.haar_projection(8, 3, rng))
+        g = la.random_pure_state(8, rng)
+        psi = g - p.mat @ g
+        phi = qprob.EpsilonPureState(psi / np.linalg.norm(psi), 0.05)
+        assert np.linalg.norm(p.mat @ phi.psi) < 1e-14
+    else:
+        phi, p = axis_case({1, 2, 3}, 0)
+    flat = 0.05 / 8
+    assert np.allclose(commoncause._Compression(phi, p).mu, flat, rtol=0, atol=1e-15)
+    for r in (2 * flat, 2 * flat + 0.5 * config.TOL.synth):
+        c = synthesize_subprojection(phi, p, r, strict=True)
+        assert c.rank == 2
+        assert state_eval(phi, c) == pytest.approx(r, abs=config.TOL.synth)
+        assert la.frob(p.mat @ c.mat - c.mat) < 1e-12
+    with pytest.raises(InfeasibleError, match="rank 1: "):
+        synthesize_subprojection(phi, p, 1.5 * flat, strict=True)
+
+
+def test_epsilon_pure_synthesis_where_a_seeded_gaussian_frame_collides():
+    # default_rng(0) draws the ψ of demo_state(net, seed=0), so a frame
+    # from P applied to a seed-0 Gaussian would be parallel to Pψ and
+    # collapse; the pivoted frame does not depend on a draw
+    dim = 64
+    psi = la.random_pure_state(dim, np.random.default_rng(0))
+    phi = qprob.EpsilonPureState(psi, 0.05)
+    p = Projection(la.haar_projection(dim, 8, np.random.default_rng(1)))
+    mu = commoncause._Compression(phi, p).mu
+    r = float(mu[0]) + 1.5 * 0.05 / dim  # above the rank-2 interval, so rank 3, rotated
+    c = synthesize_subprojection(phi, p, r, strict=True)
+    assert c.rank == 3
+    assert state_eval(phi, c) == pytest.approx(r, abs=1e-12)
+    assert la.frob(p.mat @ c.mat - c.mat) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # strong common causes
 # ---------------------------------------------------------------------------
@@ -675,6 +779,35 @@ def test_find_multiple_distinct_ranks():
     for c in causes:
         cert = quantum_verify_cc(phi, a, b, c.cause)
         assert cert.verified and cert.is_strong
+
+
+def test_find_multiple_compresses_the_state_once(monkeypatch):
+    # every attempt walks the same compressed spectrum: one range basis and
+    # one eigendecomposition per call on a dense state, none on an ε-pure one
+    calls = {"range_basis": 0, "eigh_desc": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(la, name, counting(name, getattr(la, name)))
+    phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
+    assert len(find_multiple_strong_cc(phi, a, b, 3, seed=0)) == 3
+    assert calls == {"range_basis": 1, "eigh_desc": 1}
+    # ψ weighs AB and A⊥B⊥ most, for A = span(e0..e7), B = span(e0..e3, e8..e11)
+    psi = np.zeros(16, dtype=complex)
+    psi[[0, 4, 8, 12]] = [0.7, 0.3, 0.3, 0.58]
+    phi = qprob.EpsilonPureState(psi / np.linalg.norm(psi), 0.3)
+    a = Projection(np.diag([1.0] * 8 + [0.0] * 8))
+    b = Projection(np.diag([1.0] * 4 + [0.0] * 4 + [1.0] * 4 + [0.0] * 4))
+    causes = find_multiple_strong_cc(phi, a, b, 3, seed=0)
+    assert calls == {"range_basis": 1, "eigh_desc": 1}
+    assert sorted(c.cause.rank for c in causes) == [1, 2, 3]
+    assert all(quantum_verify_cc(phi, a, b, c.cause) == c for c in causes)
 
 
 def test_find_multiple_on_rank_one_meet_warns_empty():

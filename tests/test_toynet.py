@@ -632,14 +632,17 @@ def test_full_row_demo_validates_candidates_on_their_support(monkeypatch):
 
 def test_nine_site_demo_builds_its_cause_without_a_full_eigendecomposition(monkeypatch):
     # net-cause's 9-site op: the cause is synthesized on the full step-0
-    # row from a pivoted-Cholesky basis, the state is read through ψ and
-    # never built as a matrix (no outer product of 2^9-vectors), the meet
-    # is settled from its factors (no Projection validated at 2^9), and
-    # nothing of size 2^9 is eigendecomposed; the cause is then checked
-    # against dense products formed here, with the state matrix read last
+    # row in closed form from ψ, with no basis of the meet's range and no
+    # eigendecomposition larger than k + 1 for a cause of rank k; the state
+    # is read through ψ and never built as a matrix (no outer product of
+    # 2^9-vectors), the meet is settled from its factors (no Projection
+    # validated at 2^9), and nothing of size 2^9 is eigendecomposed; the
+    # cause is then checked against dense products formed here, with the
+    # state matrix read last
     net = build_net(9, "random", seed=0, n_steps=3)
     full = 2**net.n_sites
-    sizes = {"eigh": [], "eigvalsh": [], "outer": [], "Projection": []}
+    sizes = {"eigh": [], "eigvalsh": [], "outer": [], "Projection": [], "range_basis": []}
+    syntheses = []  # the eigendecomposition sizes of each synthesis
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -648,16 +651,28 @@ def test_nine_site_demo_builds_its_cause_without_a_full_eigendecomposition(monke
 
         return wrapper
 
+    def synthesize(*args, **kwargs):
+        start = len(sizes["eigh"]), len(sizes["eigvalsh"])
+        out = real_synthesize(*args, **kwargs)
+        syntheses.append(sizes["eigh"][start[0]:] + sizes["eigvalsh"][start[1]:])
+        return out
+
+    real_synthesize = commoncause._synthesize
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(np, "outer", counting("outer", np.outer))
     monkeypatch.setattr(Projection, "__init__", counting("Projection", Projection.__init__))
+    monkeypatch.setattr(la, "range_basis", counting("range_basis", la.range_basis))
+    monkeypatch.setattr(commoncause, "_synthesize", synthesize)
     phi = demo_state(net, seed=0)
     demo = weak_rccp_demo(net, phi, SliceCone(2, 1, 2), SliceCone(2, 6, 7))
     monkeypatch.undo()
 
     assert all(full not in seen for seen in sizes.values())
-    assert sizes["outer"] and sizes["Projection"]  # the counters saw the op
+    assert sizes["eigh"] and sizes["Projection"]  # the counters saw the op
+    assert sizes["range_basis"] == []
+    assert syntheses
+    assert all(d <= demo.certificate.cause.rank + 1 for seen in syntheses for d in seen)
     eps, psi = phi.epsilon, phi.psi
     built = la.hermitize((1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.eye(full) / full)
     assert phi.mat.tobytes() == built.tobytes()
