@@ -50,6 +50,8 @@ from .errors import (
 from .qprob import DensityState, MatrixAlgebra, Projection, correlation, state_eval
 from .record import complex_matrix_record, render_record, render_text
 
+KINDS = ("quantum", "classical", "geometry", "toynet", "bell")
+
 # Caps on the payload's counts, each set so that the bundled scenarios of
 # its command run at the cap inside the record sweep's 30 s cap
 # (tools/cap_check.py; 2-vCPU guest, one BLAS thread; times in README).
@@ -403,8 +405,8 @@ def load_scenario(path, extra_tolerances: Optional[dict] = None, command: Option
     if not isinstance(doc, dict):
         raise ScenarioParseError(f"{path}: top level must be an object")
     kind = doc.get("kind")
-    if kind not in _VALIDATORS:
-        raise ScenarioParseError(f"{path}: kind must be one of {', '.join(_VALIDATORS)}")
+    if kind not in KINDS:
+        raise ScenarioParseError(f"{path}: kind must be one of {', '.join(KINDS)}")
     if command is not None:
         _check_kind(command, kind)
     payload = doc.get("payload")

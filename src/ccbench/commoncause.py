@@ -52,8 +52,7 @@ from .errors import (
     ValidationError,
     ZeroConditioningError,
 )
-from .qprob import (DensityState, EpsilonPureState, MatrixAlgebra, PairProduct, Projection,
-                    state_eval)
+from .qprob import DensityState, EpsilonPureState, MatrixAlgebra, PairProduct, Projection, state_eval
 
 AUDIT_CAP = 12
 
@@ -566,27 +565,24 @@ def synthesize_subprojection(
 
     No N × N matrix is eigendecomposed. A DensityState is compressed to the
     basis W = ``la.range_basis`` of P (O(N²m), m the rank) and the m × m
-    W*ρW is eigendecomposed. For an EpsilonPureState and v = Pψ, any such W
-    has W*ρW = (1 − ε)(W*v)(W*v)* + (ε/N)I: the spectrum is (1 − ε)‖v‖² + ε/N
-    on e₀ = v/‖v‖ and ε/N on range(P) ⊖ v, a degenerate eigenspace where any
-    orthonormal vectors serve. The walk for rank k moves each ε/N index at
-    no change of weight and ends rotating e₀ into the first of k such
-    vectors, which a pivoted Gram–Schmidt (run twice) on the columns of
-    P − e₀e₀* gives: after j steps the rest projects onto m − 1 − j
-    dimensions, so its largest diagonal entry, the next pivot, is at least
-    (m − 1 − j)/N (as in ``la.range_basis``). e₀ is taken as Pv/‖Pv‖, in
-    range(P) even when Pψ is at rounding level (Pψ = 0 leaves pivots alone):
-    O(N²) for the two products, O(Nk²) for the rest. The cause's columns W
-    are checked to lie in range(P), ‖PW − W‖_F ≤ tol_proj, in O(N²k).
+    W*ρW is eigendecomposed. For an EpsilonPureState and v = Pψ, W*ρW =
+    (1 − ε)(W*v)(W*v)* + (ε/N)I: (1 − ε)‖v‖² + ε/N on e₀ = v/‖v‖, and ε/N
+    on range(P) ⊖ v, where any orthonormal vectors serve. A walk of rank k
+    takes e₀ and k of them (a random walk, which may end on any, all m − 1)
+    from a pivoted Gram–Schmidt, run twice, on the columns of P − e₀e₀*:
+    each pivot, the largest diagonal entry left, is at least (m − 1 − j)/N
+    after j steps (as in ``la.range_basis``). e₀ is Pv/‖Pv‖, in range(P)
+    even when Pψ is at rounding level: O(N²) for v and e₀, O(Nk²) for the
+    rest. The cause's columns W are checked to lie in range(P), with
+    ‖PW − W‖_F ≤ tol_proj, in O(N²k).
     """
     return _synthesize(phi, p, r, None, strict)[0]
 
 
 class _Compression:
     """φ compressed to range(P), P of rank m >= 1, for any number of walks
-    (``synthesize_subprojection`` derives it): the descending spectrum ``mu``
-    and ``columns``, the walk for rank k. ``_emb`` holds the eigenvectors;
-    for an EpsilonPureState it is the frame, grown as walks ask."""
+    (``synthesize_subprojection``): the descending spectrum ``mu`` and
+    ``columns``, the walk for rank k, on the eigenvectors or a grown frame."""
 
     def __init__(self, phi: DensityState, p: Projection):
         self._p, m = p, p.rank
@@ -598,8 +594,7 @@ class _Compression:
         self.mu = np.full(m, phi.epsilon / phi.dim)
         self.mu[0] += (1.0 - phi.epsilon) * float(np.vdot(v, v).real)
         self._emb, self._rest = np.empty((p.dim, 0), complex), np.diagonal(p.mat).real
-        e0 = p.mat @ v
-        if la.frob(e0) > 0.0:
+        if la.frob(e0 := p.mat @ v) > 0.0:
             self._grow(e0)
 
     def _grow(self, w: np.ndarray) -> None:
@@ -609,7 +604,8 @@ class _Compression:
         self._emb, self._rest = np.column_stack([self._emb, w]), self._rest - np.abs(w) ** 2
 
     def columns(self, r: float, k: int, order_rng: Optional[np.random.Generator]) -> np.ndarray:
-        while self._basis is None and self._emb.shape[1] < min(k + 1, len(self.mu)):
+        n = len(self.mu) if order_rng is not None else min(k + 1, len(self.mu))
+        while self._basis is None and self._emb.shape[1] < n:
             self._grow(self._p.mat[:, int(np.argmax(self._rest))])
         cols = _weighted_columns(self.mu[: self._emb.shape[1]], self._emb, r, k, order_rng)
         return cols if self._basis is None else self._basis @ cols
@@ -623,10 +619,12 @@ def _synthesize(
     """``synthesize_subprojection``'s kernel: takes pp = φ(P) when the caller
     has evaluated it (None evaluates it here) and returns (C, φ(C)), so that
     each weight is evaluated once. ``find_multiple_strong_cc`` varies the
-    causes by ``order_rng`` (the walk's order) and ``prefer_rank``, and
-    passes ``comp``, the ``_Compression`` of φ to P made once for them all."""
+    causes by ``order_rng`` (the walk's order) and ``prefer_rank`` on one
+    ``comp``, the ``_Compression`` of φ to P."""
     if not phi.faithful:
-        raise NotFaithfulError(f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})")
+        raise NotFaithfulError(
+            f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})"
+        )
     phi.check_dim(p.mat)
     if pp is None:
         pp = state_eval(phi, p)
@@ -752,9 +750,8 @@ def find_multiple_strong_cc(
     while len(certs) < count and attempts < max(20 * count, 20):
         attempts += 1
         try:
-            c, pc = _synthesize(phi, meet, rv.r, totals[0], strict=True,
-                                order_rng=rng if attempts > 1 else None, prefer_rank=next(ranks),
-                                comp=comp)
+            c, pc = _synthesize(phi, meet, rv.r, totals[0], strict=True, comp=comp,
+                                order_rng=rng if attempts > 1 else None, prefer_rank=next(ranks))
         except InfeasibleError:
             break
         if all(np.linalg.norm(c.mat - prev.cause.mat, 2) > 1e-6 for prev in certs):
@@ -762,7 +759,9 @@ def find_multiple_strong_cc(
             if cert.verified and cert.is_strong:
                 certs.append(cert)
     if len(certs) < count:
-        warnings.warn(f"only {len(certs)} of {count} distinct strong causes constructed")
+        warnings.warn(
+            f"only {len(certs)} of {count} distinct strong causes constructed"
+        )
     return certs
 
 

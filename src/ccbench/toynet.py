@@ -33,11 +33,10 @@ embedded as an N × N matrix, products by it O(N² d) through its support of
 dimension d; for S the whole chain, the product AB and its norms, O(N²d),
 the meet's O(N³) validation only when its bound cannot settle it, the
 weight of the meet and Pψ, O(N²), and the cause's k + 1 frame columns,
-O(Nk²), for nothing is eigendecomposed (``synthesize_subprojection``; any
-other state takes a range basis, O(N²m), and an m × m eigh; ROADMAP.md,
-item 4); weights of an embedded candidate through ψ, O(N d); verifying
-the cause through its k columns, O(N²k). The candidates and the meet are
-dense, so nets above DENSE_MAX_SITES are refused.
+O(Nk²), for nothing is eigendecomposed (``synthesize_subprojection``;
+ROADMAP.md, item 4); weights of an embedded candidate through ψ, O(N d);
+verifying the cause through its k columns, O(N²k). The candidates and the
+meet are dense, so nets above DENSE_MAX_SITES are refused.
 """
 
 from __future__ import annotations

@@ -566,6 +566,10 @@ _MESSAGE_ROWS = [
     _row("top-list", "bell", "raw", "[]", 2, "error: <path>: top level must be an object"),
     _row("kind", "bell", "bell", {"kind": "astrology"}, 2,
          "error: <path>: kind must be one of quantum, classical, geometry, toynet, bell"),
+    _row("kind-list", "bell", "bell", {"kind": ["bell"]}, 2,
+         "error: <path>: kind must be one of quantum, classical, geometry, toynet, bell"),
+    _row("kind-object", "geometry", "bell", {"kind": {"bell": 1}}, 2,
+         "error: <path>: kind must be one of quantum, classical, geometry, toynet, bell"),
     _row("payload", "bell", "bell", {"payload": [1]}, 2, "error: <path>: payload must be an object"),
     _row("seed-negative", "bell", "bell", {"seed": -1}, 2,
          "error: <path>: seed must be a nonnegative integer"),

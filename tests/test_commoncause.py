@@ -10,6 +10,7 @@ must agree to rounding.
 import dataclasses
 import itertools
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -808,6 +809,26 @@ def test_find_multiple_compresses_the_state_once(monkeypatch):
     assert calls == {"range_basis": 1, "eigh_desc": 1}
     assert sorted(c.cause.rank for c in causes) == [1, 2, 3]
     assert all(quantum_verify_cc(phi, a, b, c.cause) == c for c in causes)
+
+
+@pytest.mark.parametrize("epsilon, found", [(0.3, 12), (0.9, 7)])
+def test_find_multiple_on_an_epsilon_pure_state_walks_the_whole_eigenspace(epsilon, found):
+    # a random walk may end on any of the m − 1 degenerate ε/N eigenvectors,
+    # so the ε-pure path finds as many causes as the dense one; with the
+    # frame cut to k + 1 columns it found 2 at ε = 0.9, where r admits only
+    # ranks 1 and 2. A = span(e0..e15), B = span(e0..e7, e16..e23): m = 8
+    psi = np.zeros(32, dtype=complex)
+    psi[[0, 8, 16, 24]] = [0.7, 0.3, 0.3, 0.58]
+    phi = qprob.EpsilonPureState(psi / np.linalg.norm(psi), epsilon)
+    a = Projection(np.diag([1.0] * 16 + [0.0] * 16))
+    b = Projection(np.diag([1.0] * 8 + [0.0] * 8 + [1.0] * 8 + [0.0] * 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        pure = find_multiple_strong_cc(phi, a, b, 12, seed=0)
+        dense = find_multiple_strong_cc(DensityState(phi.mat), a, b, 12, seed=0)
+    assert len(pure) == len(dense) == found
+    assert sorted(c.cause.rank for c in pure) == sorted(c.cause.rank for c in dense)
+    assert all(quantum_verify_cc(phi, a, b, c.cause) == c for c in pure)
 
 
 def test_find_multiple_on_rank_one_meet_warns_empty():
