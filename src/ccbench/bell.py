@@ -225,21 +225,26 @@ def correlated_pairs(
     algebra, and the correlation form is bilinear, so an empty sweep is
     conclusive: the state is a product state across the pair. A negatively
     correlated hit is flipped to positive by complementing B. A hit whose
-    ranks and rounded |corr| repeat an earlier one is skipped. The first
-    algebra's projections are generated as the sweep reaches them, and
-    each weight φ(B) is evaluated once, when the sweep first reaches B.
+    ranks and rounded |corr| repeat an earlier one is skipped. Both sides'
+    projections, and each weight φ(B), are built once, as the sweep first
+    reaches them: a caller that stops at a hit builds nothing past it.
     """
     check_commuting_algebras(n1, n2)
     rho = phi.mat
-    projs2 = [p for e in n2.basis_iter() for p in _spectral_projections(e)]
-    weights2, seen = [], set()
+    side2 = ((b, state_eval(phi, b)) for e in n2.basis_iter() for b in _spectral_projections(e))
+    reached2, seen = [], set()  # the (B, φ(B)) the sweep has reached
+
+    def sweep2() -> Iterator[tuple[Projection, float]]:
+        yield from reached2
+        for hit in side2:
+            reached2.append(hit)
+            yield hit
+
     for a in (p for e in n1.basis_iter() for p in _spectral_projections(e)):
         pa = state_eval(phi, a)
         ra = rho @ a.mat
-        for j, b in enumerate(projs2):
-            if j == len(weights2):
-                weights2.append(state_eval(phi, b))
-            corr = float(np.real(np.trace(ra @ b.mat))) - pa * weights2[j]
+        for b, pb in sweep2():
+            corr = float(np.real(np.trace(ra @ b.mat))) - pa * pb
             if abs(corr) <= TOL.product:
                 continue
             if corr < 0:

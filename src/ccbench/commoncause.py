@@ -11,7 +11,8 @@ eigendecomposition (qprob.lattice_meet stays the general, noncommuting
 meet). Each such pair is multiplied once, as a qprob.PairProduct: the one
 product M = XY gives the commutation check (comm_tol bounds the full-space
 Frobenius norm of [X, Y]), the meet, the joint weight and the order test
-Y <= X. A ^ B is multiplied on the union of A's and B's supports.
+Y <= X. A ^ B is multiplied on the union of A's and B's supports
+(qprob.commuting_meet), once per pair, with its three weights.
 
 The constructive half: for a faithful state and a commuting correlated pair
 there is a closed-form target weight r such that any strict subprojection of
@@ -34,6 +35,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -52,7 +54,15 @@ from .errors import (
     ValidationError,
     ZeroConditioningError,
 )
-from .qprob import DensityState, EpsilonPureState, MatrixAlgebra, PairProduct, Projection, state_eval
+from .qprob import (
+    DensityState,
+    EpsilonPureState,
+    MatrixAlgebra,
+    PairProduct,
+    Projection,
+    commuting_meet,
+    state_eval,
+)
 
 AUDIT_CAP = 12
 
@@ -332,134 +342,7 @@ def random_cc_instance(rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# quantum verification
-# ---------------------------------------------------------------------------
-
-
-def _meet(a: Projection, b: Projection) -> Projection:
-    """A ^ B = AB for a pair checked to commute, formed on the union S of
-    their supports (``Projection.factor``; the whole space unless both are
-    embedded in one split). AB lies in the algebra of S: it is formed,
-    checked (the norm of [A, B] on S times √(N/d_S) against comm_tol) and
-    settled at d_S, then embedded trusted; for S whole, ``PairProduct``.
-
-    The meet H = hermitize(fl(XY)) of X and Y, A and B on S (d = d_S), is
-    trusted from its factors when both keep a ``defect``: δ_X and δ_Y,
-    bounds on ‖X² − X‖_F and ‖Y² − Y‖_F. With D_X = X² − X, C = XY − YX,
-    M = XY and K = (XY + YX)/2 = M − C/2,
-
-        M² − M = X(XY − C)Y − XY = D_X Y + X D_Y + D_X D_Y − XCY,
-        K² − K = (M² − M) − (MC + CM)/2 + C²/4 + C/2.
-
-    X's eigenvalues lie in [−δ_X, 1 + δ_X], so ‖X‖₂ ≤ x = 1 + δ_X, and
-    ‖Y‖₂ ≤ y = 1 + δ_Y; so ‖K² − K‖_F ≤ k for
-
-        k = δ_X y + x δ_Y + δ_X δ_Y + (2xy + 1/2) c + c²/4,
-
-    c a bound on ‖C‖_F. Rounding: let u be the unit roundoff, γ_d =
-    la.gamma(d), f = ‖X‖_F ‖Y‖_F, and γ = la.gamma(d_X) for the inner
-    dimension d_X of the product as formed: the dimension of X's own factor
-    when X is embedded (``PairProduct`` multiplies through it), else d.
-    fl(XY) lies within γf of XY. So the measured commutator norm c_m gives
-    c = (1 + γ_d)² c_m + 2γf, and H lies within e = (γ + 2u)f of K,
-    hermitizing adding u‖fl(XY)‖_F. Then ‖H² − H‖_F ≤ k + e(2xy + 1 + e),
-    and validation's own product H·H adds γ_d‖H‖_F² ≤
-    γ_d(1 + 2u)‖fl(XY)‖_F², so
-
-        bound = (1 + 2γ_d) (k + e(2xy + 1 + e) + γ_d‖fl(XY)‖_F²)
-
-    is at least the ‖fl(HH) − H‖_F that ``Projection(H)`` measures, to
-    first order in u (the factors 1 + γ_d hold the rounding of the norms).
-    When it passes Projection's own rule (≤ tol_proj/2 and 4√d·bound < 1),
-    ``PairProduct.meet`` trusts H with rank round(tr H), the verdict, rank
-    and matrix that validating H gives. Otherwise, or when either input
-    keeps no defect, H is validated.
-    """
-    la.check_same_dim(a.mat, b.mat)
-    fa, fb, dims, s = a.factor, b.factor, (a.dim,), (0,)
-    if fa and fb and fa[1] == fb[1]:
-        dims, s = fa[1], tuple(sorted({*fa[2], *fb[2]}))
-    x, y = a.within(dims, s), b.within(dims, s)
-    pair = PairProduct(x, y).require_commuting("A and B", np.sqrt(a.dim / y.dim))
-    meet = pair.meet(_meet_defect(x, y, pair))
-    return meet if meet.dim == a.dim else meet.embedded(dims, s)
-
-
-def _meet_defect(x: Projection, y: Projection, pair: PairProduct) -> Optional[float]:
-    """``_meet``'s bound on the defect of the meet, or None unless both keep
-    a defect (a validated projection keeps no span, so XY was formed)."""
-    if x.defect is None or y.defect is None:
-        return None
-    g_d = la.gamma(x.dim)
-    g = la.gamma(x.dim if x.factor is None else x.factor[0].dim)
-    dx, dy = x.defect, y.defect
-    xy = (1.0 + dx) * (1.0 + dy)
-    f = la.frob(x.mat) * la.frob(y.mat)
-    c = (1.0 + g_d) ** 2 * pair.commutator_norm + 2.0 * g * f
-    e = (g + 2.0 * la.UNIT_ROUNDOFF) * f
-    k = dx * (1.0 + dy) + (1.0 + dx) * dy + dx * dy + (2.0 * xy + 0.5) * c + c * c / 4.0
-    return (1.0 + 2.0 * g_d) * (k + e * (2.0 * xy + 1.0 + e) + g_d * la.frob(pair.mat) ** 2)
-
-
-def quantum_verify_cc(
-    phi: DensityState, a: Projection, b: Projection, c: Projection
-) -> CommonCauseCertificate:
-    """Check the four common-cause conditions with meets as conjunctions.
-
-    Requires A and B to commute and C to commute with both (within
-    comm_tol, on the full-space Frobenius norm of each commutator); past
-    that check every meet is a product, A ^ B = AB and X ^ C = XC, and the
-    weight on C⊥ is φ(X ^ C⊥) = φ(X) − φ(XC). Conditional weights are
-    ratios of these, never noncommutative conditionings. Each pair is
-    multiplied once: AB, then XC for X in {AB, A, B}, and the checks, the
-    weights and the strong/genuine order tests are all read off those four
-    products.
-    """
-    meet = _meet(a, b)
-    totals = (state_eval(phi, meet), state_eval(phi, a), state_eval(phi, b))
-    return _verify_with_meet(phi, a, b, meet, c, totals)
-
-
-def _verify_with_meet(
-    phi: DensityState, a: Projection, b: Projection, ab: Projection, c: Projection,
-    totals: tuple[float, float, float], pc: Optional[float] = None,
-) -> CommonCauseCertificate:
-    """The certificate of ``quantum_verify_cc`` for a pair already checked to
-    commute, given its meet ab = AB and ``totals`` = (φ(AB), φ(A), φ(B)),
-    which the caller has evaluated, and pc = φ(C) if the caller has it; C is
-    checked against A and B here. A cause that keeps k <= N/2 columns W is
-    read through XW alone (``PairProduct``): no N × N product is formed."""
-    on_a = PairProduct(a, c).require_commuting("C and A")
-    on_b = PairProduct(b, c).require_commuting("C and B")
-    if pc is None:
-        pc = state_eval(phi, c)
-    pcp = 1.0 - pc
-    if pc <= TOL.cc or pcp <= TOL.cc:
-        raise ZeroConditioningError(f"conditioning weight φ(C) = {pc:.3g} is degenerate")
-    on_ab = PairProduct(ab, c)
-    on_c = [xc.weight(phi) for xc in (on_ab, on_a, on_b)]
-    s_c, s_cp, m_a, m_b = _four_conditions(
-        *(w / pc for w in on_c), *((t - w) / pcp for t, w in zip(totals, on_c))
-    )
-    p_ab, p_a, p_b = totals
-
-    def below(xc: PairProduct) -> bool:
-        return xc.order_residual <= TOL.proj
-
-    return CommonCauseCertificate(
-        cause=c,
-        residual_screen_C=abs(s_c),
-        residual_screen_Cperp=abs(s_cp),
-        margin_A=m_a,
-        margin_B=m_b,
-        is_strong=below(on_ab),
-        is_genuine=not below(on_a) and not below(on_b),
-        correlation=p_ab - p_a * p_b,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the r-value
+# quantum verification and the r-value
 # ---------------------------------------------------------------------------
 
 
@@ -477,6 +360,96 @@ class RValue:
         return asdict(self)
 
 
+def _require_faithful(phi: DensityState) -> None:
+    if not phi.faithful:
+        raise NotFaithfulError(f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})")
+
+
+class _CheckedPair:
+    """A pair A, B checked to commute, with its meet A ^ B = AB
+    (``qprob.commuting_meet``: formed, checked and settled on the union of
+    their supports) and ``totals`` = (φ(A^B), φ(A), φ(B)), each formed or
+    evaluated once for the r-value and any number of certificates."""
+
+    def __init__(self, phi: DensityState, a: Projection, b: Projection):
+        self.phi, self.a, self.b = phi, a, b
+        self.meet = commuting_meet(a, b)
+        self.totals = (state_eval(phi, self.meet), state_eval(phi, a), state_eval(phi, b))
+
+    def require_independent(self) -> "_CheckedPair":
+        """This pair, once it is logically independent under φ."""
+        pab, pa, pb = self.totals
+        if not pab < min(pa, pb) - TOL.cc:
+            raise PreconditionError(
+                "pair is not logically independent: φ(A^B) must be strictly below "
+                f"φ(A) and φ(B) (got {pab:.6g} vs {pa:.6g}, {pb:.6g})"
+            )
+        return self
+
+    def r_value(self) -> RValue:
+        """``reichenbach_r`` of this pair."""
+        pab, pa, pb = self.totals
+        pavb = pa + pb - pab
+        num = pab - pa * pb
+        if num <= TOL.cc:
+            raise UncorrelatedError(f"pair is not positively correlated (corr = {num:.3g})")
+        den = 1.0 - pavb
+        if den <= TOL.cc:
+            raise InternalInconsistencyError(f"1 − φ(AvB) = {den:.3g} despite positive correlation")
+        r = num / den
+        if not r < pab:
+            raise InternalInconsistencyError(f"r = {r:.15g} not below φ(A^B) = {pab:.15g}")
+        return RValue(r=r, phiAB=pab, phiA=pa, phiB=pb, phiAvB=pavb)
+
+    def certificate(self, c: Projection, pc: Optional[float] = None) -> CommonCauseCertificate:
+        """The certificate of ``quantum_verify_cc`` for the cause C, given
+        pc = φ(C) if the caller has it; C is checked against A and B here. A
+        cause that keeps k <= N/2 columns W is read through XW alone
+        (``PairProduct``): no N × N product is formed."""
+        phi, totals = self.phi, self.totals
+        on_a = PairProduct(self.a, c).require_commuting("C and A")
+        on_b = PairProduct(self.b, c).require_commuting("C and B")
+        if pc is None:
+            pc = state_eval(phi, c)
+        pcp = 1.0 - pc
+        if pc <= TOL.cc or pcp <= TOL.cc:
+            raise ZeroConditioningError(f"conditioning weight φ(C) = {pc:.3g} is degenerate")
+        on_ab = PairProduct(self.meet, c)
+        on_c = [xc.weight(phi) for xc in (on_ab, on_a, on_b)]
+        s_c, s_cp, m_a, m_b = _four_conditions(
+            *(w / pc for w in on_c), *((t - w) / pcp for t, w in zip(totals, on_c))
+        )
+        p_ab, p_a, p_b = totals
+        below_ab, below_a, below_b = (xc.order_residual <= TOL.proj for xc in (on_ab, on_a, on_b))
+        return CommonCauseCertificate(
+            cause=c,
+            residual_screen_C=abs(s_c),
+            residual_screen_Cperp=abs(s_cp),
+            margin_A=m_a,
+            margin_B=m_b,
+            is_strong=below_ab,
+            is_genuine=not below_a and not below_b,
+            correlation=p_ab - p_a * p_b,
+        )
+
+
+def quantum_verify_cc(
+    phi: DensityState, a: Projection, b: Projection, c: Projection
+) -> CommonCauseCertificate:
+    """Check the four common-cause conditions with meets as conjunctions.
+
+    Requires A and B to commute and C to commute with both (within
+    comm_tol, on the full-space Frobenius norm of each commutator); past
+    that check every meet is a product, A ^ B = AB and X ^ C = XC, and the
+    weight on C⊥ is φ(X ^ C⊥) = φ(X) − φ(XC). Conditional weights are
+    ratios of these, never noncommutative conditionings. Each pair is
+    multiplied once: AB, then XC for X in {AB, A, B}, and the checks, the
+    weights and the strong/genuine order tests are all read off those four
+    products.
+    """
+    return _CheckedPair(phi, a, b).certificate(c)
+
+
 def reichenbach_r(phi: DensityState, a: Projection, b: Projection) -> RValue:
     """r = (φ(A^B) − φ(A)φ(B)) / (1 − φ(AvB)) for a commuting correlated pair.
 
@@ -486,25 +459,7 @@ def reichenbach_r(phi: DensityState, a: Projection, b: Projection) -> RValue:
     [A, B], read off the one product AB), φ(A^B) = φ(AB) and
     φ(AvB) = φ(A) + φ(B) − φ(AB).
     """
-    meet = _meet(a, b)
-    return _r_value(state_eval(phi, a), state_eval(phi, b), state_eval(phi, meet))
-
-
-def _r_value(pa: float, pb: float, pab: float) -> RValue:
-    """The r-value from φ(A), φ(B) and φ(A^B) of a commuting pair."""
-    pavb = pa + pb - pab
-    num = pab - pa * pb
-    if num <= TOL.cc:
-        raise UncorrelatedError(f"pair is not positively correlated (corr = {num:.3g})")
-    den = 1.0 - pavb
-    if den <= TOL.cc:
-        raise InternalInconsistencyError(
-            f"1 − φ(AvB) = {den:.3g} despite positive correlation"
-        )
-    r = num / den
-    if not r < pab:
-        raise InternalInconsistencyError(f"r = {r:.15g} not below φ(A^B) = {pab:.15g}")
-    return RValue(r=r, phiAB=pab, phiA=pa, phiB=pb, phiAvB=pavb)
+    return _CheckedPair(phi, a, b).r_value()
 
 
 # ---------------------------------------------------------------------------
@@ -576,26 +531,35 @@ def synthesize_subprojection(
     rest. The cause's columns W are checked to lie in range(P), with
     ‖PW − W‖_F ≤ tol_proj, in O(N²k).
     """
-    return _synthesize(phi, p, r, None, strict)[0]
+    return _Compression(phi, p).cause(r, strict)[0]
 
 
 class _Compression:
-    """φ compressed to range(P), P of rank m >= 1, for any number of walks
-    (``synthesize_subprojection``): the descending spectrum ``mu`` and
-    ``columns``, the walk for rank k, on the eigenvectors or a grown frame."""
+    """φ compressed to range(P), for any number of causes (``cause``): φ is
+    checked faithful, P's dimension checked and φ(P) evaluated (or taken as
+    ``pp``) once; the descending spectrum ``mu`` and the frame the walks run
+    on, eigenvectors or a grown frame, are set up on first read."""
 
-    def __init__(self, phi: DensityState, p: Projection):
-        self._p, m = p, p.rank
+    def __init__(self, phi: DensityState, p: Projection, pp: Optional[float] = None):
+        _require_faithful(phi)
+        phi.check_dim(p.mat)
+        self._phi, self._p = phi, p
+        self._pp = state_eval(phi, p) if pp is None else pp
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        phi, p, m = self._phi, self._p, self._p.rank
         if not isinstance(phi, EpsilonPureState):
             self._basis = la.range_basis(p.mat, m)
-            self.mu, self._emb = la.eigh_desc(phi.compressed(self._basis))
-            return
+            mu, self._emb = la.eigh_desc(phi.compressed(self._basis))
+            return mu
         self._basis, v = None, p.mat @ phi.psi
-        self.mu = np.full(m, phi.epsilon / phi.dim)
-        self.mu[0] += (1.0 - phi.epsilon) * float(np.vdot(v, v).real)
+        mu = np.full(m, phi.epsilon / phi.dim)
+        mu[0] += (1.0 - phi.epsilon) * float(np.vdot(v, v).real)
         self._emb, self._rest = np.empty((p.dim, 0), complex), np.diagonal(p.mat).real
         if la.frob(e0 := p.mat @ v) > 0.0:
             self._grow(e0)
+        return mu
 
     def _grow(self, w: np.ndarray) -> None:
         for _ in range(2):
@@ -603,80 +567,47 @@ class _Compression:
         w = w / la.frob(w)
         self._emb, self._rest = np.column_stack([self._emb, w]), self._rest - np.abs(w) ** 2
 
-    def columns(self, r: float, k: int, order_rng: Optional[np.random.Generator]) -> np.ndarray:
+    def cause(
+        self, r: float, strict: bool, order_rng: Optional[np.random.Generator] = None,
+        prefer_rank: Optional[int] = None,
+    ) -> tuple[Projection, float]:
+        """``synthesize_subprojection``'s cause C and φ(C), each evaluated
+        once. ``find_multiple_strong_cc`` varies the causes by ``order_rng``
+        (the walk's order) and ``prefer_rank``."""
+        phi, p, pp = self._phi, self._p, self._pp
+        if not 0.0 < r < pp:
+            raise TargetRangeError(f"target r = {r:.15g} outside (0, φ(P) = {pp:.15g})")
+        m = p.rank
+        if m == 0:
+            raise TargetRangeError("P is the zero projection")
+        max_rank = m - 1 if strict else m
+        if max_rank < 1:
+            raise InfeasibleError("P has rank 1; its only strict subprojection is 0")
+        ranks = sorted(range(1, max_rank + 1), key=lambda k: k != prefer_rank)
+        k = _fitting_rank(self.mu, r, ranks)
+        # the walk's frame: a random walk may end anywhere, the last-movable one at k + 1
         n = len(self.mu) if order_rng is not None else min(k + 1, len(self.mu))
         while self._basis is None and self._emb.shape[1] < n:
-            self._grow(self._p.mat[:, int(np.argmax(self._rest))])
-        cols = _weighted_columns(self.mu[: self._emb.shape[1]], self._emb, r, k, order_rng)
-        return cols if self._basis is None else self._basis @ cols
-
-
-def _synthesize(
-    phi: DensityState, p: Projection, r: float, pp: Optional[float], strict: bool = False,
-    order_rng: Optional[np.random.Generator] = None, prefer_rank: Optional[int] = None,
-    comp: Optional[_Compression] = None,
-) -> tuple[Projection, float]:
-    """``synthesize_subprojection``'s kernel: takes pp = φ(P) when the caller
-    has evaluated it (None evaluates it here) and returns (C, φ(C)), so that
-    each weight is evaluated once. ``find_multiple_strong_cc`` varies the
-    causes by ``order_rng`` (the walk's order) and ``prefer_rank`` on one
-    ``comp``, the ``_Compression`` of φ to P."""
-    if not phi.faithful:
-        raise NotFaithfulError(
-            f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})"
-        )
-    phi.check_dim(p.mat)
-    if pp is None:
-        pp = state_eval(phi, p)
-    if not 0.0 < r < pp:
-        raise TargetRangeError(f"target r = {r:.15g} outside (0, φ(P) = {pp:.15g})")
-    m = p.rank
-    if m == 0:
-        raise TargetRangeError("P is the zero projection")
-    max_rank = m - 1 if strict else m
-    if max_rank < 1:
-        raise InfeasibleError("P has rank 1; its only strict subprojection is 0")
-    comp = comp or _Compression(phi, p)
-    ranks = sorted(range(1, max_rank + 1), key=lambda k: k != prefer_rank)
-    span = comp.columns(r, _fitting_rank(comp.mu, r, ranks), order_rng)
-    outside = la.frob(p.mat @ span - span)
-    if not outside <= TOL.proj:
-        raise InternalInconsistencyError(
-            f"synthesized cause leaves range(P) (‖PW − W‖_F = {outside:.3e})"
-        )
-    c = Projection.from_span(span)
-    achieved = state_eval(phi, c)
-    if not abs(achieved - r) <= TOL.synth:
-        raise InternalInconsistencyError(
-            f"synthesized weight {achieved:.15g} misses target {r:.15g}"
-        )
-    return c, achieved
+            self._grow(p.mat[:, int(np.argmax(self._rest))])
+        span = _weighted_columns(self.mu[: self._emb.shape[1]], self._emb, r, k, order_rng)
+        span = span if self._basis is None else self._basis @ span
+        outside = la.frob(p.mat @ span - span)
+        if not outside <= TOL.proj:
+            raise InternalInconsistencyError(
+                f"synthesized cause leaves range(P) (‖PW − W‖_F = {outside:.3e})"
+            )
+        c = Projection.from_span(span)
+        achieved = state_eval(phi, c)
+        if not abs(achieved - r) <= TOL.synth:
+            raise InternalInconsistencyError(
+                f"synthesized weight {achieved:.15g} misses target {r:.15g}"
+            )
+        return c, achieved
 
 
 # ---------------------------------------------------------------------------
 # strong common causes
 # ---------------------------------------------------------------------------
-
-
-def _strong_cc_inputs(
-    phi: DensityState, a: Projection, b: Projection
-) -> tuple[Projection, tuple[float, float, float], RValue]:
-    """What both strong-cause constructions start from, after the same
-    checks: the meet A ^ B = AB (``_meet``), ``totals`` = (φ(A^B), φ(A),
-    φ(B)) for a faithful state and a logically independent pair, and the
-    r-value."""
-    if not phi.faithful:
-        raise NotFaithfulError(
-            f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})"
-        )
-    meet = _meet(a, b)
-    pa, pb, pab = state_eval(phi, a), state_eval(phi, b), state_eval(phi, meet)
-    if not pab < min(pa, pb) - TOL.cc:
-        raise PreconditionError(
-            "pair is not logically independent: φ(A^B) must be strictly below "
-            f"φ(A) and φ(B) (got {pab:.6g} vs {pa:.6g}, {pb:.6g})"
-        )
-    return meet, (pab, pa, pb), _r_value(pa, pb, pab)
 
 
 def find_strong_cc(
@@ -685,36 +616,38 @@ def find_strong_cc(
     """Construct and verify a strong common cause C < A^B with φ(C) = r.
 
     A and B must commute within comm_tol (the full-space Frobenius norm of
-    [A, B]); A^B is then the product AB, formed, checked and validated on
-    the union S of their supports (``_meet``). With a factor ``algebra``,
-    the cause is synthesized inside it and embedded back by the trusted
-    ``Projection.embedded`` (used for spacetime-localized causes). On every
-    tensor factor it is the full matrix algebra, and the state, the meet
-    and the cause are used as they are. On fewer factors it must hold A and
-    B: a support inside it settles that, else ``contains`` decides; when it
-    holds S the meet on S is embedded into it, else the meet is compressed.
-    Its N × N work is listed once, as the 2^n work left in the ``toynet``
-    module docstring. φ(A), φ(B), φ(A^B) and φ(C) are each evaluated once.
+    [A, B]); A^B is then the product AB, formed, checked and settled on the
+    union S of their supports (``qprob.commuting_meet``). With a factor
+    ``algebra``, the cause is synthesized inside it and embedded back by the
+    trusted ``Projection.embedded`` (used for spacetime-localized causes).
+    On every tensor factor it is the full matrix algebra, and the state, the
+    meet and the cause are used as they are. On fewer factors it must hold
+    A and B: a support inside it settles that, else ``contains`` decides;
+    when it holds S the meet on S is embedded into it, else the meet is
+    compressed. Its N × N work is listed once, as the 2^n work left in the
+    ``toynet`` module docstring. φ(A), φ(B), φ(A^B) and φ(C) are each
+    evaluated once.
     """
-    meet, totals, rv = _strong_cc_inputs(phi, a, b)
-    pab = totals[0]
+    _require_faithful(phi)
+    pair = _CheckedPair(phi, a, b).require_independent()
+    rv, pab = pair.r_value(), pair.totals[0]
     s = None if algebra is None else algebra.structure
     if algebra is not None and s is None:
         raise StructureError("localized synthesis needs a factor algebra")
     if s is None or not s.rest:
-        c, pc = _synthesize(phi, meet, rv.r, pab, strict=True)
+        c, pc = _Compression(phi, pair.meet, pab).cause(rv.r, strict=True)
     else:
-        local_meet = meet.within(s.dims, s.acting)
+        local_meet = pair.meet.within(s.dims, s.acting)
         if local_meet is None:
             for name, x in (("A", a), ("B", b)):
                 if x.within(s.dims, s.acting) is None and not algebra.contains(x.mat):
                     raise StructureError(f"projection {name} is not in the given algebra")
-            local_meet = Projection(algebra.compress(meet.mat) / s.rest_dim)
+            local_meet = Projection(algebra.compress(pair.meet.mat) / s.rest_dim)
         local_state = DensityState(phi.reduced(s.dims, s.acting))
         # the meet lies in the algebra, so its compressed weight is φ(A^B)
-        c_local, _ = _synthesize(local_state, local_meet, rv.r, pab, strict=True)
+        c_local, _ = _Compression(local_state, local_meet, pab).cause(rv.r, strict=True)
         c, pc = c_local.embedded(s.dims, s.acting), None
-    cert = _verify_with_meet(phi, a, b, meet, c, totals, pc)
+    cert = pair.certificate(c, pc)
     if not cert.verified or not cert.is_strong:
         raise InternalInconsistencyError(
             "constructed cause failed verification: residuals "
@@ -730,32 +663,37 @@ def find_multiple_strong_cc(
     """Certificates of up to ``count`` pairwise distinct strong common causes.
 
     The state and the pair pass ``find_strong_cc``'s checks first.
-    Distinctness is operator-norm distance > 1e-6. Diversity comes from
-    varying the synthesis rank and randomizing the walk order; a warning is
-    issued when fewer than requested exist or are found. Every attempt
-    synthesizes from the same r and compressed spectrum over the same
-    ranks, so an infeasible target ends the search at the first attempt.
+    Distinctness is operator-norm distance > 1e-6; causes of different rank
+    are at distance 1, so only causes of equal rank are measured. Diversity
+    comes from varying the synthesis rank and randomizing the walk order; a
+    warning is issued when fewer than requested exist or are found. Every
+    attempt synthesizes from the same r and compressed spectrum over the
+    same ranks, so an infeasible target ends the search at the first
+    attempt.
     """
     if count < 0:
         raise TargetRangeError("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    meet, totals, rv = _strong_cc_inputs(phi, a, b)
+    _require_faithful(phi)
+    pair = _CheckedPair(phi, a, b).require_independent()
+    rv, meet = pair.r_value(), pair.meet
     if meet.rank <= 1:
         warnings.warn("meet has rank <= 1; no strict subprojections exist")
         return []
-    comp = _Compression(phi, meet)
+    comp = _Compression(phi, meet, pair.totals[0])
     certs: list[CommonCauseCertificate] = []
     attempts = 0
     ranks = itertools.cycle(range(1, meet.rank))
     while len(certs) < count and attempts < max(20 * count, 20):
         attempts += 1
         try:
-            c, pc = _synthesize(phi, meet, rv.r, totals[0], strict=True, comp=comp,
-                                order_rng=rng if attempts > 1 else None, prefer_rank=next(ranks))
+            c, pc = comp.cause(rv.r, strict=True, order_rng=rng if attempts > 1 else None,
+                               prefer_rank=next(ranks))
         except InfeasibleError:
             break
-        if all(np.linalg.norm(c.mat - prev.cause.mat, 2) > 1e-6 for prev in certs):
-            cert = _verify_with_meet(phi, a, b, meet, c, totals, pc)
+        if all(c.rank != prev.cause.rank or np.linalg.norm(c.mat - prev.cause.mat, 2) > 1e-6
+               for prev in certs):
+            cert = pair.certificate(c, pc)
             if cert.verified and cert.is_strong:
                 certs.append(cert)
     if len(certs) < count:
@@ -848,12 +786,12 @@ def search_genuine_cc(phi: DensityState, a: Projection, b: Projection) -> Common
     identically, and rounding alone would rule it out. The margin rows ask
     α − φ(A) ≥ cc_tol, so margin_A ≥ cc_tol/(1 − φ(C)): causes whose margins
     lie below that are not reported. A feasible point becomes a cause block by
-    block (``_weighted_columns``, smallest fitting rank first), checked by
-    ``quantum_verify_cc``; one that fails does not end the decision.
+    block (``_weighted_columns``, smallest fitting rank first), checked
+    against the pair's one meet (``_CheckedPair``); one that fails does not
+    end the decision.
     """
-    PairProduct(a, b).require_commuting("A and B")
-    if not phi.faithful:
-        raise NotFaithfulError("state is not faithful")
+    pair = _CheckedPair(phi, a, b)
+    _require_faithful(phi)
     vals, vecs = np.linalg.eigh(a.mat + 2.0 * b.mat)
     bases = [vecs[:, np.rint(vals) == label] for _, label in _BLOCKS]
     spectra = [la.eigh_desc(phi.compressed(v)) for v in bases]
@@ -878,7 +816,7 @@ def search_genuine_cc(phi: DensityState, a: Projection, b: Projection) -> Common
                     v @ _weighted_columns(mu, emb, r, _fitting_rank(mu, r, range(1, len(mu) + 1)))
                     for v, (mu, emb), r in zip(bases, spectra, weights)
                 ])
-                cert = quantum_verify_cc(phi, a, b, Projection.from_span(span))
+                cert = pair.certificate(Projection.from_span(span))
                 if cert.verified and cert.is_genuine:
                     return cert
             except (InfeasibleError, CommutationError, ZeroConditioningError):

@@ -2,8 +2,9 @@
 
 Validated operator types (Hermitian operators, projections, density states),
 matrix *-algebras with trace-orthonormal bases, the projection lattice
-(meet, join, complement), commutants, trace-compatible conditional
-expectations, and state evaluation / correlation of commuting projections.
+(meet, join, complement; ``commuting_meet`` for a commuting pair),
+commutants, trace-compatible conditional expectations, and state
+evaluation / correlation of commuting projections.
 
 The commoncause module checks the four common-cause conditions for
 classical events and for commuting projections with one kernel over the
@@ -432,9 +433,9 @@ class PairProduct:
     (XY)* = YX and [X, Y] = M − M*. ``commutator_norm`` is therefore the
     full-space Frobenius norm of [X, Y] that la.comm_residual forms from two
     products, up to rounding. For a pair within comm_tol, the rest is read
-    off the same M: the meet X ^ Y = hermitize(M), its weight, and the
-    order test Y <= X. When X is an embedded P ⊗ I (``Projection.factor``),
-    products by X are formed through P by la.apply_factor, in O(N² d_P).
+    off the same M: the meet X ^ Y = hermitize(M) (``meet_bound``), its
+    weight, and the order test Y <= X. When X is an embedded P ⊗ I
+    (``Projection.factor``), products by X run through P (la.apply_factor).
 
     When Y is a projection that keeps k <= N/2 orthonormal columns W
     (``Projection.from_span``, or ``embedded`` from one), only XW is
@@ -449,7 +450,7 @@ class PairProduct:
 
     def __init__(self, x: HermitianOperator, y: HermitianOperator):
         la.check_same_dim(x.mat, y.mat)
-        self.y = y
+        self.x, self.y = x, y
         f = x.factor if isinstance(x, Projection) else None
 
         def times(m: np.ndarray) -> np.ndarray:
@@ -483,19 +484,60 @@ class PairProduct:
             raise CommutationError(f"{name} do not commute (residual {res:.3g})")
         return self
 
-    def meet(self, defect: Optional[float] = None) -> Projection:
-        """X ^ Y = H = hermitize(XY), for a pair checked to commute.
+    @cached_property
+    def meet_bound(self) -> Optional[float]:
+        """A bound on the ‖H² − H‖_F that validating the meet H =
+        hermitize(fl(XY)) on dimension d would measure, or None unless X and
+        Y both keep a ``defect`` (then neither keeps a span: M was formed).
 
-        Given ``defect``, an upper bound on the ‖H² − H‖_F that validating H
-        would measure, that passes Projection's acceptance rule, H is
-        trusted with rank round(tr H): the verdict, rank and matrix
-        ``Projection(H)`` gives, as H is exactly Hermitian. Otherwise H is
+        δ_X and δ_Y bound ‖X² − X‖_F and ‖Y² − Y‖_F. With D_X = X² − X,
+        C = XY − YX, M = XY and K = (XY + YX)/2 = M − C/2,
+
+            M² − M = X(XY − C)Y − XY = D_X Y + X D_Y + D_X D_Y − XCY,
+            K² − K = (M² − M) − (MC + CM)/2 + C²/4 + C/2.
+
+        X's eigenvalues lie in [−δ_X, 1 + δ_X], so ‖X‖₂ ≤ x = 1 + δ_X, and
+        ‖Y‖₂ ≤ y = 1 + δ_Y; so ‖K² − K‖_F ≤ k for
+
+            k = δ_X y + x δ_Y + δ_X δ_Y + (2xy + 1/2) c + c²/4,
+
+        c a bound on ‖C‖_F. Rounding: let u be the unit roundoff, γ_d =
+        la.gamma(d), f = ‖X‖_F ‖Y‖_F, and γ = la.gamma(d_X) for the inner
+        dimension d_X of the product as formed: the dimension of X's own
+        factor when X is embedded (products by X run through it), else d.
+        fl(XY) lies within γf of XY. So the measured commutator norm c_m
+        gives c = (1 + γ_d)² c_m + 2γf, and H lies within e = (γ + 2u)f of
+        K, hermitizing adding u‖fl(XY)‖_F. Then ‖H² − H‖_F ≤
+        k + e(2xy + 1 + e), and validation's own product H·H adds
+        γ_d‖H‖_F² ≤ γ_d(1 + 2u)‖fl(XY)‖_F², so
+
+            bound = (1 + 2γ_d) (k + e(2xy + 1 + e) + γ_d‖fl(XY)‖_F²)
+
+        is at least the ‖fl(HH) − H‖_F that ``Projection(H)`` measures, to
+        first order in u (the factors 1 + γ_d hold the rounding of the norms).
+        """
+        x, dx, dy = self.x, getattr(self.x, "defect", None), getattr(self.y, "defect", None)
+        if dx is None or dy is None:
+            return None
+        g_d, g = la.gamma(x.dim), la.gamma(x.dim if x.factor is None else x.factor[0].dim)
+        xy = (1.0 + dx) * (1.0 + dy)
+        f = la.frob(x.mat) * la.frob(self.y.mat)
+        c = (1.0 + g_d) ** 2 * self.commutator_norm + 2.0 * g * f
+        e = (g + 2.0 * la.UNIT_ROUNDOFF) * f
+        k = dx * (1.0 + dy) + (1.0 + dx) * dy + dx * dy + (2.0 * xy + 0.5) * c + c * c / 4.0
+        return (1.0 + 2.0 * g_d) * (k + e * (2.0 * xy + 1.0 + e) + g_d * la.frob(self.mat) ** 2)
+
+    def meet(self) -> Projection:
+        """X ^ Y = H = hermitize(XY), for a pair checked to commute: trusted
+        with rank round(tr H) and ``meet_bound`` as its ``defect`` when that
+        bound passes Projection's acceptance rule (the verdict, rank and
+        matrix ``Projection(H)`` gives, as H is exactly Hermitian), else
         validated."""
-        h = la.hermitize(self.mat)
-        if defect is None or not _settles(defect, h.shape[0]):
+        h, bound = la.hermitize(self.mat), self.meet_bound
+        if bound is None or not _settles(bound, h.shape[0]):
             return Projection(h)
         p = Projection._trusted(h, int(round(float(np.trace(h).real))))
-        p.defect = defect
+        p.defect = bound
         return p
 
     def weight(self, phi: DensityState) -> float:
@@ -512,6 +554,20 @@ class PairProduct:
         if self._w is None:
             return la.frob(self.mat - self.y.mat) / max(1.0, la.frob(self.y.mat))
         return la.frob(self._xw - self._w) / max(1.0, float(np.sqrt(self._w.shape[1])))
+
+
+def commuting_meet(a: Projection, b: Projection) -> Projection:
+    """A ^ B = AB for a pair checked to commute, formed on the union S of
+    their supports (``Projection.factor``; the whole space unless both are
+    embedded in one split), checked there (the norm of [A, B] on S times
+    √(N/d_S) against comm_tol), settled by ``PairProduct.meet`` and embedded."""
+    la.check_same_dim(a.mat, b.mat)
+    fa, fb, dims, s = a.factor, b.factor, (a.dim,), (0,)
+    if fa and fb and fa[1] == fb[1]:
+        dims, s = fa[1], tuple(sorted({*fa[2], *fb[2]}))
+    x, y = a.within(dims, s), b.within(dims, s)
+    meet = PairProduct(x, y).require_commuting("A and B", np.sqrt(a.dim / y.dim)).meet()
+    return meet if meet.dim == a.dim else meet.embedded(dims, s)
 
 
 def correlation(phi: DensityState, a, b) -> float:

@@ -13,7 +13,7 @@ cell-hull-spacelike regions, both of which a wrong gate placement breaks.
 Its primitive-causality check is a cone-level identity: a cone and its
 causal completion get the same algebra by construction. Whether the net
 satisfies the paper's local primitive causality, A(D) inside A(R) for a
-slab R whose causal completion holds D, is not checked; ROADMAP.md item 1
+slab R whose causal completion holds D, is not checked; ROADMAP.md item 2
 tracks that. The module also runs an end-to-end demonstration: find a
 correlated pair in two spacelike regions, build a common-cause region in
 their backward light cones, and synthesize a verified common cause inside
@@ -347,7 +347,7 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
     the slice cone recovered from a cone's causal completion is the cone
     itself. The algebra is a function of the cone, so this is a cone-level
     identity that no choice of gates can break; giving it teeth is still
-    open (ROADMAP.md, item 1).
+    open (ROADMAP.md, item 2).
     """
     rng = np.random.default_rng(seed)
     n = net.n_sites

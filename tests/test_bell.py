@@ -21,6 +21,7 @@ from ccbench import (
     find_correlated_pair,
     sample_bell_fraction,
     singlet_state,
+    state_eval,
     two_qubit_chsh_oracle,
     werner_state,
 )
@@ -230,6 +231,53 @@ def test_pair_search_on_uneven_split():
     assert pair is not None
     a, b = pair
     assert la.comm_residual(a.mat, b.mat) < 1e-12
+
+
+def sweep_counters(monkeypatch, n1, n2):
+    """The basis elements each side's sweep draws, the weights it evaluates,
+    and the pairs it compares (one abs of a correlation per comparison)."""
+    drawn, weighed, compared = [0, 0], [], []
+    for side, alg in enumerate((n1, n2)):
+        def basis_iter(alg=alg, side=side):
+            for e in MatrixAlgebra.basis_iter(alg):
+                drawn[side] += 1
+                yield e
+
+        monkeypatch.setattr(alg, "basis_iter", basis_iter)
+
+    def counting_eval(phi, x):
+        weighed.append(x)
+        return state_eval(phi, x)
+
+    def counting_abs(x):
+        compared.append(x)
+        return abs(x)
+
+    monkeypatch.setattr(bell, "state_eval", counting_eval)
+    monkeypatch.setattr(bell, "abs", counting_abs, raising=False)
+    return drawn, weighed, compared
+
+
+def test_correlated_pairs_builds_the_second_side_as_the_sweep_reaches_it(monkeypatch):
+    # a caller that stops at the first hit draws the second algebra's basis
+    # only up to it; a product state's empty sweep compares every pair and
+    # evaluates each projection's weight once
+    n1, n2 = split_algebras(2, 3)
+    rng = np.random.default_rng(7)
+    v = la.random_pure_state(6, rng)
+    phi = DensityState(0.9 * np.outer(v, v.conj()) + 0.1 * np.eye(6) / 6)
+    drawn, weighed, compared = sweep_counters(monkeypatch, n1, n2)
+    assert find_correlated_pair(phi, n1, n2) is not None
+    assert drawn == [1, 1] and len(weighed) == 2
+    monkeypatch.undo()
+
+    sizes = [sum(len(bell._spectral_projections(e)) for e in n.basis_iter()) for n in (n1, n2)]
+    rho = np.kron(la.random_density(2, rng), la.random_density(3, rng))
+    drawn, weighed, compared = sweep_counters(monkeypatch, n1, n2)
+    assert find_correlated_pair(DensityState(rho), n1, n2) is None
+    assert drawn == [n1.n_basis, n2.n_basis]
+    assert len(weighed) == len({id(x) for x in weighed}) == sum(sizes)
+    assert len(compared) == sizes[0] * sizes[1]
 
 
 # ---------------------------------------------------------------------------

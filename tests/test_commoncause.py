@@ -640,7 +640,8 @@ def test_find_strong_cc_verifies_with_the_meet_it_built(monkeypatch, localized):
         residuals.append((x, y))
         return real_comm(x, y)
 
-    monkeypatch.setattr(commoncause, "PairProduct", CountedProduct)
+    for module in (commoncause, qprob):  # qprob.commuting_meet forms A·B
+        monkeypatch.setattr(module, "PairProduct", CountedProduct)
     monkeypatch.setattr(la, "comm_residual", comm)
     cert = find_strong_cc(phi, a, b, algebra=alg)
     monkeypatch.undo()
@@ -712,8 +713,7 @@ def test_span_cause_is_verified_without_a_full_product(monkeypatch, kind):
     cert = find_strong_cc(phi, a, b, algebra=alg)
     c = cert.cause
     assert 2 * c.rank <= c.dim
-    meet = PairProduct(a, b).meet()
-    totals = tuple(state_eval(phi, x) for x in (meet, a, b))
+    pair = commoncause._CheckedPair(phi, a, b)
     pc = state_eval(phi, c)
     full = (c.dim, c.dim)
     shapes, evals, products = [], [], []
@@ -735,12 +735,12 @@ def test_span_cause_is_verified_without_a_full_product(monkeypatch, kind):
     for module in (commoncause, qprob):
         monkeypatch.setattr(module, "state_eval", lambda *args: evals.append(args))
     monkeypatch.setattr(commoncause, "PairProduct", WatchedProduct)
-    span = commoncause._verify_with_meet(phi, a, b, meet, c, totals, pc)
+    span = pair.certificate(c, pc)
     monkeypatch.undo()
     assert full not in shapes
     assert evals == []
     assert len(products) == 3 and all("mat" not in vars(p) for p in products)
-    dense = commoncause._verify_with_meet(phi, a, b, meet, Projection(c.mat), totals, pc)
+    dense = pair.certificate(Projection(c.mat), pc)
     assert span.is_strong == dense.is_strong and span.is_genuine == dense.is_genuine
     for field in ("residual_screen_C", "residual_screen_Cperp", "margin_A", "margin_B", "correlation"):
         assert abs(getattr(span, field) - getattr(dense, field)) < 1e-12, field
@@ -750,14 +750,12 @@ def test_verification_checks_the_cause_against_both_events():
     # C commutes with B but not with A: the kernel behind find_strong_cc
     # and quantum_verify_cc must refuse it
     phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B)
-    meet = PairProduct(a, b).meet()
     v = np.zeros(9, dtype=complex)
     v[[4, 6]] = 1.0 / np.sqrt(2.0)  # both in range(B), only site 4 in range(A)
     c = Projection(np.outer(v, v))
     assert la.comm_residual(c.mat, b.mat) < 1e-12 < la.comm_residual(c.mat, a.mat)
     with pytest.raises(CommutationError, match="C and A"):
-        totals = tuple(state_eval(phi, x) for x in (meet, a, b))
-        commoncause._verify_with_meet(phi, a, b, meet, c, totals)
+        commoncause._CheckedPair(phi, a, b).certificate(c)
     with pytest.raises(CommutationError, match="C and A"):
         quantum_verify_cc(phi, a, b, c)
 
@@ -811,6 +809,30 @@ def test_find_multiple_compresses_the_state_once(monkeypatch):
     assert all(quantum_verify_cc(phi, a, b, c.cause) == c for c in causes)
 
 
+def test_find_multiple_compresses_once_and_weighs_the_meet_once(monkeypatch):
+    # one compression of φ to the meet per call, however many attempts; its
+    # weight φ(A^B) is the checked pair's, evaluated once
+    phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
+    real_init = commoncause._Compression.__init__
+    compressed, weighed = [], []
+
+    def counted_init(self, state, p, pp=None):
+        compressed.append(p)
+        real_init(self, state, p, pp)
+
+    def counted_eval(state, x):
+        weighed.append(x)
+        return state_eval(state, x)
+
+    monkeypatch.setattr(commoncause._Compression, "__init__", counted_init)
+    monkeypatch.setattr(commoncause, "state_eval", counted_eval)
+    causes = find_multiple_strong_cc(phi, a, b, 3, seed=0)
+    assert len(causes) == 3
+    (meet,) = compressed
+    assert sum(x is meet for x in weighed) == 1
+    assert np.array_equal(meet.mat, la.hermitize(a.mat @ b.mat))
+
+
 @pytest.mark.parametrize("epsilon, found", [(0.3, 12), (0.9, 7)])
 def test_find_multiple_on_an_epsilon_pure_state_walks_the_whole_eigenspace(epsilon, found):
     # a random walk may end on any of the m − 1 degenerate ε/N eigenvectors,
@@ -856,14 +878,14 @@ def test_find_multiple_stops_at_the_first_infeasible_target(monkeypatch):
     # every attempt has the same r, spectrum and ranks, and an infeasible
     # one used to be retried 20 × count times
     phi, a, b = diag_instance([0.3, 0.45, 0.01, 0.01, 0.23], [1, 1, 1, 0, 0], [1, 1, 0, 1, 0])
-    real = commoncause._synthesize
+    real = commoncause._Compression.cause
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(commoncause, "_synthesize", counted)
+    monkeypatch.setattr(commoncause._Compression, "cause", counted)
     with pytest.warns(UserWarning, match="only 0 of 3"):
         assert find_multiple_strong_cc(phi, a, b, 3) == []
     assert len(calls) == 1
@@ -1219,6 +1241,46 @@ def test_search_requires_correlation():
         search_genuine_cc(phi, a, b)
 
 
+def test_search_genuine_cc_verifies_every_point_against_one_meet(monkeypatch):
+    # the pair's meet and its three weights are formed once per call: the
+    # first point's verification is made to fail, so the search goes on to
+    # a second point, which is checked against the same meet
+    phi, a, b, _ = planted_genuine_instance()
+    real_meet, real_certificate = commoncause.commuting_meet, commoncause._CheckedPair.certificate
+    meets, points, weighed = [], [], []
+
+    def counted_meet(x, y):
+        meets.append((x, y))
+        return real_meet(x, y)
+
+    def certificate(self, c, pc=None):
+        points.append(c)
+        if len(points) == 1:
+            raise ZeroConditioningError("the first point is refused")
+        return real_certificate(self, c, pc)
+
+    def counted_eval(state, x):
+        weighed.append(x)
+        return state_eval(state, x)
+
+    monkeypatch.setattr(commoncause, "commuting_meet", counted_meet)
+    monkeypatch.setattr(commoncause._CheckedPair, "certificate", certificate)
+    monkeypatch.setattr(commoncause, "state_eval", counted_eval)
+    cert = search_genuine_cc(phi, a, b)
+    assert cert.verified and cert.is_genuine
+    assert len(points) == 2
+    assert meets == [(a, b)]
+    assert sum(x is a for x in weighed) == sum(x is b for x in weighed) == 1
+
+
+def test_search_genuine_cc_names_the_least_eigenvalue_of_a_state_that_is_not_faithful():
+    phi, a, b, _ = planted_genuine_instance()
+    w = np.diag(phi.mat).real.copy()
+    w[0], w[1] = w[0] + w[1], 0.0
+    with pytest.raises(NotFaithfulError, match=r"state is not faithful \(min eigenvalue 0\)"):
+        search_genuine_cc(DensityState(np.diag(w).astype(complex)), a, b)
+
+
 # ---------------------------------------------------------------------------
 # tolerance plumbing
 # ---------------------------------------------------------------------------
@@ -1308,13 +1370,13 @@ def test_meet_bound_dominates_the_defect_and_settles_as_validation(layout, seed)
     rng = np.random.default_rng(seed)
     a, b = block_pair(rng, *LAYOUTS[layout])
     x, y, pair, h, s = meet_inputs(a, b)
-    bound = commoncause._meet_defect(x, y, pair)
+    bound = pair.meet_bound
     assert bound >= la.frob(h @ h - h)
     assert bound <= config.TOL.proj / 2  # exactly commuting pairs are settled
     ref = Projection(h)
     with pytest.MonkeyPatch.context() as mp:
         calls = count_validations(mp, h.shape[0])
-        meet = commoncause._meet(a, b)
+        meet = qprob.commuting_meet(a, b)
     assert calls == []
     local = meet if meet.dim == h.shape[0] else meet.factor[0]
     assert local.rank == ref.rank
@@ -1335,13 +1397,13 @@ def test_meet_near_comm_tol_is_validated(monkeypatch, seed):
     a, b = block_pair(rng, 2, 2, 1, 0, tilt=0.5 * config.TOL.comm / rate)
     x, y, pair, h, _ = meet_inputs(a, b)
     assert 0.3 * config.TOL.comm < pair.commutator_norm < config.TOL.comm
-    bound = commoncause._meet_defect(x, y, pair)
+    bound = pair.meet_bound
     assert bound >= la.frob(h @ h - h)
     assert bound > config.TOL.proj / 2
     calls = count_validations(monkeypatch, h.shape[0])
-    meet = commoncause._meet(a, b)
+    meet = qprob.commuting_meet(a, b)
     assert calls == [h.shape[0]]
     assert meet.rank == Projection(h).rank
     spanned = Projection.from_span(np.linalg.qr(a.mat)[0][:, : a.rank])
     assert spanned.defect is None
-    assert commoncause._meet_defect(spanned, b, PairProduct(spanned, b)) is None
+    assert PairProduct(spanned, b).meet_bound is None

@@ -5,7 +5,9 @@ module that owns the name: one that assigns ``something._name`` or defines
 ``_name`` in a class body. No module imports a private name from another
 ccbench module (``from .qprob import _helper``); the one exception is the
 shared helper module itself, ``from . import _linalg``. Everything else goes
-through public names.
+through public names. Only qprob reads a projection's ``factor`` (its
+support) or ``defect`` (its idempotence bound): every other module meets,
+embeds and restricts projections through qprob's functions.
 """
 
 import ast
@@ -69,6 +71,28 @@ def test_no_private_reach_through():
 def test_no_private_names_imported_across_modules():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in private_imports(path)]
     assert found == []
+
+
+QPROB_ONLY = {"factor", "defect"}
+
+
+def projection_internals(path: Path) -> list:
+    """``file:line obj.name`` for each access to a name in QPROB_ONLY."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in QPROB_ONLY
+    ]
+
+
+def test_only_qprob_reads_a_projections_factor_or_defect():
+    found = [
+        hit for path in sorted(SRC.glob("*.py")) if path.name != "qprob.py"
+        for hit in projection_internals(path)
+    ]
+    assert found == []
+    assert projection_internals(SRC / "qprob.py")  # the scan sees qprob's own reads
 
 
 def test_private_import_is_detected(tmp_path):

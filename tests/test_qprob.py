@@ -507,6 +507,18 @@ def test_pair_product_reads_meet_weight_and_order_off_one_product():
         assert is_subprojection(p, q) == (PairProduct(q, p).order_residual <= TOL.proj)
 
 
+def test_meet_of_a_noncommuting_pair_is_validated_and_refused():
+    # two Haar rank-2 projections of C⁴ with ‖[A, B]‖_F = 0.75: their
+    # defects cannot settle hermitize(AB), which is validated and refused
+    rng = np.random.default_rng(0)
+    a, b = (Projection(la.haar_projection(4, 2, rng)) for _ in range(2))
+    pair = PairProduct(a, b)
+    assert pair.commutator_norm == pytest.approx(0.75, abs=0.01)
+    assert pair.meet_bound > TOL.proj
+    with pytest.raises(NotProjectionError):
+        pair.meet()
+
+
 EMBEDDINGS = [((2, 2, 2), (2, 0)), ((2, 3, 2), (1,)), ((2,) * 5, (4, 1, 2)), ((3, 2), (0, 1))]
 
 

@@ -28,7 +28,7 @@ from ccbench.errors import (
     StructureError,
     ValidationError,
 )
-from ccbench.qprob import EpsilonPureState, PairProduct
+from ccbench.qprob import EpsilonPureState, PairProduct, commuting_meet
 from ccbench.record import render_text
 from ccbench.toynet import (
     NetModel,
@@ -651,19 +651,19 @@ def test_nine_site_demo_builds_its_cause_without_a_full_eigendecomposition(monke
 
         return wrapper
 
-    def synthesize(*args, **kwargs):
+    def cause(*args, **kwargs):
         start = len(sizes["eigh"]), len(sizes["eigvalsh"])
-        out = real_synthesize(*args, **kwargs)
+        out = real_cause(*args, **kwargs)
         syntheses.append(sizes["eigh"][start[0]:] + sizes["eigvalsh"][start[1]:])
         return out
 
-    real_synthesize = commoncause._synthesize
+    real_cause = commoncause._Compression.cause
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(np, "outer", counting("outer", np.outer))
     monkeypatch.setattr(Projection, "__init__", counting("Projection", Projection.__init__))
     monkeypatch.setattr(la, "range_basis", counting("range_basis", la.range_basis))
-    monkeypatch.setattr(commoncause, "_synthesize", synthesize)
+    monkeypatch.setattr(commoncause._Compression, "cause", cause)
     phi = demo_state(net, seed=0)
     demo = weak_rccp_demo(net, phi, SliceCone(2, 1, 2), SliceCone(2, 6, 7))
     monkeypatch.undo()
@@ -877,7 +877,7 @@ def test_meet_on_the_union_of_supports_matches_the_dense_meet(kind, seed):
     support = tuple(sorted(sa | sb))
     assert len(support) < net.n_sites
 
-    meet = commoncause._meet(a, b)
+    meet = commuting_meet(a, b)
     ref = Projection(la.hermitize(a.mat @ b.mat))
     assert meet.rank == ref.rank
     assert np.max(np.abs(meet.mat - ref.mat)) <= 1e-12
@@ -898,7 +898,7 @@ def test_noncommuting_factor_projections_on_overlapping_supports_are_refused():
     b = Projection(la.haar_projection(4, 2, rng)).embedded(dims, (3, 4))
     message = re.escape(f"A and B do not commute (residual {la.comm_residual(a.mat, b.mat):.3g})")
     with pytest.raises(CommutationError, match=message):
-        commoncause._meet(a, b)
+        commuting_meet(a, b)
     phi = DensityState(la.random_faithful_density(256, rng))
     with pytest.raises(CommutationError, match=message):
         commoncause.find_strong_cc(phi, a, b)
