@@ -40,7 +40,6 @@ from .errors import (
     CCBenchError,
     DimensionMismatchError,
     InfeasibleError,
-    InternalInconsistencyError,
     RegionError,
     ScenarioInvariantError,
     ScenarioParseError,
@@ -745,9 +744,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         scenario = load_scenario(args.scenario, overrides, args.command)
         report, code = run(args.command, scenario, seed=args.seed)
     except CCBenchError as exc:
-        code = _exit_code(exc)
         sys.stderr.write(f"error: {exc}\n")
-        return code
+        return exc.exit_code
     except Exception as exc:  # a crash is a bug, never the exit 1 of an honest negative
         sys.stderr.write(f"error: internal error: {type(exc).__name__}: {exc}\n")
         traceback.print_exc(file=sys.stderr)
@@ -761,17 +759,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         sys.stdout.write(text)
     return code
-
-
-def _exit_code(exc: CCBenchError) -> int:
-    if isinstance(exc, ScenarioParseError):
-        return 2
-    if isinstance(exc, InternalInconsistencyError):
-        return 4
-    if isinstance(exc, InfeasibleError):
-        return 1
-    # validation, precondition, region, and scenario-invariant failures
-    return 3
 
 
 if __name__ == "__main__":

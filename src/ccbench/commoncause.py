@@ -46,7 +46,6 @@ from .errors import (
     CommutationError,
     InfeasibleError,
     InternalInconsistencyError,
-    NotFaithfulError,
     PreconditionError,
     StructureError,
     TargetRangeError,
@@ -56,7 +55,6 @@ from .errors import (
 )
 from .qprob import (
     DensityState,
-    EpsilonPureState,
     MatrixAlgebra,
     PairProduct,
     Projection,
@@ -64,7 +62,9 @@ from .qprob import (
     state_eval,
 )
 
-AUDIT_CAP = 12
+# atom caps, each the largest tools/cap_check.py shows finishing (README, Caps)
+AUDIT_CAP = 10
+FIND_CC_CAP = 20
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,16 @@ class ClassicalSpace:
         mask = self.as_mask(event)
         return float(sum(self.weights[i] for i in range(self.n_atoms) if mask >> i & 1))
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """p of every event by mask, t[2^i : 2^(i+1)] = t[:2^i] + w_i: each entry
+        sums its atoms in ascending order from 0.0, as ``prob`` does, so the
+        two agree bit for bit."""
+        t = np.zeros(1 << self.n_atoms)
+        for i, w in enumerate(self.weights):
+            t[1 << i : 2 << i] = t[: 1 << i] + w
+        return t
+
     def correlation(self, a, b) -> float:
         am, bm = self.as_mask(a), self.as_mask(b)
         return self.prob(am & bm) - self.prob(am) * self.prob(bm)
@@ -159,10 +169,8 @@ class CommonCauseCertificate:
 
     @property
     def verified(self) -> bool:
-        return (
-            max(self.residual_screen_C, self.residual_screen_Cperp) <= TOL.cc
-            and min(self.margin_A, self.margin_B) > TOL.cc
-        )
+        return bool(_verified(self.residual_screen_C, self.residual_screen_Cperp,
+                              self.margin_A, self.margin_B))
 
     def to_record(self) -> dict:
         if isinstance(self.cause, Projection):
@@ -181,6 +189,12 @@ class CommonCauseCertificate:
             "verified": self.verified,
             "localization": self.localization,
         }
+
+
+def _verified(res_c, res_cp, margin_a, margin_b):
+    """The verified rule, on numbers or elementwise on arrays: both screening
+    residuals within cc_tol and both relevance margins above it."""
+    return (np.maximum(res_c, res_cp) <= TOL.cc) & (np.minimum(margin_a, margin_b) > TOL.cc)
 
 
 def _four_conditions(p_ab_c, p_a_c, p_b_c, p_ab_cp, p_a_cp, p_b_cp):
@@ -231,10 +245,34 @@ def classical_verify_cc(space: ClassicalSpace, a, b, c) -> CommonCauseCertificat
     )
 
 
-def _trivial_causes(space: ClassicalSpace, am: int, bm: int) -> set:
-    full = space.full_mask
-    base = {am, bm, am & bm, am | bm}
-    return base | {full & ~m for m in base}
+def _conditionable(space: ClassicalSpace) -> np.ndarray:
+    """The events ``classical_verify_cc`` can condition on, ascending masks:
+    0 < p(C) < 1, and C⊥ holds an atom of positive weight (weights summing
+    to 1 only within rounding can give p(C) < 1 with p(C⊥) = 0)."""
+    c = np.arange(1, space.full_mask)
+    live = space.as_mask(np.flatnonzero(space.weights > 0.0))
+    pc = space.table[c]
+    return c[((live & ~c) != 0) & (0.0 < pc) & (pc < 1.0)]
+
+
+def _causes(space: ClassicalSpace, am: int, bms: np.ndarray, cands: np.ndarray, keep_trivial=False):
+    """Which C of ``cands`` (ascending) verify as common causes of (A, B), a
+    row per B of the column ``bms``, by ``classical_verify_cc``'s arithmetic
+    on the table, so bit for bit; unless ``keep_trivial``, C in {A, B, A ^ B,
+    A v B} or their complements is struck out."""
+    t, full = space.table, space.full_mask
+    meet = am & bms
+    s_c, s_cp, m_a, m_b = _four_conditions(
+        *(t[x & y] / t[y] for y in (cands, full & ~cands) for x in (meet, am, bms))
+    )
+    hits = _verified(np.abs(s_c), np.abs(s_cp), m_a, m_b)
+    if not keep_trivial:
+        base = np.hstack([bms, np.full_like(bms, am), meet, am | bms])
+        struck = np.hstack([base, full & ~base])
+        at = np.searchsorted(cands, struck)
+        r, k = np.nonzero(np.append(cands, -1)[at] == struck)
+        hits[r, at[r, k]] = False
+    return hits
 
 
 def classical_find_cc(
@@ -243,29 +281,22 @@ def classical_find_cc(
     """All events C that verify as common causes of the correlated pair.
 
     An empty result is a completeness statement for this space: the search
-    is exhaustive over all events with 0 < p(C) < 1 and p(C⊥) > 0, the
-    events ``classical_verify_cc`` can condition on (weights that sum to 1
-    only within rounding can give p(C) < 1 with p(C⊥) = 0).
+    is exhaustive over the events ``classical_verify_cc`` can condition on,
+    tested at once (``_causes``; spaces above FIND_CC_CAP atoms are
+    refused), and a certificate is built for each C that passes.
     """
+    if space.n_atoms > FIND_CC_CAP:
+        raise PreconditionError(
+            f"cause search over {space.n_atoms} atoms exceeds cap {FIND_CC_CAP}"
+        )
     am, bm = space.as_mask(a), space.as_mask(b)
     if space.correlation(am, bm) <= TOL.cc:
         raise UncorrelatedError(
             f"pair is not positively correlated (corr = {space.correlation(am, bm):.3g})"
         )
-    skip = _trivial_causes(space, am, bm) if exclude_trivial else set()
-    # the atoms of positive weight: p(C⊥) > 0 iff C⊥ holds one of them
-    live = space.as_mask(np.flatnonzero(space.weights > 0.0))
-    found = []
-    for cm in range(1, space.full_mask):
-        if cm in skip or not live & ~cm:
-            continue
-        pc = space.prob(cm)
-        if not 0.0 < pc < 1.0:
-            continue
-        cert = classical_verify_cc(space, am, bm, cm)
-        if cert.verified:
-            found.append(cert)
-    return found
+    cands = _conditionable(space)
+    hits = cands[_causes(space, am, np.array([[bm]]), cands, not exclude_trivial)[0]]
+    return [classical_verify_cc(space, am, bm, int(cm)) for cm in hits]
 
 
 @dataclass(frozen=True)
@@ -291,27 +322,28 @@ class ClosednessReport:
 
 
 def classical_closedness_audit(space: ClassicalSpace) -> ClosednessReport:
-    """Run classical_find_cc over every correlated pair of distinct events."""
+    """Whether every correlated pair of distinct events has a nontrivial
+    common cause (one ``classical_find_cc`` would find). For each A its row
+    of B > A is screened for correlation at once, and the correlated B's,
+    in blocks of about 2^16 (B, C) pairs, are asked only whether a C exists.
+    """
     if space.n_atoms > AUDIT_CAP:
-        raise PreconditionError(
-            f"audit over {space.n_atoms} atoms exceeds cap {AUDIT_CAP}"
-        )
-    n_corr = 0
-    covered = 0
-    uncovered = []
+        raise PreconditionError(f"audit over {space.n_atoms} atoms exceeds cap {AUDIT_CAP}")
+    t, cands = space.table, _conditionable(space)
+    block = max(1, (1 << 16) // max(len(cands), 1))
+    n_corr, uncovered = 0, []
     for am in range(1, space.full_mask + 1):
-        for bm in range(am + 1, space.full_mask + 1):
-            if space.correlation(am, bm) <= TOL.cc:
-                continue
-            n_corr += 1
-            if classical_find_cc(space, am, bm, exclude_trivial=True):
-                covered += 1
-            else:
-                uncovered.append((space.as_set(am), space.as_set(bm)))
+        bms = np.arange(am + 1, space.full_mask + 1)
+        bms = bms[t[am & bms] - t[am] * t[bms] > TOL.cc, None]
+        n_corr += len(bms)
+        for lo in range(0, len(bms), block):
+            rows = bms[lo : lo + block]
+            lonely = rows[~_causes(space, am, rows, cands).any(axis=1), 0]
+            uncovered += [(space.as_set(am), space.as_set(int(bm))) for bm in lonely]
     return ClosednessReport(
         n_atoms=space.n_atoms,
         n_correlated_pairs=n_corr,
-        n_covered=covered,
+        n_covered=n_corr - len(uncovered),
         uncovered=uncovered,
         closed=not uncovered,
     )
@@ -358,11 +390,6 @@ class RValue:
 
     def to_record(self) -> dict:
         return asdict(self)
-
-
-def _require_faithful(phi: DensityState) -> None:
-    if not phi.faithful:
-        raise NotFaithfulError(f"state is not faithful (min eigenvalue {phi.min_eigenvalue:.3g})")
 
 
 class _CheckedPair:
@@ -518,18 +545,14 @@ def synthesize_subprojection(
     Raises Infeasible when r lies outside every achievable rank interval,
     which is the finite-dimensional obstruction to the construction.
 
-    No N × N matrix is eigendecomposed. A DensityState is compressed to the
-    basis W = ``la.range_basis`` of P (O(N²m), m the rank) and the m × m
-    W*ρW is eigendecomposed. For an EpsilonPureState and v = Pψ, W*ρW =
-    (1 − ε)(W*v)(W*v)* + (ε/N)I: (1 − ε)‖v‖² + ε/N on e₀ = v/‖v‖, and ε/N
-    on range(P) ⊖ v, where any orthonormal vectors serve. A walk of rank k
-    takes e₀ and k of them (a random walk, which may end on any, all m − 1)
-    from a pivoted Gram–Schmidt, run twice, on the columns of P − e₀e₀*:
-    each pivot, the largest diagonal entry left, is at least (m − 1 − j)/N
-    after j steps (as in ``la.range_basis``). e₀ is Pv/‖Pv‖, in range(P)
-    even when Pψ is at rounding level: O(N²) for v and e₀, O(Nk²) for the
-    rest. The cause's columns W are checked to lie in range(P), with
-    ‖PW − W‖_F ≤ tol_proj, in O(N²k).
+    The spectrum comes from ``DensityState.spectrum_on``, with no N × N
+    eigendecomposition. When it gives fewer eigenvectors than the walk needs
+    (the rest is one degenerate eigenvalue), a walk of rank k runs on k + 1
+    columns (a random walk on all m), completed by a pivoted Gram–Schmidt,
+    run twice, on the columns of P: each pivot, the largest diagonal entry
+    left, is at least (m − j)/N after j columns (as in ``la.range_basis``).
+    The cause's columns W are checked to lie in range(P), ‖PW − W‖_F ≤
+    tol_proj, in O(N²k).
     """
     return _Compression(phi, p).cause(r, strict)[0]
 
@@ -541,24 +564,16 @@ class _Compression:
     on, eigenvectors or a grown frame, are set up on first read."""
 
     def __init__(self, phi: DensityState, p: Projection, pp: Optional[float] = None):
-        _require_faithful(phi)
+        phi.require_faithful()
         phi.check_dim(p.mat)
         self._phi, self._p = phi, p
         self._pp = state_eval(phi, p) if pp is None else pp
 
     @cached_property
     def mu(self) -> np.ndarray:
-        phi, p, m = self._phi, self._p, self._p.rank
-        if not isinstance(phi, EpsilonPureState):
-            self._basis = la.range_basis(p.mat, m)
-            mu, self._emb = la.eigh_desc(phi.compressed(self._basis))
-            return mu
-        self._basis, v = None, p.mat @ phi.psi
-        mu = np.full(m, phi.epsilon / phi.dim)
-        mu[0] += (1.0 - phi.epsilon) * float(np.vdot(v, v).real)
-        self._emb, self._rest = np.empty((p.dim, 0), complex), np.diagonal(p.mat).real
-        if la.frob(e0 := p.mat @ v) > 0.0:
-            self._grow(e0)
+        mu, self._emb, self._basis = self._phi.spectrum_on(self._p)
+        if self._basis is None:  # too few eigenvectors: the walk grows its frame from P
+            self._rest = np.diagonal(self._p.mat).real - np.sum(np.abs(self._emb) ** 2, axis=1)
         return mu
 
     def _grow(self, w: np.ndarray) -> None:
@@ -628,7 +643,7 @@ def find_strong_cc(
     ``toynet`` module docstring. φ(A), φ(B), φ(A^B) and φ(C) are each
     evaluated once.
     """
-    _require_faithful(phi)
+    phi.require_faithful()
     pair = _CheckedPair(phi, a, b).require_independent()
     rv, pab = pair.r_value(), pair.totals[0]
     s = None if algebra is None else algebra.structure
@@ -674,7 +689,7 @@ def find_multiple_strong_cc(
     if count < 0:
         raise TargetRangeError("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    _require_faithful(phi)
+    phi.require_faithful()
     pair = _CheckedPair(phi, a, b).require_independent()
     rv, meet = pair.r_value(), pair.meet
     if meet.rank <= 1:
@@ -791,7 +806,7 @@ def search_genuine_cc(phi: DensityState, a: Projection, b: Projection) -> Common
     end the decision.
     """
     pair = _CheckedPair(phi, a, b)
-    _require_faithful(phi)
+    phi.require_faithful()
     vals, vecs = np.linalg.eigh(a.mat + 2.0 * b.mat)
     bases = [vecs[:, np.rint(vals) == label] for _, label in _BLOCKS]
     spectra = [la.eigh_desc(phi.compressed(v)) for v in bases]

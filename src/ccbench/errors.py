@@ -1,6 +1,7 @@
 """Exception hierarchy.
 
-Errors are grouped by how the CLI maps them to exit codes:
+Errors are grouped by the exit code the CLI returns for them, which each
+class carries as ``exit_code``:
 
 * honest negatives (a search or synthesis correctly reports that no object
   exists): InfeasibleError -> exit code 1
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 class CCBenchError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 3
 
 
 class DimensionMismatchError(CCBenchError, ValueError):
@@ -73,6 +76,8 @@ class TargetRangeError(PreconditionError):
 class InfeasibleError(CCBenchError):
     """Honest negative: the requested object provably does not exist."""
 
+    exit_code = 1
+
 
 class RegionError(CCBenchError, ValueError):
     pass
@@ -93,9 +98,11 @@ class DisconnectedRegionError(RegionError):
 class InternalInconsistencyError(CCBenchError):
     """A theorem-backed postcondition failed numerically."""
 
+    exit_code = 4
+
 
 class ScenarioParseError(CCBenchError):
-    pass
+    exit_code = 2
 
 
 class ScenarioInvariantError(CCBenchError):

@@ -25,6 +25,7 @@ from .config import TOL
 from .errors import (
     CommutationError,
     DimensionMismatchError,
+    NotFaithfulError,
     NotProjectionError,
     StructureError,
     ValidationError,
@@ -267,6 +268,12 @@ class DensityState:
             return True
         return self.min_eigenvalue > eps
 
+    def require_faithful(self) -> None:
+        """Raise NotFaithfulError, naming the least eigenvalue, unless faithful."""
+        if not self.faithful:
+            least = self.min_eigenvalue
+            raise NotFaithfulError(f"state is not faithful (min eigenvalue {least:.3g})")
+
     def check_dim(self, m: np.ndarray) -> None:
         """Raise DimensionMismatchError unless m is square of this dimension."""
         if m.shape != (self.dim, self.dim):
@@ -274,8 +281,7 @@ class DensityState:
                 f"dimension mismatch: {(self.dim, self.dim)} vs {m.shape}"
             )
 
-    # The state's four uses, each read off ``mat`` here; EpsilonPureState
-    # answers them from ψ and ε.
+    # The state's uses, each read off ``mat`` here; EpsilonPureState answers from ψ and ε.
 
     def expectation(self, x) -> complex:
         """tr(ρx) for a square x of this dimension (an operator or matrix)."""
@@ -291,10 +297,22 @@ class DensityState:
         """W*ρW, hermitized, for orthonormal columns W."""
         return la.hermitize(la.dagger(w) @ self.mat @ w)
 
-    def reduced(self, dims: Sequence[int], acting: Sequence[int]) -> np.ndarray:
+    def reduced(self, dims: Sequence[int], acting: Sequence[int], unitaries=()) -> np.ndarray:
         """The partial trace onto the factors ``acting`` of ``dims``, which
-        follow ``acting`` as given (as in la.partial_trace)."""
-        return la.partial_trace(self.mat, tuple(dims), tuple(acting))
+        follow ``acting`` as given (as in la.partial_trace), after ρ ↦ UρU*
+        for each (sites, U) of ``unitaries`` in turn; nothing is validated."""
+        dims, m = tuple(dims), self.mat
+        for sites, u in unitaries:
+            m = la.apply_factor(u, m, dims, sites)
+            m = la.apply_factor(u.conj(), m.T, dims, sites).T  # m @ U*
+        return la.partial_trace(m, dims, tuple(acting))
+
+    def spectrum_on(self, p: Projection):
+        """(mu, vecs, basis): the descending spectrum of the state compressed
+        to range(P), eigenvectors W·vecs for basis W = ``la.range_basis``."""
+        basis = la.range_basis(p.mat, p.rank)
+        mu, vecs = la.eigh_desc(self.compressed(basis))
+        return mu, vecs, basis
 
     def __repr__(self):
         return f"DensityState(dim={self.dim}, faithful={self.faithful})"
@@ -316,13 +334,14 @@ class EpsilonPureState(DensityState):
     the same verdicts and messages.
 
     ``mat``, the matrix a DensityState would store, is built only when
-    read. The four uses of the state are answered from ψ and ε:
+    read. The uses of the state are answered from ψ and ε:
     φ(X) = (1 − ε)⟨ψ, Xψ⟩ + ε tr X / N, with Xψ through la.apply_factor in
     O(N d) for an embedded projection (``Projection.factor``) and through
     W*ψ for a span; ρW = (1 − ε)ψ(ψ*W) + (ε/N)W; W*ρW =
-    (1 − ε)(W*ψ)(W*ψ)* + (ε/N)I_k (``commoncause`` reads its spectrum off Pψ,
-    with no W); and the reduction to d_keep of the factors, made the rows
-    of T by a reshape of ψ, is (1 − ε)TT* + (ε/d_keep)I.
+    (1 − ε)(W*ψ)(W*ψ)* + (ε/N)I_k; the spectrum on range(P) from Pψ, with
+    no W (``spectrum_on``); and the reduction, after ψ ↦ Uψ for each
+    unitary as an N × 1 block in O(N) per gate, to d_keep of the factors,
+    made the rows of T by a reshape of ψ, is (1 − ε)TT* + (ε/d_keep)I.
     """
 
     _mat = None
@@ -381,13 +400,28 @@ class EpsilonPureState(DensityState):
         k = w.shape[1]
         return (1.0 - self.epsilon) * np.outer(v, v.conj()) + (self.epsilon / self.dim) * np.eye(k)
 
-    def reduced(self, dims: Sequence[int], acting: Sequence[int]) -> np.ndarray:
+    def reduced(self, dims: Sequence[int], acting: Sequence[int], unitaries=()) -> np.ndarray:
         dims, acting = tuple(dims), list(acting)
+        v = self.psi.reshape(-1, 1)
+        for sites, u in unitaries:
+            v = la.apply_factor(u, v, dims, sites)
         rest = [i for i in range(len(dims)) if i not in acting]
         d_keep = int(np.prod([dims[i] for i in acting]))
-        t = self.psi.reshape(dims).transpose(acting + rest).reshape(d_keep, -1)
+        t = v.reshape(dims).transpose(acting + rest).reshape(d_keep, -1)
         eps = self.epsilon
         return (1.0 - eps) * (t @ la.dagger(t)) + (eps / d_keep) * np.eye(d_keep)
+
+    def spectrum_on(self, p: Projection):
+        """(1 − ε)‖v‖² + ε/N along v = Pψ, then ε/N repeated; basis None and
+        vecs e₀ = Pv/‖Pv‖ (in range(P) even when v is at rounding level), or
+        none when Pv vanishes. Any orthonormal rest of range(P) completes them."""
+        v = p.mat @ self.psi
+        mu = np.full(p.rank, self.epsilon / self.dim)
+        mu[0] += (1.0 - self.epsilon) * float(np.vdot(v, v).real)
+        e0 = p.mat @ v
+        if (norm := la.frob(e0)) > 0.0:
+            return mu, (e0 / norm)[:, None], None
+        return mu, np.empty((p.dim, 0), complex), None
 
 
 def _mat_of(x) -> np.ndarray:

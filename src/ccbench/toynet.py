@@ -23,20 +23,14 @@ gates touching it, and both take the net's gate order from one function.
 The demonstration validates each candidate projection on that support and
 embeds it once, trusted, keeping the support and its defect, so a
 candidate pair's meet is formed on the union S of their supports and
-settled there from the candidates' defects. The state of ``demo_state`` is
-never built as a matrix: it is accepted from its construction, evolved as
-a 2^n vector, reduced by a reshape, and weighed and compressed through ψ
-(``EpsilonPureState``); any other state is evolved as the matrix.
+settled there from the candidates' defects. The state is evolved, reduced,
+weighed and compressed through its own methods (``qprob.DensityState``).
 
 The 2^n work left, for N = 2^n, listed here once: each candidate and meet
-embedded as an N × N matrix, products by it O(N² d) through its support of
-dimension d; for S the whole chain, the product AB and its norms, O(N²d),
-the meet's O(N³) validation only when its bound cannot settle it, the
-weight of the meet and Pψ, O(N²), and the cause's k + 1 frame columns,
-O(Nk²), for nothing is eigendecomposed (``synthesize_subprojection``;
-ROADMAP.md, item 4); weights of an embedded candidate through ψ, O(N d);
-verifying the cause through its k columns, O(N²k). The candidates and the
-meet are dense, so nets above DENSE_MAX_SITES are refused.
+is an N × N matrix, and a product by it costs O(N² d) through its support
+of dimension d; for S the whole chain, the meet's O(N³) validation runs
+only when its bound cannot settle it, and nothing is eigendecomposed
+(ROADMAP.md, item 4). So nets above DENSE_MAX_SITES are refused.
 """
 
 from __future__ import annotations
@@ -54,14 +48,7 @@ from .bell import correlated_pairs
 # that tracing wraps it in every ccbench module that binds it, toynet included.
 from .commoncause import CommonCauseCertificate, find_strong_cc, quantum_verify_cc  # noqa: F401
 from .config import TOL
-from .errors import (
-    InfeasibleError,
-    NotFaithfulError,
-    NotUnitaryError,
-    RegionError,
-    StructureError,
-    ValidationError,
-)
+from .errors import InfeasibleError, NotUnitaryError, RegionError, StructureError, ValidationError
 from .qprob import DensityState, EpsilonPureState, FactorStructure, MatrixAlgebra, Projection
 
 SWAP = np.array(
@@ -431,36 +418,11 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
 
 
 def demo_state(net: NetModel, seed: int = 0, epsilon: float = 0.05) -> EpsilonPureState:
-    """Seeded full-rank state (1 - eps) |psi><psi| + eps I/dim, with psi Haar.
-
-    An ``EpsilonPureState``: accepted from eps/dim without a factorization,
-    and the demo evolves, reduces, weighs and compresses it from psi and
-    eps alone. Its 2^n matrix is built only if something reads ``mat``.
-    """
+    """Seeded full-rank state (1 - eps) |psi><psi| + eps I/dim, with psi Haar,
+    as an ``EpsilonPureState``: its 2^n matrix is built only if read."""
     _require_dense("demo_state", net.n_sites)
     rng = np.random.default_rng(seed)
     return EpsilonPureState(la.random_pure_state(net.dim, rng), epsilon)
-
-
-def _reduced_state(net: NetModel, state: DensityState, k: int, keep: tuple) -> np.ndarray:
-    """The step-k state reduced to the sites ``keep``, factors in that order.
-
-    An EpsilonPureState's ψ is evolved by the gates of ``_gate_sequence`` as
-    an N × 1 block, in O(N) per gate, and the evolved state is reduced by
-    ``EpsilonPureState.reduced``: its kept sites are made the rows of a
-    matrix T by a reshape, and the reduction is (1 - ε) T T* +
-    (ε / d_keep) I, in O(N d_keep). Any other state is evolved as the 2^n
-    matrix by ``_relative_image`` and partially traced.
-    """
-    n = net.n_sites
-    dims = (2,) * n
-    if not isinstance(state, EpsilonPureState):
-        _, rho = _relative_image(net, k, 0, tuple(range(n)), state.mat)
-        return la.partial_trace(rho, dims, keep)
-    v = state.psi.reshape(-1, 1)
-    for (i, j), gate in _gate_sequence(net, k, 0):
-        v = la.apply_factor(gate, v, dims, (i, j))
-    return EpsilonPureState(v.ravel(), state.epsilon).reduced(dims, keep)
 
 
 @dataclass(frozen=True)
@@ -524,15 +486,11 @@ def weak_rccp_demo(
     algebra.
 
     The sweep's state is the step-k state on sites1 + sites2, factors in
-    that order (D1 may lie to the right of D2). An ``EpsilonPureState``
-    (what ``demo_state`` returns) gives it from ψ evolved as an N × 1 block
-    and reduced by a reshape, O(N) per gate; any other state is evolved as
-    the 2^n matrix by ``_relative_image`` and partially traced. Each
-    candidate projection is evolved back to step 0 by ``_relative_image``
-    on its light-cone support; no U(k) is built. A candidate is validated
-    there, at 2^|support|, and embedded by the trusted
-    ``Projection.embedded``, which gives the verdict, rank and matrix a 2^n
-    validation would.
+    that order (D1 may lie to the right of D2), reduced through the net's
+    gates. Each candidate is evolved back to step 0 on its light-cone
+    support (``_relative_image``; no U(k) is built), validated there and
+    embedded by the trusted ``Projection.embedded``, which gives the
+    verdict, rank and matrix a 2^n validation would.
 
     ``find_strong_cc`` forms each pair's meet on the union S of the
     candidates' supports. When the step-0 row covers the chain, it uses
@@ -545,8 +503,7 @@ def weak_rccp_demo(
         if not isinstance(cone, SliceCone):
             raise RegionError(f"the demo takes SliceCones, got {type(cone).__name__}")
         _check_cone(cone, net.n_sites, net.n_steps)
-    if not state.faithful:
-        raise NotFaithfulError("demo needs a faithful (full-rank) state")
+    state.require_faithful()
     if not geo.spacelike_separated(d1.diamond(), d2.diamond()):
         raise RegionError("base regions are not spacelike separated")
     if d1.step != d2.step:
@@ -571,12 +528,10 @@ def weak_rccp_demo(
     sites2 = tuple(range(d2.lo, d2.hi + 1))
     _require_dense("weak_rccp_demo", net.n_sites)
     keep = sites1 + sites2
-    phi_red = DensityState(_reduced_state(net, state, k, keep))
+    phi_red = DensityState(state.reduced(dims, keep, _gate_sequence(net, k, 0)))
     red_dims = (2,) * len(keep)
     n1r = MatrixAlgebra.tensor_factor(red_dims, tuple(range(len(sites1))))
-    n2r = MatrixAlgebra.tensor_factor(
-        red_dims, tuple(range(len(sites1), len(keep)))
-    )
+    n2r = MatrixAlgebra.tensor_factor(red_dims, tuple(range(len(sites1), len(keep))))
     pairs = correlated_pairs(phi_red, n1r, n2r)
     first = next(pairs, None)
     if first is None:

@@ -972,6 +972,28 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert captured.err.startswith("error: internal error: RuntimeError: planted fault\n")
 
 
+# the exit code of each error class ccbench exports, as the errors module states it
+_EXPORTED_ERRORS = sorted(
+    (name for name, obj in vars(ccbench).items()
+     if isinstance(obj, type) and issubclass(obj, ccbench.CCBenchError)),
+)
+_EXIT_CODES = {"InfeasibleError": 1, "ScenarioParseError": 2, "InternalInconsistencyError": 4}
+
+
+@pytest.mark.parametrize("name", _EXPORTED_ERRORS)
+def test_each_exported_error_exits_with_its_code(monkeypatch, capsys, name):
+    cls = getattr(ccbench, name)
+
+    def fail(sc, seed):
+        raise cls("planted")
+
+    _, kinds, help_text = cli._COMMANDS["bell"]
+    monkeypatch.setitem(cli._COMMANDS, "bell", (fail, kinds, help_text))
+    code = run_cli("bell", "--scenario", scenario("bell_singlet.json"))
+    assert code == cls.exit_code == _EXIT_CODES.get(name, 3)
+    assert capsys.readouterr().err == "error: planted\n"
+
+
 # ---------------------------------------------------------------------------
 # records: determinism and structure
 # ---------------------------------------------------------------------------
@@ -1057,14 +1079,12 @@ def _is_leaf_shown(path, value, nodes, lines):
     return lines[matrix[1]] == f"<{len(rows)}x{len(rows[0])} matrix>"
 
 
-# every bundled scenario under every command that takes its kind, except
-# classical-audit on the 8-atom pair, which runs for minutes
+# every bundled scenario under every command that takes its kind
 _TEXT_PAIRS = [
     pytest.param(command, path.name, id=f"{path.stem}-{command}")
     for path in sorted(SCENARIOS.glob("*.json"))
     for command, (_, kinds, _) in cli._COMMANDS.items()
     if json.loads(path.read_text())["kind"] in kinds
-    and (command, path.stem) != ("classical-audit", "four_block_classical_pair")
 ]
 
 

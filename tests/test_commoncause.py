@@ -116,6 +116,29 @@ def test_event_conversions():
         space.as_mask([4])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10).filter(lambda w: sum(w) > 0),
+    st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=20),
+)
+def test_probability_table_is_prob_bit_for_bit(raw, masks):
+    w = np.asarray(raw) / np.sum(raw)
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        return
+    space = ClassicalSpace(w)
+    for mask in masks:
+        mask &= space.full_mask
+        assert space.table[mask].tobytes() == np.float64(space.prob(mask)).tobytes()
+
+
+def test_find_cc_refuses_spaces_above_its_cap_before_any_table(monkeypatch):
+    n = commoncause.FIND_CC_CAP + 1
+    space = ClassicalSpace(np.full(n, 1.0 / n))
+    monkeypatch.setattr(ClassicalSpace, "table", property(lambda self: pytest.fail("table built")))
+    with pytest.raises(PreconditionError, match=f"cause search over {n} atoms exceeds cap"):
+        classical_find_cc(space, [0, 1], [0, 2])
+
+
 def test_logical_independence_needs_all_four_cells():
     space = ClassicalSpace([0.25, 0.25, 0.25, 0.25])
     assert space.logically_independent([0, 1], [0, 2])
@@ -249,6 +272,59 @@ def test_audit_matches_oracle_on_random_small_spaces(seed):
     got = {(a, b) for a, b in report.uncovered}
     want = {(a, b) for a, b in uncovered} | {(b, a) for a, b in uncovered}
     assert got <= want and len(got) == len(uncovered)
+
+
+@pytest.mark.parametrize("exclude_trivial", [True, False])
+def test_find_cc_matches_the_event_loop(exclude_trivial):
+    # the loop the table screen replaced: every event classical_verify_cc can
+    # condition on, certified one by one, for the four-block pair and every
+    # correlated pair of a 5-atom space with a zero-weight atom
+    w = np.random.default_rng(710).dirichlet(np.ones(5))
+    w[1] = 0.0
+    five = ClassicalSpace(w / w.sum())
+    pairs = [(ClassicalSpace(FOUR_BLOCK_W), FOUR_BLOCK_A, FOUR_BLOCK_B)] + [
+        (five, am, bm)
+        for am in range(1, 32) for bm in range(am + 1, 32)
+        if five.correlation(am, bm) > config.TOL.cc
+    ]
+    n_found = 0
+    for space, a, b in pairs:
+        am, bm = space.as_mask(a), space.as_mask(b)
+        trivial = {am, bm, am & bm, am | bm}
+        trivial |= {space.full_mask & ~m for m in trivial}
+        want = []
+        for cm in range(1, space.full_mask):
+            if exclude_trivial and cm in trivial:
+                continue
+            if 0.0 < space.prob(cm) < 1.0 and space.prob(space.full_mask & ~cm) > 0.0:
+                cert = classical_verify_cc(space, am, bm, cm)
+                if cert.verified:
+                    want.append(cert)
+        got = classical_find_cc(space, a, b, exclude_trivial=exclude_trivial)
+        assert got == want
+        n_found += len(got)
+    assert n_found > len(pairs)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_audit_matches_find_cc_pair_by_pair(seed):
+    # the audit's row screen and existence test give what classical_find_cc
+    # and the correlation, pair by pair, give; 5 atoms, one weight zero on seed 1
+    weights = np.random.default_rng(700 + seed).dirichlet(np.ones(5))
+    if seed:
+        weights[2] = 0.0
+        weights /= weights.sum()
+    space = ClassicalSpace(weights)
+    correlated, uncovered = 0, []
+    for am in range(1, space.full_mask + 1):
+        for bm in range(am + 1, space.full_mask + 1):
+            if space.correlation(am, bm) > config.TOL.cc:
+                correlated += 1
+                if not classical_find_cc(space, am, bm):
+                    uncovered.append((space.as_set(am), space.as_set(bm)))
+    report = classical_closedness_audit(space)
+    assert (report.n_correlated_pairs, report.uncovered) == (correlated, uncovered)
+    assert report.n_covered == correlated - len(uncovered) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ ccbench module (``from .qprob import _helper``); the one exception is the
 shared helper module itself, ``from . import _linalg``. Everything else goes
 through public names. Only qprob reads a projection's ``factor`` (its
 support) or ``defect`` (its idempotence bound): every other module meets,
-embeds and restricts projections through qprob's functions.
+embeds and restricts projections through qprob's functions. Only qprob
+knows that a state may be ε-pure: no other module reads a state's ``psi``
+or ``epsilon`` or asks ``isinstance(..., EpsilonPureState)``; they evolve,
+reduce, weigh and compress it through ``DensityState``'s methods.
 """
 
 import ast
@@ -93,6 +96,64 @@ def test_only_qprob_reads_a_projections_factor_or_defect():
     ]
     assert found == []
     assert projection_internals(SRC / "qprob.py")  # the scan sees qprob's own reads
+
+
+STATE_INTERNALS = {"psi", "epsilon"}
+
+
+def _names_epsilon_pure(node) -> bool:
+    return any(
+        (isinstance(n, ast.Name) and n.id == "EpsilonPureState")
+        or (isinstance(n, ast.Attribute) and n.attr == "EpsilonPureState")
+        for n in ast.walk(node)
+    )
+
+
+def state_internals(path: Path) -> list:
+    """``file:line source`` for each read of a name in STATE_INTERNALS and
+    each ``isinstance`` test against EpsilonPureState."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for node in sorted(ast.walk(tree), key=lambda n: getattr(n, "lineno", 0))
+        if (isinstance(node, ast.Attribute) and node.attr in STATE_INTERNALS)
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and any(_names_epsilon_pure(arg) for arg in node.args[1:])
+        )
+    ]
+
+
+def test_only_qprob_knows_a_state_may_be_epsilon_pure():
+    found = [
+        hit for path in sorted(SRC.glob("*.py")) if path.name != "qprob.py"
+        for hit in state_internals(path)
+    ]
+    assert found == []
+    assert state_internals(SRC / "qprob.py")  # the scan sees qprob's own reads
+
+
+def test_state_internals_are_detected(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from .qprob import EpsilonPureState\n"
+        "from . import qprob\n"
+        "\n"
+        "def f(state, epsilon=0.1):\n"
+        "    if isinstance(state, EpsilonPureState):\n"
+        "        return state.psi\n"
+        "    if isinstance(state, (int, qprob.EpsilonPureState)):\n"
+        "        return state.epsilon\n"
+        "    return isinstance(state, dict), EpsilonPureState(state, epsilon), \"payload.epsilon\"\n"
+    )
+    assert state_internals(mod) == [
+        "mod.py:5 isinstance(state, EpsilonPureState)",
+        "mod.py:6 state.psi",
+        "mod.py:7 isinstance(state, (int, qprob.EpsilonPureState))",
+        "mod.py:8 state.epsilon",
+    ]
 
 
 def test_private_import_is_detected(tmp_path):

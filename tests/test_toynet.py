@@ -710,8 +710,9 @@ def reduction_cases():
 @pytest.mark.parametrize("net, k, keep", reduction_cases())
 def test_vector_route_reduces_the_state_as_the_dense_route(net, k, keep):
     phi = demo_state(net, seed=net.n_sites)
-    vector = toynet._reduced_state(net, phi, k, keep)
-    dense = toynet._reduced_state(net, DensityState(phi.mat), k, keep)
+    dims, gates = (2,) * net.n_sites, toynet._gate_sequence(net, k, 0)
+    vector = phi.reduced(dims, keep, gates)
+    dense = DensityState(phi.mat).reduced(dims, keep, gates)
     assert vector.shape == dense.shape == (2 ** len(keep),) * 2
     assert np.max(np.abs(vector - dense)) < 1e-13
     # the dense route against the 2^n evolution, factors in the order of keep
@@ -783,22 +784,25 @@ def test_epsilon_pure_demo_evolves_no_full_chain_matrix(monkeypatch):
     full = (2**net.n_sites,) * 2
     phi = demo_state(net, seed=0)
     shapes, reducing = [], []
-    original, real_reduced = la.apply_factor, toynet._reduced_state
+    original = la.apply_factor
 
     def counting(x_loc, m, dims, acting):
         if reducing:
             shapes.append(np.shape(m))
         return original(x_loc, m, dims, acting)
 
-    def watched_reduced(*args):
-        reducing.append(True)
-        try:
-            return real_reduced(*args)
-        finally:
-            reducing.clear()
+    def watched(real_reduced):
+        def watched_reduced(*args):
+            reducing.append(True)
+            try:
+                return real_reduced(*args)
+            finally:
+                reducing.clear()
+        return watched_reduced
 
     monkeypatch.setattr(la, "apply_factor", counting)
-    monkeypatch.setattr(toynet, "_reduced_state", watched_reduced)
+    for cls in (DensityState, EpsilonPureState):
+        monkeypatch.setattr(cls, "reduced", watched(cls.reduced))
     demo = weak_rccp_demo(net, phi, SliceCone(2, 1, 2), SliceCone(2, 5, 6))
     assert demo.certificate.verified
     assert (2**net.n_sites, 1) in shapes
@@ -937,6 +941,9 @@ def test_demo_refuses_nets_above_the_dense_limit():
     # the refusal comes before the state is read, so a stand-in state will do
     class Faithful:
         faithful = True
+
+        def require_faithful(self):
+            pass
 
     net = build_net(11, "random", seed=0, n_steps=3)
     with pytest.raises(ValidationError, match="weak_rccp_demo: 11 sites exceed"):

@@ -20,16 +20,16 @@ of its command, the field at its cap and the rest as bundled:
 - toynet-demo with ``budget`` and, in a second run, ``axiom_pairs``
   (``cli.MAX_AXIOM_PAIRS``) at the cap;
 - the 10-site toynet-demo with both regions at step ``cli.MAX_STEPS``
-  (sites [0, 1] and [8, 9], no axiom samples), once in each state kind.
+  (sites [0, 1] and [8, 9], no axiom samples), once in each state kind;
+- classical-audit at ``commoncause.AUDIT_CAP`` atoms and classical find-cc
+  at ``commoncause.FIND_CC_CAP``, on the bundled four-block pair refined
+  to that many atoms (``refined``).
 
 The variants are written to a temporary directory and run once each, one
 at a time, through ``record_sweep.record``: BLAS at one thread, killed at
 the sweep's 30 s cap. The script prints each run's exit code and wall
 time, then a count of runs by exit code, and exits non-zero if any run
 timed out or exited 4 (the CLI's code for an internal error).
-
-``classical-audit`` is left out: its ``AUDIT_CAP`` waits on ROADMAP item
-4b, since the bundled 8-atom scenario already reaches the 30 s cap.
 """
 
 from __future__ import annotations
@@ -52,9 +52,24 @@ QUANTUM = ("planted_genuine_dim16", "rank_one_meet", "strong_cause_dim9", "three
 BELL = ("bell_product_state", "bell_singlet", "bell_werner_mixture")
 
 
+def refined(payload: dict, n: int) -> dict:
+    """The classical payload with atoms split in halves, in turn from atom 0,
+    until it has n atoms; each event holds the parts of its atoms."""
+    weights = list(payload["weights"])
+    parts = [[a] for a in range(len(weights))]
+    while len(weights) < n:
+        first = parts[(len(weights) - len(parts)) % len(parts)]
+        weights[first[0]] /= 2.0
+        first.append(len(weights))
+        weights.append(weights[first[0]])
+    events = {name: sorted(x for a in atoms for x in parts[a])
+              for name, atoms in payload["events"].items()}
+    return {"weights": weights, "events": events}
+
+
 def variants() -> list[tuple[str, str, str, dict]]:
     """(name, command, bundled scenario, payload fields set) of each run."""
-    from ccbench import bell, cli
+    from ccbench import bell, cli, commoncause
     from ccbench.record import complex_matrix_record
 
     dim = SPLIT[0] * SPLIT[1]
@@ -84,6 +99,13 @@ def variants() -> list[tuple[str, str, str, dict]]:
             "d1": {"step": k, "sites": [0, 1]}, "d2": {"step": k, "sites": [8, 9]}}
     runs += [(f"steps.{kind}", "toynet-demo", "eight_qubit_chain", {**deep, "state": kind})
              for kind in ("entangled", "product")]
+    classical = json.loads((Path("scenarios") / "four_block_classical_pair.json").read_text())
+    runs += [
+        (f"four_block_classical_pair.{name}", command, "four_block_classical_pair",
+         refined(classical["payload"], cap))
+        for name, command, cap in (("audit", "classical-audit", commoncause.AUDIT_CAP),
+                                   ("find", "find-cc", commoncause.FIND_CC_CAP))
+    ]
     return runs
 
 
