@@ -27,8 +27,19 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+def adjoint_copy(m: np.ndarray) -> np.ndarray:
+    """m* as a new C-contiguous array: one copy of m.T, conjugated in place."""
+    t = m.T.astype(np.result_type(m, 0.5), order="C")
+    return np.conjugate(t, out=t)
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + dagger(m))
+    """(m + m*)/2, the bytes of 0.5 * (m + dagger(m)) in its dtype, built
+    in place on ``adjoint_copy`` rather than through the strided m.conj().T."""
+    t = adjoint_copy(m)
+    t += m
+    t *= 0.5
+    return t
 
 
 def herm_residual(m: np.ndarray) -> float:

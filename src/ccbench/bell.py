@@ -147,7 +147,7 @@ def bell_correlation(
     random +/-1-spectrum elements of the Y-side algebra.
     """
     check_commuting_algebras(n1, n2)
-    phi.check_dim(np.eye(n1.dim))
+    phi.check_dim(n1.dim)
     eye = np.eye(n1.dim)
     rng = np.random.default_rng(seed)
     best = None

@@ -11,8 +11,9 @@ eigendecomposition (qprob.lattice_meet stays the general, noncommuting
 meet). Each such pair is multiplied once, as a qprob.PairProduct: the one
 product M = XY gives the commutation check (comm_tol bounds the full-space
 Frobenius norm of [X, Y]), the meet, the joint weight and the order test
-Y <= X. A ^ B is multiplied on the union of A's and B's supports
-(qprob.commuting_meet), once per pair, with its three weights.
+Y <= X. A ^ B is multiplied on the union of A's and B's supports, or kept
+as P_A ⊗ P_B when they are disjoint (qprob.commuting_meet), once per pair,
+with its three weights.
 
 The constructive half: for a faithful state and a commuting correlated pair
 there is a closed-form target weight r such that any strict subprojection of
@@ -552,7 +553,8 @@ def synthesize_subprojection(
     run twice, on the columns of P: each pivot, the largest diagonal entry
     left, is at least (m − j)/N after j columns (as in ``la.range_basis``).
     The cause's columns W are checked to lie in range(P), ‖PW − W‖_F ≤
-    tol_proj, in O(N²k).
+    tol_proj, in O(N²k), or O(N d k) through P's factors of dimension d
+    (``Projection.times``, which also gives the frame's columns of P).
     """
     return _Compression(phi, p).cause(r, strict)[0]
 
@@ -565,7 +567,7 @@ class _Compression:
 
     def __init__(self, phi: DensityState, p: Projection, pp: Optional[float] = None):
         phi.require_faithful()
-        phi.check_dim(p.mat)
+        phi.check_dim(p.dim)
         self._phi, self._p = phi, p
         self._pp = state_eval(phi, p) if pp is None else pp
 
@@ -573,7 +575,7 @@ class _Compression:
     def mu(self) -> np.ndarray:
         mu, self._emb, self._basis = self._phi.spectrum_on(self._p)
         if self._basis is None:  # too few eigenvectors: the walk grows its frame from P
-            self._rest = np.diagonal(self._p.mat).real - np.sum(np.abs(self._emb) ** 2, axis=1)
+            self._rest = self._p.diagonal() - np.sum(np.abs(self._emb) ** 2, axis=1)
         return mu
 
     def _grow(self, w: np.ndarray) -> None:
@@ -603,10 +605,10 @@ class _Compression:
         # the walk's frame: a random walk may end anywhere, the last-movable one at k + 1
         n = len(self.mu) if order_rng is not None else min(k + 1, len(self.mu))
         while self._basis is None and self._emb.shape[1] < n:
-            self._grow(p.mat[:, int(np.argmax(self._rest))])
+            self._grow(p.times(np.eye(1, p.dim, int(np.argmax(self._rest)), dtype=complex)[0]))
         span = _weighted_columns(self.mu[: self._emb.shape[1]], self._emb, r, k, order_rng)
         span = span if self._basis is None else self._basis @ span
-        outside = la.frob(p.mat @ span - span)
+        outside = la.frob(p.times(span) - span)
         if not outside <= TOL.proj:
             raise InternalInconsistencyError(
                 f"synthesized cause leaves range(P) (‖PW − W‖_F = {outside:.3e})"
@@ -631,8 +633,11 @@ def find_strong_cc(
     """Construct and verify a strong common cause C < A^B with φ(C) = r.
 
     A and B must commute within comm_tol (the full-space Frobenius norm of
-    [A, B]); A^B is then the product AB, formed, checked and settled on the
-    union S of their supports (``qprob.commuting_meet``). With a factor
+    [A, B]); A^B is then the product AB: P_A ⊗ P_B, kept as two factors,
+    for A and B embedded on disjoint sites, else formed, checked and settled
+    on the union S of their supports (``qprob.commuting_meet``). The meet
+    and the cause are used through ``Projection.times``, so their N × N
+    matrices are built only if read. With a factor
     ``algebra``, the cause is synthesized inside it and embedded back by the
     trusted ``Projection.embedded`` (used for spacetime-localized causes).
     On every tensor factor it is the full matrix algebra, and the state, the

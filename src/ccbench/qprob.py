@@ -14,6 +14,7 @@ verifications agree to rounding, which the test suite checks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -62,6 +63,10 @@ class HermitianOperator:
     def dim(self) -> int:
         return self._mat.shape[0]
 
+    def times(self, m: np.ndarray) -> np.ndarray:
+        """This operator times an N-vector or N × k block m."""
+        return self.mat @ m
+
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 
@@ -82,15 +87,18 @@ class Projection(HermitianOperator):
     ``la.gamma(d)`` covering the rounding of the product that measured δ.
 
     The trusted constructors ``from_span``, ``complement`` and ``embedded``
-    (P ⊗ I of a P validated on its factors) skip validation and keep the
-    matrix exactly Hermitian, as ``PairProduct`` needs. ``from_span`` also
+    (P ⊗ I of a P validated on its factors), and the meets ``commuting_meet``
+    settles, skip validation and build their exactly Hermitian matrix only
+    when ``mat`` is read (then cached, read-only); ``times``, ``trace`` and
+    ``frob`` go through their factors or kept columns instead. ``from_span``
     keeps its orthonormal columns W, and ``embedded`` passes them on as
-    W ⊗ I, so ``PairProduct`` can multiply by P = WW* at the cost of W.
-    ``embedded`` also keeps ``factor`` = (P, dims, acting): its support, and
-    scales P's ``defect`` by √(N/d), since (P ⊗ I)² − P ⊗ I = (P² − P) ⊗ I
-    exactly. The others keep no ``defect``.
+    W ⊗ I. ``embedded`` keeps ``factor`` = ((P, dims, acting),), its support,
+    and scales P's ``defect`` by √(N/d), since (P ⊗ I)² − P ⊗ I = (P² − P) ⊗ I
+    exactly; a meet on disjoint supports keeps two factors (``_tensor``).
+    The others keep no ``defect``.
     """
 
+    _mat: np.ndarray | None = None
     _span: np.ndarray | None = None
     factor: tuple | None = None
     defect: float | None = None
@@ -98,6 +106,7 @@ class Projection(HermitianOperator):
     def __init__(self, mat):
         super().__init__(mat)
         m = self._mat
+        self._dim = m.shape[0]
         defect = m @ m - m
         idem = float(np.max(np.abs(defect)))
         if idem > TOL.proj:
@@ -121,27 +130,84 @@ class Projection(HermitianOperator):
         self._rank = int(np.sum(eigs > 0.5))
 
     @classmethod
-    def _trusted(cls, mat: np.ndarray, rank: int, span=None) -> "Projection":
-        """A projection built from a matrix known to be one: no validation."""
+    def _trusted(cls, dim: int, rank: int, build, span=None) -> "Projection":
+        """A projection known to be one, not validated; ``build()`` makes its
+        matrix when ``mat`` is first read."""
         p = object.__new__(cls)
-        mat.flags.writeable = False
-        p._mat, p._rank, p._span = mat, rank, span
+        p._dim, p._rank, p._build, p._span = dim, rank, build, span
         return p
 
     @classmethod
     def from_span(cls, cols: np.ndarray) -> "Projection":
         """Projection onto the span of orthonormal columns (trusted input)."""
-        if not cols.size:
-            return cls._trusted(np.zeros((cols.shape[0],) * 2, dtype=complex), 0, cols)
-        return cls._trusted(la.span_project(cols), cols.shape[1], cols)
+        n, k = cols.shape
+        build = (lambda: la.span_project(cols)) if k else (lambda: np.zeros((n, n), dtype=complex))
+        return cls._trusted(n, k, build, cols)
+
+    @property
+    def mat(self) -> np.ndarray:
+        if self._mat is None:
+            self._mat, self._build = self._build(), None
+            self._mat.flags.writeable = False
+        return self._mat
+
+    @property
+    def dim(self) -> int:
+        return self._dim
 
     @property
     def rank(self) -> int:
         return self._rank
 
+    @property
+    def sites(self) -> tuple:
+        """The sorted factors of the split that ``factor`` acts on."""
+        return tuple(sorted(i for _, _, acting in self.factor for i in acting))
+
+    def times(self, m: np.ndarray) -> np.ndarray:
+        """P @ m for an N-vector or N × k block m: through ``factor``
+        (la.apply_factor, O(N d) a column for each factor's dimension d), else
+        through kept columns W, k <= N/2 of them (W(W*m)), else by ``mat``."""
+        if self.factor is not None:
+            v = m.reshape(self.dim, -1)
+            for local, dims, acting in self.factor:
+                v = la.apply_factor(local.mat, v, dims, acting)
+            return v.reshape(m.shape)
+        if self._span is not None and 2 * self._span.shape[1] <= self.dim:
+            return self._span @ (la.dagger(self._span) @ m)
+        return self.mat @ m
+
+    @cached_property
+    def trace(self) -> float:
+        """tr P: Π tr P_i times the rest dimension for factors P_i, ‖W‖_F² for
+        kept columns W, else off ``mat``."""
+        if self.factor is not None:
+            return float(np.prod([f[0].trace for f in self.factor])) * self._rest
+        if self._span is not None:
+            return float(np.vdot(self._span, self._span).real)
+        return float(np.trace(self.mat).real)
+
+    @cached_property
+    def frob(self) -> float:
+        """‖P‖_F: Π ‖P_i‖_F times √rest for factors P_i, else off ``mat``."""
+        if self.factor is not None:
+            return float(np.prod([f[0].frob for f in self.factor])) * float(np.sqrt(self._rest))
+        return la.frob(self.mat)
+
+    def diagonal(self) -> np.ndarray:
+        """The real diagonal of P, for factors the product of theirs."""
+        if self.factor is None:
+            return np.diagonal(self.mat).real
+        out = np.ones(self.factor[0][1])
+        for local, dims, acting in self.factor:
+            d = np.diagonal(local.mat).real.reshape([dims[i] for i in acting])
+            out = out * np.expand_dims(d.transpose(np.argsort(acting)), [i for i in range(len(dims)) if i not in acting])
+        return out.reshape(-1)
+
     def complement(self) -> "Projection":
-        mat = np.eye(self.dim, dtype=complex) - self._mat
-        return Projection._trusted(mat, self.dim - self._rank)
+        return Projection._trusted(
+            self.dim, self.dim - self._rank, lambda: np.eye(self.dim, dtype=complex) - self.mat
+        )
 
     def embedded(self, dims: Sequence[int], acting: Sequence[int]) -> "Projection":
         """P ⊗ I: this projection on the factors ``acting`` of ``dims``.
@@ -150,24 +216,16 @@ class Projection(HermitianOperator):
         possibly unsorted). Trusted: the embedding's defect entries and
         spectrum are this projection's, so validating it again would give
         this verdict and this rank times the identity's dimension; and as
-        hermitize commutes with the embedding, the matrix is the one
-        ``Projection(embed_factor(P, dims, acting))`` would store.
+        hermitize commutes with the embedding, the matrix, built when read,
+        is the one ``Projection(embed_factor(P, dims, acting))`` would store.
 
         The result keeps P and ``acting`` as its ``factor``, so that
-        ``PairProduct`` multiplies by it through P, in O(N² d_P), and
+        ``times`` multiplies by it through P, in O(N d_P) a column, and
         ``within`` restricts it to any factors holding that support. A P
         that keeps its span W (``from_span``), of rank at most half its
         dimension, also passes on W ⊗ I.
         """
-        dims, acting = tuple(dims), tuple(acting)
-        mat = la.embed_factor(self._mat, dims, acting)
-        keep = self._span is not None and 2 * self._rank <= self.dim
-        span = la.embed_columns(self._span, dims, acting) if keep else None
-        p = Projection._trusted(mat, self._rank * (mat.shape[0] // self.dim), span)
-        p.factor = (self, dims, acting)
-        if self.defect is not None:
-            p.defect = self.defect * float(np.sqrt(mat.shape[0] / self.dim))
-        return p
+        return _tensor(((self, tuple(dims), tuple(acting)),))
 
     def within(self, dims: Sequence[int], acting: Sequence[int]) -> Optional["Projection"]:
         """This projection on the sorted factors ``acting`` of ``dims``, or None
@@ -176,14 +234,58 @@ class Projection(HermitianOperator):
         dims, acting = tuple(dims), tuple(acting)
         if int(np.prod([dims[i] for i in acting])) == self.dim:
             return self
-        if self.factor is None or self.factor[1] != dims or not set(self.factor[2]) <= set(acting):
+        if self.factor is None or self.factor[0][1] != dims or not set(self.sites) <= set(acting):
             return None
-        local, _, own = self.factor
-        pos = [acting.index(i) for i in own]
-        return local if own == acting else local.embedded([dims[i] for i in acting], pos)
+        if len(self.factor) == 1 and self.factor[0][2] == acting:
+            return self.factor[0][0]
+        sub = tuple(dims[i] for i in acting)
+        return _tensor(tuple((p, sub, tuple(acting.index(i) for i in own)) for p, _, own in self.factor))
 
     def __repr__(self):
         return f"Projection(dim={self.dim}, rank={self.rank})"
+
+
+def _tensor(factors: tuple) -> Projection:
+    """P ⊗ I or P_A ⊗ P_B ⊗ I, trusted, from (P, dims, acting) triples on
+    disjoint factors of one split (``acting`` as in la.embed_factor). Its
+    matrix, built when read, is la.embed_factor of the kron of the P_i; its
+    rank is r Π rank P_i and its defect √r times P's (``_kron_defect`` for
+    two), r = N/Π d_i the rest dimension."""
+    dims, local = factors[0][1], [f[0] for f in factors]
+    acting = tuple(i for f in factors for i in f[2])
+    n, p = int(np.prod(dims)), local[0]
+    rest = n // int(np.prod([q.dim for q in local]))
+    keep = len(local) == 1 and p._span is not None and 2 * p.rank <= p.dim
+    out = Projection._trusted(
+        n, rest * int(np.prod([q.rank for q in local])),
+        lambda: la.embed_factor(functools.reduce(np.kron, [q.mat for q in local]), dims, acting),
+        la.embed_columns(p._span, dims, acting) if keep else None,
+    )
+    out.factor, out._rest = factors, rest
+    defect = p.defect if len(local) == 1 else _kron_defect(*local)
+    if defect is not None:
+        out.defect = defect * float(np.sqrt(rest))
+    return out
+
+
+def _kron_defect(p: Projection, q: Projection) -> Optional[float]:
+    """A bound on ‖K² − K‖_F for the stored K = fl(P ⊗ Q), or None unless both
+    keep a ``defect``. With D = P² − P, (P ⊗ Q)² − P ⊗ Q = D_P ⊗ D_Q +
+    D_P ⊗ Q + P ⊗ D_Q and ‖X ⊗ Y‖_F = ‖X‖_F‖Y‖_F, so k = δ_P‖Q‖_F +
+    ‖P‖_Fδ_Q + δ_Pδ_Q bounds the exact product's defect. Each entry of K is
+    one complex product, within γ = la.gamma(1) of exact, so ‖K − P ⊗ Q‖_F
+    ≤ e = γ‖P‖_F‖Q‖_F; with ‖P ⊗ Q‖₂ ≤ xy as in ``PairProduct.meet_bound``,
+    ‖K² − K‖_F ≤ k + e(2xy + 1 + e), times 1 + la.gamma(d_P d_Q) for the
+    rounding of the norms, to first order in u. K ⊗ I_r copies K's entries
+    exactly, which multiplies the bound by √r."""
+    dp, dq = p.defect, q.defect
+    if dp is None or dq is None:
+        return None
+    fp, fq = p.frob, q.frob
+    e = la.gamma(1) * fp * fq
+    xy = (1.0 + dp) * (1.0 + dq)
+    k = dp * fq + fp * dq + dp * dq
+    return (1.0 + la.gamma(p.dim * q.dim)) * (k + e * (2.0 * xy + 1.0 + e))
 
 
 def _settles(delta: float, dim: int) -> bool:
@@ -274,11 +376,11 @@ class DensityState:
             least = self.min_eigenvalue
             raise NotFaithfulError(f"state is not faithful (min eigenvalue {least:.3g})")
 
-    def check_dim(self, m: np.ndarray) -> None:
-        """Raise DimensionMismatchError unless m is square of this dimension."""
-        if m.shape != (self.dim, self.dim):
+    def check_dim(self, dim: int) -> None:
+        """Raise DimensionMismatchError unless an operator's dimension is this one."""
+        if dim != self.dim:
             raise DimensionMismatchError(
-                f"dimension mismatch: {(self.dim, self.dim)} vs {m.shape}"
+                f"dimension mismatch: {(self.dim, self.dim)} vs {(dim, dim)}"
             )
 
     # The state's uses, each read off ``mat`` here; EpsilonPureState answers from ψ and ε.
@@ -286,7 +388,7 @@ class DensityState:
     def expectation(self, x) -> complex:
         """tr(ρx) for a square x of this dimension (an operator or matrix)."""
         m = _mat_of(x)
-        self.check_dim(m)
+        self.check_dim(m.shape[0])
         return expectation(self.mat, m)
 
     def times(self, w: np.ndarray) -> np.ndarray:
@@ -335,9 +437,9 @@ class EpsilonPureState(DensityState):
 
     ``mat``, the matrix a DensityState would store, is built only when
     read. The uses of the state are answered from ψ and ε:
-    φ(X) = (1 − ε)⟨ψ, Xψ⟩ + ε tr X / N, with Xψ through la.apply_factor in
-    O(N d) for an embedded projection (``Projection.factor``) and through
-    W*ψ for a span; ρW = (1 − ε)ψ(ψ*W) + (ε/N)W; W*ρW =
+    φ(X) = (1 − ε)⟨ψ, Xψ⟩ + ε tr X / N, for a projection with Xψ and tr X
+    from ``Projection.times`` and ``Projection.trace`` (in O(N d) for an
+    embedded one); ρW = (1 − ε)ψ(ψ*W) + (ε/N)W; W*ρW =
     (1 − ε)(W*ψ)(W*ψ)* + (ε/N)I_k; the spectrum on range(P) from Pψ, with
     no W (``spectrum_on``); and the reduction, after ψ ↦ Uψ for each
     unitary as an N × 1 block in O(N) per gate, to d_keep of the factors,
@@ -377,19 +479,15 @@ class EpsilonPureState(DensityState):
         return self.psi.shape[0]
 
     def expectation(self, x) -> complex:
-        psi, n = self.psi, self.dim
-        f = x.factor if isinstance(x, Projection) else None
-        w = x._span if isinstance(x, Projection) else None
-        m = _mat_of(x)
-        self.check_dim(m)
-        if f is not None:
-            local, dims, acting = f
-            quad = np.vdot(psi, la.apply_factor(local.mat, psi.reshape(-1, 1), dims, acting))
-        elif w is not None:
-            quad = la.frob(la.dagger(w) @ psi) ** 2
+        psi = self.psi
+        if isinstance(x, Projection):
+            self.check_dim(x.dim)
+            xpsi, tr = x.times(psi), x.trace
         else:
-            quad = np.vdot(psi, m @ psi)
-        return complex((1.0 - self.epsilon) * quad + self.epsilon * np.trace(m) / n)
+            m = _mat_of(x)
+            self.check_dim(m.shape[0])
+            xpsi, tr = m @ psi, np.trace(m)
+        return complex((1.0 - self.epsilon) * np.vdot(psi, xpsi) + self.epsilon * tr / self.dim)
 
     def times(self, w: np.ndarray) -> np.ndarray:
         psi = self.psi.reshape(-1, 1)
@@ -415,13 +513,18 @@ class EpsilonPureState(DensityState):
         """(1 − ε)‖v‖² + ε/N along v = Pψ, then ε/N repeated; basis None and
         vecs e₀ = Pv/‖Pv‖ (in range(P) even when v is at rounding level), or
         none when Pv vanishes. Any orthonormal rest of range(P) completes them."""
-        v = p.mat @ self.psi
+        v = p.times(self.psi)
         mu = np.full(p.rank, self.epsilon / self.dim)
         mu[0] += (1.0 - self.epsilon) * float(np.vdot(v, v).real)
-        e0 = p.mat @ v
+        e0 = p.times(v)
         if (norm := la.frob(e0)) > 0.0:
             return mu, (e0 / norm)[:, None], None
         return mu, np.empty((p.dim, 0), complex), None
+
+
+def _check_same_dim(x, y) -> None:  # la.check_same_dim, reading no matrix
+    if x.dim != y.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {(x.dim,) * 2} vs {(y.dim,) * 2}")
 
 
 def _mat_of(x) -> np.ndarray:
@@ -468,8 +571,8 @@ class PairProduct:
     full-space Frobenius norm of [X, Y] that la.comm_residual forms from two
     products, up to rounding. For a pair within comm_tol, the rest is read
     off the same M: the meet X ^ Y = hermitize(M) (``meet_bound``), its
-    weight, and the order test Y <= X. When X is an embedded P ⊗ I
-    (``Projection.factor``), products by X run through P (la.apply_factor).
+    weight, and the order test Y <= X. Products by X run through
+    ``Projection.times``: for an embedded P ⊗ I, through P.
 
     When Y is a projection that keeps k <= N/2 orthonormal columns W
     (``Projection.from_span``, or ``embedded`` from one), only XW is
@@ -483,19 +586,14 @@ class PairProduct:
     """
 
     def __init__(self, x: HermitianOperator, y: HermitianOperator):
-        la.check_same_dim(x.mat, y.mat)
+        _check_same_dim(x, y)
         self.x, self.y = x, y
-        f = x.factor if isinstance(x, Projection) else None
-
-        def times(m: np.ndarray) -> np.ndarray:
-            return x.mat @ m if f is None else la.apply_factor(f[0].mat, m, f[1], f[2])
-
         w = y._span if isinstance(y, Projection) else None
         if w is not None and 2 * w.shape[1] <= y.dim:
-            self._w, self._xw = w, times(w)
+            self._w, self._xw = w, x.times(w)
         else:
             self._w = None
-            self.mat = times(y.mat)  # fills the cached property
+            self.mat = x.times(y.mat)  # fills the cached property
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -506,7 +604,7 @@ class PairProduct:
     def commutator_norm(self) -> float:
         """‖[X, Y]‖_F = ‖M − M*‖_F, for a span √2 ‖XW − W(W*XW)‖_F."""
         if self._w is None:
-            return la.frob(self.mat - la.dagger(self.mat))
+            return la.frob(self.mat - la.adjoint_copy(self.mat))
         w, xw = self._w, self._xw
         return float(np.sqrt(2.0)) * la.frob(xw - w @ (la.dagger(w) @ xw))
 
@@ -538,7 +636,9 @@ class PairProduct:
         c a bound on ‖C‖_F. Rounding: let u be the unit roundoff, γ_d =
         la.gamma(d), f = ‖X‖_F ‖Y‖_F, and γ = la.gamma(d_X) for the inner
         dimension d_X of the product as formed: the dimension of X's own
-        factor when X is embedded (products by X run through it), else d.
+        factor when X is embedded (products by X run through it), else d;
+        for X on two factors, the sum of their two γ, to first order in u.
+        ‖X‖_F and ‖Y‖_F are read off their factors (``Projection.frob``).
         fl(XY) lies within γf of XY. So the measured commutator norm c_m
         gives c = (1 + γ_d)² c_m + 2γf, and H lies within e = (γ + 2u)f of
         K, hermitizing adding u‖fl(XY)‖_F. Then ‖H² − H‖_F ≤
@@ -553,9 +653,10 @@ class PairProduct:
         x, dx, dy = self.x, getattr(self.x, "defect", None), getattr(self.y, "defect", None)
         if dx is None or dy is None:
             return None
-        g_d, g = la.gamma(x.dim), la.gamma(x.dim if x.factor is None else x.factor[0].dim)
+        g_d = la.gamma(x.dim)
+        g = g_d if x.factor is None else sum(la.gamma(f[0].dim) for f in x.factor)
         xy = (1.0 + dx) * (1.0 + dy)
-        f = la.frob(x.mat) * la.frob(self.y.mat)
+        f = x.frob * self.y.frob
         c = (1.0 + g_d) ** 2 * self.commutator_norm + 2.0 * g * f
         e = (g + 2.0 * la.UNIT_ROUNDOFF) * f
         k = dx * (1.0 + dy) + (1.0 + dx) * dy + dx * dy + (2.0 * xy + 0.5) * c + c * c / 4.0
@@ -565,12 +666,13 @@ class PairProduct:
         """X ^ Y = H = hermitize(XY), for a pair checked to commute: trusted
         with rank round(tr H) and ``meet_bound`` as its ``defect`` when that
         bound passes Projection's acceptance rule (the verdict, rank and
-        matrix ``Projection(H)`` gives, as H is exactly Hermitian), else
+        matrix ``Projection(H)`` gives, as H is exactly Hermitian; H is
+        formed when read, and tr H = Re tr M entry for entry), else
         validated."""
-        h, bound = la.hermitize(self.mat), self.meet_bound
-        if bound is None or not _settles(bound, h.shape[0]):
-            return Projection(h)
-        p = Projection._trusted(h, int(round(float(np.trace(h).real))))
+        m, bound = self.mat, self.meet_bound
+        if bound is None or not _settles(bound, self.x.dim):
+            return Projection(la.hermitize(m))
+        p = Projection._trusted(self.x.dim, int(round(float(np.trace(m).real))), lambda: la.hermitize(m))
         p.defect = bound
         return p
 
@@ -578,7 +680,7 @@ class PairProduct:
         """φ(X ^ Y) = φ(XY) for a pair checked to commute."""
         if self._w is None:
             return state_eval(phi, la.hermitize(self.mat))
-        phi.check_dim(self.y.mat)
+        phi.check_dim(self.y.dim)
         return float(np.sum(np.conj(phi.times(self._w)) * self._xw).real)
 
     @property
@@ -591,14 +693,21 @@ class PairProduct:
 
 
 def commuting_meet(a: Projection, b: Projection) -> Projection:
-    """A ^ B = AB for a pair checked to commute, formed on the union S of
-    their supports (``Projection.factor``; the whole space unless both are
-    embedded in one split), checked there (the norm of [A, B] on S times
-    √(N/d_S) against comm_tol), settled by ``PairProduct.meet`` and embedded."""
-    la.check_same_dim(a.mat, b.mat)
+    """A ^ B = AB for a pair checked to commute. Two projections each
+    embedded on its own disjoint sites of one split commute by locality:
+    [A, B] is a structural zero, as in toynet.check_axioms, and the meet is
+    P_A ⊗ P_B ⊗ I, kept as its two factors (``_tensor``; Arrighi, Nesme &
+    Werner, J. Comput. Syst. Sci. 77, 2011). Otherwise it is formed on the
+    union S of their supports (``Projection.factor``; the whole space unless
+    both are embedded in one split), checked there (the norm of [A, B] on S
+    times √(N/d_S) against comm_tol), settled by ``PairProduct.meet`` and
+    embedded."""
+    _check_same_dim(a, b)
     fa, fb, dims, s = a.factor, b.factor, (a.dim,), (0,)
-    if fa and fb and fa[1] == fb[1]:
-        dims, s = fa[1], tuple(sorted({*fa[2], *fb[2]}))
+    if fa and fb and fa[0][1] == fb[0][1]:
+        if len(fa) == len(fb) == 1 and not set(a.sites) & set(b.sites):
+            return _tensor(fa + fb)
+        dims, s = fa[0][1], tuple(sorted({*a.sites, *b.sites}))
     x, y = a.within(dims, s), b.within(dims, s)
     meet = PairProduct(x, y).require_commuting("A and B", np.sqrt(a.dim / y.dim)).meet()
     return meet if meet.dim == a.dim else meet.embedded(dims, s)

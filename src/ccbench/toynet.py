@@ -22,15 +22,19 @@ by one light-cone kernel, which carries an operator's support through the
 gates touching it, and both take the net's gate order from one function.
 The demonstration validates each candidate projection on that support and
 embeds it once, trusted, keeping the support and its defect, so a
-candidate pair's meet is formed on the union S of their supports and
-settled there from the candidates' defects. The state is evolved, reduced,
-weighed and compressed through its own methods (``qprob.DensityState``).
+candidate pair's meet is P_A ⊗ P_B when their supports are disjoint, else
+formed on the union S of their supports and settled there from the
+candidates' defects. The state is evolved, reduced, weighed and
+compressed through its own methods (``qprob.DensityState``).
 
-The 2^n work left, for N = 2^n, listed here once: each candidate and meet
-is an N × N matrix, and a product by it costs O(N² d) through its support
-of dimension d; for S the whole chain, the meet's O(N³) validation runs
-only when its bound cannot settle it, and nothing is eigendecomposed
-(ROADMAP.md, item 4). So nets above DENSE_MAX_SITES are refused.
+The 2^n work left, for N = 2^n, listed here once. No candidate, meet or
+cause builds its N × N matrix unless it is read (a record's
+``cause_matrix``, an oracle); the state and every product by a projection
+cost O(N d) a column through a support of dimension d. What remains is an
+overlapping pair whose S is the whole chain: the meet is the N × N product
+AB, O(N² d), its O(N³) validation runs only when its bound cannot settle
+it, and the certificate multiplies by it (ROADMAP.md, item 4). The state
+vector is still of length N, so nets above DENSE_MAX_SITES are refused.
 """
 
 from __future__ import annotations
@@ -490,14 +494,14 @@ def weak_rccp_demo(
     gates. Each candidate is evolved back to step 0 on its light-cone
     support (``_relative_image``; no U(k) is built), validated there and
     embedded by the trusted ``Projection.embedded``, which gives the
-    verdict, rank and matrix a 2^n validation would.
+    verdict, rank and matrix a 2^n validation would, built only if read.
 
-    ``find_strong_cc`` forms each pair's meet on the union S of the
-    candidates' supports. When the step-0 row covers the chain, it uses
-    the state, the meet and the synthesized cause as they are; otherwise
-    it compresses the state to the row and embeds the meet there from S
-    and the cause from the row. The 2^n work left is listed in the module
-    docstring.
+    ``find_strong_cc`` forms each pair's meet as P_A ⊗ P_B on disjoint
+    supports, else on their union S. When the step-0 row covers the chain,
+    it uses the state, the meet and the synthesized cause as they are;
+    otherwise it compresses the state to the row and embeds the meet there
+    from its factors and the cause from the row. The 2^n work left is
+    listed in the module docstring.
     """
     for cone in (d1, d2):
         if not isinstance(cone, SliceCone):

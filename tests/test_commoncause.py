@@ -1407,6 +1407,7 @@ def block_pair(rng, left, shared, right, idle, tilt=0.0):
 
 LAYOUTS = {
     "disjoint": (2, 0, 2, 1),
+    "disjoint-whole": (2, 0, 3, 0),
     "overlapping": (1, 1, 2, 1),
     "overlapping-whole": (2, 2, 1, 0),
     "nested": (2, 1, 0, 1),
@@ -1416,8 +1417,8 @@ LAYOUTS = {
 
 def meet_inputs(a, b):
     """A and B on the union S of their supports, their product, H and S."""
-    dims = a.factor[1]
-    s = tuple(sorted({*a.factor[2], *b.factor[2]}))
+    dims = a.factor[0][1]
+    s = tuple(sorted({*a.sites, *b.sites}))
     x, y = a.within(dims, s), b.within(dims, s)
     pair = PairProduct(x, y)
     return x, y, pair, la.hermitize(pair.mat), s
@@ -1442,7 +1443,8 @@ def count_validations(monkeypatch, dim):
 def test_meet_bound_dominates_the_defect_and_settles_as_validation(layout, seed):
     # the stated bound is at least the ‖H² − H‖_F that validation measures,
     # and a meet it settles has the rank and matrix Projection(H) gives,
-    # with no validation at d_S
+    # with no validation at d_S; on disjoint supports the meet is P_A ⊗ P_B,
+    # kept as two factors, whose own defect dominates its built matrix's
     rng = np.random.default_rng(seed)
     a, b = block_pair(rng, *LAYOUTS[layout])
     x, y, pair, h, s = meet_inputs(a, b)
@@ -1454,11 +1456,18 @@ def test_meet_bound_dominates_the_defect_and_settles_as_validation(layout, seed)
         calls = count_validations(mp, h.shape[0])
         meet = qprob.commuting_meet(a, b)
     assert calls == []
-    local = meet if meet.dim == h.shape[0] else meet.factor[0]
+    if layout.startswith("disjoint"):
+        assert len(meet.factor) == 2 and meet.sites == s
+        dense = Projection(la.hermitize(a.mat @ b.mat))
+        assert meet.rank == dense.rank
+        assert np.max(np.abs(meet.mat - dense.mat)) <= 1e-12
+        assert meet.defect >= la.frob(meet.mat @ meet.mat - meet.mat)
+        return
+    local = meet if meet.dim == h.shape[0] else meet.factor[0][0]
     assert local.rank == ref.rank
     assert local.mat.tobytes() == ref.mat.tobytes()
     if meet.dim != h.shape[0]:
-        assert meet.factor[2] == s
+        assert meet.sites == s
         assert meet.defect == pytest.approx(bound * np.sqrt(a.dim / h.shape[0]))
 
 

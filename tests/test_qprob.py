@@ -34,7 +34,7 @@ from ccbench.errors import (
     StructureError,
 )
 from ccbench.config import TOL
-from ccbench.qprob import PAULI_X, EpsilonPureState, FactorStructure, PairProduct
+from ccbench.qprob import PAULI_X, EpsilonPureState, FactorStructure, PairProduct, commuting_meet
 
 from conftest import rand_faithful_state
 
@@ -793,6 +793,54 @@ def test_reversed_pair_puts_the_first_factor_on_the_first_site():
     expected = np.kron(np.kron(b, np.eye(3)), a)
     assert la.frob(la.embed_factor(np.kron(a, b), (2, 3, 2), (2, 0)) - expected) < 1e-12
     assert la.frob(la.apply_factor(np.kron(a, b), m, (2, 3, 2), (2, 0)) - expected @ m) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.complex64, np.float32])
+def test_hermitize_keeps_the_bytes_and_dtype_of_the_formula(dtype):
+    # one conjugated copy of m.T, added to m in place and halved, is
+    # (m + m*)/2 bit for bit, on contiguous and strided inputs alike
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4, 5, 8, 31, 64, 255, 256, 257, 512):
+        g = rng.standard_normal((n + 1, 2 * n)) + 1j * rng.standard_normal((n + 1, 2 * n))
+        base = (g if np.issubdtype(dtype, np.complexfloating) else g.real).astype(dtype)
+        square = base[:n, :n]
+        for m in (np.ascontiguousarray(square), square, base[1:, ::2], np.asfortranarray(square), square.T):
+            ref = (m + m.conj().T) / 2
+            out = la.hermitize(m)
+            assert out.dtype == ref.dtype and out.flags.c_contiguous
+            assert out.tobytes() == ref.tobytes()
+            assert la.adjoint_copy(m).tobytes() == m.conj().T.tobytes()
+
+
+def test_factored_projections_answer_from_their_factors():
+    # an embedded projection, one embedded from a span, and the meet of two
+    # on disjoint sites (kept as P_A ⊗ P_B) build no matrix until it is read,
+    # and their products, trace, norm and diagonal agree with it
+    rng = np.random.default_rng(23)
+    dims = (2, 3, 2, 2)
+    pa = Projection(la.haar_projection(4, 2, rng)).embedded(dims, (3, 0))
+    pb = Projection(la.haar_projection(3, 1, rng))
+    spanned = Projection.from_span(la.haar_unitary(6, rng)[:, :2]).embedded(dims, (1, 2))
+    cases = [pa, pb.embedded(dims, (1,)), spanned, commuting_meet(pa, pb.embedded(dims, (1,)))]
+    assert len(cases[-1].factor) == 2 and cases[-1].rank == 2 * 1 * 2
+    for p in cases:
+        assert p._mat is None
+        block, vec = rng.standard_normal((24, 3)) + 0j, rng.standard_normal(24) + 0j
+        ranks, trace, frob, diag = p.rank, p.trace, p.frob, p.diagonal()
+        assert p._mat is None
+        m = p.mat
+        assert not m.flags.writeable and p.mat is m
+        assert la.frob(p.times(block) - m @ block) < 1e-12
+        assert la.frob(p.times(vec) - m @ vec) < 1e-12 and p.times(vec).shape == (24,)
+        assert abs(trace - np.trace(m).real) < 1e-12 and ranks == round(trace)
+        assert abs(frob - la.frob(m)) < 1e-12
+        assert np.array_equal(diag, np.diagonal(m).real)
+    # factors validated with a defect near 1e-11: the meet's stated defect
+    # still dominates the one its built matrix measures
+    noisy = [Projection(x + 1e-11 * la.hermitize(rng.standard_normal(x.shape)))
+             for x in (la.haar_projection(4, 2, rng), la.haar_projection(3, 1, rng))]
+    meet = commuting_meet(noisy[0].embedded(dims, (3, 0)), noisy[1].embedded(dims, (1,)))
+    assert 1e-13 < la.frob(meet.mat @ meet.mat - meet.mat) <= meet.defect
 
 
 def test_apply_factor_rejects_a_mismatched_operator():

@@ -875,7 +875,7 @@ def test_meet_on_the_union_of_supports_matches_the_dense_meet(kind, seed):
     else:
         p2 = la.haar_projection(2 ** len(s2), int(rng.integers(1, 2 ** len(s2))), rng)
     a, b = evolved_candidate(net, k, s1, p1), evolved_candidate(net, k, s2, p2)
-    sa, sb = set(a.factor[2]), set(b.factor[2])
+    sa, sb = set(a.sites), set(b.sites)
     shapes = {"disjoint": not sa & sb, "overlapping": bool(sa & sb) and not sa <= sb, "nested": sa < sb}
     assert shapes[kind]
     support = tuple(sorted(sa | sb))
@@ -885,7 +885,7 @@ def test_meet_on_the_union_of_supports_matches_the_dense_meet(kind, seed):
     ref = Projection(la.hermitize(a.mat @ b.mat))
     assert meet.rank == ref.rank
     assert np.max(np.abs(meet.mat - ref.mat)) <= 1e-12
-    assert meet.factor[1:] == ((2,) * net.n_sites, support)
+    assert meet.factor[0][1] == (2,) * net.n_sites and meet.sites == support
     dims = (2,) * net.n_sites
     pair = PairProduct(a.within(dims, support), b.within(dims, support))
     scaled = pair.commutator_norm * np.sqrt(2.0 ** (net.n_sites - len(support)))
@@ -931,10 +931,42 @@ def test_candidate_supports_inside_the_row_settle_membership(monkeypatch):
     assert demo.certificate.verified and demo.certificate.is_strong
     lo, hi = demo.lattice_sites
     assert hi - lo + 1 < net.n_sites
-    support = set(demo.a.factor[2]) | set(demo.b.factor[2])
+    support = set(demo.a.sites) | set(demo.b.sites)
     assert support <= set(range(lo, hi + 1))
     row = region_algebra(net, SliceCone(0, lo, hi))
     assert row.contains(demo.certificate.cause.mat)
+
+
+@pytest.mark.parametrize("n, d1, d2", [(9, (2, 1, 2), (2, 6, 7)), (8, (2, 1, 2), (2, 5, 6))])
+def test_demo_on_disjoint_supports_forms_no_full_space_matrix(monkeypatch, n, d1, d2):
+    # the candidates' light cones are disjoint and cover the chain: the meet
+    # is kept as P_A ⊗ P_B, and no embedding, span projection or hermitize
+    # reaches dimension 2^n; read afterwards, A, B and C are a verified
+    # strong cause under the dense product AB
+    net = build_net(n, "random", seed=n, n_steps=3)
+    state = demo_state(net, seed=1)
+    for name in ("embed_factor", "span_project", "hermitize"):
+
+        def refusing(*args, _make=getattr(la, name), _name=name):
+            out = _make(*args)
+            assert 2**n not in out.shape, f"la.{_name} formed a {out.shape} matrix"
+            return out
+
+        monkeypatch.setattr(la, name, refusing)
+    demo = weak_rccp_demo(net, state, SliceCone(*d1), SliceCone(*d2))
+    monkeypatch.undo()
+    assert not set(demo.a.sites) & set(demo.b.sites)
+    assert set(demo.a.sites) | set(demo.b.sites) == set(range(n))
+    a, b, c = demo.a.mat, demo.b.mat, demo.certificate.cause.mat
+    ab = a @ b
+    assert la.frob(ab - la.dagger(ab)) <= 1e-12
+    meet = Projection(la.hermitize(ab))
+    assert la.frob(meet.mat @ c - c) <= 1e-10
+    dense = commoncause.quantum_verify_cc(DensityState(state.mat), Projection(a), Projection(b), Projection(c))
+    assert dense.verified and dense.is_strong
+    got = demo.certificate
+    for field in ("residual_screen_C", "residual_screen_Cperp", "margin_A", "margin_B", "correlation"):
+        assert abs(getattr(dense, field) - getattr(got, field)) <= 1e-10
 
 
 def test_demo_refuses_nets_above_the_dense_limit():
