@@ -58,7 +58,6 @@ from .qprob import (
     HermitianOperator,
     MatrixAlgebra,
     Projection,
-    conditional_expectation,
     correlation,
     is_product_state,
     is_subprojection,

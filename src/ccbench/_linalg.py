@@ -236,32 +236,3 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -
     shaped = shaped.transpose(perm + [p + len(perm) for p in perm])
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
     return shaped.reshape(d_keep, d_keep)
-
-
-def orthonormalize_rows(vecs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (rows) of the row span of vecs, via SVD."""
-    if vecs.size == 0:
-        return vecs.reshape(0, vecs.shape[-1])
-    u, s, vh = np.linalg.svd(vecs, full_matrices=False)
-    keep = s > tol * max(1.0, s[0] if len(s) else 1.0)
-    return vh[keep]
-
-
-def grow_span(basis_rows: np.ndarray, new_rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Extend an orthonormal row basis by the directions of new_rows."""
-    if new_rows.size == 0:
-        return basis_rows
-    if basis_rows.size:
-        resid = new_rows - (new_rows @ dagger(basis_rows)) @ basis_rows
-    else:
-        resid = new_rows
-    extra = orthonormalize_rows(resid, tol)
-    # one reorthogonalization pass for numerical hygiene
-    if basis_rows.size and extra.size:
-        extra = extra - (extra @ dagger(basis_rows)) @ basis_rows
-        extra = orthonormalize_rows(extra, tol)
-    if extra.size == 0:
-        return basis_rows
-    if basis_rows.size == 0:
-        return extra
-    return np.vstack([basis_rows, extra])

@@ -637,9 +637,11 @@ def find_strong_cc(
     for A and B embedded on disjoint sites, else formed, checked and settled
     on the union S of their supports (``qprob.commuting_meet``). The meet
     and the cause are used through ``Projection.times``, so their N × N
-    matrices are built only if read. With a factor
+    matrices are built only if read. With a tensor-factor
     ``algebra``, the cause is synthesized inside it and embedded back by the
-    trusted ``Projection.embedded`` (used for spacetime-localized causes).
+    trusted ``Projection.embedded`` (used for spacetime-localized causes);
+    a diagonal one is refused (StructureError), since a cause synthesized
+    in the compression need not be diagonal.
     On every tensor factor it is the full matrix algebra, and the state, the
     meet and the cause are used as they are. On fewer factors it must hold
     A and B: a support inside it settles that, else ``contains`` decides;
@@ -651,22 +653,22 @@ def find_strong_cc(
     phi.require_faithful()
     pair = _CheckedPair(phi, a, b).require_independent()
     rv, pab = pair.r_value(), pair.totals[0]
-    s = None if algebra is None else algebra.structure
-    if algebra is not None and s is None:
-        raise StructureError("localized synthesis needs a factor algebra")
-    if s is None or not s.rest:
+    if algebra is not None and algebra.abelian:
+        raise StructureError("localized synthesis needs a full factor: a cause need not be diagonal")
+    if algebra is None or not algebra.rest:
         c, pc = _Compression(phi, pair.meet, pab).cause(rv.r, strict=True)
     else:
-        local_meet = pair.meet.within(s.dims, s.acting)
+        dims, acting = algebra.dims, algebra.acting
+        local_meet = pair.meet.within(dims, acting)
         if local_meet is None:
             for name, x in (("A", a), ("B", b)):
-                if x.within(s.dims, s.acting) is None and not algebra.contains(x.mat):
+                if x.within(dims, acting) is None and not algebra.contains(x.mat):
                     raise StructureError(f"projection {name} is not in the given algebra")
-            local_meet = Projection(algebra.compress(pair.meet.mat) / s.rest_dim)
-        local_state = DensityState(phi.reduced(s.dims, s.acting))
+            local_meet = Projection(algebra.compress(pair.meet.mat) / algebra.rest_dim)
+        local_state = DensityState(phi.reduced(dims, acting))
         # the meet lies in the algebra, so its compressed weight is φ(A^B)
         c_local, _ = _Compression(local_state, local_meet, pab).cause(rv.r, strict=True)
-        c, pc = c_local.embedded(s.dims, s.acting), None
+        c, pc = c_local.embedded(dims, acting), None
     cert = pair.certificate(c, pc)
     if not cert.verified or not cert.is_strong:
         raise InternalInconsistencyError(

@@ -23,7 +23,7 @@ class Tolerances:
     herm: float = 1e-10          # self-adjointness residual
     state: float = 1e-10         # trace-one and positivity slack of states
     proj: float = 1e-9           # idempotence / {0,1} spectrum of projections
-    alg: float = 1e-8            # basis closure residual of *-algebras
+    alg: float = 1e-8            # membership residual of MatrixAlgebra.contains
     meet: float = 1e-8           # eigenvalue window around 2 in the lattice meet
     comm: float = 1e-9           # commutation residual
     faithful_eps: float = 1e-10  # faithfulness threshold on state eigenvalues

@@ -66,7 +66,10 @@ class NotFaithfulError(PreconditionError):
 
 
 class StructureError(PreconditionError):
-    """Operation requires tensor-split structure that the algebra lacks."""
+    """The algebras or regions lack the tensor-split structure an operation
+    needs: algebras on different splits, a diagonal algebra where a full
+    factor is needed, a conjugated algebra, a region off the step-0 row, or
+    projections outside the given algebra."""
 
 
 class TargetRangeError(PreconditionError):

@@ -1,10 +1,11 @@
 """Finite-dimensional quantum probability kernel.
 
 Validated operator types (Hermitian operators, projections, density states),
-matrix *-algebras with trace-orthonormal bases, the projection lattice
-(meet, join, complement; ``commuting_meet`` for a commuting pair),
-commutants, trace-compatible conditional expectations, and state
-evaluation / correlation of commuting projections.
+the projection lattice (meet, join, complement; ``commuting_meet`` for a
+commuting pair), state evaluation / correlation of commuting projections,
+and local algebras: ``MatrixAlgebra`` is the full matrix algebra on some
+tensor factors of a split, or its diagonal, with product-state and
+logical-independence checks for two of them on disjoint factors.
 
 The commoncause module checks the four common-cause conditions for
 classical events and for commuting projections with one kernel over the
@@ -751,16 +752,50 @@ def is_subprojection(p, q) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# matrix *-algebras
+# local algebras
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FactorStructure:
-    """Tensor-split bookkeeping: full matrix algebra on the acting factors."""
+class IndependenceVerdict:
+    """Outcome of a logical-independence check, exact by the tensor split."""
 
-    dims: tuple[int, ...]
-    acting: tuple[int, ...]
+    independent: bool
+    method: str
+
+
+class MatrixAlgebra:
+    """A local algebra: operators on the factors ``acting`` of the split
+    ``dims``, identity elsewhere.
+
+    It is the full matrix algebra on those factors (``tensor_factor``) or
+    its diagonal, maximal abelian subalgebra (``diagonal``). Two maps
+    connect it to the acting factors: ``compress`` is the partial trace and
+    ``embed`` is x ⊗ I. Basis, conditional expectation and random
+    projections go through them, so nothing of size N² × basis count is
+    ever formed.
+    """
+
+    def __init__(self, dims: Sequence[int], acting: Sequence[int], abelian: bool):
+        dims = tuple(int(x) for x in dims)
+        acting = tuple(sorted(int(x) for x in acting))
+        if not acting or any(i < 0 or i >= len(dims) for i in acting):
+            raise DimensionMismatchError(f"acting factors {acting} out of range for {dims}")
+        if len(set(acting)) < len(acting):
+            raise DimensionMismatchError(f"acting factors {acting} repeat a factor of {dims}")
+        self.dims, self.acting, self.abelian = dims, acting, abelian
+        self.dim = int(np.prod(dims))
+
+    @classmethod
+    def tensor_factor(cls, dims: Sequence[int], acting: Sequence[int]) -> "MatrixAlgebra":
+        """Full matrix algebra on the named tensor factors, identity elsewhere."""
+        return cls(dims, acting, abelian=False)
+
+    @classmethod
+    def diagonal(cls, dims: Sequence[int], acting: Sequence[int]) -> "MatrixAlgebra":
+        """The diagonal matrices on the named tensor factors, identity
+        elsewhere: the maximal abelian subalgebra of ``tensor_factor``."""
+        return cls(dims, acting, abelian=True)
 
     @property
     def acting_dim(self) -> int:
@@ -772,306 +807,88 @@ class FactorStructure:
 
     @property
     def rest_dim(self) -> int:
-        rest = self.rest
-        return int(np.prod([self.dims[i] for i in rest])) if rest else 1
+        return self.dim // self.acting_dim
 
     def local_generators(self) -> list[tuple[int, np.ndarray]]:
-        """Shift and clock on each acting factor, as (factor, local matrix)
-        pairs; embedded, they generate the factor algebra."""
+        """Shift and clock on each acting factor, the clock alone for the
+        diagonal algebra, as (factor, local matrix) pairs; embedded, they
+        generate the algebra."""
         out = []
         for i in self.acting:
             d = self.dims[i]
             if d == 1:
                 continue
-            out.append((i, np.roll(np.eye(d, dtype=complex), 1, axis=0)))
+            if not self.abelian:
+                out.append((i, np.roll(np.eye(d, dtype=complex), 1, axis=0)))
             out.append((i, np.diag(np.exp(2j * np.pi * np.arange(d) / d))))
         return out
 
-
-@dataclass(frozen=True)
-class IndependenceVerdict:
-    """Outcome of a logical-independence check.
-
-    ``independent`` is True only for the exact tensor-split argument; a
-    sampled run that found nothing leaves it None (no counterexample in
-    ``samples`` draws, which is evidence, not proof).
-    """
-
-    independent: Optional[bool]
-    method: str
-    samples: int
-    counterexample: Optional[tuple[Projection, Projection]] = None
-
-
-_EXPLICIT_CLOSURE_MAX_DIM = 32
-
-
-class MatrixAlgebra:
-    """A unital *-subalgebra of the d x d complex matrices.
-
-    Two representations, chosen by constructor:
-
-    * explicit: a trace-orthonormal basis is stored (word closure of the
-      generators).
-    * factor: the full matrix algebra on a subset of tensor factors,
-      identity elsewhere. Two maps connect it to the acting factors:
-      ``compress`` is the partial trace and ``embed`` is x ⊗ I. Basis,
-      conditional expectation and random projections go through them, so
-      nothing of size (acting_dim * rest_dim)^2 x basis_count is ever
-      materialized.
-    """
-
-    def __init__(self, dim, generators=None, basis=None, structure=None):
-        self.dim = int(dim)
-        # None only for factor algebras, which embed theirs on first read
-        self._generators = (
-            None if generators is None else [np.asarray(g, dtype=complex) for g in generators]
-        )
-        self._basis = basis  # ndarray (k, d, d) for explicit algebras
-        self.structure: FactorStructure | None = structure
-
-    @property
-    def generators(self) -> list[np.ndarray]:
-        """Dense generators. A factor algebra embeds its local generators on
-        first read."""
-        if self._generators is None:
-            s = self.structure
-            gens = [la.embed_factor(x, s.dims, (i,)) for i, x in s.local_generators()]
-            self._generators = gens or [np.eye(self.dim, dtype=complex)]
-        return self._generators
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_generators(cls, generators: Sequence, dim: int | None = None) -> "MatrixAlgebra":
-        """Word-closure algebra generated by the given matrices (and I)."""
-        gens = [la.as_square(g) for g in generators]
-        if not gens and dim is None:
-            raise DimensionMismatchError("need generators or an explicit dimension")
-        d = dim if dim is not None else gens[0].shape[0]
-        for g in gens:
-            if g.shape != (d, d):
-                raise DimensionMismatchError("generators have mixed dimensions")
-        if d > _EXPLICIT_CLOSURE_MAX_DIM:
-            raise StructureError(
-                f"explicit word closure is limited to dim <= {_EXPLICIT_CLOSURE_MAX_DIM}; "
-                "use tensor_factor structure for large spaces"
-            )
-        basis = _word_closure(gens, d)
-        return cls(d, gens, basis=basis)
-
-    @classmethod
-    def from_basis(cls, basis: np.ndarray) -> "MatrixAlgebra":
-        return cls(basis.shape[1], list(basis), basis=basis)
-
-    @classmethod
-    def full(cls, dim: int) -> "MatrixAlgebra":
-        return cls.tensor_factor((dim,), (0,))
-
-    @classmethod
-    def diagonal(cls, dim: int) -> "MatrixAlgebra":
-        """The abelian algebra of diagonal matrices."""
-        units = np.zeros((dim, dim, dim), dtype=complex)
-        for i in range(dim):
-            units[i, i, i] = 1.0
-        gens = [np.diag(np.arange(dim, dtype=complex))]
-        return cls(dim, gens, basis=units)
-
-    @classmethod
-    def tensor_factor(cls, dims: Sequence[int], acting: Sequence[int]) -> "MatrixAlgebra":
-        """Full matrix algebra on the named tensor factors, identity elsewhere."""
-        dims = tuple(int(x) for x in dims)
-        acting = tuple(sorted(int(x) for x in acting))
-        if not acting or any(i < 0 or i >= len(dims) for i in acting):
-            raise DimensionMismatchError(f"acting factors {acting} out of range for {dims}")
-        return cls(int(np.prod(dims)), structure=FactorStructure(dims, acting))
-
+    # A conjugated algebra is not (dims, acting). The name stays because
+    # benchmark/tracing.py wraps MatrixAlgebra.conjugated_by and cannot
+    # install without it (ROADMAP item 8).
     def conjugated_by(self, u: np.ndarray) -> "MatrixAlgebra":
-        """The explicit algebra U N U* (U validated unitary).
-
-        Its generators are U g U* and its basis U b U* for each element b of
-        ``basis_iter()``. A factor is expanded to that basis, so factors
-        above the explicit closure limit are refused.
-        """
-        u = la.as_square(u)
-        la.check_same_dim(u, np.empty((self.dim, self.dim)))
-        if la.frob(u @ la.dagger(u) - np.eye(self.dim)) > 1e-9:
-            raise ValidationError("conjugation matrix is not unitary", invariant="unitary")
-        if self.structure is not None and self.dim > _EXPLICIT_CLOSURE_MAX_DIM:
-            raise StructureError(
-                f"conjugating a factor of dim {self.dim} needs its explicit basis, "
-                f"limited to dim <= {_EXPLICIT_CLOSURE_MAX_DIM}"
-            )
-        ud = la.dagger(u)
-        return MatrixAlgebra(
-            self.dim,
-            [u @ g @ ud for g in self.generators],
-            basis=np.array([u @ b @ ud for b in self.basis_iter()]),
-        )
+        """Refused with StructureError: U N U* is not a tensor factor of the split."""
+        raise StructureError("a conjugated algebra is not a tensor factor; conjugate the state instead")
 
     # -- factor maps ---------------------------------------------------------
 
     def compress(self, m: np.ndarray) -> np.ndarray:
-        """Factor algebras: the partial trace of m onto the acting factors."""
-        s = self.structure
-        if s is None:
-            raise StructureError("compression requires factor structure")
-        return la.partial_trace(m, s.dims, s.acting)
+        """The partial trace of m onto the acting factors."""
+        return la.partial_trace(m, self.dims, self.acting)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        """Factor algebras: x ⊗ I for an operator x on the acting factors."""
-        s = self.structure
-        if s is None:
-            raise StructureError("embedding requires factor structure")
-        return la.embed_factor(x, s.dims, s.acting)
+        """x ⊗ I for an operator x on the acting factors."""
+        return la.embed_factor(x, self.dims, self.acting)
 
-    # -- basis access --------------------------------------------------------
+    # -- basis, conditional expectation and membership -----------------------
 
     @property
     def n_basis(self) -> int:
-        if self.structure is None:
-            return self._basis.shape[0]
-        return self.structure.acting_dim ** 2
+        d = self.acting_dim
+        return d if self.abelian else d * d
 
     def basis_iter(self) -> Iterator[np.ndarray]:
-        """Yield a trace-orthonormal basis of the algebra."""
-        if self.structure is None:
-            yield from self._basis
-            return
-        norm = 1.0 / np.sqrt(self.structure.rest_dim)
-        d_act = self.structure.acting_dim
-        for i in range(d_act):
-            for j in range(d_act):
-                unit = np.zeros((d_act, d_act), dtype=complex)
+        """Yield a trace-orthonormal basis: the embedded matrix units, the
+        diagonal ones only for the diagonal algebra."""
+        norm = 1.0 / np.sqrt(self.rest_dim)
+        d = self.acting_dim
+        for i in range(d):
+            for j in (i,) if self.abelian else range(d):
+                unit = np.zeros((d, d), dtype=complex)
                 unit[i, j] = norm
                 yield self.embed(unit)
 
-    @cached_property
-    def hermitian_basis(self) -> np.ndarray:
-        """Real-orthonormal basis of the self-adjoint part."""
-        mats = list(self.basis_iter())
-        d = self.dim
-        cands = []
-        for b in mats:
-            cands.append(la.hermitize(b))
-            cands.append(la.hermitize(1j * b))
-        stack = np.array([c.reshape(-1) for c in cands])
-        real_rows = np.hstack([stack.real, stack.imag])
-        ortho = la.orthonormalize_rows(real_rows)
-        k = ortho.shape[0]
-        out = ortho[:, : d * d] + 1j * ortho[:, d * d :]
-        return out.reshape(k, d, d)
-
-    # -- conditional expectation and membership ------------------------------
-
     def project(self, m: np.ndarray) -> np.ndarray:
-        """Trace-orthogonal projection (conditional expectation) onto the algebra."""
+        """Trace-orthogonal projection (conditional expectation) onto the
+        algebra: the compression divided by the rest dimension, pinched to
+        its diagonal for the diagonal algebra, embedded."""
         m = _mat_of(m)
         la.check_same_dim(m, np.empty((self.dim, self.dim)))
-        if self.structure is not None:
-            return self.embed(self.compress(m) / self.structure.rest_dim)
-        basis = self._basis
-        coeffs = np.einsum("kij,ij->k", basis.conj(), m)
-        return np.einsum("k,kij->ij", coeffs, basis)
+        x = self.compress(m) / self.rest_dim
+        if self.abelian:
+            x = np.diag(np.diagonal(x))
+        return self.embed(x)
 
     def contains(self, m) -> bool:
         m = _mat_of(m)
         return la.frob(m - self.project(m)) <= TOL.alg * max(1.0, la.frob(m))
 
-    # -- derived algebras ----------------------------------------------------
-
-    def commutant(self) -> "MatrixAlgebra":
-        """The relative commutant inside the full matrix algebra."""
-        s = self.structure
-        if s is None:
-            return _commutant_solve(self.generators, self.dim)
-        if not s.rest:
-            return MatrixAlgebra.from_basis(
-                np.eye(self.dim, dtype=complex).reshape(1, self.dim, self.dim)
-                / np.sqrt(self.dim)
-            )
-        return MatrixAlgebra.tensor_factor(s.dims, s.rest)
-
     def random_projection(self, rng: np.random.Generator) -> Projection:
-        """A random nonzero projection inside the algebra.
-
-        For factor algebras this is the embedding of a Haar-random column
-        span of a uniformly random rank on the acting space; otherwise it is
-        a sum of spectral projections (over a random proper subset of
-        eigenvalue groups) of a random self-adjoint element of the algebra.
-        """
-        if self.structure is not None:
-            d_act = self.structure.acting_dim
-            rank = 1 if d_act == 1 else int(rng.integers(1, d_act))
-            return Projection(self.embed(la.haar_projection(d_act, rank, rng)))
-        herm = self.hermitian_basis
-        for _ in range(8):
-            coeffs = rng.standard_normal(herm.shape[0])
-            h = np.einsum("k,kij->ij", coeffs, herm)
-            w, v = np.linalg.eigh(h)
-            groups = la.eig_groups(w)
-            if len(groups) < 2:
-                continue
-            n_take = int(rng.integers(1, len(groups)))
-            chosen = rng.choice(len(groups), size=n_take, replace=False)
-            cols = np.hstack([v[:, groups[g]] for g in sorted(chosen)])
-            return Projection.from_span(cols)
-        return Projection(np.eye(self.dim))  # scalar algebra: identity only
+        """A random nonzero projection inside the algebra: the embedding of a
+        Haar-random column span of a uniformly random rank on the acting
+        space, or of a random set of that many diagonal units for the
+        diagonal algebra."""
+        d = self.acting_dim
+        rank = 1 if d == 1 else int(rng.integers(1, d))
+        if self.abelian:
+            mask = np.zeros(d, dtype=complex)
+            mask[rng.choice(d, size=rank, replace=False)] = 1.0
+            return Projection(self.embed(np.diag(mask)))
+        return Projection(self.embed(la.haar_projection(d, rank, rng)))
 
     def __repr__(self):
-        tag = "explicit" if self.structure is None else f"factor acting={self.structure.acting}"
-        return f"MatrixAlgebra(dim={self.dim}, {tag}, n_basis={self.n_basis})"
-
-
-def _word_closure(gens: list[np.ndarray], dim: int) -> np.ndarray:
-    """Trace-orthonormal basis of the unital *-algebra generated by gens."""
-    seeds = [np.eye(dim, dtype=complex)]
-    for g in gens:
-        seeds.append(g)
-        seeds.append(la.dagger(g))
-    rows = la.orthonormalize_rows(np.array([s.reshape(-1) for s in seeds]))
-    fresh = rows
-    while rows.shape[0] < dim * dim and fresh.size:
-        cur = rows.reshape(-1, dim, dim)
-        new = fresh.reshape(-1, dim, dim)
-        prods = np.concatenate([
-            np.einsum("aij,bjk->abik", new, cur).reshape(-1, dim * dim),
-            np.einsum("aij,bjk->abik", cur, new).reshape(-1, dim * dim),
-        ])
-        grown = la.grow_span(rows, prods)
-        fresh = grown[rows.shape[0]:]
-        rows = grown
-    return rows.reshape(-1, dim, dim)
-
-
-def _commutant_solve(gens: list[np.ndarray], dim: int) -> MatrixAlgebra:
-    """Null-space solve of X G = G X over all generators (and adjoints)."""
-    eye = np.eye(dim)
-    blocks = []
-    for g in gens:
-        for gg in (g, la.dagger(g)):
-            blocks.append(np.kron(eye, gg.T) - np.kron(gg, eye))
-    k = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(k)
-    tol = max(k.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    tol = max(tol, 1e-10)
-    null_rows = vh[np.sum(s > tol):]
-    basis = null_rows.conj().reshape(-1, dim, dim)
-    alg = MatrixAlgebra.from_basis(basis)
-    eye_resid = la.frob(alg.project(np.eye(dim)) - np.eye(dim))
-    if eye_resid > TOL.alg:
-        raise ValidationError("commutant does not contain the identity", invariant="tol_alg")
-    return alg
-
-
-def conditional_expectation(m, n: MatrixAlgebra) -> HermitianOperator:
-    """Trace-compatible conditional expectation of a self-adjoint operator.
-
-    The trace-orthogonal projection onto a *-closed span maps self-adjoint
-    operators to self-adjoint operators, so the result wraps cleanly.
-    """
-    op = m if isinstance(m, HermitianOperator) else HermitianOperator(m)
-    return HermitianOperator(n.project(op.mat))
+        kind = "diagonal" if self.abelian else "full"
+        return f"MatrixAlgebra(dims={self.dims}, acting={self.acting}, {kind}, n_basis={self.n_basis})"
 
 
 # ---------------------------------------------------------------------------
@@ -1079,81 +896,47 @@ def conditional_expectation(m, n: MatrixAlgebra) -> HermitianOperator:
 # ---------------------------------------------------------------------------
 
 
-def _same_split(n1: MatrixAlgebra, n2: MatrixAlgebra) -> bool:
-    """Both algebras are factors of one tensor split."""
-    s1, s2 = n1.structure, n2.structure
-    return s1 is not None and s2 is not None and s1.dims == s2.dims
-
-
 def check_commuting_algebras(n1: MatrixAlgebra, n2: MatrixAlgebra) -> None:
-    """Raise unless both algebras act on one space and commute elementwise."""
+    """Raise unless the algebras act on disjoint factors of one split, which
+    makes them commute: DimensionMismatchError on different spaces,
+    StructureError on different splits, CommutationError on shared factors."""
     if n1.dim != n2.dim:
         raise DimensionMismatchError("algebras live on different spaces")
-    if _same_split(n1, n2):
-        if set(n1.structure.acting) & set(n2.structure.acting):
-            raise CommutationError("factor algebras overlap, they do not commute")
-        return
-    worst = max(
-        la.comm_residual(g1, g2) for g1 in n1.generators for g2 in n2.generators
-    )
-    if worst > TOL.comm:
-        raise CommutationError(
-            f"algebras do not commute elementwise (residual {worst:.3e})"
-        )
+    if n1.dims != n2.dims:
+        raise StructureError(f"algebras on different splits {n1.dims} and {n2.dims}")
+    if shared := sorted(set(n1.acting) & set(n2.acting)):
+        raise CommutationError(f"algebras share factors {shared}; they must act on disjoint factors")
 
 
 def is_product_state(phi: DensityState, n1: MatrixAlgebra, n2: MatrixAlgebra) -> bool:
-    """Whether phi factorizes across two commuting algebras.
+    """Whether phi factorizes across two algebras on disjoint factors.
 
-    Checks d |phi(XY) - phi(X) phi(Y)| <= product_tol over all pairs of
-    trace-orthonormal basis elements of the d-dimensional space swept, which
-    by bilinearity of the correlation form decides factorization over the
-    full algebras. The factor d makes the basis orthonormal for the
+    With ρ₁₂ the state reduced to n1's acting factors followed by n2's, of
+    dimension d = d₁d₂, and ρ₁, ρ₂ its marginals, the verdict is
+    √d · max |ρ₁₂ − ρ₁ ⊗ ρ₂| <= product_tol over the entries the algebras
+    reach (for a diagonal side, the entries diagonal in its indices). For
+    the trace-orthonormal matrix units X, Y of both algebras on the reduced
+    space, that entry times √d is d |φ(XY) − φ(X)φ(Y)|, whose vanishing
+    over both bases decides factorization over the full algebras by
+    bilinearity. The factor d makes the units orthonormal for the
     normalized trace, so the verdict does not depend on the space the
-    algebras are written on. Two factors of one split are swept on the union
-    of their acting factors, phi reduced there by partial trace.
+    algebras are written on.
     """
     check_commuting_algebras(n1, n2)
-    rho = phi.mat
-    if _same_split(n1, n2):
-        s1, s2 = n1.structure, n2.structure
-        union = tuple(sorted(s1.acting + s2.acting))  # disjoint, checked above
-        rho = la.partial_trace(rho, s1.dims, union)
-        dims = [s1.dims[i] for i in union]
-        n1, n2 = (MatrixAlgebra.tensor_factor(dims, map(union.index, s.acting)) for s in (s1, s2))
-    d = n1.dim
-    mats1 = list(n1.basis_iter())
-    mats2 = list(n2.basis_iter())
-    left = [rho @ x for x in mats1]
-    e1 = [expectation(rho, x) for x in mats1]
-    e2 = [expectation(rho, y) for y in mats2]
-    for i, lx in enumerate(left):
-        for j, y in enumerate(mats2):
-            joint = complex(np.sum(lx.T * y))
-            if d * abs(joint - e1[i] * e2[j]) > TOL.product:
-                return False
-    return True
+    phi.check_dim(n1.dim)
+    d1, d2 = n1.acting_dim, n2.acting_dim
+    rho = phi.reduced(n1.dims, n1.acting + n2.acting)
+    marginals = (la.partial_trace(rho, (d1, d2), (k,)) for k in (0, 1))
+    reach = np.kron(*(np.eye(d) if n.abelian else np.ones((d, d)) for n, d in ((n1, d1), (n2, d2))))
+    gap = float(np.max(np.abs(rho - np.kron(*marginals)) * reach))
+    return bool(np.sqrt(d1 * d2) * gap <= TOL.product)
 
 
-def logical_independence_check(
-    n1: MatrixAlgebra, n2: MatrixAlgebra, samples: int = 500, seed: int = 0
-) -> IndependenceVerdict:
+def logical_independence_check(n1: MatrixAlgebra, n2: MatrixAlgebra) -> IndependenceVerdict:
     """Check that no nonzero projections A in N1, B in N2 have A ^ B = 0.
 
-    The verdict is exact for factors of one tensor split (disjoint, since
-    they commute); otherwise seeded random sampling looks for a
-    counterexample.
+    Exact, as the algebras act on disjoint factors of one split (checked):
+    nonzero A ⊗ I and I ⊗ B meet in A ⊗ B, which is nonzero.
     """
     check_commuting_algebras(n1, n2)
-    if _same_split(n1, n2):
-        return IndependenceVerdict(independent=True, method="exact", samples=0)
-    rng = np.random.default_rng(seed)
-    for k in range(samples):
-        p = n1.random_projection(rng)
-        q = n2.random_projection(rng)
-        if lattice_meet(p, q).rank == 0:
-            return IndependenceVerdict(
-                independent=False, method="sampled", samples=k + 1,
-                counterexample=(p, q),
-            )
-    return IndependenceVerdict(independent=None, method="sampled", samples=samples)
+    return IndependenceVerdict(independent=True, method="exact")

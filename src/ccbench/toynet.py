@@ -53,7 +53,7 @@ from .bell import correlated_pairs
 from .commoncause import CommonCauseCertificate, find_strong_cc, quantum_verify_cc  # noqa: F401
 from .config import TOL
 from .errors import InfeasibleError, NotUnitaryError, RegionError, StructureError, ValidationError
-from .qprob import DensityState, EpsilonPureState, FactorStructure, MatrixAlgebra, Projection
+from .qprob import DensityState, EpsilonPureState, MatrixAlgebra, Projection
 
 SWAP = np.array(
     [
@@ -345,7 +345,7 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
     max_step = min(net.n_steps, 3)
 
     def site_generators(c: SliceCone):
-        return FactorStructure((2,) * n, tuple(range(c.lo, c.hi + 1))).local_generators()
+        return MatrixAlgebra.tensor_factor((2,) * n, tuple(range(c.lo, c.hi + 1))).local_generators()
 
     def commutator_norm(site: int, x: np.ndarray, image) -> float:
         support, m = image

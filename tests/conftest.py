@@ -53,6 +53,13 @@ def masked_instance(dim: int, rng: np.random.Generator, min_meet_rank: int = 2):
     return None
 
 
+def generators(alg) -> list[np.ndarray]:
+    """An algebra's local generators embedded on the full space, or the
+    identity for the scalars."""
+    gens = [la.embed_factor(x, alg.dims, (i,)) for i, x in alg.local_generators()]
+    return gens or [np.eye(alg.dim, dtype=complex)]
+
+
 class HeisenbergAlgebra:
     """Dense oracle for a net's local algebra at step k: U* F U.
 
@@ -70,7 +77,7 @@ class HeisenbergAlgebra:
     @cached_property
     def generators(self) -> list[np.ndarray]:
         ud = la.dagger(self.u)
-        return [ud @ g @ self.u for g in self.factor.generators]
+        return [ud @ g @ self.u for g in generators(self.factor)]
 
     def contains(self, m: np.ndarray) -> bool:
         return self.factor.contains(self.u @ m @ la.dagger(self.u))

@@ -150,8 +150,7 @@ def test_criterion_03_bell_seesaw_against_closed_form():
         rep = bell_correlation(DensityState(rho), n1, n2, restarts=4)
         assert abs(rep.beta - 1.0) <= 1e-9
 
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    abelian = MatrixAlgebra.from_generators([la.embed_factor(sz, (2, 2), (0,))], dim=4)
+    abelian = MatrixAlgebra.diagonal((2, 2), (0,))  # generated by σz ⊗ I
     for k in range(5):
         phi = DensityState(la.random_density(4, rng))
         rep = bell_correlation(phi, abelian, n2, restarts=4, seed=k)

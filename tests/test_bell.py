@@ -154,11 +154,10 @@ def test_seesaw_product_state_pinned_at_one():
 
 
 def test_abelian_side_caps_at_one():
-    # one side generated by a single dichotomic observable is abelian, and
-    # an abelian side admits no violation even on the singlet
-    n1 = MatrixAlgebra.from_generators(
-        [la.embed_factor(SZ, (2, 2), (0,))], dim=4
-    )
+    # one side generated by a single dichotomic observable, σz ⊗ I, is the
+    # diagonal algebra on its factor, and an abelian side admits no
+    # violation even on the singlet
+    n1 = MatrixAlgebra.diagonal((2, 2), (0,))
     n2 = MatrixAlgebra.tensor_factor((2, 2), (1,))
     report = bell_correlation(singlet_state(), n1, n2, restarts=8, seed=3)
     assert abs(report.beta - 1.0) <= 1e-9

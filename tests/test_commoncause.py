@@ -634,19 +634,20 @@ def test_find_strong_cc_localized_in_algebra(conjugate):
     # with r = (0.5 - 0.68^2) / 0.14 = 0.2686 inside the local rank-1
     # interval [0.2, 0.3], so the localized synthesis must succeed and
     # the cause must land inside the left-leg algebra. Conjugated by a
-    # Haar unitary, the algebra is an explicit basis, and localized
-    # synthesis needs a factor algebra: it is refused.
+    # Haar unitary, the algebra is no tensor factor and is refused; its
+    # diagonal, a factor but not a full one, is refused by the synthesis.
     v = np.array([0.3, 0.2, 0.18, 0.18, 0.14])
     rho = np.diag(np.kron(v, [0.5, 0.5])).astype(complex)
     alg = MatrixAlgebra.tensor_factor((5, 2), (0,))
     a = la.embed_factor(np.diag([1.0, 1, 1, 0, 0]), (5, 2), (0,))
     b = la.embed_factor(np.diag([1.0, 1, 0, 1, 0]), (5, 2), (0,))
     if conjugate:
-        u = la.haar_unitary(10, np.random.default_rng(17))
-        rho, a, b = (u @ m @ la.dagger(u) for m in (rho, a, b))
-        alg = alg.conjugated_by(u)
-        with pytest.raises(StructureError, match="needs a factor algebra"):
-            find_strong_cc(DensityState(rho), Projection(a), Projection(b), algebra=alg)
+        with pytest.raises(StructureError, match="not a tensor factor"):
+            alg.conjugated_by(la.haar_unitary(10, np.random.default_rng(17)))
+        diag = MatrixAlgebra.diagonal((5, 2), (0,))
+        assert diag.contains(a) and diag.contains(b)
+        with pytest.raises(StructureError, match="needs a full factor"):
+            find_strong_cc(DensityState(rho), Projection(a), Projection(b), algebra=diag)
         return
     phi = DensityState(rho)
     cert = dataclasses.replace(
@@ -663,14 +664,15 @@ def test_find_strong_cc_localized_in_algebra(conjugate):
 def test_find_strong_cc_in_an_algebra_on_every_factor(monkeypatch, conjugate):
     # a factor on every tensor factor is the full matrix algebra; it
     # compresses by the identity, so the state and the meet are used as
-    # they are. Conjugated, it is an explicit basis, which localized
-    # synthesis refuses
+    # they are. Conjugated, it is no tensor factor and is refused, and its
+    # diagonal is refused by the synthesis
     phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
     alg = MatrixAlgebra.tensor_factor((3, 3), (0, 1))
     if conjugate:
-        alg = alg.conjugated_by(la.haar_unitary(9, np.random.default_rng(23)))
-        with pytest.raises(StructureError, match="needs a factor algebra"):
-            find_strong_cc(phi, a, b, algebra=alg)
+        with pytest.raises(StructureError, match="not a tensor factor"):
+            alg.conjugated_by(la.haar_unitary(9, np.random.default_rng(23)))
+        with pytest.raises(StructureError, match="needs a full factor"):
+            find_strong_cc(phi, a, b, algebra=MatrixAlgebra.diagonal((3, 3), (0, 1)))
         return
     states = []
     real_state = commoncause.DensityState

@@ -18,7 +18,8 @@ import ccbench
 SRC = Path(ccbench.__file__).resolve().parent
 
 # toynet keeps quantum_verify_cc bound although it never calls it: the
-# benchmark's self-test wraps that binding (ROADMAP item 6).
+# benchmark's self-test wraps that binding, until the traced-name list gives
+# way to spans read from the package (ROADMAP items 8 and 10).
 ALLOWED = {("toynet.py", "quantum_verify_cc")}
 
 

@@ -17,7 +17,6 @@ from ccbench import (
     Projection,
     ValidationError,
     config,
-    conditional_expectation,
     correlation,
     is_product_state,
     is_subprojection,
@@ -34,9 +33,9 @@ from ccbench.errors import (
     StructureError,
 )
 from ccbench.config import TOL
-from ccbench.qprob import PAULI_X, EpsilonPureState, FactorStructure, PairProduct, commuting_meet
+from ccbench.qprob import EpsilonPureState, PairProduct, commuting_meet
 
-from conftest import rand_faithful_state
+from conftest import generators, rand_faithful_state
 
 ANGLE_TOL = 1e-8
 
@@ -631,52 +630,24 @@ def test_state_eval_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# algebras and commutants
+# algebras
 # ---------------------------------------------------------------------------
 
 
-def test_full_algebra_commutant_is_scalars():
-    n = MatrixAlgebra.full(3)
-    c = n.commutant()
-    assert c.n_basis == 1
-    assert c.contains(np.eye(3))
-    assert not c.contains(np.diag([1.0, 2.0, 3.0]))
-
-
 def test_diagonal_algebra_is_maximal_abelian():
-    n = MatrixAlgebra.diagonal(4)
-    c = n.commutant()
-    assert c.n_basis == n.n_basis == 4
-    assert c.contains(np.diag([1.0, 2.0, 3.0, 4.0]))
-    assert not c.contains(np.ones((4, 4)))
-
-
-def test_tensor_factor_commutant_swaps_legs():
-    n1 = MatrixAlgebra.tensor_factor((2, 3), (0,))
-    c = n1.commutant()
-    # the commutant of M2 x I3 is I2 x M3: dimensions 9 vs 4
-    assert c.n_basis == 9
-    x = np.kron(np.eye(2), la.haar_unitary(3, np.random.default_rng(0)))
-    assert c.contains(x)
-    assert not c.contains(np.kron(np.diag([1.0, -1.0]), np.eye(3)))
-
-
-def test_double_commutant_restores_factor():
-    n = MatrixAlgebra.tensor_factor((2, 2), (1,))
-    cc_alg = n.commutant().commutant()
-    assert cc_alg.n_basis == n.n_basis
-    for g in n.generators:
-        assert cc_alg.contains(g)
-
-
-def test_commutant_of_projection_pair_contains_both():
-    rng = np.random.default_rng(7)
-    u = la.haar_unitary(4, rng)
-    a = Projection(u @ np.diag([1.0, 1, 0, 0]) @ la.dagger(u))
-    b = Projection(u @ np.diag([1.0, 0, 1, 0]) @ la.dagger(u))
-    c = MatrixAlgebra.from_generators([a.mat, b.mat]).commutant()
-    for g in (a.mat, b.mat):
-        assert max(la.comm_residual(g, e) for e in c.basis_iter()) < 1e-9
+    # four commuting diagonal units on a 4-dim space: abelian, and of the
+    # largest dimension an abelian subalgebra of M4 can have
+    n = MatrixAlgebra.diagonal((4,), (0,))
+    units = list(n.basis_iter())
+    assert n.n_basis == len(units) == 4
+    assert max(la.comm_residual(x, y) for x in units for y in units) == 0.0
+    assert n.contains(np.diag([1.0, 2.0, 3.0, 4.0]))
+    assert not n.contains(np.ones((4, 4)))
+    assert all(n.contains(g) for g in generators(n))
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        p = n.random_projection(rng)
+        assert n.contains(p.mat) and 1 <= p.rank < 4
 
 
 def closure_residual(alg: MatrixAlgebra, max_pairs: int = 400, seed: int = 0) -> float:
@@ -696,13 +667,19 @@ def closure_residual(alg: MatrixAlgebra, max_pairs: int = 400, seed: int = 0) ->
 
 
 def test_algebra_closure_residual_small():
-    n = MatrixAlgebra.from_generators(
-        [np.diag([1.0, 1, 0, 0]), np.diag([1.0, 0, 1, 0])]
-    )
-    assert closure_residual(n) < 1e-10
+    # diag(1,1,0,0) and diag(1,0,1,0) generate the diagonal algebra on both
+    # factors of a (2, 2) split; it, and both kinds on two of three
+    # factors, are closed under products
+    pair = MatrixAlgebra.diagonal((2, 2), (0, 1))
+    assert all(pair.contains(np.diag(g)) for g in ([1.0, 1, 0, 0], [1.0, 0, 1, 0]))
+    for n in (pair, *(make((2, 3, 2), (0, 2)) for make in (MatrixAlgebra.diagonal, MatrixAlgebra.tensor_factor))):
+        assert closure_residual(n) < 1e-10
 
 
 def test_factor_generators_are_built_on_first_read(monkeypatch):
+    # the algebra keeps its generators local; compressing embeds nothing,
+    # projecting embeds its one compressed result, and only a reader of
+    # the dense generators embeds them
     real = la.embed_factor
     calls = []
 
@@ -717,20 +694,31 @@ def test_factor_generators_are_built_on_first_read(monkeypatch):
     n = MatrixAlgebra.tensor_factor(dims, acting)
     n.compress(m)
     assert calls == []
-    # project embeds its one compressed result, no generator
     n.project(m)
     assert calls == [acting]
-    eager = [real(x, dims, (i,)) for i, x in FactorStructure(dims, acting).local_generators()]
-    assert len(n.generators) == 2 * len(acting)
-    assert all(np.array_equal(g, e) for g, e in zip(n.generators, eager))
-    assert len(calls) == 1 + 2 * len(acting)  # built once
+    local = n.local_generators()
+    assert [i for i, _ in local] == [1, 1, 2, 2, 4, 4] and len(calls) == 1
+    dense = generators(n)
+    assert all(np.array_equal(g, real(x, dims, (i,))) for g, (i, x) in zip(dense, local))
+    assert len(calls) == 1 + 2 * len(acting)
+
+
+@pytest.mark.parametrize("acting", [(0, 0), (1, 0, 1)])
+def test_repeated_acting_factors_are_refused(acting):
+    for make in (MatrixAlgebra.tensor_factor, MatrixAlgebra.diagonal):
+        with pytest.raises(DimensionMismatchError, match="repeat"):
+            make((2, 2), acting)
+    with pytest.raises(DimensionMismatchError, match="out of range"):
+        MatrixAlgebra.tensor_factor((2, 2), (2,))
 
 
 def test_conjugating_a_large_factor_is_refused():
-    u = la.haar_unitary(64, np.random.default_rng(2))
-    n = MatrixAlgebra.tensor_factor((2,) * 6, (0, 1))
-    with pytest.raises(StructureError, match="dim 64"):
-        n.conjugated_by(u)
+    # no conjugated algebra is a tensor factor of the split, whatever its size
+    for dims, acting in (((2,) * 6, (0, 1)), ((2, 2), (0,))):
+        n = MatrixAlgebra.tensor_factor(dims, acting)
+        u = la.haar_unitary(n.dim, np.random.default_rng(2))
+        with pytest.raises(StructureError, match="not a tensor factor"):
+            n.conjugated_by(u)
 
 
 # ---------------------------------------------------------------------------
@@ -741,29 +729,34 @@ def test_conjugating_a_large_factor_is_refused():
 def test_conditional_expectation_onto_diagonal_is_pinching():
     rng = np.random.default_rng(3)
     m = la.hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    e = conditional_expectation(m, MatrixAlgebra.diagonal(4))
-    assert la.frob(e.mat - np.diag(np.diag(m))) < 1e-10
+    e = MatrixAlgebra.diagonal((4,), (0,)).project(m)
+    assert la.frob(e - np.diag(np.diag(m))) < 1e-10
+    # on one factor of a split: the scaled partial trace, pinched
+    e = MatrixAlgebra.diagonal((2, 2), (1,)).project(m)
+    reduced = la.partial_trace(m, (2, 2), (1,)) / 2.0
+    assert la.frob(e - np.kron(np.eye(2), np.diag(np.diag(reduced)))) < 1e-12
 
 
 def test_conditional_expectation_onto_factor_is_scaled_partial_trace():
     rng = np.random.default_rng(4)
     m = la.hermitize(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     n = MatrixAlgebra.tensor_factor((2, 3), (0,))
-    e = conditional_expectation(m, n)
+    e = n.project(m)
     expected = la.embed_factor(la.partial_trace(m, (2, 3), (0,)) / 3.0, (2, 3), (0,))
-    assert la.frob(e.mat - expected) < 1e-10
+    assert la.frob(e - expected) < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_conditional_expectation_properties(seed):
     rng = np.random.default_rng(40 + seed)
     m = la.hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    n = MatrixAlgebra.tensor_factor((2, 2), (1,))
-    e = conditional_expectation(m, n).mat
-    # idempotent, trace preserving, unital
-    assert la.frob(conditional_expectation(e, n).mat - e) < 1e-10
-    assert abs(np.trace(e) - np.trace(m)) < 1e-10
-    assert la.frob(conditional_expectation(np.eye(4), n).mat - np.eye(4)) < 1e-12
+    for n in (MatrixAlgebra.tensor_factor((2, 2), (1,)), MatrixAlgebra.diagonal((2, 2), (1,))):
+        e = n.project(m)
+        # self-adjoint, idempotent, trace preserving, unital
+        assert la.herm_residual(e) < 1e-12
+        assert la.frob(n.project(e) - e) < 1e-10
+        assert abs(np.trace(e) - np.trace(m)) < 1e-10
+        assert la.frob(n.project(np.eye(4)) - np.eye(4)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -887,78 +880,152 @@ def test_is_product_rejects_overlapping_factors():
         is_product_state(DensityState(np.eye(4) / 4), n1, n1)
 
 
+def unit_sweep_is_product(rho, dims, sides, u=None) -> bool:
+    """The scale-free product verdict, swept on the full space: d |φ(XY) −
+    φ(X)φ(Y)| <= product_tol for every pair of trace-orthonormal matrix
+    units X, Y of the two sides, each (factor, diagonal) and embedded on
+    ``dims`` (only diagonal units on a diagonal side); with ``u``, the
+    units and the state rotated by it. φ(XY) is Σ (ρX)ᵀ ⊙ Y and φ(X) is
+    Σ conj(ρ) ⊙ X, for the exactly Hermitian ρ of a DensityState."""
+    d = rho.shape[0]
+    u = np.eye(d) if u is None else u
+    r = DensityState(u @ rho @ la.dagger(u)).mat
+
+    def units(factor, diagonal):
+        k = dims[factor]
+        for i in range(k):
+            for j in (i,) if diagonal else range(k):
+                e = np.zeros((k, k), dtype=complex)
+                e[i, j] = 1.0 / np.sqrt(d // k)
+                yield u @ la.embed_factor(e, dims, (factor,)) @ la.dagger(u)
+
+    xs, ys = (list(units(*side)) for side in sides)
+    weights = [[complex(np.sum(r.conj() * x)) for x in side] for side in (xs, ys)]
+    return all(
+        d * abs(complex(np.sum((r @ x).T * y)) - wx * wy) <= TOL.product
+        for x, wx in zip(xs, weights[0]) for y, wy in zip(ys, weights[1])
+    )
+
+
+def _outer_algebras(diagonal_right=False):
+    dims = (2, 3, 2)
+    right = MatrixAlgebra.diagonal if diagonal_right else MatrixAlgebra.tensor_factor
+    return MatrixAlgebra.tensor_factor(dims, (0,)), right(dims, (2,))
+
+
 def test_product_state_on_outer_factors_matches_explicit_route():
     # factors 0 and 2 of a (2, 3, 2) split: the factor route reduces to the
-    # outer pair, tracing the middle factor out; conjugating by I gives the
-    # same algebras in explicit form, swept on the full space
+    # outer pair, tracing the middle factor out; the unit sweep judges the
+    # same algebras on the full space
     rng = np.random.default_rng(23)
     dims = (2, 3, 2)
-    n1, n2 = (MatrixAlgebra.tensor_factor(dims, (k,)) for k in (0, 2))
-    e1, e2 = (n.conjugated_by(np.eye(12)) for n in (n1, n2))
-    assert e1.structure is None and e2.structure is None
+    n1, n2 = _outer_algebras()
     product = np.kron(la.random_density(6, rng), la.random_density(2, rng))
     mid = la.random_density(3, rng)
     up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     correlated = 0.5 * np.kron(np.kron(up, mid), up) + 0.5 * np.kron(np.kron(down, mid), down)
     for rho, expected in ((product, True), (correlated, False)):
-        phi = DensityState(rho)
-        assert is_product_state(phi, n1, n2) is expected
-        assert is_product_state(phi, e1, e2) is expected
+        assert is_product_state(DensityState(rho), n1, n2) is expected
+        assert unit_sweep_is_product(rho, dims, ((0, False), (2, False))) is expected
 
 
 @pytest.mark.parametrize("delta", [1e-10, 3e-10, 1e-9, 2e-9, 3e-9, 1e-8, 2e-8, 3e-8, 1e-7])
 def test_product_verdict_does_not_depend_on_the_representation(delta):
     # factors 0 and 2 of a (2, 3, 2) split, a correlation of size delta
-    # between them: the factor route sweeps the 4-dim outer pair, the
-    # explicit and the Haar-rotated routes the full 12-dim space, and all
+    # between them: the factor route compares the 4-dim outer pair's entries,
+    # the unit sweep, plain and Haar-rotated, the full 12-dim space, and all
     # three must give one verdict near the product_tol threshold
     dims = (2, 3, 2)
-    n1, n2 = (MatrixAlgebra.tensor_factor(dims, (k,)) for k in (0, 2))
+    n1, n2 = _outer_algebras()
     up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     mid = np.eye(3) / 3.0
     corr = 0.5 * np.kron(np.kron(up, mid), up) + 0.5 * np.kron(np.kron(down, mid), down)
     rho = (1.0 - delta) * np.eye(12) / 12.0 + delta * corr
     u = la.haar_unitary(12, np.random.default_rng(0))
+    sides = ((0, False), (2, False))
     verdicts = {
         is_product_state(DensityState(rho), n1, n2),
-        is_product_state(DensityState(rho), *(n.conjugated_by(np.eye(12)) for n in (n1, n2))),
-        is_product_state(
-            DensityState(u @ rho @ la.dagger(u)), *(n.conjugated_by(u) for n in (n1, n2))
-        ),
+        unit_sweep_is_product(rho, dims, sides),
+        unit_sweep_is_product(rho, dims, sides, u),
     }
     assert len(verdicts) == 1
     if delta in (1e-10, 1e-7):
         assert verdicts == {delta < 1e-9}
 
 
+@pytest.mark.parametrize("delta", [1e-10, 1e-9, 3e-9, 1e-8, 1e-7])
+def test_product_verdict_with_a_diagonal_side_matches_the_unit_sweep(delta):
+    # a correlation in the off-diagonal entries of the right factor, which a
+    # diagonal right side cannot see, next to a diagonal one of size delta
+    dims = (2, 3, 2)
+    n1, full = _outer_algebras()
+    _, diag = _outer_algebras(diagonal_right=True)
+    x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    mid = np.eye(3) / 3.0
+    rho = np.eye(12) / 12.0 + 0.1 * np.kron(np.kron(x, mid), x) / 4.0
+    rho = rho + delta * np.kron(np.kron(z, mid), z) / 4.0
+    u = la.haar_unitary(12, np.random.default_rng(1))
+    verdicts = {
+        is_product_state(DensityState(rho), n1, diag),
+        unit_sweep_is_product(rho, dims, ((0, False), (2, True))),
+        unit_sweep_is_product(rho, dims, ((0, False), (2, True)), u),
+    }
+    assert len(verdicts) == 1
+    if delta in (1e-10, 1e-7):
+        assert verdicts == {delta < 1e-9}
+    assert not is_product_state(DensityState(rho), n1, full)
+
+
+def test_is_product_state_checks_the_state_dimension():
+    n1, n2 = _split_algebras(2, 3)
+    with pytest.raises(DimensionMismatchError, match="dimension mismatch"):
+        is_product_state(DensityState(np.eye(4) / 4), n1, n2)
+
+
 def test_logical_independence_exact_for_disjoint_factors():
     n1, n2 = _split_algebras(2, 2)
-    verdict = logical_independence_check(n1, n2)
-    assert verdict.independent is True
-    assert verdict.method == "exact"
+    for pair in ((n1, n2), (MatrixAlgebra.diagonal((2, 2), (0,)), n2)):
+        verdict = logical_independence_check(*pair)
+        assert verdict.independent is True
+        assert verdict.method == "exact"
 
 
 def test_conjugated_factors_are_not_a_tensor_split():
     # rotated by U, the two legs still commute but are no longer the legs
-    # of the computational split: factorization is judged in the rotated
-    # frame, and independence can only be sampled
+    # of the computational split: the rotation is refused, and a rotated
+    # product state is judged in the split's own frame
     rng = np.random.default_rng(5)
     u = la.haar_unitary(4, rng)
-    n1, n2 = (n.conjugated_by(u) for n in _split_algebras(2, 2))
+    n1, n2 = _split_algebras(2, 2)
+    with pytest.raises(StructureError, match="conjugate the state instead"):
+        n1.conjugated_by(u)
     rho = np.kron(la.random_density(2, rng), la.random_density(2, rng))
-    assert is_product_state(DensityState(u @ rho @ la.dagger(u)), n1, n2)
-    assert not is_product_state(DensityState(rho), n1, n2)
-    assert logical_independence_check(n1, n2).method == "sampled"
+    assert is_product_state(DensityState(rho), n1, n2)
+    assert not is_product_state(DensityState(u @ rho @ la.dagger(u)), n1, n2)
 
 
-def test_logical_independence_sampled_finds_counterexample():
-    # two copies of the diagonal algebra on the same leg share
-    # complementary projections whose meet is zero
-    n = MatrixAlgebra.diagonal(3)
-    verdict = logical_independence_check(n, n, samples=200, seed=1)
-    assert verdict.independent is False
-    p, q = verdict.counterexample
+def test_algebras_on_different_splits_are_refused():
+    n1 = MatrixAlgebra.tensor_factor((2, 3), (0,))
+    n2 = MatrixAlgebra.tensor_factor((3, 2), (0,))
+    phi = DensityState(np.eye(6) / 6)
+    for check in (lambda: is_product_state(phi, n1, n2), lambda: logical_independence_check(n1, n2)):
+        with pytest.raises(StructureError, match="different splits"):
+            check()
+    with pytest.raises(DimensionMismatchError, match="different spaces"):
+        logical_independence_check(n1, MatrixAlgebra.tensor_factor((2, 2), (0,)))
+
+
+def test_overlapping_diagonal_algebras_are_refused():
+    # two copies of the diagonal algebra on one leg commute, but they share
+    # complementary projections whose meet is zero: not logically
+    # independent, and not on disjoint factors, so refused
+    n = MatrixAlgebra.diagonal((3, 2), (0,))
+    p, q = (Projection(la.embed_factor(np.diag(m), (3, 2), (0,))) for m in ([1.0, 0, 0], [0, 1.0, 1]))
     assert lattice_meet(p, q).rank == 0
+    with pytest.raises(CommutationError, match="share factors"):
+        logical_independence_check(n, n)
+    with pytest.raises(CommutationError, match="share factors"):
+        is_product_state(DensityState(np.eye(6) / 6), n, MatrixAlgebra.tensor_factor((3, 2), (0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -973,22 +1040,6 @@ def test_faithful_state_spectrum(dim):
     w = np.linalg.eigvalsh(phi.mat)
     assert w.min() > 0
     assert abs(w.sum() - 1.0) < 1e-12
-
-
-def test_conjugated_algebra_membership():
-    rng = np.random.default_rng(21)
-    u = la.haar_unitary(4, rng)
-    # a conjugated factor is expanded to an explicit basis
-    n = MatrixAlgebra.tensor_factor((2, 2), (0,)).conjugated_by(u)
-    assert n.structure is None and n.n_basis == 4
-    x = u @ np.kron(np.diag([1.0, -1.0]), np.eye(2)) @ la.dagger(u)
-    assert n.contains(x)
-    assert not n.contains(u @ np.kron(np.eye(2), np.diag([1.0, -1.0])) @ la.dagger(u))
-    # an explicit basis is conjugated element by element
-    d = MatrixAlgebra.diagonal(4).conjugated_by(u)
-    assert d.n_basis == 4
-    assert d.contains(x)
-    assert not d.contains(u @ np.kron(PAULI_X, np.eye(2)) @ la.dagger(u))
 
 
 # ---------------------------------------------------------------------------
