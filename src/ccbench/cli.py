@@ -64,9 +64,9 @@ MAX_BUDGET = 80  # toynet-demo candidate pairs
 MAX_RESTARTS = 20  # see-saw restarts of bell and sample-bell
 MAX_SAMPLES = 1000  # sample-bell states
 # sample-bell see-saws, n × restarts, on a split that runs the see-saw (any
-# but 2 x 2). On random pure 4 x 6 states a see-saw averages about 0.12 s
-# and some run for 0.6 s (one BLAS thread); n = 4 with 20 restarts took
-# 8.3-17.8 s over three seeds, so 80 would sit too near the sweep's cap.
+# but 2 x 2). On random pure 4 x 6 states a see-saw averages about 0.016 s
+# and some run for 0.08 s (one BLAS thread); n = 4 with 20 restarts took
+# 0.9-1.7 s over three seeds, and n = 3 with 20 at the cap 1.9 s in the CLI.
 MAX_SEESAWS = 60
 MAX_AXIOM_PAIRS = 1000  # toynet-demo axiom samples
 

@@ -16,7 +16,6 @@ verifications agree to rounding, which the test suite checks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -756,14 +755,6 @@ def is_subprojection(p, q) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndependenceVerdict:
-    """Outcome of a logical-independence check, exact by the tensor split."""
-
-    independent: bool
-    method: str
-
-
 class MatrixAlgebra:
     """A local algebra: operators on the factors ``acting`` of the split
     ``dims``, identity elsewhere.
@@ -771,9 +762,9 @@ class MatrixAlgebra:
     It is the full matrix algebra on those factors (``tensor_factor``) or
     its diagonal, maximal abelian subalgebra (``diagonal``). Two maps
     connect it to the acting factors: ``compress`` is the partial trace and
-    ``embed`` is x ⊗ I. Basis, conditional expectation and random
-    projections go through them, so nothing of size N² × basis count is
-    ever formed.
+    ``embed`` is x ⊗ I. Its basis, generators and random projections are
+    handed out on the acting factors; ``embed`` (or
+    ``Projection.embedded``) makes them the algebra's operators.
     """
 
     def __init__(self, dims: Sequence[int], acting: Sequence[int], abelian: bool):
@@ -848,15 +839,14 @@ class MatrixAlgebra:
         return d if self.abelian else d * d
 
     def basis_iter(self) -> Iterator[np.ndarray]:
-        """Yield a trace-orthonormal basis: the embedded matrix units, the
-        diagonal ones only for the diagonal algebra."""
-        norm = 1.0 / np.sqrt(self.rest_dim)
+        """Yield the matrix units on the acting factors, the diagonal ones
+        only for the diagonal algebra; embedded, they are a basis of it."""
         d = self.acting_dim
         for i in range(d):
             for j in (i,) if self.abelian else range(d):
                 unit = np.zeros((d, d), dtype=complex)
-                unit[i, j] = norm
-                yield self.embed(unit)
+                unit[i, j] = 1.0
+                yield unit
 
     def project(self, m: np.ndarray) -> np.ndarray:
         """Trace-orthogonal projection (conditional expectation) onto the
@@ -874,17 +864,17 @@ class MatrixAlgebra:
         return la.frob(m - self.project(m)) <= TOL.alg * max(1.0, la.frob(m))
 
     def random_projection(self, rng: np.random.Generator) -> Projection:
-        """A random nonzero projection inside the algebra: the embedding of a
-        Haar-random column span of a uniformly random rank on the acting
-        space, or of a random set of that many diagonal units for the
-        diagonal algebra."""
+        """A random nonzero projection of the algebra, on the acting factors:
+        a Haar-random column span of a uniformly random rank, or a random
+        set of that many diagonal units for the diagonal algebra. Its
+        ``embedded(dims, acting)`` is the algebra's projection."""
         d = self.acting_dim
         rank = 1 if d == 1 else int(rng.integers(1, d))
         if self.abelian:
             mask = np.zeros(d, dtype=complex)
             mask[rng.choice(d, size=rank, replace=False)] = 1.0
-            return Projection(self.embed(np.diag(mask)))
-        return Projection(self.embed(la.haar_projection(d, rank, rng)))
+            return Projection(np.diag(mask))
+        return Projection(la.haar_projection(d, rank, rng))
 
     def __repr__(self):
         kind = "diagonal" if self.abelian else "full"
@@ -896,10 +886,11 @@ class MatrixAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def check_commuting_algebras(n1: MatrixAlgebra, n2: MatrixAlgebra) -> None:
-    """Raise unless the algebras act on disjoint factors of one split, which
-    makes them commute: DimensionMismatchError on different spaces,
-    StructureError on different splits, CommutationError on shared factors."""
+def logical_independence_check(n1: MatrixAlgebra, n2: MatrixAlgebra) -> None:
+    """Raise unless the algebras act on disjoint factors of one split
+    (DimensionMismatchError on different spaces, StructureError on different
+    splits, CommutationError on shared factors). Such algebras commute and
+    are logically independent: nonzero A ⊗ I and I ⊗ B meet in A ⊗ B ≠ 0."""
     if n1.dim != n2.dim:
         raise DimensionMismatchError("algebras live on different spaces")
     if n1.dims != n2.dims:
@@ -908,11 +899,19 @@ def check_commuting_algebras(n1: MatrixAlgebra, n2: MatrixAlgebra) -> None:
         raise CommutationError(f"algebras share factors {shared}; they must act on disjoint factors")
 
 
+def pair_state(phi: DensityState, n1: MatrixAlgebra, n2: MatrixAlgebra) -> np.ndarray:
+    """ρ₁₂: phi reduced to n1's acting factors followed by n2's, once the
+    pair passes ``logical_independence_check`` and phi is on their space."""
+    logical_independence_check(n1, n2)
+    phi.check_dim(n1.dim)
+    return phi.reduced(n1.dims, n1.acting + n2.acting)
+
+
 def is_product_state(phi: DensityState, n1: MatrixAlgebra, n2: MatrixAlgebra) -> bool:
     """Whether phi factorizes across two algebras on disjoint factors.
 
-    With ρ₁₂ the state reduced to n1's acting factors followed by n2's, of
-    dimension d = d₁d₂, and ρ₁, ρ₂ its marginals, the verdict is
+    With ρ₁₂ = ``pair_state(phi, n1, n2)``, of dimension d = d₁d₂, and
+    ρ₁, ρ₂ its marginals, the verdict is
     √d · max |ρ₁₂ − ρ₁ ⊗ ρ₂| <= product_tol over the entries the algebras
     reach (for a diagonal side, the entries diagonal in its indices). For
     the trace-orthonormal matrix units X, Y of both algebras on the reduced
@@ -922,21 +921,9 @@ def is_product_state(phi: DensityState, n1: MatrixAlgebra, n2: MatrixAlgebra) ->
     normalized trace, so the verdict does not depend on the space the
     algebras are written on.
     """
-    check_commuting_algebras(n1, n2)
-    phi.check_dim(n1.dim)
+    rho = pair_state(phi, n1, n2)
     d1, d2 = n1.acting_dim, n2.acting_dim
-    rho = phi.reduced(n1.dims, n1.acting + n2.acting)
     marginals = (la.partial_trace(rho, (d1, d2), (k,)) for k in (0, 1))
     reach = np.kron(*(np.eye(d) if n.abelian else np.ones((d, d)) for n, d in ((n1, d1), (n2, d2))))
     gap = float(np.max(np.abs(rho - np.kron(*marginals)) * reach))
     return bool(np.sqrt(d1 * d2) * gap <= TOL.product)
-
-
-def logical_independence_check(n1: MatrixAlgebra, n2: MatrixAlgebra) -> IndependenceVerdict:
-    """Check that no nonzero projections A in N1, B in N2 have A ^ B = 0.
-
-    Exact, as the algebras act on disjoint factors of one split (checked):
-    nonzero A ⊗ I and I ⊗ B meet in A ⊗ B, which is nonzero.
-    """
-    check_commuting_algebras(n1, n2)
-    return IndependenceVerdict(independent=True, method="exact")

@@ -542,10 +542,7 @@ def weak_rccp_demo(
         raise InfeasibleError("no correlated pair across the regions: product state")
 
     def embed_back(p_red: Projection, local_sites) -> Projection:
-        positions = tuple(keep.index(s) for s in local_sites)
-        loc = la.partial_trace(p_red.mat, red_dims, positions) / (
-            2 ** (len(keep) - len(local_sites))
-        )
+        loc = p_red.within(red_dims, tuple(keep.index(s) for s in local_sites)).mat
         support, m = _relative_image(net, 0, k, local_sites, loc)
         return Projection(m).embedded(dims, support)
 

@@ -323,11 +323,11 @@ def test_seesaw_never_exceeds_the_two_qubit_optimum(seed, rank):
 
 
 def test_seesaw_signs_stay_in_their_algebras(monkeypatch):
-    # on this rank-1 state a half-step's conditional expectation has a
-    # degenerate zero eigenspace, which rounding splits into tiny ± values;
-    # the sign maps the whole window to +1, so every X stays in N1 and every
-    # Y in N2 (x lay √2 from N1 when the split kernel took both signs), and
-    # the objective goes through state_eval's imaginary-part check
+    # on this rank-1 state a half-step's conditional expectation is singular,
+    # and rounding can push its zero eigenvalues below 0; the sign maps the
+    # whole window to +1, so every X and Y is a self-adjoint unitary on its
+    # own factor, and the objective goes through state_eval's
+    # imaginary-part check
     phi = DensityState(la.random_density(4, np.random.default_rng(853), rank=1))
     n1, n2 = split_algebras()
     seen = []
@@ -340,9 +340,53 @@ def test_seesaw_signs_stay_in_their_algebras(monkeypatch):
     monkeypatch.setattr(bell, "_objective", watched)
     beta = bell_correlation(phi, n1, n2, restarts=2).beta
     assert seen
-    for x1, x2, y1, y2 in seen:
-        for x in (x1, x2):
-            assert la.frob(x - n1.project(x)) <= 1e-10
-        for y in (y1, y2):
-            assert la.frob(y - n2.project(y)) <= 1e-10
+    for ops in seen:
+        for x in ops:
+            assert x.shape == (2, 2)
+            assert la.herm_residual(x) <= 1e-12
+            assert la.frob(x @ x - np.eye(2)) <= 1e-12
     assert abs(beta - two_qubit_chsh_oracle(phi)) <= 1e-6
+
+
+@pytest.mark.parametrize("diagonal_right", [False, True])
+def test_bell_runs_on_the_pair_state(diagonal_right):
+    # factors 0 and 2 of a (2, 3, 2) split see only the state reduced to
+    # them: the see-saw and the sweep give what they give on that reduced
+    # state written on a (2, 2) split
+    dims = (2, 3, 2)
+    right = MatrixAlgebra.diagonal if diagonal_right else MatrixAlgebra.tensor_factor
+    n1, n2 = MatrixAlgebra.tensor_factor(dims, (0,)), right(dims, (2,))
+    m1, m2 = MatrixAlgebra.tensor_factor((2, 2), (0,)), right((2, 2), (1,))
+    rng = np.random.default_rng(31)
+    v = la.random_pure_state(12, rng)
+    phi = DensityState(0.8 * np.outer(v, v.conj()) + 0.2 * np.eye(12) / 12)
+    reduced = DensityState(phi.reduced(dims, (0, 2)))
+    wide = bell_correlation(phi, n1, n2, restarts=4, seed=5)
+    narrow = bell_correlation(reduced, m1, m2, restarts=4, seed=5)
+    assert abs(wide.beta - narrow.beta) <= 1e-12
+    assert wide.iterations == narrow.iterations
+    pairs = [list(bell.correlated_pairs(state, *algs)) for state, algs in ((phi, (n1, n2)), (reduced, (m1, m2)))]
+    assert len(pairs[0]) == len(pairs[1]) > 0
+    for (c, a, b), (c_red, a_red, b_red) in zip(*pairs):
+        assert abs(c - c_red) <= 1e-12
+        assert (a.rank, b.rank) == (3 * a_red.rank, 3 * b_red.rank)
+        assert abs(correlation(phi, a, b) - c) <= 1e-12
+
+
+def test_bell_forms_no_operator_of_the_split(monkeypatch):
+    # a rest factor of dimension 16 between the two sides: neither the
+    # see-saw nor the sweep embeds an operator in, or projects one from,
+    # the 64-dimensional space
+    dims = (2, 16, 2)
+    n1, n2 = MatrixAlgebra.tensor_factor(dims, (0,)), MatrixAlgebra.tensor_factor(dims, (2,))
+    v = la.random_pure_state(64, np.random.default_rng(9))
+    phi = DensityState(0.9 * np.outer(v, v.conj()) + 0.1 * np.eye(64) / 64)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator of the split was formed")
+
+    monkeypatch.setattr(la, "embed_factor", refuse)
+    monkeypatch.setattr(MatrixAlgebra, "project", refuse)
+    assert 1.0 <= bell_correlation(phi, n1, n2, restarts=3).beta <= SQRT2 + 1e-9
+    a, b = find_correlated_pair(phi, n1, n2)
+    assert (a.dim, b.dim) == (64, 64)

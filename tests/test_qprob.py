@@ -651,8 +651,9 @@ def test_diagonal_algebra_is_maximal_abelian():
 
 
 def closure_residual(alg: MatrixAlgebra, max_pairs: int = 400, seed: int = 0) -> float:
-    """Largest projection residual of pairwise basis products (sampled)."""
-    mats = list(alg.basis_iter())
+    """Largest projection residual of pairwise basis products (sampled),
+    the local matrix units embedded in the split."""
+    mats = [alg.embed(e) for e in alg.basis_iter()]
     k = len(mats)
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(k) for j in range(k)]
@@ -929,7 +930,7 @@ def test_product_state_on_outer_factors_matches_explicit_route():
         assert unit_sweep_is_product(rho, dims, ((0, False), (2, False))) is expected
 
 
-@pytest.mark.parametrize("delta", [1e-10, 3e-10, 1e-9, 2e-9, 3e-9, 1e-8, 2e-8, 3e-8, 1e-7])
+@pytest.mark.parametrize("delta", [1e-10, 3e-10, 1e-9, 1.9e-9, 2.1e-9, 3e-9, 1e-8, 2e-8, 3e-8, 1e-7])
 def test_product_verdict_does_not_depend_on_the_representation(delta):
     # factors 0 and 2 of a (2, 3, 2) split, a correlation of size delta
     # between them: the factor route compares the 4-dim outer pair's entries,
@@ -951,6 +952,8 @@ def test_product_verdict_does_not_depend_on_the_representation(delta):
     assert len(verdicts) == 1
     if delta in (1e-10, 1e-7):
         assert verdicts == {delta < 1e-9}
+    if delta in (1.9e-9, 2.1e-9):
+        assert verdicts == {delta < 2e-9}
 
 
 @pytest.mark.parametrize("delta", [1e-10, 1e-9, 3e-9, 1e-8, 1e-7])
@@ -983,11 +986,11 @@ def test_is_product_state_checks_the_state_dimension():
 
 
 def test_logical_independence_exact_for_disjoint_factors():
+    # disjoint factors are logically independent, so the check passes by
+    # returning nothing; its refusals are tested below
     n1, n2 = _split_algebras(2, 2)
     for pair in ((n1, n2), (MatrixAlgebra.diagonal((2, 2), (0,)), n2)):
-        verdict = logical_independence_check(*pair)
-        assert verdict.independent is True
-        assert verdict.method == "exact"
+        assert logical_independence_check(*pair) is None
 
 
 def test_conjugated_factors_are_not_a_tensor_split():
