@@ -45,7 +45,7 @@ print(f"  verified: {cert.verified}")
 
 # several distinct ones: the target sits in the rank-2, rank-3, and rank-4
 # weight intervals of the meet simultaneously
-causes = [c.cause for c in find_multiple_strong_cc(phi, a, b, count=3, seed=0)]
+causes = [c.cause for c in find_multiple_strong_cc(phi, a, b, count=3)]
 print(f"\n{len(causes)} pairwise distinct causes, ranks {sorted(c.rank for c in causes)}")
 for i, c1 in enumerate(causes):
     for c2 in causes[i + 1 :]:

@@ -481,19 +481,17 @@ def _cmd_find_cc(sc: Scenario, seed: int):
         return results, "ok" if certs else "none-found"
     phi, a, b = sc.objects["phi"], sc.objects["A"], sc.objects["B"]
     count = _count(sc.payload, "count", 1, 1, MAX_COUNT)
-    if count == 1:
-        try:
-            cert = _cc.find_strong_cc(phi, a, b)
-        except InfeasibleError as exc:
-            return {"message": str(exc)}, "infeasible"
-        return _cause_record(cert), "ok"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        causes = _cc.find_multiple_strong_cc(phi, a, b, count, seed=seed)
+    try:
+        if count == 1:
+            return _cause_record(_cc.find_strong_cc(phi, a, b)), "ok"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            causes = _cc.find_multiple_strong_cc(phi, a, b, count)
+    except InfeasibleError as exc:
+        return {"message": str(exc)}, "infeasible"
     records = [_cause_record(cert) for cert in causes]
     notes = sorted(str(w.message) for w in caught)
-    results = {"requested": count, "n_found": len(causes), "causes": records, "notes": notes}
-    return results, "ok" if causes else "none-found"
+    return {"requested": count, "n_found": len(causes), "causes": records, "notes": notes}, "ok"
 
 
 def _cmd_genuine_cc(sc: Scenario, seed: int):

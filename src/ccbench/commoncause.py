@@ -33,6 +33,7 @@ setting of Hofer-Szabó, Rédei & Szabó, The Principle of the Common Cause
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import warnings
 from dataclasses import asdict, dataclass
@@ -499,40 +500,46 @@ def _rank_interval(mu: np.ndarray, k: int) -> tuple[float, float]:
     return float(mu[len(mu) - k :].sum()), float(mu[:k].sum())
 
 
-def _fitting_rank(mu: np.ndarray, r: float, ranks) -> int:
-    """The first of ``ranks`` whose Ky Fan interval holds r within synth_tol."""
-    for k in ranks:
-        lo, hi = _rank_interval(mu, k)
-        if lo - TOL.synth <= r <= hi + TOL.synth:
-            return k
-    shown = ", ".join(f"rank {k}: [%.6g, %.6g]" % _rank_interval(mu, k) for k in sorted(ranks))
+def _fitting_ranks(mu: np.ndarray, r: float, most: int) -> range:
+    """The ranks 1..most whose Ky Fan interval holds r within synth_tol.
+    Both ends of the interval rise with the rank, so they are the run from
+    the first rank whose top sum reaches r to the last whose bottom sum does
+    not pass it, each end found by bisection."""
+    ranks = range(1, most + 1)
+    first = bisect.bisect_left(ranks, True, key=lambda k: r <= _rank_interval(mu, k)[1] + TOL.synth)
+    stop = bisect.bisect_left(ranks, True, key=lambda k: _rank_interval(mu, k)[0] - TOL.synth > r)
+    if first < stop:
+        return ranks[first:stop]
+    shown = ", ".join(f"rank {k}: [%.6g, %.6g]" % _rank_interval(mu, k) for k in ranks)
     raise InfeasibleError(f"target {r:.6g} lies outside every achievable interval ({shown})")
 
 
 def _weighted_columns(
-    mu: np.ndarray, emb: np.ndarray, r: float, k: int, order_rng: np.random.Generator | None = None
-) -> np.ndarray:
+    mu: np.ndarray, emb: np.ndarray, r: float, k: int, phase: complex = 1.0
+) -> tuple[np.ndarray, float]:
     """Orthonormal columns, in the eigenvectors ``emb`` of a compressed state
     of descending spectrum mu, spanning a rank-k subprojection of weight r,
-    for a k whose Ky Fan interval holds r (``_fitting_rank``). The top-k
-    index set is walked down, one index to its successor per step (the last
-    movable, or a random one with ``order_rng``), and the step that would
-    pass r ends in a partial rotation between its two eigenvectors."""
+    for a k whose Ky Fan interval holds r (``_fitting_ranks``), and sin 2a.
+    The top-k index set is walked down, the last movable index to its
+    successor per step, and the step that would pass r ends in the turn
+    cos a·e_i + phase·sin a·e_{i+1}: as e_i*ρe_{i+1} = 0, every unit phase
+    gives weight r (phase 1 multiplies by none). A vertex has sin 2a = 0."""
     hi = _rank_interval(mu, k)[1]
     selected, s, r = list(range(k)), hi, min(r, hi)
     while s - r > 0.0:
-        movable = [i for i in selected if i + 1 < len(mu) and i + 1 not in selected]
-        if not movable:
+        i = max((i for i in selected if i + 1 < len(mu) and i + 1 not in selected), default=-1)
+        if i < 0:
             break
-        i = max(movable) if order_rng is None else movable[int(order_rng.integers(len(movable)))]
         drop = float(mu[i] - mu[i + 1])
         if drop > 0.0 and s - drop <= r:
             sin2 = min(max((s - r) / drop, 0.0), 1.0)
-            turned = np.sqrt(1.0 - sin2) * emb[:, i] + np.sqrt(sin2) * emb[:, i + 1]
-            return np.stack([*(emb[:, j] for j in selected if j != i), turned], axis=1)
+            tail = emb[:, i + 1] if phase == 1 else phase * emb[:, i + 1]
+            turned = np.sqrt(1.0 - sin2) * emb[:, i] + np.sqrt(sin2) * tail
+            span = np.stack([*(emb[:, j] for j in selected if j != i), turned], axis=1)
+            return span, 2.0 * float(np.sqrt(sin2 * (1.0 - sin2)))
         selected[selected.index(i)] = i + 1
         s -= drop
-    return np.stack([emb[:, j] for j in selected], axis=1)
+    return np.stack([emb[:, j] for j in selected], axis=1), 0.0
 
 
 def synthesize_subprojection(
@@ -549,21 +556,22 @@ def synthesize_subprojection(
     The spectrum comes from ``DensityState.spectrum_on``, with no N × N
     eigendecomposition. When it gives fewer eigenvectors than the walk needs
     (the rest is one degenerate eigenvalue), a walk of rank k runs on k + 1
-    columns (a random walk on all m), completed by a pivoted Gram–Schmidt,
+    columns, completed by a pivoted Gram–Schmidt,
     run twice, on the columns of P: each pivot, the largest diagonal entry
     left, is at least (m − j)/N after j columns (as in ``la.range_basis``).
     The cause's columns W are checked to lie in range(P), ‖PW − W‖_F ≤
     tol_proj, in O(N²k), or O(N d k) through P's factors of dimension d
     (``Projection.times``, which also gives the frame's columns of P).
     """
-    return _Compression(phi, p).cause(r, strict)[0]
+    comp = _Compression(phi, p)
+    return comp.cause(r, comp.ranks(r, strict)[0])[0]
 
 
 class _Compression:
-    """φ compressed to range(P), for any number of causes (``cause``): φ is
+    """φ compressed to range(P), for any number of walks (``cause``): φ is
     checked faithful, P's dimension checked and φ(P) evaluated (or taken as
     ``pp``) once; the descending spectrum ``mu`` and the frame the walks run
-    on, eigenvectors or a grown frame, are set up on first read."""
+    on, eigenvectors or a frame grown as walks need it, are set up lazily."""
 
     def __init__(self, phi: DensityState, p: Projection, pp: Optional[float] = None):
         phi.require_faithful()
@@ -584,29 +592,28 @@ class _Compression:
         w = w / la.frob(w)
         self._emb, self._rest = np.column_stack([self._emb, w]), self._rest - np.abs(w) ** 2
 
-    def cause(
-        self, r: float, strict: bool, order_rng: Optional[np.random.Generator] = None,
-        prefer_rank: Optional[int] = None,
-    ) -> tuple[Projection, float]:
-        """``synthesize_subprojection``'s cause C and φ(C), each evaluated
-        once. ``find_multiple_strong_cc`` varies the causes by ``order_rng``
-        (the walk's order) and ``prefer_rank``."""
-        phi, p, pp = self._phi, self._p, self._pp
-        if not 0.0 < r < pp:
-            raise TargetRangeError(f"target r = {r:.15g} outside (0, φ(P) = {pp:.15g})")
-        m = p.rank
+    def ranks(self, r: float, strict: bool) -> range:
+        """The ranks of the subprojections of weight r, ascending
+        (``_fitting_ranks``), up to rank(P), or rank(P) − 1 if ``strict``."""
+        if not 0.0 < r < self._pp:
+            raise TargetRangeError(f"target r = {r:.15g} outside (0, φ(P) = {self._pp:.15g})")
+        m = self._p.rank
         if m == 0:
             raise TargetRangeError("P is the zero projection")
         max_rank = m - 1 if strict else m
         if max_rank < 1:
             raise InfeasibleError("P has rank 1; its only strict subprojection is 0")
-        ranks = sorted(range(1, max_rank + 1), key=lambda k: k != prefer_rank)
-        k = _fitting_rank(self.mu, r, ranks)
-        # the walk's frame: a random walk may end anywhere, the last-movable one at k + 1
-        n = len(self.mu) if order_rng is not None else min(k + 1, len(self.mu))
-        while self._basis is None and self._emb.shape[1] < n:
+        return _fitting_ranks(self.mu, r, max_rank)
+
+    def cause(self, r: float, k: int, phase: complex = 1.0) -> tuple[Projection, float, float]:
+        """C of the walk of rank k (one of ``ranks``) turned at ``phase``, φ(C)
+        and the walk's sin 2a (``_weighted_columns``). The walk reads every
+        eigenvector when it has them all, else k + 1 columns of the frame."""
+        phi, p = self._phi, self._p
+        n = len(self.mu) if self._basis is not None else min(k + 1, len(self.mu))
+        while self._emb.shape[1] < n:
             self._grow(p.times(np.eye(1, p.dim, int(np.argmax(self._rest)), dtype=complex)[0]))
-        span = _weighted_columns(self.mu[: self._emb.shape[1]], self._emb, r, k, order_rng)
+        span, sin2a = _weighted_columns(self.mu[:n], self._emb[:, :n], r, k, phase)
         span = span if self._basis is None else self._basis @ span
         outside = la.frob(p.times(span) - span)
         if not outside <= TOL.proj:
@@ -619,7 +626,7 @@ class _Compression:
             raise InternalInconsistencyError(
                 f"synthesized weight {achieved:.15g} misses target {r:.15g}"
             )
-        return c, achieved
+        return c, achieved, sin2a
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +663,8 @@ def find_strong_cc(
     if algebra is not None and algebra.abelian:
         raise StructureError("localized synthesis needs a full factor: a cause need not be diagonal")
     if algebra is None or not algebra.rest:
-        c, pc = _Compression(phi, pair.meet, pab).cause(rv.r, strict=True)
+        comp = _Compression(phi, pair.meet, pab)
+        c, pc, _ = comp.cause(rv.r, comp.ranks(rv.r, strict=True)[0])
     else:
         dims, acting = algebra.dims, algebra.acting
         local_meet = pair.meet.within(dims, acting)
@@ -667,9 +675,14 @@ def find_strong_cc(
             local_meet = Projection(algebra.compress(pair.meet.mat) / algebra.rest_dim)
         local_state = DensityState(phi.reduced(dims, acting))
         # the meet lies in the algebra, so its compressed weight is φ(A^B)
-        c_local, _ = _Compression(local_state, local_meet, pab).cause(rv.r, strict=True)
+        comp = _Compression(local_state, local_meet, pab)
+        c_local = comp.cause(rv.r, comp.ranks(rv.r, strict=True)[0])[0]
         c, pc = c_local.embedded(dims, acting), None
-    cert = pair.certificate(c, pc)
+    return _require_verified(pair.certificate(c, pc))
+
+
+def _require_verified(cert: CommonCauseCertificate) -> CommonCauseCertificate:
+    """The certificate of a constructed cause, once it verifies as strong."""
     if not cert.verified or not cert.is_strong:
         raise InternalInconsistencyError(
             "constructed cause failed verification: residuals "
@@ -680,48 +693,36 @@ def find_strong_cc(
 
 
 def find_multiple_strong_cc(
-    phi: DensityState, a: Projection, b: Projection, count: int, seed: int = 0
+    phi: DensityState, a: Projection, b: Projection, count: int
 ) -> list[CommonCauseCertificate]:
-    """Certificates of up to ``count`` pairwise distinct strong common causes.
+    """Certificates of ``count`` pairwise distinct strong common causes, one
+    deterministic family, with ``find_strong_cc``'s checks and errors.
 
-    The state and the pair pass ``find_strong_cc``'s checks first.
-    Distinctness is operator-norm distance > 1e-6; causes of different rank
-    are at distance 1, so only causes of equal rank are measured. Diversity
-    comes from varying the synthesis rank and randomizing the walk order; a
-    warning is issued when fewer than requested exist or are found. Every
-    attempt synthesizes from the same r and compressed spectrum over the
-    same ranks, so an infeasible target ends the search at the first
-    attempt.
+    With R fitting ranks, ascending (``_Compression.ranks``), cause j is the
+    walk of rank j mod R turned at θ = 2πq/n, q = j div R and n the number
+    of causes that rank gets; cause 0 is ``find_strong_cc``'s. Two causes of
+    one walk lie |sin 2a|·|sin((θ − θ′)/2)| apart in operator norm, causes of
+    different rank 1 apart; a walk whose nearest two, |sin 2a|·sin(π/n), lie
+    within 1e-6 keeps only θ = 0, and the shortfall is warned.
     """
     if count < 0:
         raise TargetRangeError("count must be nonnegative")
-    rng = np.random.default_rng(seed)
     phi.require_faithful()
     pair = _CheckedPair(phi, a, b).require_independent()
-    rv, meet = pair.r_value(), pair.meet
-    if meet.rank <= 1:
-        warnings.warn("meet has rank <= 1; no strict subprojections exist")
-        return []
-    comp = _Compression(phi, meet, pair.totals[0])
-    certs: list[CommonCauseCertificate] = []
-    attempts = 0
-    ranks = itertools.cycle(range(1, meet.rank))
-    while len(certs) < count and attempts < max(20 * count, 20):
-        attempts += 1
-        try:
-            c, pc = comp.cause(rv.r, strict=True, order_rng=rng if attempts > 1 else None,
-                               prefer_rank=next(ranks))
-        except InfeasibleError:
-            break
-        if all(c.rank != prev.cause.rank or np.linalg.norm(c.mat - prev.cause.mat, 2) > 1e-6
-               for prev in certs):
-            cert = pair.certificate(c, pc)
-            if cert.verified and cert.is_strong:
-                certs.append(cert)
+    r = pair.r_value().r
+    comp = _Compression(phi, pair.meet, pair.totals[0])
+    ranks = comp.ranks(r, strict=True)
+    spread, certs = {}, []  # spread[t]: |sin 2a| of rank t's walk, from its θ = 0 cause
+    for j in range(count):
+        q, t = divmod(j, len(ranks))
+        n = len(range(t, count, len(ranks)))  # the causes rank t gets
+        if q and spread[t] * np.sin(np.pi / n) <= 1e-6:
+            continue
+        c, pc, sin2a = comp.cause(r, ranks[t], np.exp(2j * np.pi * q / n) if q else 1.0)
+        spread.setdefault(t, abs(sin2a))
+        certs.append(_require_verified(pair.certificate(c, pc)))
     if len(certs) < count:
-        warnings.warn(
-            f"only {len(certs)} of {count} distinct strong causes constructed"
-        )
+        warnings.warn(f"only {len(certs)} of {count} distinct strong causes constructed")
     return certs
 
 
@@ -835,7 +836,7 @@ def search_genuine_cc(phi: DensityState, a: Projection, b: Projection) -> Common
             weights = det * (_CHART @ mono) / (q @ mono)
             try:
                 span = np.hstack([
-                    v @ _weighted_columns(mu, emb, r, _fitting_rank(mu, r, range(1, len(mu) + 1)))
+                    v @ _weighted_columns(mu, emb, r, _fitting_ranks(mu, r, len(mu))[0])[0]
                     for v, (mu, emb), r in zip(bases, spectra, weights)
                 ])
                 cert = pair.certificate(Projection.from_span(span))

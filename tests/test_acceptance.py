@@ -383,7 +383,7 @@ def test_criterion_08_three_distinct_causes_one_instance():
     phi = DensityState(np.diag(weights).astype(complex))
     a = Projection(np.diag(mask_a).astype(complex))
     b = Projection(np.diag(mask_b).astype(complex))
-    causes = find_multiple_strong_cc(phi, a, b, count=3, seed=0)
+    causes = find_multiple_strong_cc(phi, a, b, count=3)
     assert len(causes) >= 3
     for c1, c2 in itertools.combinations(causes, 2):
         assert np.linalg.norm(c1.cause.mat - c2.cause.mat, 2) > 1e-6

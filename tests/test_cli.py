@@ -121,6 +121,34 @@ def test_find_cc_refuses_a_dependent_pair_at_every_count(tmp_path, capsys):
     assert messages[1] == messages[0]
 
 
+def test_find_cc_fails_verification_alike_at_every_count(tmp_path, capsys):
+    # a cc_tol below rounding fails cause 0, which is find_strong_cc's cause;
+    # with count 3 the failed cause used to be dropped, ending in exit 1
+    doc = json.loads(Path(scenario("three_causes_dim9.json")).read_text())
+    results = []
+    for count in (1, 3):
+        doc["payload"]["count"] = count
+        path = tmp_path / f"three_{count}.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli("find-cc", "--scenario", str(path), "--tol-override", "cc_tol=1e-18")
+        results.append((code, capsys.readouterr().err))
+    assert results[0] == results[1]
+    assert results[0][0] == 4
+    assert results[0][1].startswith("error: constructed cause failed verification: residuals")
+
+
+def test_find_cc_infeasible_at_every_count(tmp_path, capsys):
+    # with count 3 the rank-one meet used to end as none-found with a warning
+    doc = json.loads(Path(scenario("rank_one_meet.json")).read_text())
+    doc["payload"]["count"] = 3
+    path = tmp_path / "rank_one_3.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("find-cc", "--scenario", str(path)) == 1
+    out = text_lines(capsys.readouterr().out)
+    assert "outcome: infeasible" in out
+    assert "message: P has rank 1; its only strict subprojection is 0" in out
+
+
 def test_genuine_cc_on_planted_instance(capsys):
     code = run_cli("genuine-cc", "--scenario", scenario("planted_genuine_dim16.json"))
     out = text_lines(capsys.readouterr().out)

@@ -847,7 +847,7 @@ def test_find_strong_cc_localization_requires_membership():
 
 def test_find_multiple_distinct_ranks():
     phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
-    causes = find_multiple_strong_cc(phi, a, b, 3, seed=0)
+    causes = find_multiple_strong_cc(phi, a, b, 3)
     assert len(causes) == 3
     ranks = sorted(c.cause.rank for c in causes)
     assert ranks == [2, 3, 4]
@@ -873,7 +873,7 @@ def test_find_multiple_compresses_the_state_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(la, name, counting(name, getattr(la, name)))
     phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
-    assert len(find_multiple_strong_cc(phi, a, b, 3, seed=0)) == 3
+    assert len(find_multiple_strong_cc(phi, a, b, 3)) == 3
     assert calls == {"range_basis": 1, "eigh_desc": 1}
     # ψ weighs AB and A⊥B⊥ most, for A = span(e0..e7), B = span(e0..e3, e8..e11)
     psi = np.zeros(16, dtype=complex)
@@ -881,7 +881,7 @@ def test_find_multiple_compresses_the_state_once(monkeypatch):
     phi = qprob.EpsilonPureState(psi / np.linalg.norm(psi), 0.3)
     a = Projection(np.diag([1.0] * 8 + [0.0] * 8))
     b = Projection(np.diag([1.0] * 4 + [0.0] * 4 + [1.0] * 4 + [0.0] * 4))
-    causes = find_multiple_strong_cc(phi, a, b, 3, seed=0)
+    causes = find_multiple_strong_cc(phi, a, b, 3)
     assert calls == {"range_basis": 1, "eigh_desc": 1}
     assert sorted(c.cause.rank for c in causes) == [1, 2, 3]
     assert all(quantum_verify_cc(phi, a, b, c.cause) == c for c in causes)
@@ -904,38 +904,42 @@ def test_find_multiple_compresses_once_and_weighs_the_meet_once(monkeypatch):
 
     monkeypatch.setattr(commoncause._Compression, "__init__", counted_init)
     monkeypatch.setattr(commoncause, "state_eval", counted_eval)
-    causes = find_multiple_strong_cc(phi, a, b, 3, seed=0)
+    causes = find_multiple_strong_cc(phi, a, b, 3)
     assert len(causes) == 3
     (meet,) = compressed
     assert sum(x is meet for x in weighed) == 1
     assert np.array_equal(meet.mat, la.hermitize(a.mat @ b.mat))
 
 
-@pytest.mark.parametrize("epsilon, found", [(0.3, 12), (0.9, 7)])
-def test_find_multiple_on_an_epsilon_pure_state_walks_the_whole_eigenspace(epsilon, found):
-    # a random walk may end on any of the m − 1 degenerate ε/N eigenvectors,
-    # so the ε-pure path finds as many causes as the dense one; with the
-    # frame cut to k + 1 columns it found 2 at ε = 0.9, where r admits only
-    # ranks 1 and 2. A = span(e0..e15), B = span(e0..e7, e16..e23): m = 8
+@pytest.mark.parametrize("epsilon", [0.3, 0.9])
+def test_find_multiple_on_an_epsilon_pure_state_finds_the_whole_family(epsilon):
+    # every fitting rank's walk turns at evenly spaced phases, so the
+    # ε-pure path finds all 12 causes, with the dense path's ranks; the
+    # seeded hunt found 12 at ε = 0.3 and 7 at ε = 0.9.
+    # A = span(e0..e15), B = span(e0..e7, e16..e23): m = 8
     psi = np.zeros(32, dtype=complex)
     psi[[0, 8, 16, 24]] = [0.7, 0.3, 0.3, 0.58]
     phi = qprob.EpsilonPureState(psi / np.linalg.norm(psi), epsilon)
     a = Projection(np.diag([1.0] * 16 + [0.0] * 16))
     b = Projection(np.diag([1.0] * 8 + [0.0] * 8 + [1.0] * 8 + [0.0] * 8))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        pure = find_multiple_strong_cc(phi, a, b, 12, seed=0)
-        dense = find_multiple_strong_cc(DensityState(phi.mat), a, b, 12, seed=0)
-    assert len(pure) == len(dense) == found
-    assert sorted(c.cause.rank for c in pure) == sorted(c.cause.rank for c in dense)
+        warnings.simplefilter("error", UserWarning)
+        pure = find_multiple_strong_cc(phi, a, b, 12)
+        dense = find_multiple_strong_cc(DensityState(phi.mat), a, b, 12)
+    assert len(pure) == len(dense) == 12
+    assert [c.cause.rank for c in pure] == [c.cause.rank for c in dense]
     assert all(quantum_verify_cc(phi, a, b, c.cause) == c for c in pure)
 
 
-def test_find_multiple_on_rank_one_meet_warns_empty():
+def test_find_multiple_on_rank_one_meet_warns_empty(monkeypatch):
+    # the meet has rank 1: find_strong_cc's negative, and no cause is walked
     phi, a, b = diag_instance([0.4, 0.2, 0.2, 0.2], [1, 1, 0, 0], [1, 0, 1, 0])
-    with pytest.warns(UserWarning, match="rank <= 1"):
-        causes = find_multiple_strong_cc(phi, a, b, 2)
-    assert causes == []
+    calls = []
+    monkeypatch.setattr(commoncause._Compression, "cause", lambda *args: calls.append(args))
+    for count in (1, 2):
+        with pytest.raises(InfeasibleError, match="P has rank 1; its only strict subprojection is 0"):
+            find_multiple_strong_cc(phi, a, b, count)
+    assert calls == []
 
 
 def test_find_multiple_rejects_negative_count():
@@ -947,26 +951,108 @@ def test_find_multiple_rejects_negative_count():
 def test_find_multiple_returns_the_certificates_it_verified():
     # the CLI renders these; it used to verify each cause a second time
     phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
-    certs = find_multiple_strong_cc(phi, a, b, 3, seed=0)
+    certs = find_multiple_strong_cc(phi, a, b, 3)
     assert [quantum_verify_cc(phi, a, b, c.cause) for c in certs] == certs
 
 
 def test_find_multiple_stops_at_the_first_infeasible_target(monkeypatch):
-    # r = 0.1724 / 0.23 lies above the meet's rank-1 interval [0.3, 0.45];
-    # every attempt has the same r, spectrum and ranks, and an infeasible
-    # one used to be retried 20 × count times
+    # r = 0.1724 / 0.23 lies above the meet's rank-1 interval [0.3, 0.45]:
+    # find_strong_cc's negative, raised before any cause is walked
     phi, a, b = diag_instance([0.3, 0.45, 0.01, 0.01, 0.23], [1, 1, 1, 0, 0], [1, 1, 0, 1, 0])
-    real = commoncause._Compression.cause
     calls = []
+    monkeypatch.setattr(commoncause._Compression, "cause", lambda *args: calls.append(args))
+    with pytest.raises(InfeasibleError, match=r"outside every achievable interval \(rank 1: "):
+        find_multiple_strong_cc(phi, a, b, 3)
+    assert calls == []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(commoncause._Compression, "cause", counted)
-    with pytest.warns(UserWarning, match="only 0 of 3"):
-        assert find_multiple_strong_cc(phi, a, b, 3) == []
-    assert len(calls) == 1
+def family_instances():
+    """A dense and an ε-pure instance, each with its pair's compression and r."""
+    dense = diag_instance(DIM9_W, DIM9_A, DIM9_B, seed=31)
+    psi = np.zeros(32, dtype=complex)
+    psi[[0, 8, 16, 24]] = [0.7, 0.3, 0.3, 0.58]
+    pure = (
+        qprob.EpsilonPureState(psi / np.linalg.norm(psi), 0.3),
+        Projection(np.diag([1.0] * 16 + [0.0] * 16)),
+        Projection(np.diag([1.0] * 8 + [0.0] * 8 + [1.0] * 8 + [0.0] * 8)),
+    )
+    for phi, a, b in (dense, pure):
+        pair = commoncause._CheckedPair(phi, a, b)
+        yield phi, a, b, commoncause._Compression(phi, pair.meet), pair.r_value().r
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["dense", "epsilon-pure"])
+def test_family_distance_is_the_closed_form(case):
+    # two causes of one walk lie |sin 2a|·|sin((θ − θ′)/2)| apart in
+    # operator norm; each phase keeps the weight r
+    phi, a, b, comp, r = list(family_instances())[case]
+    rng = np.random.default_rng(case)
+    for k in comp.ranks(r, strict=True):
+        c0, _, sin2a = comp.cause(r, k)
+        assert sin2a > 0.1
+        for _ in range(4):
+            theta, other = rng.uniform(0.0, 2.0 * np.pi, size=2)
+            x, px, sx = comp.cause(r, k, np.exp(1j * theta))
+            y, _, sy = comp.cause(r, k, np.exp(1j * other))
+            assert sx == sy == sin2a
+            assert px == pytest.approx(r, abs=config.TOL.synth)
+            closed = abs(sin2a * np.sin((theta - other) / 2.0))
+            assert abs(np.linalg.norm(x.mat - y.mat, 2) - closed) <= 1e-12
+            assert abs(np.linalg.norm(x.mat - c0.mat, 2) - abs(sin2a * np.sin(theta / 2.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["dense", "epsilon-pure"])
+def test_family_cause_zero_is_find_strong_cc(case):
+    phi, a, b, _, _ = list(family_instances())[case]
+    first = find_multiple_strong_cc(phi, a, b, 5)[0]
+    cert = find_strong_cc(phi, a, b)
+    assert first.cause.mat.tobytes() == cert.cause.mat.tobytes()
+    for field in dataclasses.fields(cert):
+        if field.name != "cause":
+            assert getattr(first, field.name) == getattr(cert, field.name), field.name
+
+
+def test_family_of_a_thousand_on_three_causes_dim9():
+    # the bundled three_causes_dim9 instance: ranks 2, 3 and 4 get 334, 333
+    # and 333 causes; cause j is rank j mod 3 at θ = 2π(j div 3)/n
+    phi, a, b = diag_instance(DIM9_W, DIM9_A, DIM9_B)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        certs = find_multiple_strong_cc(phi, a, b, 1000)
+    assert len(certs) == 1000
+    assert all(c.verified and c.is_strong for c in certs)
+    pair = commoncause._CheckedPair(phi, a, b)
+    comp, r = commoncause._Compression(phi, pair.meet), pair.r_value().r
+    ranks = comp.ranks(r, strict=True)
+    assert list(ranks) == [2, 3, 4]
+    spread = [comp.cause(r, k)[2] for k in ranks]
+    counts = [334, 333, 333]
+    assert [sum(c.cause.rank == k for c in certs) for k in ranks] == counts
+    assert min(s * np.sin(np.pi / n) for s, n in zip(spread, counts)) > 1e-6
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        i, j = rng.choice(1000, size=2, replace=False)
+        x, y = certs[i].cause.mat, certs[j].cause.mat
+        if i % 3 != j % 3:
+            assert np.linalg.norm(x - y, 2) == pytest.approx(1.0, abs=1e-12)
+            continue
+        n = counts[i % 3]
+        closed = abs(spread[i % 3] * np.sin(np.pi * (i // 3 - j // 3) / n))
+        assert abs(np.linalg.norm(x - y, 2) - closed) <= 1e-12
+
+
+def test_weighted_columns_on_a_vertex_has_no_turn():
+    # r equal to a top-k sum: the walk ends on the vertex, sin 2a = 0, and
+    # every phase gives the same columns
+    mu = np.array([0.4, 0.3, 0.2, 0.1])
+    emb = np.eye(4, dtype=complex)
+    for k in (1, 2, 3):
+        r = float(mu[:k].sum())
+        span, sin2a = commoncause._weighted_columns(mu, emb, r, k)
+        assert sin2a == 0.0
+        turned, _ = commoncause._weighted_columns(mu, emb, r, k, np.exp(0.7j))
+        assert np.array_equal(span, turned)
+        assert np.array_equal(span, emb[:, :k])
 
 
 # ---------------------------------------------------------------------------
@@ -1122,7 +1208,7 @@ def test_commuting_pipeline_makes_no_lattice_meet(no_lattice_meet):
     cert = find_strong_cc(phi, a, b)
     assert cert.verified and cert.is_strong
     assert quantum_verify_cc(phi, a, b, cert.cause) == cert
-    assert len(find_multiple_strong_cc(phi, a, b, 2, seed=0)) == 2
+    assert len(find_multiple_strong_cc(phi, a, b, 2)) == 2
     # localized: the same 5 x 2 instance as the localized synthesis test
     v = np.array([0.3, 0.2, 0.18, 0.18, 0.14])
     phi = DensityState(np.diag(np.kron(v, [0.5, 0.5])).astype(complex))
