@@ -6,6 +6,8 @@ qprob. Kept private: the public API is the qprob module.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
@@ -125,6 +127,17 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases.conj()
 
 
+def haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar unitaries as one (count, dim, dim) array: one draw and
+    one stacked QR, the bytes of ``count`` haar_unitary calls in turn (each
+    of those draws the real part, then the imaginary part)."""
+    z = rng.standard_normal((count, 2, dim, dim))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    phases = np.diagonal(r, axis1=1, axis2=2).copy()
+    phases /= np.abs(phases)
+    return q * phases.conj()[:, None, :]
+
+
 def haar_projection(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     u = haar_unitary(dim, rng)
     return span_project(u[:, :rank])
@@ -153,29 +166,77 @@ def random_faithful_density(
     return rho / np.trace(rho).real
 
 
+def _block(dims: tuple[int, ...], acting: tuple[int, ...]):
+    """(src, dst, d_lead): the kernels below move the factors ``acting``
+    from axes ``src`` to the contiguous block ``dst`` that starts at
+    min(acting), in x's factor order; d_lead is the dimension of the factors
+    before it. Adjacent ascending factors, every brickwork gate among them,
+    are already in place: src == dst, and nothing moves."""
+    first = min(acting)
+    return list(acting), list(range(first, first + len(acting))), math.prod(dims[:first])
+
+
+def _check_local(x_loc: np.ndarray, dims: tuple[int, ...], acting: tuple[int, ...]) -> int:
+    d_act = math.prod(dims[i] for i in acting)
+    if x_loc.shape != (d_act, d_act):
+        raise DimensionMismatchError(
+            f"local operator shape {x_loc.shape} does not match factors {acting} of {dims}"
+        )
+    return d_act
+
+
+def _kron_eye(x: np.ndarray, d_lead: int, d_rest: int) -> np.ndarray:
+    """I_lead ⊗ x ⊗ I_rest as one broadcast product of x by the identity on
+    lead and rest: the entries of np.kron(x, np.eye(d_lead * d_rest)),
+    bit for bit, already in place."""
+    d = x.shape[0]
+    eye = np.eye(d_lead * d_rest).reshape(d_lead, 1, d_rest, d_lead, 1, d_rest)
+    n = d_lead * d * d_rest
+    return (x.reshape(1, d, 1, 1, d, 1) * eye).reshape(n, n)
+
+
+# Up to this width d·rest, x acts as x ⊗ I_rest in one product: a stack of
+# many d × d by d × rest products costs up to 5× more at rest <= 8 (2-core
+# box, OpenBLAS, one thread), and the identity's zeros cost at most 32/d
+# times the flops of the stack.
+_FOLD_WIDTH = 32
+
+
+def _matmul_middle(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """x on the middle index of t, shape (lead, d, rest): one broadcast
+    matmul, or one (lead, d·rest) product by xᵀ ⊗ I_rest = (x ⊗ I_rest)ᵀ
+    when d·rest is at most _FOLD_WIDTH. The result is a new C-contiguous
+    (lead, d, rest) array."""
+    lead, d, rest = t.shape
+    if d * rest <= _FOLD_WIDTH:
+        return (t.reshape(lead, d * rest) @ _kron_eye(x.T, 1, rest)).reshape(t.shape)
+    return x @ t
+
+
 def embed_factor(x_loc: np.ndarray, dims: tuple[int, ...], acting: tuple[int, ...]) -> np.ndarray:
     """Embed an operator on selected tensor factors as x_loc (x) identity.
 
     ``dims`` are the factor dimensions in order, ``acting`` the factor
     indices x_loc lives on, in x_loc's own factor order (x_loc's dimension
-    must be their product); they need not be sorted.
+    must be their product); they need not be sorted. Adjacent ascending
+    factors (a support widened at either end among them) give
+    I_lead ⊗ x_loc ⊗ I_rest in place (``_kron_eye``); any other order is
+    x_loc ⊗ I permuted once into place. The entries are the same bytes.
     """
     n = len(dims)
     acting = tuple(acting)
-    d_act = int(np.prod([dims[i] for i in acting]))
-    if x_loc.shape != (d_act, d_act):
-        raise DimensionMismatchError(
-            f"local operator shape {x_loc.shape} does not match factors {acting} of {dims}"
-        )
+    d_act = _check_local(x_loc, dims, acting)
+    src, dst, d_lead = _block(dims, acting)
+    d = math.prod(dims)
+    if src == dst:
+        return _kron_eye(x_loc, d_lead, d // (d_lead * d_act))
     rest = tuple(i for i in range(n) if i not in acting)
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    big = np.kron(x_loc, np.eye(d_rest))
-    # big currently acts on factors ordered acting + rest; permute back.
+    big = np.kron(x_loc, np.eye(d // d_act))
+    # big acts on factors ordered acting + rest; permute back.
     order = list(acting) + list(rest)
     perm = np.argsort(order)
     shaped = big.reshape([dims[i] for i in order] * 2)
     shaped = shaped.transpose(list(perm) + [p + n for p in perm])
-    d = int(np.prod(dims))
     return np.ascontiguousarray(shaped.reshape(d, d))
 
 
@@ -200,23 +261,57 @@ def embed_columns(w_loc: np.ndarray, dims: tuple[int, ...], acting: tuple[int, .
 def apply_factor(
     x_loc: np.ndarray, m: np.ndarray, dims: tuple[int, ...], acting: tuple[int, ...]
 ) -> np.ndarray:
-    """embed_factor(x_loc, dims, acting) @ m, without building the embedding.
+    """embed_factor(x_loc, dims, acting) @ m for an N-vector or N × k block
+    m, without building the embedding.
 
     ``acting`` follows embed_factor (x_loc's factor order, possibly
-    unsorted). The product m @ embed_factor(x, ...) is
-    apply_factor(x.T, m.T, dims, acting).T.
+    unsorted). m's rows are read as the factors ``dims``, the factors
+    ``acting`` are brought to one contiguous block (``_block``), and x acts
+    on the (lead, d_act, rest) reshape by one matmul (``_matmul_middle``).
+    Cost: O(N k d_act). Adjacent ascending factors move nothing, so the
+    product is the one new array; any other order adds one permuted copy of
+    m in and one of the product out. A non-contiguous m is copied by the
+    reshape.
     """
     acting = tuple(acting)
-    loc_dims = [dims[i] for i in acting]
-    d_act = int(np.prod(loc_dims))
-    if x_loc.shape != (d_act, d_act):
-        raise DimensionMismatchError(
-            f"local operator shape {x_loc.shape} does not match factors {acting} of {dims}"
-        )
-    k = len(acting)
-    shaped = m.reshape(list(dims) + [m.shape[1]])
-    out = np.tensordot(x_loc.reshape(loc_dims * 2), shaped, axes=(range(k, 2 * k), acting))
-    return np.moveaxis(out, range(k), acting).reshape(m.shape)
+    d_act = _check_local(x_loc, dims, acting)
+    src, dst, d_lead = _block(dims, acting)
+    t = m.reshape(*dims, -1)
+    if src != dst:
+        t = np.moveaxis(t, src, dst)
+    out = _matmul_middle(x_loc, t.reshape(d_lead, d_act, -1)).reshape(t.shape)
+    if src != dst:
+        out = np.moveaxis(out, dst, src)
+    return out.reshape(m.shape)
+
+
+def conjugate_factor(
+    g_loc: np.ndarray, m: np.ndarray, dims: tuple[int, ...], acting: tuple[int, ...]
+) -> np.ndarray:
+    """(G ⊗ I) m (G ⊗ I)* for an N × N m, G = g_loc on the factors
+    ``acting`` (as in embed_factor), without building the embedding.
+
+    The row and the column factors ``acting`` are brought to contiguous
+    blocks as in apply_factor. G acts on the rows, viewed as
+    (lead, d_g, rest·N), and conj(G) on the columns of that product, viewed
+    as (N·lead, d_g, rest): two matmuls (``_matmul_middle``), no transpose.
+    Cost: O(N² d_g). Adjacent ascending factors move nothing, so the two
+    products are the only new arrays; any other order adds one permuted
+    copy of m in and one of the result out.
+    """
+    acting = tuple(acting)
+    d_g = _check_local(g_loc, dims, acting)
+    src, dst, d_lead = _block(dims, acting)
+    n, d = len(dims), m.shape[0]
+    src, dst = src + [i + n for i in src], dst + [i + n for i in dst]
+    t = m.reshape(*dims, *dims)
+    if src != dst:
+        t = np.moveaxis(t, src, dst)
+    left = _matmul_middle(g_loc, t.reshape(d_lead, d_g, -1))
+    out = _matmul_middle(g_loc.conj(), left.reshape(d * d_lead, d_g, -1)).reshape(t.shape)
+    if src != dst:
+        out = np.moveaxis(out, dst, src)
+    return out.reshape(d, d)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:

@@ -55,9 +55,10 @@ KINDS = ("quantum", "classical", "geometry", "toynet", "bell")
 # its command run at the cap inside the record sweep's 30 s cap
 # (tools/cap_check.py; 2-vCPU guest, one BLAS thread; times in README).
 # Most layers a toynet-demo may ask for: the demo evolves each candidate
-# back through every layer below its regions, about 0.7 s a layer on 10
-# sites, and a state that is not demo_state's is evolved as a 2^n matrix
-# too, so the product state is the slower kind.
+# back through every layer below its regions, about 0.07 s a layer for two
+# candidates on 10 sites, and a state that is not demo_state's is evolved
+# as a 2^n matrix too, about 0.05 s a layer more, so the product state is
+# the slower kind.
 MAX_STEPS = 25
 MAX_COUNT = 1000  # find-cc causes
 MAX_BUDGET = 80  # toynet-demo candidate pairs

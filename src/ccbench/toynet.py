@@ -196,15 +196,18 @@ def build_net(
     if gate_spec not in ("swap", "random"):
         raise ValidationError(f"unknown gate spec {gate_spec!r}")
     steps = n_steps if n_steps is not None else n_sites
-    rng = np.random.default_rng(seed)
-    layers = []
-    for k in range(1, steps + 1):
-        start = 0 if k % 2 == 1 else 1
-        layer = []
-        for i in range(start, n_sites - 1, 2):
-            gate = SWAP if gate_spec == "swap" else la.haar_unitary(4, rng)
-            layer.append(((i, i + 1), gate))
-        layers.append(layer)
+    bonds = [
+        [(i, i + 1) for i in range(0 if k % 2 == 1 else 1, n_sites - 1, 2)]
+        for k in range(1, steps + 1)
+    ]
+    count = sum(len(layer) for layer in bonds)
+    # random gates are drawn in one batch, the bytes of one
+    # la.haar_unitary(4, rng) a gate, layer by layer
+    gates = iter(
+        [SWAP] * count if gate_spec == "swap"
+        else la.haar_unitaries(count, 4, np.random.default_rng(seed))
+    )
+    layers = [[(pair, next(gates)) for pair in layer] for layer in bonds]
     return NetModel(n_sites, layers, label=gate_spec)
 
 
@@ -295,7 +298,12 @@ def _relative_image(net: NetModel, k_to: int, k_from: int, support: tuple, x: np
     touching the support first widens it by its sites; one missing it is
     skipped. This is exact, since a Heisenberg-evolved local operator stays
     local (Arrighi, Nesme & Werner, J. Comput. Syst. Sci. 77, 2011); a
-    support wider than DENSE_MAX_SITES is refused.
+    support wider than DENSE_MAX_SITES is refused. A brickwork gate widens
+    an interval support at one end, which ``la.embed_factor`` does as a
+    kron with the identity on that side, no permute; the gate then acts on
+    both sides by ``la.conjugate_factor``, on adjacent ascending sites
+    without moving the matrix. Each gate costs O(4^s · 4) on an s-site
+    support.
     """
     m = x
     for (i, j), gate in _gate_sequence(net, k_to, k_from):
@@ -311,8 +319,7 @@ def _relative_image(net: NetModel, k_to: int, k_from: int, support: tuple, x: np
             m = la.embed_factor(m, (2,) * len(wider), tuple(wider.index(s) for s in support))
             support = wider
         dims, acting = (2,) * len(support), (support.index(i), support.index(j))
-        m = la.apply_factor(gate, m, dims, acting)
-        m = la.apply_factor(gate.conj(), m.T, dims, acting).T  # m @ gate*
+        m = la.conjugate_factor(gate, m, dims, acting)
     return support, m
 
 
@@ -324,7 +331,8 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
     unchanged, so the pair reduces to the plain factor of the first cone
     against W = U(k1) U(k2)* applied to the second. Each site generator is
     evolved on its light-cone support by ``_relative_image``; no 2^n matrix
-    is formed.
+    is formed. The qubit shift and clock are built once a call; a cone's
+    generators are those two on each of its sites, in that order.
 
     Isotony: for nested cones (same step, or one step back with the one-site
     widening), each inner generator evolved to the outer cone's step lies in
@@ -333,28 +341,30 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
     residual equals the full-chain one. Einstein causality: for
     cell-hull-spacelike cone pairs, every [g, W h W*] of site generators
     vanishes. It is a structural zero when g's site lies off the support of
-    W h W*; otherwise it is taken on the support, its Frobenius norm scaled
-    by sqrt(2^(n - |support|)) to the full-chain norm. Primitive causality:
-    the slice cone recovered from a cone's causal completion is the cone
-    itself. The algebra is a function of the cone, so this is a cone-level
-    identity that no choice of gates can break; giving it teeth is still
-    open (ROADMAP.md, item 2).
+    W h W*; otherwise it is taken on the support as ‖g m g* − m‖_F for the
+    image m, which equals ‖[g, m]‖_F since g is unitary, by one
+    ``la.conjugate_factor``, and scaled by sqrt(2^(n - |support|)) to the
+    full-chain norm. Primitive causality: the slice cone recovered from a
+    cone's causal completion is the cone itself. The algebra is a function
+    of the cone, so this is a cone-level identity that no choice of gates
+    can break; giving it teeth is still open (ROADMAP.md, item 2).
     """
     rng = np.random.default_rng(seed)
     n = net.n_sites
     max_step = min(net.n_steps, 3)
 
+    qubit = [x for _, x in MatrixAlgebra.tensor_factor((2,), (0,)).local_generators()]
+
     def site_generators(c: SliceCone):
-        return MatrixAlgebra.tensor_factor((2,) * n, tuple(range(c.lo, c.hi + 1))).local_generators()
+        return [(s, x) for s in range(c.lo, c.hi + 1) for x in qubit]
 
     def commutator_norm(site: int, x: np.ndarray, image) -> float:
         support, m = image
         if site not in support:
             return 0.0
         dims, acting = (2,) * len(support), (support.index(site),)
-        left = la.apply_factor(x, m, dims, acting)
-        right = la.apply_factor(x.T, m.T, dims, acting).T
-        return la.frob(left - right) * np.sqrt(2.0 ** (n - len(support)))
+        conjugated = la.conjugate_factor(x, m, dims, acting)
+        return la.frob(conjugated - m) * np.sqrt(2.0 ** (n - len(support)))
 
     def in_factor(image, lo: int, hi: int) -> bool:
         support, m = image

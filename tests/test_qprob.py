@@ -774,8 +774,92 @@ def test_apply_factor_matches_embedding(acting):
     m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     big = la.embed_factor(x, dims, acting)
     assert la.frob(la.apply_factor(x, m, dims, acting) - big @ m) < 1e-12
-    # right multiplication through transposes
-    assert la.frob(la.apply_factor(x.T, m.T, dims, acting).T - m @ big) < 1e-12
+    assert la.frob(la.conjugate_factor(x, m, dims, acting) - big @ m @ la.dagger(big)) < 1e-12
+
+
+CHAIN = (2,) * 7
+
+
+@pytest.mark.parametrize(
+    "acting",
+    [(0, 1), (3, 4), (5, 6), (2, 0), (0, 6), (0,), (3,), (6,), (1, 2, 3), (4, 1)],
+    ids=["start", "middle", "end", "reversed", "planted", "site0", "site3", "site6", "three", "gap"],
+)
+def test_gate_kernels_match_the_dense_embedding(acting):
+    # both kernels against embed_factor(g) @ m and embed_factor(g) @ m @
+    # embed_factor(g)*, on vectors, blocks and transposed (non-contiguous)
+    # inputs; contiguous and permuted layouts, folded and stacked products
+    rng = np.random.default_rng(sum(acting) + 7 * len(acting))
+    dims, n = CHAIN, 2 ** len(CHAIN)
+    d_act = 2 ** len(acting)
+    g = rng.standard_normal((d_act, d_act)) + 1j * rng.standard_normal((d_act, d_act))
+    big = la.embed_factor(g, dims, acting)
+    square = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for m in (square[:, 0].copy(), square[:, 5], square[:, :3], square[:, :40], square, square.T):
+        out = la.apply_factor(g, m, dims, acting)
+        assert out.shape == m.shape
+        assert la.frob(out - big @ m) < 1e-12
+    for m in (square, square.T):
+        assert la.frob(la.conjugate_factor(g, m, dims, acting) - big @ m @ la.dagger(big)) < 1e-12
+
+
+def test_adjacent_gate_kernels_copy_nothing_but_their_products():
+    # adjacent ascending factors are read in place: the peak allocation is
+    # the product (apply_factor) or the two products (conjugate_factor);
+    # a reversed or non-adjacent pair adds one permuted copy
+    import tracemalloc
+
+    rng = np.random.default_rng(61)
+    g = la.haar_unitary(4, rng)
+    m = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+
+    def peak(kernel, acting):
+        tracemalloc.start()
+        try:
+            kernel(g, m, (2,) * 7, acting)
+            return tracemalloc.get_traced_memory()[1] / m.nbytes
+        finally:
+            tracemalloc.stop()
+
+    for acting in ((0, 1), (2, 3), (5, 6)):
+        assert peak(la.apply_factor, acting) < 1.25
+        assert peak(la.conjugate_factor, acting) < 2.25
+    for acting in ((3, 2), (0, 6)):
+        assert peak(la.apply_factor, acting) > 1.75
+        assert peak(la.conjugate_factor, acting) > 2.75
+
+
+@pytest.mark.parametrize(
+    "dims, acting",
+    [((2,) * 5, (1, 2)), ((2,) * 5, (0,)), ((2,) * 5, (4,)), ((2, 3, 2), (1, 2)), ((2, 3, 2), (2, 0)), ((2, 3, 2, 2), (0, 3))],
+)
+def test_embed_factor_keeps_the_bytes_of_the_permuted_kron(dims, acting):
+    # the reference: x ⊗ I on the factors ordered acting + rest, permuted
+    # back, the one route embed_factor took for every order; adjacent
+    # ascending factors are now built in place, entry for entry the same
+    rng = np.random.default_rng(62)
+    d_act = int(np.prod([dims[i] for i in acting]))
+    x = rng.standard_normal((d_act, d_act)) + 1j * rng.standard_normal((d_act, d_act))
+    x[0, 0] = -1.0  # exact zeros off the identity's diagonal keep their sign
+    n, k = int(np.prod(dims)), len(dims)
+    order = list(acting) + [i for i in range(k) if i not in acting]
+    perm = list(np.argsort(order))
+    shaped = np.kron(x, np.eye(n // d_act)).reshape([dims[i] for i in order] * 2)
+    expected = np.ascontiguousarray(shaped.transpose(perm + [p + k for p in perm]).reshape(n, n))
+    out = la.embed_factor(x, dims, acting)
+    assert out.flags.c_contiguous and out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2024])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+def test_haar_unitaries_are_the_sequential_draws(seed, dim):
+    # the reference is the loop the batch replaces
+    batch = la.haar_unitaries(5, dim, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    loop = np.array([la.haar_unitary(dim, rng) for _ in range(5)])
+    assert batch.shape == (5, dim, dim)
+    assert np.array_equal(batch, loop)
+    assert la.haar_unitaries(0, dim, np.random.default_rng(seed)).shape == (0, dim, dim)
 
 
 def test_reversed_pair_puts_the_first_factor_on_the_first_site():
@@ -787,6 +871,7 @@ def test_reversed_pair_puts_the_first_factor_on_the_first_site():
     expected = np.kron(np.kron(b, np.eye(3)), a)
     assert la.frob(la.embed_factor(np.kron(a, b), (2, 3, 2), (2, 0)) - expected) < 1e-12
     assert la.frob(la.apply_factor(np.kron(a, b), m, (2, 3, 2), (2, 0)) - expected @ m) < 1e-12
+    assert la.frob(la.conjugate_factor(np.kron(a, b), m, (2, 3, 2), (2, 0)) - expected @ m @ la.dagger(expected)) < 1e-12
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.complex64, np.float32])
@@ -840,6 +925,8 @@ def test_factored_projections_answer_from_their_factors():
 def test_apply_factor_rejects_a_mismatched_operator():
     with pytest.raises(DimensionMismatchError):
         la.apply_factor(np.eye(2), np.eye(12), (2, 3, 2), (1,))
+    with pytest.raises(DimensionMismatchError):
+        la.conjugate_factor(np.eye(4), np.eye(12), (2, 3, 2), (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,23 @@ def test_random_net_is_seed_deterministic():
             assert np.array_equal(ga, gb)
 
 
+@pytest.mark.parametrize("n, seed, steps", [(4, 0, 1), (5, 7, 3), (8, 3, 3), (9, 11, 8), (10, 0, 25)])
+def test_random_net_draws_the_gates_of_a_sequential_build(n, seed, steps):
+    # the reference: one la.haar_unitary(4, rng) a gate, layer by layer,
+    # bond by bond, as build_net drew them before drawing them in one batch
+    rng = np.random.default_rng(seed)
+    expected = [
+        [((i, i + 1), la.haar_unitary(4, rng)) for i in range(0 if k % 2 == 1 else 1, n - 1, 2)]
+        for k in range(1, steps + 1)
+    ]
+    net = build_net(n, "random", seed=seed, n_steps=steps)
+    assert len(net.layers) == steps
+    for layer, ref in zip(net.layers, expected):
+        assert [pair for pair, _ in layer] == [pair for pair, _ in ref]
+        for (_, gate), (_, want) in zip(layer, ref):
+            assert gate.tobytes() == want.tobytes()
+
+
 def gate_on_sites(gate, n, i, j):
     """2^n matrix of a two-qubit gate whose first factor is qubit i, built as
     P* (gate x I) P with P the permutation that brings qubits i, j first."""
@@ -436,8 +453,10 @@ def test_check_axioms_forms_no_full_chain_operator(monkeypatch):
         assert report.ok == (net.label != "corrupt")
 
 
-@pytest.mark.parametrize("support", [(1, 2), (3, 4, 5), (0, 5)])
+@pytest.mark.parametrize("support", [(1, 2), (3, 4, 5), (0, 5), (2,), (4,)])
 def test_relative_image_from_a_support_matches_the_dense_conjugation(support):
+    # on the explicit net, (2,) forward to step 3 widens at both ends, and
+    # (4,) is widened by the long-range (5, 0) gate
     net = explicit_net()
     dims = (2,) * net.n_sites
     x = la.random_density(2 ** len(support), np.random.default_rng(len(support)))
@@ -447,6 +466,22 @@ def test_relative_image_from_a_support_matches_the_dense_conjugation(support):
         out_support, m = toynet._relative_image(net, k_to, k_from, support, x)
         assert set(support) <= set(out_support)
         assert np.max(np.abs(la.embed_factor(m, dims, out_support) - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("site, k_to", [(3, 3), (0, 4), (7, 4)])
+def test_brickwork_image_widens_at_its_ends_and_matches_the_dense_conjugation(site, k_to):
+    # brickwork gates widen an interval at one end at a time; a middle site
+    # reaches both ends, and sites at the edge of the chain grow one way
+    net = build_net(8, "random", seed=4, n_steps=4)
+    dims = (2,) * net.n_sites
+    x = la.random_density(2, np.random.default_rng(site))
+    support, m = toynet._relative_image(net, k_to, 0, (site,), x)
+    w = net.evolution(k_to)
+    dense = w @ la.embed_factor(x, dims, (site,)) @ la.dagger(w)
+    assert support == tuple(range(support[0], support[-1] + 1))
+    assert np.max(np.abs(la.embed_factor(m, dims, support) - dense)) < 1e-12
+    back, m0 = toynet._relative_image(net, 0, k_to, support, m)
+    assert np.max(np.abs(la.embed_factor(m0, dims, back) - la.embed_factor(x, dims, (site,)))) < 1e-12
 
 
 def test_axioms_on_fourteen_sites():
@@ -777,20 +812,22 @@ def test_regions_in_either_order_give_the_certified_correlation(route):
 
 def test_epsilon_pure_demo_evolves_no_full_chain_matrix(monkeypatch):
     # demo_state keeps psi and eps: the step-k state is evolved as a vector,
-    # so the state's evolution never hands apply_factor a 2^n x 2^n matrix;
-    # a plain DensityState with the same matrix is still evolved as one.
-    # Only calls made while the state is reduced are counted: products by an
-    # embedded candidate or meet go through apply_factor on 2^n matrices
+    # so the state's evolution never hands a gate kernel (la.apply_factor,
+    # la.conjugate_factor) a 2^n x 2^n matrix; a plain DensityState with the
+    # same matrix is still evolved as one, by conjugate_factor. Only calls
+    # made while the state is reduced are counted: products by an embedded
+    # candidate or meet go through apply_factor on 2^n matrices
     net = build_net(8, "random", seed=0)
     full = (2**net.n_sites,) * 2
     phi = demo_state(net, seed=0)
     shapes, reducing = [], []
-    original = la.apply_factor
 
-    def counting(x_loc, m, dims, acting):
-        if reducing:
-            shapes.append(np.shape(m))
-        return original(x_loc, m, dims, acting)
+    def counting(kernel):
+        def counted(x_loc, m, dims, acting):
+            if reducing:
+                shapes.append((kernel.__name__, np.shape(m)))
+            return kernel(x_loc, m, dims, acting)
+        return counted
 
     def watched(real_reduced):
         def watched_reduced(*args):
@@ -801,16 +838,17 @@ def test_epsilon_pure_demo_evolves_no_full_chain_matrix(monkeypatch):
                 reducing.clear()
         return watched_reduced
 
-    monkeypatch.setattr(la, "apply_factor", counting)
+    for name in ("apply_factor", "conjugate_factor"):
+        monkeypatch.setattr(la, name, counting(getattr(la, name)))
     for cls in (DensityState, EpsilonPureState):
         monkeypatch.setattr(cls, "reduced", watched(cls.reduced))
     demo = weak_rccp_demo(net, phi, SliceCone(2, 1, 2), SliceCone(2, 5, 6))
     assert demo.certificate.verified
-    assert (2**net.n_sites, 1) in shapes
-    assert full not in shapes
+    assert ("apply_factor", (2**net.n_sites, 1)) in shapes
+    assert all(shape != full for _, shape in shapes)
     shapes.clear()
     weak_rccp_demo(net, DensityState(phi.mat), SliceCone(2, 1, 2), SliceCone(2, 5, 6))
-    assert full in shapes
+    assert ("conjugate_factor", full) in shapes
 
 
 def test_full_row_demo_evaluates_each_weight_once(monkeypatch):
