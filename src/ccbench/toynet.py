@@ -8,18 +8,18 @@ occupies the open spacetime cell t in (k-1/2, k+1/2), x in (i-1/2, i+1/2).
 The package builds it only at step 0, as a plain tensor factor; later
 steps are reached by evolving operators on their light-cone supports.
 
-``check_axioms`` samples isotony and Einstein causality for
-cell-hull-spacelike regions, both of which a wrong gate placement breaks.
-Its primitive-causality check is a cone-level identity: a cone and its
-causal completion get the same algebra by construction. Whether the net
-satisfies the paper's local primitive causality, A(D) inside A(R) for a
-slab R whose causal completion holds D, is not checked; ROADMAP.md item 2
-tracks that. The module also runs an end-to-end demonstration: find a
-correlated pair in two spacelike regions, build a common-cause region in
-their backward light cones, and synthesize a verified common cause inside
-that region's algebra. The checks and the demonstration evolve operators
-by one light-cone kernel, which carries an operator's support through the
-gates touching it, and both take the net's gate order from one function.
+``check_axioms`` samples isotony, Einstein causality for cones whose cell
+hulls are spacelike, and local primitive causality as the neighbourhood
+the circuit's gates define; a wrong gate placement breaks each of them. It
+decides which cones to compare and the primitive check in integers, from
+(step, lo, hi) and the gate list, and calls no geometry.
+
+The module also runs an end-to-end demonstration: find a correlated pair
+in two spacelike regions, build a common-cause region in their backward
+light cones, and synthesize a verified common cause inside that region's
+algebra. The checks and the demonstration evolve operators by one
+light-cone kernel, which carries an operator's support through the gates
+touching it, and both take the net's gate order from one function.
 The demonstration validates each candidate projection on that support and
 embeds it once, trusted, keeping the support and its defect, so a
 candidate pair's meet is P_A ⊗ P_B when their supports are disjoint, else
@@ -51,7 +51,6 @@ from .bell import correlated_pairs
 # quantum_verify_cc is unused here but stays bound: benchmark/tests checks
 # that tracing wraps it in every ccbench module that binds it, toynet included.
 from .commoncause import CommonCauseCertificate, find_strong_cc, quantum_verify_cc  # noqa: F401
-from .config import TOL
 from .errors import InfeasibleError, NotUnitaryError, RegionError, StructureError, ValidationError
 from .qprob import DensityState, EpsilonPureState, MatrixAlgebra, Projection
 
@@ -83,35 +82,23 @@ class SliceCone:
         k, a, b = self.step, self.lo, self.hi
         return geo.double_cone(u=(k - b - 0.5, k - a + 0.5), v=(k + a - 0.5, k + b + 0.5))
 
-    def cell_hull(self) -> geo.Region:
-        k, a, b = self.step, self.lo, self.hi
-        return geo.rect(t=(k - 0.5, k + 0.5), x=(a - 0.5, b + 0.5))
+    def spacelike(self, other: SliceCone) -> bool:
+        """Whether the two cones' cell hulls, the open rectangles
+        t in (k - 1/2, k + 1/2), x in (lo - 1/2, hi + 1/2), are spacelike
+        separated: the spatial gap between them, max(lo' - hi, lo - hi') - 1,
+        is at least their largest time difference, |k - k'| + 1."""
+        return max(self.lo - other.hi, other.lo - self.hi) >= abs(self.step - other.step) + 2
 
 
-def _cone_from_region(region: geo.Region, n_sites: int, n_steps: int) -> SliceCone:
-    """Recover (step, lo, hi) from a region, completing it first."""
-    comp = geo.causal_completion(region)
-    cell = comp.cells[0]
-    k = 0.5 * (cell.u.hi + cell.v.lo)
-    a = 0.5 * (cell.v.lo - cell.u.hi) + 0.5
-    b = k - cell.u.lo - 0.5
-    for name, val in (("step", k), ("site lo", a), ("site hi", b)):
-        if abs(val - round(val)) > TOL.geo:
-            raise RegionError(f"region is off-lattice: {name} = {val:.6g}")
-    k, a, b = int(round(k)), int(round(a)), int(round(b))
-    if abs(cell.v.hi - (k + b + 0.5)) > TOL.geo:
-        raise RegionError("region is not a slice-based double cone")
-    return _check_cone(SliceCone(k, a, b), n_sites, n_steps)
-
-
-def _check_cone(cone: SliceCone, n_sites: int, n_steps: int) -> SliceCone:
-    """The cone, once its sites lie in the chain and its step in the built
-    horizon; else RegionError."""
+def _check_cone(where: str, cone, n_sites: int, n_steps: int) -> None:
+    """RegionError unless the cone is a SliceCone with its sites in the
+    chain and its step in the built horizon."""
+    if not isinstance(cone, SliceCone):
+        raise RegionError(f"{where} takes SliceCones, got {type(cone).__name__}")
     if not (0 <= cone.lo <= cone.hi < n_sites):
         raise RegionError(f"sites [{cone.lo}, {cone.hi}] outside the chain")
     if not (0 <= cone.step <= n_steps):
         raise RegionError(f"step {cone.step} outside the built horizon {n_steps}")
-    return cone
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +203,16 @@ def build_net(
 # ---------------------------------------------------------------------------
 
 
-def region_algebra(net: NetModel, d) -> MatrixAlgebra:
+def region_algebra(net: NetModel, cone: SliceCone) -> MatrixAlgebra:
     """The algebra of a step-0 slice cone: the plain factor on sites lo..hi.
 
-    Accepts a SliceCone or any region whose causal completion is a
-    slice-based double cone (others are off-lattice errors), so a cone and
-    its completion get the same algebra. A cone at a later step raises
+    Takes a SliceCone only; a region, or a cone off the chain or past the
+    built horizon, raises RegionError. A cone at a later step raises
     StructureError: its algebra U(k)* F U(k) is reached by evolving
     operators on their light-cone supports (``_relative_image``).
     """
     _require_dense("region_algebra", net.n_sites)
-    cone = d if isinstance(d, SliceCone) else _cone_from_region(d, net.n_sites, net.n_steps)
+    _check_cone("region_algebra", cone, net.n_sites, net.n_steps)
     if cone.step != 0:
         raise StructureError(
             f"region_algebra builds step-0 rows only; the cone is at step {cone.step}"
@@ -326,6 +312,8 @@ def _relative_image(net: NetModel, k_to: int, k_from: int, support: tuple, x: np
 def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> AxiomReport:
     """Sampled isotony, Einstein causality, and primitive causality checks.
 
+    Which cones are compared, and the primitive check, are decided in
+    integers from (step, lo, hi) and the gate list; no geometry is called.
     Two cones at steps k1 and k2 are compared in one picture: conjugating
     both algebras U(k)* F U(k) by U(k1) leaves norms and membership
     unchanged, so the pair reduces to the plain factor of the first cone
@@ -338,16 +326,24 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
     widening), each inner generator evolved to the outer cone's step lies in
     the outer cone's plain factor: at once if its support lies inside the
     outer sites, else by the membership test on the support, whose relative
-    residual equals the full-chain one. Einstein causality: for
-    cell-hull-spacelike cone pairs, every [g, W h W*] of site generators
+    residual equals the full-chain one. This step-back branch samples the
+    algebraic one-step inclusion A(k, lo, hi) in A(k - 1, lo - 1, hi + 1).
+
+    Einstein causality: for cone pairs whose cell hulls are spacelike
+    (``SliceCone.spacelike``), every [g, W h W*] of site generators
     vanishes. It is a structural zero when g's site lies off the support of
     W h W*; otherwise it is taken on the support as ‖g m g* − m‖_F for the
     image m, which equals ‖[g, m]‖_F since g is unitary, by one
     ``la.conjugate_factor``, and scaled by sqrt(2^(n - |support|)) to the
-    full-chain norm. Primitive causality: the slice cone recovered from a
-    cone's causal completion is the cone itself. The algebra is a function
-    of the cone, so this is a cone-level identity that no choice of gates
-    can break; giving it teeth is still open (ROADMAP.md, item 2).
+    full-chain norm.
+
+    Primitive causality: the cone's sites are carried back through the
+    gates of U(k)*, in the order they act, as a set; a gate touching the set
+    adds both its sites, and no matrix is formed. A cone (k, lo, hi) is a
+    violation when the set leaves [lo − k, hi + k]. This checks the
+    neighbourhood the circuit defines (Schumacher & Werner, 2004), which
+    suffices for A(D) inside the algebra of that step-0 row, whose causal
+    completion holds D. It draws nothing from the sampler.
     """
     rng = np.random.default_rng(seed)
     n = net.n_sites
@@ -382,8 +378,11 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
         c1 = _random_cone(net, rng, max_step)
         if n_prim < sample_pairs:
             n_prim += 1
-            completion = geo.causal_completion(c1.diamond())
-            if _cone_from_region(completion, net.n_sites, net.n_steps) != c1:
+            reach = set(range(c1.lo, c1.hi + 1))
+            for (i, j), _ in _gate_sequence(net, 0, c1.step):
+                if i in reach or j in reach:
+                    reach |= {i, j}
+            if min(reach) < c1.lo - c1.step or max(reach) > c1.hi + c1.step:
                 prim_bad.append(c1)
         if n_iso < sample_pairs:
             n_iso += 1
@@ -404,7 +403,7 @@ def check_axioms(net: NetModel, sample_pairs: int = 100, seed: int = 0) -> Axiom
                 iso_bad.append((c1, outer))
         if n_caus < sample_pairs:
             c2 = _random_cone(net, rng, max_step)
-            if geo.spacelike_separated(c1.cell_hull(), c2.cell_hull()):
+            if c1.spacelike(c2):
                 n_caus += 1
                 images = [
                     _relative_image(net, c1.step, c2.step, (s,), x) for s, x in site_generators(c2)
@@ -514,9 +513,7 @@ def weak_rccp_demo(
     listed in the module docstring.
     """
     for cone in (d1, d2):
-        if not isinstance(cone, SliceCone):
-            raise RegionError(f"the demo takes SliceCones, got {type(cone).__name__}")
-        _check_cone(cone, net.n_sites, net.n_steps)
+        _check_cone("the demo", cone, net.n_sites, net.n_steps)
     state.require_faithful()
     if not geo.spacelike_separated(d1.diamond(), d2.diamond()):
         raise RegionError("base regions are not spacelike separated")

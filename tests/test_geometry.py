@@ -380,7 +380,9 @@ def drawn_regions(draw):
         return geo.double_cone(u=(u0 * GRID, (u0 + du) * GRID), v=(v0 * GRID, (v0 + dv) * GRID))
     lo = draw(st.integers(0, 9))
     cone = SliceCone(draw(st.integers(0, 6)), lo, draw(st.integers(lo, 9)))
-    return cone.diamond() if kind == "diamond" else cone.cell_hull()
+    if kind == "diamond":
+        return cone.diamond()
+    return geo.rect(t=(cone.step - 0.5, cone.step + 0.5), x=(cone.lo - 0.5, cone.hi + 0.5))
 
 
 def inside(inner, outer) -> bool:

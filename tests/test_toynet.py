@@ -43,15 +43,17 @@ from ccbench.toynet import (
 from conftest import HeisenbergAlgebra, generators
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULIS = (SX, np.array([[0.0, -1j], [1j, 0.0]]), np.diag([1.0, -1.0]).astype(complex))
 
 
 def embedded_pauli(net, site):
     return la.embed_factor(SX, (2,) * net.n_sites, (site,))
 
 
-def cone_of(net, region):
-    """The slice cone recovered from a region, as region_algebra recovers it."""
-    return toynet._cone_from_region(region, net.n_sites, net.n_steps)
+def cell_hull(cone):
+    """The open rectangle of a cone's cells, the continuum reference for
+    ``SliceCone.spacelike``."""
+    return geo.rect(t=(cone.step - 0.5, cone.step + 0.5), x=(cone.lo - 0.5, cone.hi + 0.5))
 
 
 def heisenberg(net, cone):
@@ -70,38 +72,42 @@ def test_slice_cone_charts():
     (d,) = cone.diamond().cells
     assert (d.u.lo, d.u.hi) == (-0.5, 1.5)
     assert (d.v.lo, d.v.hi) == (2.5, 4.5)
-    (h,) = cone.cell_hull().cells
-    assert (h.t.lo, h.t.hi) == (1.5, 2.5)
-    assert (h.x.lo, h.x.hi) == (0.5, 2.5)
+
+
+def test_integer_spacelike_test_matches_the_cell_hulls():
+    # every cone pair of a 10-site chain at steps 0..4, against the geometry
+    cones = [SliceCone(k, lo, hi) for k in range(5) for lo in range(10) for hi in range(lo, 10)]
+    hulls = [cell_hull(c) for c in cones]
+    for c1, h1 in zip(cones, hulls):
+        for c2, h2 in zip(cones, hulls):
+            assert c1.spacelike(c2) == geo.spacelike_separated(h1, h2), (c1, c2)
 
 
 def test_region_round_trip_through_geometry():
+    # region_algebra takes the cone, not its diamond
     net = build_net(5, "swap", n_steps=3)
     cone = SliceCone(2, 1, 3)
-    recovered = cone_of(net, cone.diamond())
-    assert (recovered.step, (recovered.lo, recovered.hi)) == (2, (1, 3))
-    assert heisenberg(net, recovered).n_basis == 64
+    assert heisenberg(net, cone).n_basis == 64
+    with pytest.raises(RegionError, match="region_algebra takes SliceCones, got Region"):
+        region_algebra(net, cone.diamond())
     # the package builds step-0 rows only
     with pytest.raises(StructureError, match="step 2"):
-        region_algebra(net, cone.diamond())
-    row = region_algebra(net, SliceCone(0, 1, 3).diamond())
-    assert row.acting == (1, 2, 3)
+        region_algebra(net, cone)
+    assert region_algebra(net, SliceCone(0, 1, 3)).acting == (1, 2, 3)
 
 
 def test_off_lattice_regions_rejected():
     net = build_net(5, "swap", n_steps=3)
     shifted = geo.double_cone(u=(-0.2, 0.8), v=(0.8, 1.8))
-    with pytest.raises(RegionError, match="off-lattice"):
+    with pytest.raises(RegionError, match="takes SliceCones"):
         region_algebra(net, shifted)
-    outside = SliceCone(1, 3, 6).diamond()
     with pytest.raises(RegionError, match="outside the chain"):
-        region_algebra(net, outside)
-    too_late = SliceCone(7, 1, 2).diamond()
+        region_algebra(net, SliceCone(0, 3, 6))
     with pytest.raises(RegionError, match="horizon"):
-        region_algebra(net, too_late)
-    # the geometric errors come before the step-0 refusal
+        region_algebra(net, SliceCone(7, 1, 2))
+    # the lattice errors come before the step-0 refusal
     with pytest.raises(RegionError, match="outside the chain"):
-        region_algebra(net, SliceCone(2, 3, 6).diamond())
+        region_algebra(net, SliceCone(2, 3, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +297,6 @@ def test_same_step_cones_commute_for_any_gates():
     assert worst < 1e-12
 
 
-def test_primitive_causality_exact():
-    net = build_net(5, "random", seed=2, n_steps=3)
-    cone = SliceCone(1, 1, 2)
-    direct = heisenberg(net, cone)
-    completed = heisenberg(net, cone_of(net, geo.causal_completion(cone.diamond())))
-    assert len(direct.generators) == len(completed.generators)
-    assert all(
-        np.array_equal(g1, g2)
-        for g1, g2 in zip(direct.generators, completed.generators)
-    )
-
-
 # ---------------------------------------------------------------------------
 # axiom checks
 # ---------------------------------------------------------------------------
@@ -333,6 +327,15 @@ def test_long_range_gate_breaks_isotony():
     assert report.isotony_violations
 
 
+def dense_primitive_violation(net, cone):
+    """Whether U(k)* P U(k), P a generator of the cone's factor, fails to
+    commute with some Pauli on a site off [lo - k, hi + k]: the cone's
+    step-0 image acts outside the row primitive causality asks for."""
+    off = [t for t in range(net.n_sites) if not cone.lo - cone.step <= t <= cone.hi + cone.step]
+    paulis = [la.embed_factor(p, (2,) * net.n_sites, (t,)) for t in off for p in PAULIS]
+    return any(la.comm_residual(g, p) > 1e-10 for g in heisenberg(net, cone).generators for p in paulis)
+
+
 def dense_axioms(net, sample_pairs, seed):
     """The sampled axiom checks through the dense oracle's generators: the
     same cone draws as check_axioms, each algebra conjugated by the full U(k)."""
@@ -356,8 +359,7 @@ def dense_axioms(net, sample_pairs, seed):
         c1 = draw()
         if counts[2] < sample_pairs:
             counts[2] += 1
-            completed = gens(cone_of(net, geo.causal_completion(c1.diamond())))
-            if not all(np.array_equal(g, h) for g, h in zip(gens(c1), completed)):
+            if dense_primitive_violation(net, c1):
                 prim_bad.append(c1)
         if counts[0] < sample_pairs:
             counts[0] += 1
@@ -370,7 +372,7 @@ def dense_axioms(net, sample_pairs, seed):
                 iso_bad.append((c1, outer))
         if counts[1] < sample_pairs:
             c2 = draw()
-            if geo.spacelike_separated(c1.cell_hull(), c2.cell_hull()):
+            if geo.spacelike_separated(cell_hull(c1), cell_hull(c2)):
                 counts[1] += 1
                 worst = max(la.comm_residual(g, h) for g in gens(c1) for h in gens(c2))
                 max_comm = max(max_comm, worst)
@@ -407,7 +409,7 @@ def assert_matches_dense(report, dense):
     counts, iso_bad, caus_bad, prim_bad, max_comm = dense
     assert [report.n_isotony, report.n_causality, report.n_primitive] == counts
     assert report.isotony_violations == iso_bad
-    assert report.primitive_violations == prim_bad == []
+    assert report.primitive_violations == prim_bad
     assert [(a, b) for a, b, _ in report.causality_violations] == [(a, b) for a, b, _ in caus_bad]
     for (_, _, w_new), (_, _, w_old) in zip(report.causality_violations, caus_bad):
         assert abs(w_new - w_old) < 1e-12
@@ -451,6 +453,26 @@ def test_check_axioms_forms_no_full_chain_operator(monkeypatch):
         report = check_axioms(net, sample_pairs=30, seed=0)
         assert [report.n_isotony, report.n_causality, report.n_primitive] == [30, 30, 30]
         assert report.ok == (net.label != "corrupt")
+
+
+def test_primitive_check_fires_on_a_planted_gate_and_calls_no_geometry(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_axioms called the continuum geometry")
+
+    for name in ("make_cell", "causal_completion", "spacelike_separated"):
+        monkeypatch.setattr(geo, name, refuse)
+    planted = []
+    for seed in range(4):
+        clean = check_axioms(build_net(8, "random", seed=seed, n_steps=3), sample_pairs=30, seed=seed)
+        assert clean.ok and clean.n_primitive == 30
+        net = planted_net(8, (0, 7), seed)
+        violations = check_axioms(net, sample_pairs=30, seed=seed).primitive_violations
+        assert violations
+        planted.append((net, violations))
+    monkeypatch.undo()
+    # each violation is confirmed densely: the cone's image acts off its row
+    for net, violations in planted:
+        assert all(dense_primitive_violation(net, cone) for cone in violations)
 
 
 @pytest.mark.parametrize("support", [(1, 2), (3, 4, 5), (0, 5), (2,), (4,)])
@@ -499,7 +521,7 @@ def test_three_cell_gate_breaks_causality():
     rng = np.random.default_rng(5)
     bad = NetModel(5, [[((0, 3), la.haar_unitary(4, rng))]], label="corrupt")
     c1, c2 = SliceCone(1, 0, 0), SliceCone(0, 3, 3)
-    assert geo.spacelike_separated(c1.cell_hull(), c2.cell_hull())
+    assert c1.spacelike(c2)
     a1 = heisenberg(bad, c1)
     a2 = heisenberg(bad, c2)
     worst = max(
